@@ -31,7 +31,14 @@ from .decomposition import (
     find_extrema,
     sift_once,
 )
-from .dtw import CostMatrix, dtw_distance, euclidean_distance, point_distance, warp_path
+from .dtw import (
+    CostMatrix,
+    dtw_distance,
+    dtw_distances,
+    euclidean_distance,
+    point_distance,
+    warp_path,
+)
 from .grouping import (
     GroupingConfig,
     Segment,

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .core import Decomposition, TimeSeries, spawn_rng
+from .core import DataError, Decomposition, TimeSeries, spawn_rng
 
 BOUNDARY_MODES = ("mirror", "clamp")
 
@@ -309,7 +309,7 @@ def extract_imf(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> SiftOutco
 def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
     """Full decomposition plus per-IMF sift statistics."""
     if len(series) < 4:
-        raise ValueError(f"decomposition needs length >= 4, got {len(series)}")
+        raise DataError(f"decomposition needs length >= 4, got {len(series)}")
     remainder = series
     imfs = []
     stats = []
@@ -364,7 +364,7 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig(), workers: int = 1) -
         way because noise streams are keyed by trial index.
     """
     if len(series) < 4:
-        raise ValueError(f"decomposition needs length >= 4, got {len(series)}")
+        raise DataError(f"decomposition needs length >= 4, got {len(series)}")
     amplitude = cfg.noise_amplitude * float(np.std(series.values))
     n_trials = cfg.ensemble_size
 

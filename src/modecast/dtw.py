@@ -82,6 +82,57 @@ def dtw_distance(y, z, weight: float = 1.0) -> tuple:
     return float(g[m - 1, n - 1]), CostMatrix(g)
 
 
+def dtw_distances(windows, reference, weight: float = 1.0) -> np.ndarray:
+    """DTW distance of every row of ``windows`` to one reference sequence.
+
+    Runs the recurrence of :func:`dtw_distance` cell by cell in the same
+    order, with each cell vectorised over all rows, so entry k equals
+    ``dtw_distance(windows[k], reference, weight)[0]`` bit for bit. Time is
+    O(n*m*L); only two rows of the cumulative grid are held, as (L, n)
+    arrays, never the full (n, m, L) tensor.
+
+    Parameters
+    ----------
+    windows : array_like, shape (n, m)
+        Candidate sequences, one per row; m >= 1.
+    reference : array_like, shape (L,)
+        Non-empty sequence every row is aligned to.
+    weight : float
+        Positive scale of the pointwise distance.
+
+    Returns
+    -------
+    ndarray, shape (n,)
+        gamma(m, L) of each row.
+    """
+    windows = np.asarray(windows, dtype=np.float64)
+    z = np.asarray(reference, dtype=np.float64)
+    if windows.ndim != 2 or z.ndim != 1:
+        raise ValueError("windows must be 2-D and the reference 1-D")
+    if windows.shape[1] == 0 or z.size == 0:
+        raise ValueError("sequences must be non-empty")
+    if weight <= 0:
+        raise ValueError("weight must be positive")
+
+    # g[j] holds gamma(i, j) of every row, a contiguous vector per cell
+    best = np.empty(windows.shape[0])
+    g = None
+    for y_i in windows.T:
+        local = weight * np.abs(y_i[None, :] - z[:, None])
+        prev, g = g, np.empty_like(local)
+        if prev is None:
+            g[0] = local[0]
+            for j in range(1, z.size):
+                np.add(local[j], g[j - 1], out=g[j])
+            continue
+        np.add(local[0], prev[0], out=g[0])
+        for j in range(1, z.size):
+            np.minimum(prev[j - 1], prev[j], out=best)
+            np.minimum(best, g[j - 1], out=best)
+            np.add(local[j], best, out=g[j])
+    return g[-1].copy()
+
+
 def warp_path(matrix: CostMatrix) -> tuple:
     """Recover the optimal alignment path by backtracking from (m, n).
 

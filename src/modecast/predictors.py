@@ -309,13 +309,15 @@ def train(training_set: TrainingSet, cfg: PredictorConfig,
     loss_grad = _LOSS_GRAD[cfg.kind]
     flat = _init_params(cfg, l)
     curve = np.empty(cfg.epochs + 1)
-    for epoch in range(cfg.epochs):
-        loss, grad = loss_grad(flat, x, y, l, h)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(cfg.kind, epoch, cfg.learning_rate)
-        curve[epoch] = loss
-        flat = flat - cfg.learning_rate * grad
-    final_loss, _ = loss_grad(flat, x, y, l, h)
+    # divergence overflows on the way; the finite-loss checks report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            loss, grad = loss_grad(flat, x, y, l, h)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(cfg.kind, epoch, cfg.learning_rate)
+            curve[epoch] = loss
+            flat = flat - cfg.learning_rate * grad
+        final_loss, _ = loss_grad(flat, x, y, l, h)
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(cfg.kind, cfg.epochs, cfg.learning_rate)
     curve[-1] = final_loss

@@ -216,9 +216,16 @@ class TestBenchmark:
 
 
 class TestExitCodes:
-    def test_numeric_failure_is_exit_three(self, tmp_path, capsys):
-        import warnings
+    def test_too_short_series_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        write_series(path, [1.0, 2.0, 3.0])
+        assert main(["--out", str(tmp_path / "out"), "decompose", str(path)]) == 2
+        assert capsys.readouterr().err == "data error: decomposition needs length >= 4, got 3\n"
 
+    # a numpy warning leaking out of training would surface as the failure
+    # message instead of being collected by pytest
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numeric_failure_is_exit_three(self, tmp_path, capsys):
         data = tmp_path / "series.csv"
         t = np.arange(40)
         write_series(data, 5 + np.sin(2 * np.pi * t / 8) + 0.05 * t)
@@ -235,11 +242,12 @@ class TestExitCodes:
         }
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps(cfg))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = main(["--out", str(tmp_path / "out"), "predict", str(path)])
+        code = main(["--out", str(tmp_path / "out"), "predict", str(path)])
         assert code == 3
-        assert "numeric failure" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numeric failure: component 1 (series): BPNN training loss became "
+            "non-finite at epoch 13 (learning_rate=1000000000000.0)\n"
+        )
 
 
 class TestGradcheck:

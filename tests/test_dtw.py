@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modecast.dtw import (
     dtw_distance,
+    dtw_distances,
     euclidean_distance,
     point_distance,
     warp_path,
@@ -100,6 +103,43 @@ class TestDtwDistance:
             assert d_yz <= euclidean_distance(y, z) + 1e-12
             d_self, _ = dtw_distance(y, y)
             assert d_self == 0.0
+
+
+@st.composite
+def windows_reference_weight(draw):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 12))
+    windows = draw(arrays(np.float64, (n, m), elements=finite))
+    reference = draw(arrays(np.float64, draw(st.integers(1, 12)), elements=finite))
+    weight = draw(st.floats(0.0, 5.0, exclude_min=True))
+    return windows, reference, weight
+
+
+class TestDtwDistances:
+    @settings(deadline=None)
+    @given(windows_reference_weight())
+    def test_bit_identical_to_reference(self, case):
+        windows, reference, weight = case
+        with np.errstate(over="ignore"):  # huge inputs overflow to inf on both paths
+            batched = dtw_distances(windows, reference, weight)
+            expected = [dtw_distance(row, reference, weight)[0] for row in windows]
+        assert batched.shape == (windows.shape[0],)
+        assert batched.tolist() == expected
+
+    def test_zero_on_exact_copy(self):
+        z = [3.0, 1.0, 2.0]
+        assert dtw_distances([z, [0.0, 0.0, 0.0]], z).tolist() == [0.0, 6.0]
+
+    def test_rejects_bad_shapes_and_weight(self):
+        with pytest.raises(ValueError):
+            dtw_distances([1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            dtw_distances(np.zeros((3, 0)), [1.0])
+        with pytest.raises(ValueError):
+            dtw_distances([[1.0]], [])
+        with pytest.raises(ValueError):
+            dtw_distances([[1.0]], [1.0], weight=0.0)
 
 
 class TestWarpPath:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modecast.core import TimeSeries
 from modecast.dtw import dtw_distance
@@ -100,6 +101,46 @@ class TestRankBySimilarity:
             assert offsets == list(range(1, t - length + 1))
             dists = [d for _, d in ranked]
             assert dists == sorted(dists)
+
+
+def _standardized(values):
+    std = values.std()
+    return np.zeros_like(values) if std == 0 else (values - values.mean()) / std
+
+
+@st.composite
+def series_with_plateaus(draw):
+    # runs of repeated values make constant windows and tied distances
+    runs = draw(st.lists(
+        st.tuples(st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, 1.0]),
+                  st.integers(1, 8)),
+        min_size=4, max_size=12))
+    values = np.repeat([v for v, _ in runs], [k for _, k in runs])
+    # T >= L + 2 leaves an eligible candidate beside any reference
+    length = draw(st.integers(2, min(6, values.size - 2)))
+    return values, length
+
+
+class TestRankOracle:
+    @settings(deadline=None)
+    @given(series_with_plateaus(), st.booleans(), st.floats(0.1, 5.0), st.data())
+    def test_matches_sorted_per_pair_oracle(self, case, znormalize, weight, data):
+        values, length = case
+        t = values.size
+        segs = segmentize(TimeSeries(values), length)
+        reference = data.draw(st.sampled_from(segs[: t - length]) | st.just(segs[-1]))
+        cfg = GroupingConfig(segment_length=length, dtw_weight=weight, znormalize=znormalize)
+        prepare = _standardized if znormalize else (lambda v: v)
+        expected = sorted(
+            (dtw_distance(prepare(s.values), prepare(reference.values), weight)[0],
+             -s.source_offset)
+            for s in segs
+            if s.source_offset != reference.source_offset and s.source_offset + length <= t
+        )
+        expected = [(-o, d) for d, o in expected]
+        for parent_length in (t, None):  # None derives t from the segments
+            ranked = rank_by_similarity(segs, reference, cfg, parent_length=parent_length)
+            assert [(s.source_offset, d) for s, d in ranked] == expected
 
 
 class TestBuildTrainingSet:

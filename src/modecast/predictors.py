@@ -18,14 +18,21 @@ Flat weight layouts (row-major, L = input length, H = hidden units, n = pairs)
     WNN:  [W (H*L), t (H), d (H), v (H), c (1)]
     ENN:  [Wx (H*L), Wh (H*H), b (H), v (H), c (1)]
     GRNN: [inputs (n*L), targets (n)]
+
+The named blocks of a dense layout are *views* into one flat buffer, built
+once by ``_views``. ``train`` owns one parameter buffer and one gradient
+buffer with the same layout; each epoch writes the gradient through its
+views and updates the parameters in place, so an epoch allocates no
+parameter or gradient array.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -112,13 +119,12 @@ def weight_count(kind: str, input_length: int, hidden_units: int, n_pairs: int =
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # copysign(z, -1) == -|z| is z itself for z < 0, so this is
+    # 1 / (1 + exp(-z)) on z >= 0 and exp(z) / (1 + exp(z)) below, bit for
+    # bit, without masks; exp never overflows
+    e = np.exp(np.copysign(z, -1.0))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def _morlet(u: np.ndarray) -> np.ndarray:
@@ -130,33 +136,26 @@ def _morlet_deriv(u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Flat parameter layout helpers
+# Flat parameter layout
 # ---------------------------------------------------------------------------
 
-def _shapes(kind: str, l: int, h: int) -> list:
+def _views(kind: str, flat: np.ndarray, l: int, h: int) -> dict:
+    """Named views into ``flat`` in the layout of the module docstring;
+    writing through a view writes ``flat``."""
     if kind == "BPNN":
-        return [("W1", (h, l)), ("b1", (h,)), ("w2", (h,)), ("b2", (1,))]
-    if kind == "WNN":
-        return [("W", (h, l)), ("t", (h,)), ("d", (h,)), ("v", (h,)), ("c", (1,))]
-    if kind == "ENN":
-        return [("Wx", (h, l)), ("Wh", (h, h)), ("b", (h,)), ("v", (h,)), ("c", (1,))]
-    raise ValueError(f"{kind} has no dense parameter layout")
-
-
-def _unpack(kind: str, flat: np.ndarray, l: int, h: int) -> dict:
-    params = {}
-    offset = 0
-    for name, shape in _shapes(kind, l, h):
-        size = int(np.prod(shape))
-        params[name] = flat[offset : offset + size].reshape(shape)
+        layout = (("W1", (h, l)), ("b1", (h,)), ("w2", (h,)), ("b2", (1,)))
+    elif kind == "WNN":
+        layout = (("W", (h, l)), ("t", (h,)), ("d", (h,)), ("v", (h,)), ("c", (1,)))
+    elif kind == "ENN":
+        layout = (("Wx", (h, l)), ("Wh", (h, h)), ("b", (h,)), ("v", (h,)), ("c", (1,)))
+    else:
+        raise ValueError(f"{kind} has no dense parameter layout")
+    views, offset = {}, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
         offset += size
-    return params
-
-
-def _pack(kind: str, params: dict, l: int, h: int) -> np.ndarray:
-    return np.concatenate(
-        [np.ravel(params[name]) for name, _ in _shapes(kind, l, h)]
-    )
+    return views
 
 
 def _init_params(cfg: PredictorConfig, l: int) -> np.ndarray:
@@ -166,107 +165,109 @@ def _init_params(cfg: PredictorConfig, l: int) -> np.ndarray:
     h = cfg.hidden_units
     flat = rng.uniform(-0.5, 0.5, weight_count(cfg.kind, l, h))
     if cfg.kind == "WNN":
-        params = _unpack("WNN", flat, l, h)
-        params["d"][:] = rng.uniform(0.5, 1.5, h)
+        _views("WNN", flat, l, h)["d"][:] = rng.uniform(0.5, 1.5, h)
     return flat
 
 
 # ---------------------------------------------------------------------------
-# Loss and gradients (full batch, mean squared error)
+# Loss and gradients (full batch, mean squared error). Each function reads
+# the parameter views ``p``, writes the gradient into the views ``g`` and
+# returns the loss. ``np.add.reduce`` is the reduction ``np.sum`` and
+# ``np.mean`` run, without their Python-level dispatch.
 # ---------------------------------------------------------------------------
 
-def _bpnn_forward(params: dict, x: np.ndarray) -> np.ndarray:
-    a = _sigmoid(x @ params["W1"].T + params["b1"])
-    return a @ params["w2"] + params["b2"][0]
+def _bpnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
+    a = _sigmoid(x @ p["W1"].T + p["b1"])
+    return a @ p["w2"] + p["b2"][0]
 
 
-def _bpnn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: int):
-    p = _unpack("BPNN", flat, l, h)
-    z = x @ p["W1"].T + p["b1"]
-    a = _sigmoid(z)
-    pred = a @ p["w2"] + p["b2"][0]
-    err = pred - y
-    loss = float(np.mean(err * err))
+def _bpnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> float:
+    a = _sigmoid(x @ p["W1"].T + p["b1"])
+    err = a @ p["w2"] + p["b2"][0] - y
     e = 2.0 * err / y.size
-    grads = {
-        "b2": np.array([e.sum()]),
-        "w2": a.T @ e,
-    }
+    g["b2"][0] = np.add.reduce(e)
+    np.matmul(a.T, e, out=g["w2"])
     dz = (e[:, None] * p["w2"][None, :]) * a * (1.0 - a)
-    grads["W1"] = dz.T @ x
-    grads["b1"] = dz.sum(axis=0)
-    return loss, _pack("BPNN", grads, l, h)
+    np.matmul(dz.T, x, out=g["W1"])
+    np.add.reduce(dz, axis=0, out=g["b1"])
+    return float(np.add.reduce(err * err) / y.size)
 
 
-def _wnn_forward(params: dict, x: np.ndarray) -> np.ndarray:
-    u = (x @ params["W"].T - params["t"]) / params["d"]
-    return _morlet(u) @ params["v"] + params["c"][0]
+def _wnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
+    u = (x @ p["W"].T - p["t"]) / p["d"]
+    return _morlet(u) @ p["v"] + p["c"][0]
 
 
-def _wnn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: int):
-    p = _unpack("WNN", flat, l, h)
+def _wnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> float:
     u = (x @ p["W"].T - p["t"]) / p["d"]
     psi = _morlet(u)
-    pred = psi @ p["v"] + p["c"][0]
-    err = pred - y
-    loss = float(np.mean(err * err))
+    err = psi @ p["v"] + p["c"][0] - y
     e = 2.0 * err / y.size
     du = (e[:, None] * p["v"][None, :]) * _morlet_deriv(u)
     du_scaled = du / p["d"]
-    grads = {
-        "c": np.array([e.sum()]),
-        "v": psi.T @ e,
-        "W": du_scaled.T @ x,
-        "t": -du_scaled.sum(axis=0),
-        "d": (du * (-u / p["d"])).sum(axis=0),
-    }
-    return loss, _pack("WNN", grads, l, h)
+    g["c"][0] = np.add.reduce(e)
+    np.matmul(psi.T, e, out=g["v"])
+    np.matmul(du_scaled.T, x, out=g["W"])
+    np.negative(np.add.reduce(du_scaled, axis=0, out=g["t"]), out=g["t"])
+    np.add.reduce(du * (-u / p["d"]), axis=0, out=g["d"])
+    return float(np.add.reduce(err * err) / y.size)
 
 
-def _enn_context(p: dict, x: np.ndarray) -> np.ndarray:
-    """Hidden-state trajectory; row t is the context fed to pair t."""
-    n = x.shape[0]
-    h_dim = p["b"].size
-    contexts = np.zeros((n, h_dim))
-    h = np.zeros(h_dim)
-    for t in range(n):
-        contexts[t] = h
-        h = _sigmoid(p["Wx"] @ x[t] + p["Wh"] @ h + p["b"])
+def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """Fill ``contexts`` with the hidden-state trajectory; row t is the
+    context fed to pair t.
+
+    The recurrence runs pair by pair on purpose: batching ``x @ Wx.T`` over
+    the trajectory turns GEMVs into one GEMM and moves low-order bits.
+    """
+    wx, wh, b = p["Wx"], p["Wh"], p["b"]
+    u, v = np.empty(b.size), np.empty(b.size)
+    contexts[0] = 0.0
+    for t in range(x.shape[0] - 1):
+        np.dot(wx, x[t], out=u)
+        u += np.dot(wh, contexts[t], out=v)
+        u += b
+        _sigmoid(u, out=contexts[t + 1])
     return contexts
 
 
-def _enn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: int,
-                   contexts: Optional[np.ndarray] = None):
-    """One-step-truncated gradient: the carried context is treated as data.
-
-    When ``contexts`` is given the trajectory is frozen (used by the
-    finite-difference check); otherwise it is recomputed from ``flat``.
-    """
-    p = _unpack("ENN", flat, l, h)
-    if contexts is None:
-        contexts = _enn_context(p, x)
-    s = x @ p["Wx"].T + contexts @ p["Wh"].T + p["b"]
-    hid = _sigmoid(s)
-    pred = hid @ p["v"] + p["c"][0]
-    err = pred - y
-    loss = float(np.mean(err * err))
+def _enn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray,
+                   contexts: np.ndarray) -> float:
+    """One-step-truncated gradient: the carried ``contexts`` are data."""
+    hid = _sigmoid(x @ p["Wx"].T + contexts @ p["Wh"].T + p["b"])
+    err = hid @ p["v"] + p["c"][0] - y
     e = 2.0 * err / y.size
     ds = (e[:, None] * p["v"][None, :]) * hid * (1.0 - hid)
-    grads = {
-        "c": np.array([e.sum()]),
-        "v": hid.T @ e,
-        "Wx": ds.T @ x,
-        "Wh": ds.T @ contexts,
-        "b": ds.sum(axis=0),
-    }
-    return loss, _pack("ENN", grads, l, h)
+    g["c"][0] = np.add.reduce(e)
+    np.matmul(hid.T, e, out=g["v"])
+    np.matmul(ds.T, x, out=g["Wx"])
+    np.matmul(ds.T, contexts, out=g["Wh"])
+    np.add.reduce(ds, axis=0, out=g["b"])
+    return float(np.add.reduce(err * err) / y.size)
 
 
-_LOSS_GRAD = {"BPNN": _bpnn_loss_grad, "WNN": _wnn_loss_grad, "ENN": _enn_loss_grad}
+def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
+               y: np.ndarray, l: int, h: int, frozen: bool = False) -> Callable[[], float]:
+    """``loss()`` at the current contents of ``flat``; each call also writes
+    the gradient into ``grad``. ENN recomputes the context trajectory on
+    every call, unless ``frozen`` fixes it at the current ``flat``."""
+    p, g = _views(kind, flat, l, h), _views(kind, grad, l, h)
+    if kind == "BPNN":
+        return lambda: _bpnn_loss_grad(p, g, x, y)
+    if kind == "WNN":
+        return lambda: _wnn_loss_grad(p, g, x, y)
+    contexts = np.empty((x.shape[0], h))
+    if frozen:
+        _enn_context(p, x, contexts)
+        return lambda: _enn_loss_grad(p, g, x, y, contexts)
+    return lambda: _enn_loss_grad(p, g, x, y, _enn_context(p, x, contexts))
 
 
-def _ordered_pairs(training_set: TrainingSet):
-    """Pairs sorted by source offset (Elman presentation order)."""
+def _pairs(kind: str, training_set: TrainingSet):
+    """Training inputs and targets; ENN sees them sorted by source offset
+    (Elman presentation order)."""
+    if kind != "ENN":
+        return training_set.inputs, training_set.targets
     order = np.argsort([p[0] for p in training_set.provenance], kind="stable")
     return training_set.inputs[order], training_set.targets[order]
 
@@ -301,23 +302,22 @@ def train(training_set: TrainingSet, cfg: PredictorConfig,
             weights=flat, grnn_sigma=cfg.grnn_sigma, scale=scale,
         )
 
-    if cfg.kind == "ENN":
-        x, y = _ordered_pairs(training_set)
-    else:
-        x, y = training_set.inputs, training_set.targets
     h = cfg.hidden_units
-    loss_grad = _LOSS_GRAD[cfg.kind]
     flat = _init_params(cfg, l)
+    grad, step = np.empty_like(flat), np.empty_like(flat)
+    x, y = _pairs(cfg.kind, training_set)
+    loss_grad = _objective(cfg.kind, flat, grad, x, y, l, h)
     curve = np.empty(cfg.epochs + 1)
     # divergence overflows on the way; the finite-loss checks report it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            loss, grad = loss_grad(flat, x, y, l, h)
+            loss = loss_grad()
             if not np.isfinite(loss):
                 raise TrainingDivergedError(cfg.kind, epoch, cfg.learning_rate)
             curve[epoch] = loss
-            flat = flat - cfg.learning_rate * grad
-        final_loss, _ = loss_grad(flat, x, y, l, h)
+            np.multiply(grad, cfg.learning_rate, out=step)
+            np.subtract(flat, step, out=flat)
+        final_loss = loss_grad()
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(cfg.kind, cfg.epochs, cfg.learning_rate)
     curve[-1] = final_loss
@@ -338,12 +338,7 @@ def _grnn_predict(model: TrainedModel, x: np.ndarray) -> float:
     return float(w @ targets / w.sum())
 
 
-def predict(model: TrainedModel, x, context: Optional[np.ndarray] = None) -> float:
-    """Deterministic forward pass for one input window.
-
-    ENN context starts at zero unless an explicit session context is given
-    (see :class:`ForecastSession`), so independent calls never interfere.
-    """
+def _checked_input(model: TrainedModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.input_length,):
         raise ValueError(
@@ -352,16 +347,29 @@ def predict(model: TrainedModel, x, context: Optional[np.ndarray] = None) -> flo
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
+    return x
+
+
+def _enn_hidden(p: dict, x: np.ndarray, context: np.ndarray) -> np.ndarray:
+    return _sigmoid(p["Wx"] @ x + p["Wh"] @ context + p["b"])
+
+
+def predict(model: TrainedModel, x, context: Optional[np.ndarray] = None) -> float:
+    """Deterministic forward pass for one input window.
+
+    ENN context starts at zero unless an explicit session context is given
+    (see :class:`ForecastSession`), so independent calls never interfere.
+    """
+    x = _checked_input(model, x)
     if model.kind == "GRNN":
         return _grnn_predict(model, x)
-    p = _unpack(model.kind, model.weights, model.input_length, model.hidden_units)
+    p = _views(model.kind, model.weights, model.input_length, model.hidden_units)
     if model.kind == "BPNN":
         return float(_bpnn_forward(p, x[None, :])[0])
     if model.kind == "WNN":
         return float(_wnn_forward(p, x[None, :])[0])
     h = np.zeros(model.hidden_units) if context is None else context
-    hid = _sigmoid(p["Wx"] @ x + p["Wh"] @ h + p["b"])
-    return float(hid @ p["v"] + p["c"][0])
+    return float(_enn_hidden(p, x, h) @ p["v"] + p["c"][0])
 
 
 class ForecastSession:
@@ -374,24 +382,18 @@ class ForecastSession:
 
     def __init__(self, model: TrainedModel):
         self.model = model
-        self._context = (
-            np.zeros(model.hidden_units) if model.kind == "ENN" else None
-        )
+        if model.kind == "ENN":
+            self._params = _views("ENN", model.weights, model.input_length,
+                                  model.hidden_units)
+            self._context = np.zeros(model.hidden_units)
 
     def step(self, x) -> float:
         model = self.model
         if model.kind != "ENN":
             return predict(model, x)
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (model.input_length,):
-            raise ValueError(
-                f"input length {x.shape} does not match model input length "
-                f"({model.input_length},)"
-            )
-        p = _unpack("ENN", model.weights, model.input_length, model.hidden_units)
-        hid = _sigmoid(p["Wx"] @ x + p["Wh"] @ self._context + p["b"])
-        self._context = hid
-        return float(hid @ p["v"] + p["c"][0])
+        p = self._params
+        self._context = _enn_hidden(p, _checked_input(model, x), self._context)
+        return float(self._context @ p["v"] + p["c"][0])
 
 
 def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
@@ -404,28 +406,21 @@ def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
     """
     if cfg.kind not in GRADIENT_TRAINED:
         raise ValueError(f"{cfg.kind} is not gradient-trained")
-    l = training_set.input_length
-    h = cfg.hidden_units
-    if cfg.kind == "ENN":
-        x, y = _ordered_pairs(training_set)
-    else:
-        x, y = training_set.inputs, training_set.targets
-    loss_grad = _LOSS_GRAD[cfg.kind]
-    flat = _init_params(cfg, l)
-
-    kwargs = {}
-    if cfg.kind == "ENN":
-        p = _unpack("ENN", flat, l, h)
-        kwargs["contexts"] = _enn_context(p, x)
-
-    _, analytic = loss_grad(flat, x, y, l, h, **kwargs)
+    flat = _init_params(cfg, training_set.input_length)
+    grad = np.empty_like(flat)
+    x, y = _pairs(cfg.kind, training_set)
+    loss_grad = _objective(cfg.kind, flat, grad, x, y, training_set.input_length,
+                           cfg.hidden_units, frozen=True)
+    loss_grad()
+    analytic = grad.copy()
     numeric = np.empty_like(analytic)
     for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + step
-        hi, _ = loss_grad(bumped, x, y, l, h, **kwargs)
-        bumped[i] = flat[i] - step
-        lo, _ = loss_grad(bumped, x, y, l, h, **kwargs)
+        centre = flat[i]
+        flat[i] = centre + step
+        hi = loss_grad()
+        flat[i] = centre - step
+        lo = loss_grad()
+        flat[i] = centre
         numeric[i] = (hi - lo) / (2.0 * step)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -1,0 +1,231 @@
+"""The trainer as it was before the flat-buffer rewrite, frozen as a test
+oracle: per-epoch ``_unpack``/``_pack`` of the flat weight vector, one
+loss/gradient function per kind, the Python-loop ENN context and the
+boolean-mask sigmoid. ``tests/test_trainer_oracle.py`` checks that
+``modecast.predictors`` reproduces it bit for bit. Do not edit it to make
+that test pass.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from modecast.core import spawn_rng
+from modecast.predictors import PredictorConfig, weight_count
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _morlet(u: np.ndarray) -> np.ndarray:
+    return np.cos(1.75 * u) * np.exp(-0.5 * u * u)
+
+
+def _morlet_deriv(u: np.ndarray) -> np.ndarray:
+    return -np.exp(-0.5 * u * u) * (1.75 * np.sin(1.75 * u) + u * np.cos(1.75 * u))
+
+
+def _shapes(kind: str, l: int, h: int) -> list:
+    if kind == "BPNN":
+        return [("W1", (h, l)), ("b1", (h,)), ("w2", (h,)), ("b2", (1,))]
+    if kind == "WNN":
+        return [("W", (h, l)), ("t", (h,)), ("d", (h,)), ("v", (h,)), ("c", (1,))]
+    if kind == "ENN":
+        return [("Wx", (h, l)), ("Wh", (h, h)), ("b", (h,)), ("v", (h,)), ("c", (1,))]
+    raise ValueError(f"{kind} has no dense parameter layout")
+
+
+def _unpack(kind: str, flat: np.ndarray, l: int, h: int) -> dict:
+    params = {}
+    offset = 0
+    for name, shape in _shapes(kind, l, h):
+        size = int(np.prod(shape))
+        params[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return params
+
+
+def _pack(kind: str, params: dict, l: int, h: int) -> np.ndarray:
+    return np.concatenate(
+        [np.ravel(params[name]) for name, _ in _shapes(kind, l, h)]
+    )
+
+
+def _init_params(cfg: PredictorConfig, l: int) -> np.ndarray:
+    rng = spawn_rng(cfg.seed)
+    h = cfg.hidden_units
+    flat = rng.uniform(-0.5, 0.5, weight_count(cfg.kind, l, h))
+    if cfg.kind == "WNN":
+        params = _unpack("WNN", flat, l, h)
+        params["d"][:] = rng.uniform(0.5, 1.5, h)
+    return flat
+
+
+def _bpnn_forward(params: dict, x: np.ndarray) -> np.ndarray:
+    a = _sigmoid(x @ params["W1"].T + params["b1"])
+    return a @ params["w2"] + params["b2"][0]
+
+
+def _bpnn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: int):
+    p = _unpack("BPNN", flat, l, h)
+    z = x @ p["W1"].T + p["b1"]
+    a = _sigmoid(z)
+    pred = a @ p["w2"] + p["b2"][0]
+    err = pred - y
+    loss = float(np.mean(err * err))
+    e = 2.0 * err / y.size
+    grads = {
+        "b2": np.array([e.sum()]),
+        "w2": a.T @ e,
+    }
+    dz = (e[:, None] * p["w2"][None, :]) * a * (1.0 - a)
+    grads["W1"] = dz.T @ x
+    grads["b1"] = dz.sum(axis=0)
+    return loss, _pack("BPNN", grads, l, h)
+
+
+def _wnn_forward(params: dict, x: np.ndarray) -> np.ndarray:
+    u = (x @ params["W"].T - params["t"]) / params["d"]
+    return _morlet(u) @ params["v"] + params["c"][0]
+
+
+def _wnn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: int):
+    p = _unpack("WNN", flat, l, h)
+    u = (x @ p["W"].T - p["t"]) / p["d"]
+    psi = _morlet(u)
+    pred = psi @ p["v"] + p["c"][0]
+    err = pred - y
+    loss = float(np.mean(err * err))
+    e = 2.0 * err / y.size
+    du = (e[:, None] * p["v"][None, :]) * _morlet_deriv(u)
+    du_scaled = du / p["d"]
+    grads = {
+        "c": np.array([e.sum()]),
+        "v": psi.T @ e,
+        "W": du_scaled.T @ x,
+        "t": -du_scaled.sum(axis=0),
+        "d": (du * (-u / p["d"])).sum(axis=0),
+    }
+    return loss, _pack("WNN", grads, l, h)
+
+
+def _enn_context(p: dict, x: np.ndarray) -> np.ndarray:
+    n = x.shape[0]
+    h_dim = p["b"].size
+    contexts = np.zeros((n, h_dim))
+    h = np.zeros(h_dim)
+    for t in range(n):
+        contexts[t] = h
+        h = _sigmoid(p["Wx"] @ x[t] + p["Wh"] @ h + p["b"])
+    return contexts
+
+
+def _enn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: int,
+                   contexts: Optional[np.ndarray] = None):
+    p = _unpack("ENN", flat, l, h)
+    if contexts is None:
+        contexts = _enn_context(p, x)
+    s = x @ p["Wx"].T + contexts @ p["Wh"].T + p["b"]
+    hid = _sigmoid(s)
+    pred = hid @ p["v"] + p["c"][0]
+    err = pred - y
+    loss = float(np.mean(err * err))
+    e = 2.0 * err / y.size
+    ds = (e[:, None] * p["v"][None, :]) * hid * (1.0 - hid)
+    grads = {
+        "c": np.array([e.sum()]),
+        "v": hid.T @ e,
+        "Wx": ds.T @ x,
+        "Wh": ds.T @ contexts,
+        "b": ds.sum(axis=0),
+    }
+    return loss, _pack("ENN", grads, l, h)
+
+
+_LOSS_GRAD = {"BPNN": _bpnn_loss_grad, "WNN": _wnn_loss_grad, "ENN": _enn_loss_grad}
+
+
+def _pairs(kind, training_set):
+    if kind != "ENN":
+        return training_set.inputs, training_set.targets
+    order = np.argsort([p[0] for p in training_set.provenance], kind="stable")
+    return training_set.inputs[order], training_set.targets[order]
+
+
+def train(training_set, cfg: PredictorConfig):
+    """(weights, loss curve) of the old epoch loop; raises ``ValueError``
+    with the epoch where the loss became non-finite."""
+    l = training_set.input_length
+    h = cfg.hidden_units
+    x, y = _pairs(cfg.kind, training_set)
+    loss_grad = _LOSS_GRAD[cfg.kind]
+    flat = _init_params(cfg, l)
+    curve = np.empty(cfg.epochs + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            loss, grad = loss_grad(flat, x, y, l, h)
+            if not np.isfinite(loss):
+                raise ValueError(epoch)
+            curve[epoch] = loss
+            flat = flat - cfg.learning_rate * grad
+        final_loss, _ = loss_grad(flat, x, y, l, h)
+    if not np.isfinite(final_loss):
+        raise ValueError(cfg.epochs)
+    curve[-1] = final_loss
+    return flat, curve
+
+
+def predict(kind, weights, l, h, x, context=None) -> float:
+    x = np.asarray(x, dtype=np.float64)
+    p = _unpack(kind, weights, l, h)
+    if kind == "BPNN":
+        return float(_bpnn_forward(p, x[None, :])[0])
+    if kind == "WNN":
+        return float(_wnn_forward(p, x[None, :])[0])
+    ctx = np.zeros(h) if context is None else context
+    hid = _sigmoid(p["Wx"] @ x + p["Wh"] @ ctx + p["b"])
+    return float(hid @ p["v"] + p["c"][0])
+
+
+def session_steps(kind, weights, l, h, xs) -> list:
+    """Outputs of one old ``ForecastSession`` stepped through ``xs``."""
+    if kind != "ENN":
+        return [predict(kind, weights, l, h, x) for x in xs]
+    context = np.zeros(h)
+    out = []
+    for x in xs:
+        p = _unpack("ENN", weights, l, h)
+        hid = _sigmoid(p["Wx"] @ np.asarray(x, dtype=np.float64) + p["Wh"] @ context + p["b"])
+        context = hid
+        out.append(float(hid @ p["v"] + p["c"][0]))
+    return out
+
+
+def gradient_check(cfg: PredictorConfig, training_set, step: float = 1e-5) -> float:
+    l = training_set.input_length
+    h = cfg.hidden_units
+    x, y = _pairs(cfg.kind, training_set)
+    loss_grad = _LOSS_GRAD[cfg.kind]
+    flat = _init_params(cfg, l)
+    kwargs = {}
+    if cfg.kind == "ENN":
+        kwargs["contexts"] = _enn_context(_unpack("ENN", flat, l, h), x)
+    _, analytic = loss_grad(flat, x, y, l, h, **kwargs)
+    numeric = np.empty_like(analytic)
+    for i in range(flat.size):
+        bumped = flat.copy()
+        bumped[i] = flat[i] + step
+        hi, _ = loss_grad(bumped, x, y, l, h, **kwargs)
+        bumped[i] = flat[i] - step
+        lo, _ = loss_grad(bumped, x, y, l, h, **kwargs)
+        numeric[i] = (hi - lo) / (2.0 * step)
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))

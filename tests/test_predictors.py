@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -124,10 +122,9 @@ class TestTraining:
         rng = np.random.default_rng(6)
         ts = random_set(rng, n_pairs=4, length=3)
         cfg = PredictorConfig(kind="BPNN", learning_rate=1e12, epochs=200, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(TrainingDivergedError) as err:
-                train(ts, cfg)
+        # RuntimeWarnings are errors in this suite: divergence must be silent
+        with pytest.raises(TrainingDivergedError) as err:
+            train(ts, cfg)
         assert err.value.learning_rate == 1e12
         assert err.value.epoch >= 1
 
@@ -164,6 +161,21 @@ class TestPredict:
         assert second_with_context != predict(model, x2)
         fresh = ForecastSession(model)
         assert fresh.step(x1) == first
+
+    @pytest.mark.parametrize("kind", ["BPNN", "WNN", "ENN", "GRNN"])
+    def test_session_rejects_non_finite_input(self, kind):
+        rng = np.random.default_rng(14)
+        model = train(random_set(rng, n_pairs=6, length=3),
+                      PredictorConfig(kind=kind, epochs=20, seed=11))
+        x1, x2 = rng.normal(size=3), rng.normal(size=3)
+        session = ForecastSession(model)
+        session.step(x1)
+        with pytest.raises(ValueError, match="input contains non-finite values"):
+            session.step([np.nan, 1.0, 2.0])
+        # the rejected step leaves the carried context as it was
+        clean = ForecastSession(model)
+        clean.step(x1)
+        assert session.step(x2) == clean.step(x2)
 
 
 class TestSaveLoad:

@@ -10,33 +10,29 @@ training set better than an indiscriminate sliding window.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from modecast import (
-    GroupingConfig,
-    TimeSeries,
-    build_training_set,
-    rank_by_similarity,
-    segmentize,
-)
+from modecast import GroupingConfig, build_training_set, rank_by_similarity, select_group
 
 t = np.arange(40)
-component = TimeSeries(np.sin(2 * np.pi * t / 8) + 0.05 * np.sin(2 * np.pi * t / 3))
+component = np.sin(2 * np.pi * t / 8) + 0.05 * np.sin(2 * np.pi * t / 3)
 L = 8
 
-segments = segmentize(component, L)
-reference = segments[-1]
-print(f"{len(segments)} overlapping windows of length {L} "
-      f"(offsets 1..{segments[-1].source_offset})")
-print(f"reference = trailing window at offset {reference.source_offset}")
+windows = sliding_window_view(component, L)  # row i is the window at offset i + 1
+reference_offset = len(windows)
+print(f"{len(windows)} overlapping windows of length {L} "
+      f"(offsets 1..{reference_offset})")
+print(f"reference = trailing window at offset {reference_offset}")
 
 cfg = GroupingConfig(segment_length=L, group_size=5)
-ranked = rank_by_similarity(segments, reference, cfg)
+offsets, distances = rank_by_similarity(component, cfg)
 print("\nrank  offset  distance")
-for rank, (seg, dist) in enumerate(ranked[:8], start=1):
-    marker = " <- in phase with the reference" if (reference.source_offset - seg.source_offset) % 8 == 0 else ""
-    print(f"{rank:4d}  {seg.source_offset:6d}  {dist:8.4f}{marker}")
+for rank, (offset, dist) in enumerate(zip(offsets[:8], distances[:8]), start=1):
+    marker = " <- in phase with the reference" if (reference_offset - offset) % 8 == 0 else ""
+    print(f"{rank:4d}  {offset:6d}  {dist:8.4f}{marker}")
 
-training = build_training_set(ranked, cfg.group_size, component)
+k = select_group(distances, cfg)
+training = build_training_set(component, offsets[:k], distances[:k], L)
 print(f"\ntop-{cfg.group_size} training pairs (window -> next value):")
 for (offset, dist), target in zip(training.provenance, training.targets):
     print(f"  offset {offset:2d} (distance {dist:.4f}) -> target {target:+.4f}")

@@ -41,11 +41,9 @@ from .dtw import (
 )
 from .grouping import (
     GroupingConfig,
-    Segment,
     TrainingSet,
     build_training_set,
     rank_by_similarity,
-    segmentize,
     select_group,
     sliding_window_set,
 )

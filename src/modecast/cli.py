@@ -231,7 +231,7 @@ def cmd_decompose(args) -> int:
     else:
         cfg = EemdConfig(sift=sift, ensemble_size=args.ensemble,
                          noise_amplitude=args.noise, seed=args.seed or 0)
-        decomp = eemd(series, cfg, workers=args.threads)
+        decomp = eemd(series, cfg)
         sift_stats = None  # per-trial statistics are not aggregated
         method_info = {"method": "eemd", "ensemble_size": args.ensemble,
                        "noise_amplitude": args.noise, "seed": args.seed or 0}
@@ -281,8 +281,7 @@ def cmd_predict(args) -> int:
     series = load_csv(**cfg["dataset"])
 
     group_trace = {} if args.dump_groups else None
-    result = run_framework(series, cfg["framework"], seed=seed,
-                           workers=args.threads, group_trace=group_trace)
+    result = run_framework(series, cfg["framework"], seed=seed, group_trace=group_trace)
 
     out = Path(args.out if args.out != "." else cfg["output_dir"])
     _write_json(out / "forecast.json", result.to_dict())
@@ -306,7 +305,7 @@ def cmd_benchmark(args) -> int:
         raise ConfigError(f"config provides {len(cfg['seeds'])} seeds, need {runs}")
     series = load_csv(**cfg["dataset"])
     reports = benchmark(series, cfg["holdout"], cfg["frameworks"], runs, seeds,
-                        labels=cfg["labels"], workers=args.threads)
+                        labels=cfg["labels"])
 
     out = Path(args.out if args.out != "." else cfg["output_dir"])
     horizon = len(reports[0].per_point)
@@ -378,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="root seed override")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for ensemble trials")
+                        help="accepted for compatibility; has no effect "
+                             "(every command runs on one thread)")
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,7 +2,7 @@
 
 Everything here is immutable after construction and safe to share between
 workers. Indexing follows the 1-based convention used throughout the rest
-of the package (segment offsets, warping paths, CSV columns).
+of the package (window offsets, warping paths, CSV columns).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ averages the aligned IMFs, which suppresses mode mixing.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,8 +42,8 @@ class SiftConfig:
     boundary_mode: str = "mirror"
 
     def __post_init__(self):
-        if self.sd_threshold <= 0:
-            raise ValueError("sd_threshold must be positive")
+        if not (math.isfinite(self.sd_threshold) and self.sd_threshold > 0):
+            raise ValueError("sd_threshold must be positive and finite")
         if self.max_sift_iterations < 1:
             raise ValueError("max_sift_iterations must be >= 1")
         if self.max_imfs < 1:
@@ -58,7 +58,7 @@ class EemdConfig:
 
     ``noise_amplitude`` scales the added uniform white noise as a fraction of
     the input's standard deviation; each trial's noise stream is a pure
-    function of (seed, trial index), so serial and parallel execution agree.
+    function of (seed, trial index).
     """
 
     sift: SiftConfig = field(default_factory=SiftConfig)
@@ -69,8 +69,8 @@ class EemdConfig:
     def __post_init__(self):
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be >= 0")
+        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
+            raise ValueError("noise_amplitude must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -344,14 +344,14 @@ def _eemd_trial(series: TimeSeries, cfg: EemdConfig, amplitude: float, trial: in
     return emd(perturbed, cfg.sift)
 
 
-def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig(), workers: int = 1) -> Decomposition:
+def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
     """Ensemble decomposition: average IMFs over noise-perturbed trials.
 
     Each trial adds zero-mean uniform white noise with amplitude
     ``cfg.noise_amplitude * std(series)``, decomposes it, and the i-th IMFs
     are averaged across trials. Trials yielding fewer IMFs are padded with
     zero series before averaging; residuals average like any component.
-    Deterministic given ``cfg.seed``, for any ``workers``.
+    Deterministic given ``cfg.seed``.
 
     Parameters
     ----------
@@ -359,22 +359,13 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig(), workers: int = 1) -
         Input, length >= 4.
     cfg : EemdConfig
         Ensemble controls.
-    workers : int
-        Trials execute in parallel when > 1; results are identical either
-        way because noise streams are keyed by trial index.
     """
     if len(series) < 4:
         raise DataError(f"decomposition needs length >= 4, got {len(series)}")
     amplitude = cfg.noise_amplitude * float(np.std(series.values))
     n_trials = cfg.ensemble_size
 
-    if workers > 1 and n_trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(
-                pool.map(lambda t: _eemd_trial(series, cfg, amplitude, t), range(n_trials))
-            )
-    else:
-        trials = [_eemd_trial(series, cfg, amplitude, t) for t in range(n_trials)]
+    trials = [_eemd_trial(series, cfg, amplitude, t) for t in range(n_trials)]
 
     n_imfs = max(d.n_imfs for d in trials)
     length = len(series)

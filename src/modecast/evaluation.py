@@ -133,8 +133,7 @@ def aggregate_runs(label: str, actuals: TimeSeries, run_predictions) -> EvalRepo
 
 
 def benchmark(series: TimeSeries, holdout: int, specs: Sequence[FrameworkSpec],
-              runs: int, seeds: Sequence[int], labels: Optional[Sequence[str]] = None,
-              workers: int = 1) -> list:
+              runs: int, seeds: Sequence[int], labels: Optional[Sequence[str]] = None) -> list:
     """Compare frameworks on a holdout window over repeated seeded runs.
 
     Each framework trains on ``series[:holdout]`` and forecasts the rest;
@@ -181,7 +180,7 @@ def benchmark(series: TimeSeries, holdout: int, specs: Sequence[FrameworkSpec],
     for i in order:
         spec = replace(specs[i], horizon=horizon)
         predictions = [
-            run_framework(train_series, spec, seed=seeds[r], workers=workers).combined
+            run_framework(train_series, spec, seed=seeds[r]).combined
             for r in range(runs)
         ]
         reports.append(aggregate_runs(labels[i], actuals, predictions))

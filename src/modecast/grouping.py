@@ -1,54 +1,36 @@
-"""Overlapping segmentation of a component and DTW-based similarity grouping.
+"""Overlapping windows of a component and DTW-based similarity grouping.
 
-The trailing length-L window of a component is the reference; all other
-windows whose successor value exists are ranked by DTW distance to it, and
-the closest ones supply (window -> next value) training pairs. Offsets are
-1-based.
+The windows of a length-T component are the rows of one
+``sliding_window_view(values, L)``; row i is the window at 1-based offset
+i + 1. The trailing row is the reference. The first T - L rows, the windows
+whose successor value exists, are ranked by DTW distance to it, and a
+prefix of that ranking supplies (window -> next value) training pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import TimeSeries
-# dtw_distance stays bound here as the per-pair reference of dtw_distances;
-# perfbench's tracer wraps it at this binding
+# dtw_distance is unused here, but perfbench's tracer self-test expects a
+# wrapper at this binding
 from .dtw import dtw_distance, dtw_distances  # noqa: F401
 
 SELECTION_MODES = ("topk", "threshold")
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Contiguous window of a parent component.
-
-    ``source_offset`` is the 1-based start index in the parent, so the
-    window covers parent positions source_offset .. source_offset+L-1.
-    """
-
-    source_offset: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def length(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True)
 class GroupingConfig:
     """Similarity-grouping controls.
 
-    ``group_size`` is the number of most-similar segments retained under
+    ``group_size`` is the number of most-similar windows retained under
     ``selection="topk"``; ``selection="threshold"`` instead keeps candidates
     with distance <= threshold_alpha * median distance (never fewer than
-    one). ``znormalize`` standardizes each segment before comparison.
+    one). ``znormalize`` standardizes each window before comparison.
     """
 
     segment_length: int = 4
@@ -63,12 +45,12 @@ class GroupingConfig:
             raise ValueError("segment_length must be >= 2")
         if self.group_size < 1:
             raise ValueError("group_size must be >= 1")
-        if self.dtw_weight <= 0:
-            raise ValueError("dtw_weight must be positive")
+        if not (math.isfinite(self.dtw_weight) and self.dtw_weight > 0):
+            raise ValueError("dtw_weight must be positive and finite")
         if self.selection not in SELECTION_MODES:
             raise ValueError(f"selection must be one of {SELECTION_MODES}")
-        if self.threshold_alpha <= 0:
-            raise ValueError("threshold_alpha must be positive")
+        if not (math.isfinite(self.threshold_alpha) and self.threshold_alpha > 0):
+            raise ValueError("threshold_alpha must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -84,7 +66,9 @@ class TrainingSet:
     provenance: tuple
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
+        # contiguous rows: matmul on a strided window view skips BLAS and
+        # sums in another order
+        inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
         targets = np.asarray(self.targets, dtype=np.float64)
         if inputs.ndim != 2 or targets.ndim != 1 or inputs.shape[0] != targets.size:
             raise ValueError("inputs must be (n, L) with n matching targets")
@@ -105,21 +89,6 @@ class TrainingSet:
         return int(self.inputs.shape[1])
 
 
-def segmentize(imf: TimeSeries, segment_length: int) -> list:
-    """All maximally overlapping windows of a component.
-
-    Returns exactly T - L + 1 segments with offsets 1 .. T-L+1, stride 1.
-    """
-    t = len(imf)
-    if not 2 <= segment_length <= t:
-        raise ValueError(f"segment length must be in [2, {t}], got {segment_length}")
-    values = imf.values
-    return [
-        Segment(source_offset=i + 1, values=values[i : i + segment_length])
-        for i in range(t - segment_length + 1)
-    ]
-
-
 def _comparison_values(values: np.ndarray, znormalize: bool) -> np.ndarray:
     """Values as compared: standardized along the last axis when
     ``znormalize`` is set, with a constant window mapping to zeros."""
@@ -131,68 +100,67 @@ def _comparison_values(values: np.ndarray, znormalize: bool) -> np.ndarray:
     return np.where(flat, 0.0, (values - mean) / np.where(flat, 1.0, std))
 
 
-def rank_by_similarity(segments, reference: Segment, cfg: GroupingConfig, parent_length: int = None) -> list:
-    """Rank candidate segments by DTW distance to the reference window.
+def rank_by_similarity(values, cfg: GroupingConfig) -> tuple:
+    """Rank every candidate window by DTW distance to the trailing window.
 
-    Only candidates whose successor value exists in the parent
-    (source_offset + L <= parent length) are eligible; the reference itself
-    is excluded. Ties resolve toward the larger (more recent) offset. All
-    eligible windows are scored in one :func:`dtw_distances` call, with
-    results bit-identical to :func:`dtw_distance` per candidate.
+    The candidates are the first T - L rows of the window view, the windows
+    whose successor value exists. All of them are scored in one
+    :func:`dtw_distances` call, with results bit-identical to
+    :func:`dtw_distance` per candidate.
 
     Returns
     -------
-    list of (Segment, float)
-        Ascending by distance; every eligible candidate appears.
+    (offsets, distances) : (ndarray of int64, ndarray of float64)
+        1-based candidate offsets and their distances, ascending by
+        distance; ties resolve toward the larger (more recent) offset.
     """
-    length = reference.length
-    if parent_length is None:
-        parent_length = max(s.source_offset + s.length - 1 for s in segments)
-    offsets = np.array([s.source_offset for s in segments], dtype=np.int64)
-    # a candidate needs a successor value to learn from
-    eligible = (offsets != reference.source_offset) & (offsets + length <= parent_length)
-    if not eligible.any():
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size - cfg.segment_length
+    if n < 1:
         raise ValueError(
-            f"no eligible candidate segments (parent length {parent_length}, window {length})"
+            f"no eligible candidate windows (series length {values.size}, "
+            f"window {cfg.segment_length})"
         )
-    candidates = [seg for seg, keep in zip(segments, eligible) if keep]
-    windows = np.stack([seg.values for seg in candidates])
+    windows = sliding_window_view(values, cfg.segment_length)
     distances = dtw_distances(
-        _comparison_values(windows, cfg.znormalize),
-        _comparison_values(reference.values, cfg.znormalize),
+        _comparison_values(windows[:n], cfg.znormalize),
+        _comparison_values(windows[n], cfg.znormalize),
         weight=cfg.dtw_weight,
     )
-    order = np.lexsort((-offsets[eligible], distances))
-    return [(candidates[k], float(distances[k])) for k in order]
+    offsets = np.arange(1, n + 1, dtype=np.int64)
+    order = np.lexsort((-offsets, distances))
+    return offsets[order], distances[order]
 
 
-def select_group(ranked, cfg: GroupingConfig) -> list:
-    """Apply the configured selection rule to a ranked candidate list."""
-    if cfg.selection == "topk":
-        return ranked[: cfg.group_size]
-    median = float(np.median([d for _, d in ranked]))
-    kept = [(s, d) for s, d in ranked if d <= cfg.threshold_alpha * median]
-    return kept if kept else ranked[:1]
+def select_group(distances, cfg: GroupingConfig) -> int:
+    """Size k of the selected group, a prefix of the ascending ranking.
 
-
-def build_training_set(ranked, k: int, imf: TimeSeries) -> TrainingSet:
-    """Assemble (window -> successor value) pairs from the top-k candidates.
-
-    Each selected segment contributes its values as the input and the parent
-    value at source_offset + L as the target; k clamps to the available
-    candidate count.
+    ``topk`` keeps ``group_size`` windows (or all, if fewer);
+    ``threshold`` keeps those with distance <= threshold_alpha * median,
+    and never fewer than one.
     """
-    if k < 1:
-        raise ValueError("group size must be >= 1")
-    if not ranked:
-        raise ValueError("ranked candidate list is empty")
-    chosen = ranked[: min(k, len(ranked))]
-    length = chosen[0][0].length
-    inputs = np.stack([seg.values for seg, _ in chosen])
-    # target at 1-based parent position offset+L
-    targets = np.array([imf.values[seg.source_offset + length - 1] for seg, _ in chosen])
-    provenance = tuple((seg.source_offset, dist) for seg, dist in chosen)
-    return TrainingSet(inputs=inputs, targets=targets, provenance=provenance)
+    if cfg.selection == "topk":
+        return min(cfg.group_size, len(distances))
+    kept = np.count_nonzero(distances <= cfg.threshold_alpha * np.median(distances))
+    return max(int(kept), 1)
+
+
+def build_training_set(values, offsets, distances, length: int) -> TrainingSet:
+    """(window -> successor value) pairs of the windows at ``offsets``.
+
+    Pair k takes the length-``length`` window at 1-based offset offsets[k]
+    as input and the value at position offsets[k] + length as target; its
+    provenance is (offsets[k], distances[k]).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    starts = offsets - 1
+    if starts.size and (starts.min() < 0 or starts.max() + length >= values.size):
+        raise ValueError(f"offsets must lie in 1 .. {values.size - length}")
+    inputs = sliding_window_view(values, length)[starts]
+    provenance = zip(offsets.tolist(), np.asarray(distances, dtype=np.float64).tolist(),
+                     strict=True)
+    return TrainingSet(inputs=inputs, targets=values[starts + length], provenance=provenance)
 
 
 def sliding_window_set(series: TimeSeries, window: int) -> TrainingSet:
@@ -201,7 +169,8 @@ def sliding_window_set(series: TimeSeries, window: int) -> TrainingSet:
     if t <= window:
         raise ValueError(f"series length {t} must exceed window {window}")
     values = series.values
-    inputs = np.stack([values[i : i + window] for i in range(t - window)])
-    targets = values[window:]
-    provenance = tuple((i + 1, 0.0) for i in range(t - window))
-    return TrainingSet(inputs=inputs, targets=targets, provenance=provenance)
+    return TrainingSet(
+        inputs=sliding_window_view(values, window)[:-1],
+        targets=values[window:],
+        provenance=((i + 1, 0.0) for i in range(t - window)),
+    )

@@ -8,7 +8,7 @@ slow ones from plain sliding windows. The combined forecast is always the
 exact ordered sum of the per-component forecasts.
 
 All randomness derives from one root seed via per-(component, step) keys,
-so parallel and serial execution, and reruns, agree bit for bit.
+so reruns agree bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (
+    DataError,
     Decomposition,
     FrequencySplit,
     TimeSeries,
@@ -31,7 +32,6 @@ from .grouping import (
     GroupingConfig,
     build_training_set,
     rank_by_similarity,
-    segmentize,
     select_group,
     sliding_window_set,
 )
@@ -159,12 +159,12 @@ def forecast_low(component: TimeSeries, cfg: PredictorConfig, window: int,
     training_set = sliding_window_set(normalized, window)
     model = train(training_set, cfg, scale=scale)
     session = ForecastSession(model)
-    buf = list(normalized.values)
-    preds = []
-    for _ in range(horizon):
-        preds.append(session.step(np.array(buf[-window:])))
-        buf.append(preds[-1])
-    return scale.inverse(np.array(preds))
+    t = len(component)
+    buf = np.empty(t + horizon)
+    buf[:t] = normalized.values
+    for end in range(t, t + horizon):
+        buf[end] = session.step(buf[end - window : end])
+    return scale.inverse(buf[t:])
 
 
 def forecast_high(component: TimeSeries, grouping: GroupingConfig,
@@ -172,10 +172,11 @@ def forecast_high(component: TimeSeries, grouping: GroupingConfig,
                   trace: Optional[list] = None) -> np.ndarray:
     """Similarity-grouped recursive forecast of a fast component.
 
-    Each step re-segments the component extended by the predictions so far,
-    ranks all candidate windows by DTW distance to the trailing reference
-    window, trains a fresh model on the selected group and predicts one
-    value. Per-step seeds derive from ``cfg.seed``.
+    Each step ranks every window of the component extended by the
+    predictions so far by DTW distance to the trailing reference window,
+    trains a fresh model on the selected group and predicts one value.
+    Per-step seeds derive from ``cfg.seed``. A non-finite prediction raises
+    :class:`DataError`.
 
     Parameters
     ----------
@@ -190,34 +191,34 @@ def forecast_high(component: TimeSeries, grouping: GroupingConfig,
             f"length ({2 * length})"
         )
     normalized, scale = minmax_normalize(component)
-    buf = list(normalized.values)
-    preds = []
+    t = len(component)
+    buf = np.empty(t + horizon)
+    buf[:t] = normalized.values
     for step in range(horizon):
-        extended = TimeSeries(buf)
-        segments = segmentize(extended, length)
-        reference = segments[-1]
-        ranked = rank_by_similarity(segments, reference, grouping,
-                                    parent_length=len(extended))
-        selected = select_group(ranked, grouping)
-        training_set = build_training_set(selected, len(selected), extended)
+        extended = buf[: t + step]
+        offsets, distances = rank_by_similarity(extended, grouping)
+        k = select_group(distances, grouping)
+        training_set = build_training_set(extended, offsets[:k], distances[:k], length)
         step_cfg = replace(cfg, seed=derive_seed(cfg.seed, step))
         model = train(training_set, step_cfg, scale=scale)
-        value = predict(model, reference.values)
+        reference = extended[-length:]
+        value = predict(model, reference)
+        if not np.isfinite(value):  # the error the series type gives
+            raise DataError("series contains NaN or infinite values")
         if trace is not None:
             trace.append({
                 "step": step + 1,
-                "reference_offset": reference.source_offset,
-                "reference": [float(v) for v in reference.values],
+                "reference_offset": t + step - length + 1,
+                "reference": reference.tolist(),
                 "candidates": [
-                    {"offset": seg.source_offset, "distance": dist}
-                    for seg, dist in ranked
+                    {"offset": offset, "distance": dist}
+                    for offset, dist in zip(offsets.tolist(), distances.tolist())
                 ],
-                "selected_offsets": [seg.source_offset for seg, _ in selected],
+                "selected_offsets": offsets[:k].tolist(),
                 "prediction": float(value),
             })
-        preds.append(value)
-        buf.append(value)
-    return scale.inverse(np.array(preds))
+        buf[t + step] = value
+    return scale.inverse(buf[t:])
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,7 @@ def _component_names(n_imfs: int) -> list:
 
 
 def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
-                  seed: Optional[int] = None, workers: int = 1,
+                  seed: Optional[int] = None,
                   group_trace: Optional[dict] = None) -> ForecastResult:
     """Run one framework variant end to end.
 
@@ -242,9 +243,6 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
     seed : int, optional
         Overrides the predictor and ensemble seeds (used by the benchmark
         runner to give every run its own root).
-    workers : int
-        Thread count for ensemble trials; results are identical for any
-        value.
     group_trace : dict, optional
         When given, maps fast-component names to per-step grouping records.
 
@@ -268,7 +266,7 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
         n_imfs = None
     else:
         if spec.variant == "EEMD_DTW_NN":
-            decomp = eemd(series, eemd_cfg, workers=workers)
+            decomp = eemd(series, eemd_cfg)
         else:
             decomp = emd(series, spec.sift)
         names = _component_names(decomp.n_imfs)

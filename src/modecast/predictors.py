@@ -69,8 +69,10 @@ class PredictorConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.hidden_units < 1 or self.epochs < 1:
             raise ValueError("hidden_units and epochs must be >= 1")
-        if self.learning_rate <= 0 or self.grnn_sigma <= 0:
-            raise ValueError("learning_rate and grnn_sigma must be positive")
+        for name in ("learning_rate", "grnn_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

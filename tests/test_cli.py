@@ -249,6 +249,25 @@ class TestExitCodes:
             "non-finite at epoch 13 (learning_rate=1000000000000.0)\n"
         )
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("section, field", [
+        ("grouping", "dtw_weight"), ("grouping", "threshold_alpha"),
+        ("sift", "sd_threshold"), ("eemd", "noise_amplitude"),
+        ("predictor", "learning_rate"), ("predictor", "grnn_sigma"),
+    ])
+    def test_non_finite_config_float_is_config_error(self, section, field, value,
+                                                     tmp_path, capsys):
+        cfg = json.loads((REPO / "configs" / "predict_vtf.json").read_text())
+        cfg["dataset"]["path"] = str(REPO / cfg["dataset"]["path"])
+        cfg["framework"].setdefault(section, {})[field] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(cfg))  # writes the NaN / Infinity literals
+        code = main(["--out", str(tmp_path / "out"), "predict", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ") and field in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestGradcheck:
     def test_passes_at_default_tolerance(self, capsys):

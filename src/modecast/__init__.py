@@ -20,7 +20,6 @@ from .core import (
 )
 from .decomposition import (
     EemdConfig,
-    ExtremaSet,
     InsufficientExtremaError,
     SiftConfig,
     emd,
@@ -29,7 +28,6 @@ from .decomposition import (
     envelope,
     extract_imf,
     find_extrema,
-    sift_once,
 )
 from .dtw import (
     CostMatrix,

@@ -6,13 +6,21 @@ fluctuation first, until only a monotone residual remains. The sum of all
 IMFs plus the residual reconstructs the input exactly up to float rounding.
 EEMD runs the same decomposition over many noise-perturbed copies and
 averages the aligned IMFs, which suppresses mode mixing.
+
+The sift loop works on plain float64 arrays. ``TimeSeries`` appears only at
+the boundary: the input of :func:`emd`, :func:`emd_with_stats` and
+:func:`eemd`, and the IMFs and residual of the returned ``Decomposition``.
+Each sift step scans the extrema once (:func:`find_extrema`, whole-array
+comparisons over runs of equal samples); the envelope mean and the balance
+test share that scan. Squares of raw samples overflow above about 1e154 and
+underflow below about 1e-154, so beyond 2**+-500 the stopping ratio and the
+EEMD noise amplitude are computed on samples scaled by an exact power of two.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -74,15 +82,6 @@ class EemdConfig:
 
 
 @dataclass(frozen=True)
-class ExtremaSet:
-    """Local maxima/minima as (index, value) pairs plus the zero-crossing count."""
-
-    maxima: tuple
-    minima: tuple
-    zero_crossings: int
-
-
-@dataclass(frozen=True)
 class SiftStats:
     """Observability record for one extracted IMF."""
 
@@ -94,189 +93,155 @@ class SiftStats:
 
 @dataclass(frozen=True)
 class SiftOutcome:
-    imf: TimeSeries
-    remainder: TimeSeries
+    """One extracted IMF and the remainder (input - IMF), as float64 arrays."""
+
+    imf: np.ndarray
+    remainder: np.ndarray
     stats: SiftStats
+
+
+def _exponent(values: np.ndarray) -> int:
+    """Exponent e such that the squares of ``np.ldexp(values, -e)`` neither
+    overflow nor underflow: 0 while max|values| lies within 2**+-500, else the
+    binary exponent of max|values|, which maps the values into (-1, 1).
+    Scaling by a power of two is exact wherever it neither overflows nor
+    underflows, so ratios of sums of squares and standard deviations keep
+    their bits."""
+    e = int(np.frexp(np.max(np.abs(values)))[1])
+    return e if abs(e) > 500 else 0
 
 
 # ---------------------------------------------------------------------------
 # Extrema and zero crossings
 # ---------------------------------------------------------------------------
 
-def _plateau_extrema(values: np.ndarray, sign: int) -> list:
-    """Interior extrema of ``sign * values``; equal-value plateaus contribute
-    one extremum at the plateau midpoint (rounded down)."""
-    v = sign * values
-    n = v.size
-    out = []
-    i = 1
-    while i < n - 1:
-        j = i
-        while j + 1 < n and v[j + 1] == v[i]:
-            j += 1
-        # run [i..j]; interior and higher than both flanks
-        if j < n - 1 and v[i - 1] < v[i] and v[j + 1] < v[i]:
-            mid = (i + j) // 2
-            out.append((mid, float(values[mid])))
-        i = j + 1
-    return out
-
-
 def count_zero_crossings(values: np.ndarray) -> int:
-    """Strict sign changes; exact zeros take the sign that follows them.
+    """Sign changes between consecutive nonzero samples; exact zeros are skipped.
 
     A trailing all-zero run has no following sign and counts as its own
     level, so a series that ends by landing on zero registers that arrival
     as a crossing.
     """
-    signs = np.sign(values)
-    effective = signs.copy()
-    nxt = 0.0  # sign of the first nonzero value after position i
-    for i in range(signs.size - 1, -1, -1):
-        if signs[i] == 0.0:
-            effective[i] = nxt
-        else:
-            nxt = signs[i]
-    return int(np.count_nonzero(effective[1:] != effective[:-1]))
+    values = np.asarray(values, dtype=np.float64)
+    negative = np.signbit(values[values != 0])
+    crossings = int(np.count_nonzero(negative[1:] != negative[:-1]))
+    return crossings + int(negative.size > 0 and values[-1] == 0)
 
 
-def find_extrema(series: TimeSeries) -> ExtremaSet:
-    """Locate interior local maxima/minima and count zero crossings.
+def find_extrema(values: np.ndarray) -> tuple:
+    """Locate interior local maxima and minima.
+
+    A run of equal samples is one extremum, at its midpoint (rounded down),
+    when both of its neighbours lie below it (maximum) or above it
+    (minimum). Runs that touch either end of the series are never extrema.
 
     Parameters
     ----------
-    series : TimeSeries
+    values : array_like
         Length >= 3.
 
     Returns
     -------
-    ExtremaSet
-        Strictly increasing (index, value) lists; maxima and minima
-        interleave. Plateaus count once, at their midpoint.
+    (maxima, minima) : tuple of int arrays
+        Strictly increasing sample indices; maxima and minima interleave.
     """
-    if len(series) < 3:
-        raise ValueError(f"extrema detection needs length >= 3, got {len(series)}")
-    values = series.values
-    return ExtremaSet(
-        maxima=tuple(_plateau_extrema(values, +1)),
-        minima=tuple(_plateau_extrema(values, -1)),
-        zero_crossings=count_zero_crossings(values),
-    )
+    v = np.asarray(values, dtype=np.float64)
+    if v.size < 3:
+        raise ValueError(f"extrema detection needs length >= 3, got {v.size}")
+    starts = np.flatnonzero(v[1:] != v[:-1]) + 1
+    first, end = starts[:-1], starts[1:] - 1  # the runs with a neighbour on each side
+    level, left, right = v[first], v[first - 1], v[end + 1]
+    mid = (first + end) // 2
+    return mid[(left < level) & (right < level)], mid[(left > level) & (right > level)]
 
 
 # ---------------------------------------------------------------------------
 # Envelopes and sifting
 # ---------------------------------------------------------------------------
 
-def _extend_knots(knots, n: int, mode: str, values: np.ndarray) -> tuple:
-    """Knot set augmented at both ends per the boundary mode."""
-    pos = {int(x): float(v) for x, v in knots}
-    if mode == "mirror":
-        # Reflect the two extrema nearest each end across that end.
-        for x, v in knots[:2]:
-            pos.setdefault(-int(x), float(v))
-        last = n - 1
-        for x, v in knots[-2:]:
-            pos.setdefault(2 * last - int(x), float(v))
-    else:  # clamp: pin the series end values as additional knots
-        pos.setdefault(0, float(values[0]))
-        pos.setdefault(n - 1, float(values[-1]))
-    xs = np.array(sorted(pos), dtype=np.float64)
-    vs = np.array([pos[int(x)] for x in xs], dtype=np.float64)
-    return xs, vs
-
-
-def envelope(series: TimeSeries, knots, mode: str = "mirror") -> TimeSeries:
-    """Natural cubic spline through extrema knots, sampled at every index.
+def envelope(values: np.ndarray, knots, mode: str = "mirror") -> np.ndarray:
+    """Natural cubic spline through the samples at ``knots``, at every index.
 
     Parameters
     ----------
-    series : TimeSeries
-        Supplies the length and, in clamp mode, the end values.
-    knots : sequence of (index, value)
-        At least 2 extrema, indices strictly increasing.
+    values : np.ndarray
+        The series: supplies the knot values and the length.
+    knots : array_like of int
+        At least 2 sample indices, strictly increasing (the maxima or the
+        minima from :func:`find_extrema`).
     mode : {"mirror", "clamp"}
-        ``mirror`` reflects the two nearest extrema across each end before
-        fitting; ``clamp`` pins the end samples as extra knots.
+        ``mirror`` reflects the two knots nearest each end across that end
+        before fitting; ``clamp`` pins the end samples as extra knots. A
+        boundary knot that lands on an existing knot is dropped.
     """
-    knots = list(knots)
-    if len(knots) < 2:
+    knots = np.asarray(knots, dtype=np.intp)
+    if knots.size < 2:
         raise InsufficientExtremaError(
-            f"envelope needs at least 2 knots, got {len(knots)}"
+            f"envelope needs at least 2 knots, got {knots.size}"
         )
     if mode not in BOUNDARY_MODES:
         raise ValueError(f"mode must be one of {BOUNDARY_MODES}")
-    n = len(series)
-    xs, vs = _extend_knots(knots, n, mode, series.values)
-    spline = CubicSpline(xs, vs, bc_type="natural")
-    return series.replace_values(spline(np.arange(n, dtype=np.float64)))
+    last = values.size - 1
+    if mode == "mirror":
+        xs = np.concatenate([knots, -knots[:2], 2 * last - knots[-2:]])
+        sources = np.concatenate([knots, knots[:2], knots[-2:]])
+    else:
+        xs = sources = np.concatenate([knots, [0, last]])
+    xs, first = np.unique(xs, return_index=True)
+    spline = CubicSpline(xs.astype(np.float64), values[sources[first]], bc_type="natural")
+    return spline(np.arange(values.size, dtype=np.float64))
 
 
-def _envelope_mean(values: np.ndarray, cfg: SiftConfig) -> Optional[np.ndarray]:
-    """Mean of upper and lower envelopes, or None when extrema are too few."""
-    series = TimeSeries(values)
-    ext = find_extrema(series)
-    if len(ext.maxima) < 2 or len(ext.minima) < 2:
-        return None
-    upper = envelope(series, ext.maxima, cfg.boundary_mode).values
-    lower = envelope(series, ext.minima, cfg.boundary_mode).values
-    return (upper + lower) / 2.0
-
-
-def sift_once(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> TimeSeries:
-    """One elementary sifting step: subtract the mean envelope.
-
-    Requires at least 2 maxima and 2 minima.
-    """
-    mean = _envelope_mean(series.values, cfg)
-    if mean is None:
-        raise InsufficientExtremaError(
-            "sifting needs at least 2 maxima and 2 minima"
-        )
-    return series.replace_values(series.values - mean)
+def _envelope_mean(values: np.ndarray, cfg: SiftConfig) -> tuple:
+    """Mean of the upper and lower envelopes (None when there are fewer than
+    2 maxima or 2 minima), and the number of extrema."""
+    maxima, minima = find_extrema(values)
+    n_extrema = maxima.size + minima.size
+    if maxima.size < 2 or minima.size < 2:
+        return None, n_extrema
+    upper = envelope(values, maxima, cfg.boundary_mode)
+    lower = envelope(values, minima, cfg.boundary_mode)
+    return (upper + lower) / 2.0, n_extrema
 
 
 _ENVELOPE_MEAN_RATIO = 0.1  # local-zero-mean bound, relative to IMF amplitude
 
 
-def _is_balanced(values: np.ndarray) -> bool:
-    """Extrema and zero-crossing counts equal or differing by at most one."""
-    ext = find_extrema(TimeSeries(values))
-    n_extrema = len(ext.maxima) + len(ext.minima)
-    return abs(n_extrema - ext.zero_crossings) <= 1
-
-
-def extract_imf(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> SiftOutcome:
+def extract_imf(values: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftOutcome:
     """Sift one IMF out of a series.
 
-    Iterates :func:`sift_once` until the candidate actually qualifies as an
-    IMF: the stopping ratio is below ``cfg.sd_threshold``, extrema and
+    Subtracts the envelope mean until the candidate actually qualifies as
+    an IMF: the stopping ratio is below ``cfg.sd_threshold``, extrema and
     zero-crossing counts balance to within one, and the envelope mean is
     locally near zero (below 0.1x the IMF amplitude everywhere). The
     ratio alone stops too early, leaving boundary bias and riding waves;
     the extra conditions typically cost only a few more passes. Gives up
     at ``cfg.max_sift_iterations``. Returns the IMF, the remainder
-    (series - IMF) and per-extraction statistics.
+    (values - IMF) and per-extraction statistics; raises
+    :class:`InsufficientExtremaError` when the input has fewer than 2
+    maxima or 2 minima.
     """
-    h_prev = series.values.copy()
-    mean = _envelope_mean(h_prev, cfg)
+    values = np.asarray(values, dtype=np.float64)
+    mean, _ = _envelope_mean(values, cfg)
     if mean is None:
         raise InsufficientExtremaError(
             "IMF extraction needs at least 2 maxima and 2 minima"
         )
 
+    h_prev = values
     iterations = 0
     sd = np.inf
     stop_reason = "iteration_cap"
     while iterations < cfg.max_sift_iterations:
         h = h_prev - mean
         iterations += 1
-        denom = float(np.sum(h_prev * h_prev))
-        sd = float(np.sum((h_prev - h) ** 2) / denom) if denom > 0 else 0.0
+        e = _exponent(h_prev)
+        denom = float(np.sum(np.ldexp(h_prev, -e) ** 2))
+        sd = float(np.sum(np.ldexp(h_prev - h, -e) ** 2) / denom) if denom > 0 else 0.0
         h_prev = h
         if iterations >= cfg.max_sift_iterations:
             break
-        mean = _envelope_mean(h_prev, cfg)
+        mean, n_extrema = _envelope_mean(h_prev, cfg)
         if mean is None:
             stop_reason = "no_extrema"
             break
@@ -285,7 +250,7 @@ def extract_imf(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> SiftOutco
             amplitude == 0.0
             or (
                 float(np.max(np.abs(mean))) < _ENVELOPE_MEAN_RATIO * amplitude
-                and _is_balanced(h_prev)
+                and abs(n_extrema - count_zero_crossings(h_prev)) <= 1
             )
         ):
             stop_reason = "sd"
@@ -297,9 +262,7 @@ def extract_imf(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> SiftOutco
         converged=(stop_reason == "sd"),
         stop_reason=stop_reason,
     )
-    imf = series.replace_values(h_prev)
-    remainder = series.replace_values(series.values - h_prev)
-    return SiftOutcome(imf=imf, remainder=remainder, stats=stats)
+    return SiftOutcome(imf=h_prev, remainder=values - h_prev, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +273,19 @@ def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
     """Full decomposition plus per-IMF sift statistics."""
     if len(series) < 4:
         raise DataError(f"decomposition needs length >= 4, got {len(series)}")
-    remainder = series
+    remainder = series.values
     imfs = []
     stats = []
     while len(imfs) < cfg.max_imfs:
-        ext = find_extrema(remainder)
-        if len(ext.maxima) < 2 or len(ext.minima) < 2:
+        try:
+            outcome = extract_imf(remainder, cfg)
+        except InsufficientExtremaError:
             break
-        outcome = extract_imf(remainder, cfg)
-        imfs.append(outcome.imf)
+        imfs.append(series.replace_values(outcome.imf))
         stats.append(outcome.stats)
         remainder = outcome.remainder
-    decomp = Decomposition(imfs=tuple(imfs), residual=remainder, source_length=len(series))
+    decomp = Decomposition(imfs=tuple(imfs), residual=series.replace_values(remainder),
+                           source_length=len(series))
     return decomp, stats
 
 
@@ -362,7 +326,8 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
     """
     if len(series) < 4:
         raise DataError(f"decomposition needs length >= 4, got {len(series)}")
-    amplitude = cfg.noise_amplitude * float(np.std(series.values))
+    e = _exponent(series.values)
+    amplitude = cfg.noise_amplitude * float(np.ldexp(np.std(np.ldexp(series.values, -e)), e))
     n_trials = cfg.ensemble_size
 
     trials = [_eemd_trial(series, cfg, amplitude, t) for t in range(n_trials)]

@@ -13,7 +13,12 @@ import pytest
 
 from modecast.cli import main, parse_benchmark_config
 from modecast.core import TimeSeries, load_csv
-from modecast.decomposition import EemdConfig, emd_with_stats, find_extrema
+from modecast.decomposition import (
+    EemdConfig,
+    count_zero_crossings,
+    emd_with_stats,
+    find_extrema,
+)
 from modecast.dtw import dtw_distance, euclidean_distance
 from modecast.evaluation import benchmark, evaluate_run
 from modecast.grouping import GroupingConfig, TrainingSet
@@ -62,8 +67,8 @@ def test_c02_imf_admissibility(random_decompositions):
         for imf, stat in zip(decomp.imfs, stats):
             if not stat.converged:
                 continue
-            ext = find_extrema(imf)
-            gap = abs(len(ext.maxima) + len(ext.minima) - ext.zero_crossings)
+            maxima, minima = find_extrema(imf.values)
+            gap = abs(maxima.size + minima.size - count_zero_crossings(imf.values))
             worst_gap = max(worst_gap, gap)
             checked += 1
     report(2, worst_gap <= 1,

@@ -52,6 +52,23 @@ class TestDecompose:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("method", ["emd", "eemd"])
+    def test_huge_magnitudes_decompose_cleanly(self, method, tmp_path, capsys):
+        # squares of 1e300 overflow; the sift ratio and the EEMD noise
+        # amplitude must not
+        path = tmp_path / "huge.csv"
+        write_series(path, np.random.default_rng(0).normal(size=64) * 1e300)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "decompose", str(path), "--method", method]) == 0
+        assert capsys.readouterr().err == ""
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        stats = json.loads((out / "decompose_stats.json").read_text(), parse_constant=reject)
+        if method == "emd":
+            assert all(s["converged"] for s in stats["sift_stats"])
+
 
 class TestDtw:
     def test_identical_files(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from modecast.decomposition import (
     envelope,
     extract_imf,
     find_extrema,
-    sift_once,
 )
 
 from conftest import random_smooth_series
@@ -39,14 +38,15 @@ def brute_force_extrema(values):
 
 class TestFindExtrema:
     def test_single_peak_and_trough(self):
-        ext = find_extrema(TimeSeries([0.0, 1.0, 0.0, -1.0, 0.0]))
-        assert [i for i, _ in ext.maxima] == [1]
-        assert [i for i, _ in ext.minima] == [3]
-        assert ext.zero_crossings == 2
+        values = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
+        maxima, minima = find_extrema(values)
+        assert maxima.tolist() == [1]
+        assert minima.tolist() == [3]
+        assert count_zero_crossings(values) == 2
 
     def test_plateau_midpoint(self):
-        ext = find_extrema(TimeSeries([0.0, 2.0, 2.0, 0.0]))
-        assert ext.maxima == ((1, 2.0),)
+        maxima, _ = find_extrema(np.array([0.0, 2.0, 2.0, 0.0]))
+        assert maxima.tolist() == [1]
 
     def test_sampled_sine_period(self):
         # One full period, phase-shifted so no sample (or endpoint) lands on
@@ -54,28 +54,27 @@ class TestFindExtrema:
         t = np.arange(32)
         values = np.sin(2 * np.pi * t / 32 - np.pi / 4)
         max_idx, min_idx = brute_force_extrema(values)
-        ext = find_extrema(TimeSeries(values))
-        assert [i for i, _ in ext.maxima] == max_idx
-        assert [i for i, _ in ext.minima] == min_idx
-        assert len(ext.maxima) == 1 and len(ext.minima) == 1
-        assert ext.zero_crossings == 2
+        maxima, minima = find_extrema(values)
+        assert maxima.tolist() == max_idx
+        assert minima.tolist() == min_idx
+        assert maxima.size == 1 and minima.size == 1
+        assert count_zero_crossings(values) == 2
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            find_extrema(TimeSeries([1.0, 2.0]))
+            find_extrema(np.array([1.0, 2.0]))
 
     def test_interleaving_property(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             values = rng.normal(size=rng.integers(8, 60))
-            ext = find_extrema(TimeSeries(values))
+            maxima, minima = find_extrema(values)
             merged = sorted(
-                [(i, "max") for i, _ in ext.maxima] + [(i, "min") for i, _ in ext.minima]
+                [(i, "max") for i in maxima.tolist()] + [(i, "min") for i in minima.tolist()]
             )
             kinds = [k for _, k in merged]
             assert all(a != b for a, b in zip(kinds, kinds[1:]))
-            for seq in (ext.maxima, ext.minima):
-                idx = [i for i, _ in seq]
+            for idx in (maxima.tolist(), minima.tolist()):
                 assert idx == sorted(idx)
 
     def test_zero_crossing_conventions(self):
@@ -87,55 +86,56 @@ class TestFindExtrema:
 
 class TestEnvelope:
     def test_two_equal_knots_give_flat(self):
-        env = envelope(TimeSeries(np.zeros(5)), [(0, 1.0), (4, 1.0)], "mirror")
-        assert np.allclose(env.values, 1.0)
+        env = envelope(np.array([1.0, 0.0, 0.0, 0.0, 1.0]), [0, 4], "mirror")
+        assert np.allclose(env, 1.0)
 
     def test_passes_through_knots(self):
         for mode in ("mirror", "clamp"):
-            env = envelope(
-                TimeSeries(np.zeros(5)), [(0, 0.0), (2, 4.0), (4, 0.0)], mode
-            )
-            assert env.values[2] == pytest.approx(4.0)
-            assert env.values[0] == pytest.approx(0.0)
-            assert env.values[4] == pytest.approx(0.0)
+            env = envelope(np.array([0.0, 0.0, 4.0, 0.0, 0.0]), [0, 2, 4], mode)
+            assert env[2] == pytest.approx(4.0)
+            assert env[0] == pytest.approx(0.0)
+            assert env[4] == pytest.approx(0.0)
 
     def test_upper_envelope_covers_sine(self):
         t = np.arange(64)
-        series = TimeSeries(np.sin(2 * np.pi * t / 32))
-        ext = find_extrema(series)
-        env = envelope(series, ext.maxima, "mirror")
-        violation = np.max(series.values - env.values)
+        values = np.sin(2 * np.pi * t / 32)
+        maxima, _ = find_extrema(values)
+        env = envelope(values, maxima, "mirror")
+        violation = np.max(values - env)
         assert violation < 0.05  # amplitude is 1
 
     def test_needs_two_knots(self):
         with pytest.raises(InsufficientExtremaError):
-            envelope(TimeSeries(np.zeros(5)), [(2, 1.0)])
+            envelope(np.zeros(5), [2])
+
+
+ONE_SIFT = SiftConfig(max_sift_iterations=1)
 
 
 class TestSiftOnce:
+    """One elementary sifting step: extract_imf capped at one iteration."""
+
     def test_pure_imf_is_fixed_point(self):
         t = np.arange(128)
-        series = TimeSeries(np.sin(2 * np.pi * t / 32))
-        out = sift_once(series)
-        assert np.max(np.abs(out.values - series.values)) < 1e-6
+        values = np.sin(2 * np.pi * t / 32)
+        out = extract_imf(values, ONE_SIFT).imf
+        assert np.max(np.abs(out - values)) < 1e-6
 
     def test_offset_mean_shrinks(self):
         t = np.arange(128)
-        series = TimeSeries(np.sin(2 * np.pi * t / 32) + 0.5)
+        values = np.sin(2 * np.pi * t / 32) + 0.5
 
-        def env_mean_mag(ts):
-            ext = find_extrema(ts)
-            upper = envelope(ts, ext.maxima).values
-            lower = envelope(ts, ext.minima).values
-            return np.max(np.abs((upper + lower) / 2))
+        def env_mean_mag(v):
+            maxima, minima = find_extrema(v)
+            return np.max(np.abs((envelope(v, maxima) + envelope(v, minima)) / 2))
 
-        before = env_mean_mag(series)
-        after = env_mean_mag(sift_once(series))
+        before = env_mean_mag(values)
+        after = env_mean_mag(extract_imf(values, ONE_SIFT).imf)
         assert after < before
 
     def test_single_maximum_errors(self):
         with pytest.raises(InsufficientExtremaError):
-            sift_once(TimeSeries([0.0, 1.0, 0.0, -0.5, 0.0]))  # 1 max, 1 min
+            extract_imf(np.array([0.0, 1.0, 0.0, -0.5, 0.0]), ONE_SIFT)  # 1 max, 1 min
 
 
 class TestExtractImf:
@@ -143,20 +143,18 @@ class TestExtractImf:
         t = np.arange(512)
         fast = np.sin(2 * np.pi * 8 * t / 512)
         slow = np.sin(2 * np.pi * t / 512)
-        outcome = extract_imf(TimeSeries(fast + slow))
-        corr = np.corrcoef(outcome.imf.values, fast)[0, 1]
+        outcome = extract_imf(fast + slow)
+        corr = np.corrcoef(outcome.imf, fast)[0, 1]
         assert corr > 0.95
 
     def test_near_imf_leaves_tiny_remainder(self):
         t = np.arange(128)
-        series = TimeSeries(np.sin(2 * np.pi * t / 32))
-        outcome = extract_imf(series)
-        assert np.max(np.abs(outcome.remainder.values)) < 1e-3  # amplitude 1
+        outcome = extract_imf(np.sin(2 * np.pi * t / 32))
+        assert np.max(np.abs(outcome.remainder)) < 1e-3  # amplitude 1
 
     def test_iteration_cap_observable(self):
         rng = np.random.default_rng(1)
-        series = TimeSeries(rng.normal(size=100))
-        outcome = extract_imf(series, SiftConfig(max_sift_iterations=1))
+        outcome = extract_imf(rng.normal(size=100), ONE_SIFT)
         assert outcome.stats.iterations == 1
 
 
@@ -195,13 +193,13 @@ class TestEmd:
             for imf, stat in zip(d.imfs, stats):
                 if not stat.converged:
                     continue
-                ext = find_extrema(imf)
-                n_extrema = len(ext.maxima) + len(ext.minima)
-                assert abs(n_extrema - ext.zero_crossings) <= 1
+                maxima, minima = find_extrema(imf.values)
+                n_extrema = maxima.size + minima.size
+                assert abs(n_extrema - count_zero_crossings(imf.values)) <= 1
                 amplitude = np.max(np.abs(imf.values))
-                if len(ext.maxima) >= 2 and len(ext.minima) >= 2 and amplitude > 0:
-                    upper = envelope(imf, ext.maxima).values
-                    lower = envelope(imf, ext.minima).values
+                if maxima.size >= 2 and minima.size >= 2 and amplitude > 0:
+                    upper = envelope(imf.values, maxima)
+                    lower = envelope(imf.values, minima)
                     assert np.max(np.abs((upper + lower) / 2)) < 0.1 * amplitude
             crossings = [count_zero_crossings(imf.values) for imf in d.imfs]
             assert all(a >= b for a, b in zip(crossings, crossings[1:]))

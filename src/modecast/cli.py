@@ -13,8 +13,9 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -77,71 +78,95 @@ def _write_json(path: Path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Config parsing (strict: unknown keys rejected)
+# Config parsing (strict: unknown keys and mistyped values rejected)
 # ---------------------------------------------------------------------------
 
-def _check_keys(doc: dict, allowed, context: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
+# top-level keys and their JSON types; every framework section takes its
+# keys and types from the fields of its dataclass
+_DATASET = {"path": str, "column": Union[int, str], "has_header": bool}
+_PREDICT = {"schema_version": int, "dataset": dict, "framework": dict,
+            "output_dir": str, "seed": Optional[int]}
+_BENCHMARK = {"schema_version": int, "dataset": dict, "frameworks": list[dict],
+              "labels": Optional[list[str]], "holdout": int, "runs": int,
+              "seeds": list[int], "output_dir": str}
+
+
+def _is(value, hint) -> bool:
+    """Whether a JSON value has type ``hint``. A bool is never a number, an
+    int field rejects floats, and a dataclass is a JSON object."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_is(value, a) for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(_is(v, args[0]) for v in value)
+    if origin is tuple:  # a JSON list of fixed length
+        return isinstance(value, list) and len(value) == len(args) and all(map(_is, value, args))
+    if isinstance(value, bool) and hint in (int, float):
+        return False
+    if is_dataclass(hint):
+        hint = dict
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _describe(hint) -> str:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return " or ".join(map(_describe, args))
+    if origin in (list, tuple):
+        return f"[{', '.join(map(_describe, args))}{', ...' if origin is list else ''}]"
+    return {bool: "true or false", int: "integer", float: "number", str: "string",
+            type(None): "null"}.get(hint, "object")
+
+
+def _check(doc, schema: dict, context: str) -> dict:
+    """``doc`` once it is a JSON object whose keys are in ``schema`` and whose
+    values have the JSON types that ``schema`` gives them."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context}: expected object, got {json.dumps(doc)}")
+    unknown = sorted(set(doc) - set(schema))
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {', '.join(unknown)}")
+    for key, value in doc.items():
+        if not _is(value, schema[key]):
+            name = key if context == "config" else f"{context}.{key}"
+            raise ConfigError(f"{name}: expected {_describe(schema[key])}, "
+                              f"got {json.dumps(value)}")
+    return doc
 
 
-def _parse_predictor(doc: dict) -> PredictorConfig:
-    _check_keys(doc, ("kind", "hidden_units", "learning_rate", "epochs",
-                      "grnn_sigma", "seed"), "predictor")
-    return PredictorConfig(**doc)
+def _fields(cls, *skip) -> dict:
+    """The JSON schema of dataclass ``cls``: its field names and types, less ``skip``."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
 
 
-def _parse_sift(doc: dict) -> SiftConfig:
-    _check_keys(doc, ("sd_threshold", "max_sift_iterations", "max_imfs",
-                      "boundary_mode"), "sift")
-    return SiftConfig(**doc)
+def _section(cls, doc, context: str, **given):
+    """``cls(**given, **doc)`` once ``doc`` fits the fields that ``given`` leaves open."""
+    return cls(**given, **_check(doc, _fields(cls, *given), context))
 
 
-def _parse_eemd(doc: dict, sift: SiftConfig) -> EemdConfig:
-    _check_keys(doc, ("ensemble_size", "noise_amplitude", "seed"), "eemd")
-    return EemdConfig(sift=sift, **doc)
+def parse_framework(doc) -> FrameworkSpec:
+    """Build a FrameworkSpec from its JSON form, rejecting unknown keys and
+    mistyped values."""
+    _check(doc, _fields(FrameworkSpec), "framework")
+    sift = _section(SiftConfig, doc.get("sift", {}), "sift")
+    return FrameworkSpec(**{
+        **doc,
+        "predictor": _section(PredictorConfig, doc.get("predictor", {}), "predictor"),
+        "sift": sift,
+        "eemd": _section(EemdConfig, doc.get("eemd", {}), "eemd", sift=sift),
+        "grouping": _section(GroupingConfig, doc.get("grouping", {}), "grouping"),
+    })
 
 
-def _parse_grouping(doc: dict) -> GroupingConfig:
-    _check_keys(doc, ("segment_length", "group_size", "dtw_weight", "znormalize",
-                      "selection", "threshold_alpha"), "grouping")
-    return GroupingConfig(**doc)
-
-
-def parse_framework(doc: dict) -> FrameworkSpec:
-    """Build a FrameworkSpec from its JSON form, rejecting unknown keys."""
-    _check_keys(doc, ("variant", "predictor", "sift", "eemd", "split",
-                      "grouping", "horizon"), "framework")
-    sift = _parse_sift(doc.get("sift", {}))
-    split = doc.get("split", "auto")
-    if split != "auto":
-        if not isinstance(split, (list, tuple)) or len(split) != 2:
-            raise ConfigError('split must be "auto" or a [P, Q] pair')
-        split = (int(split[0]), int(split[1]))
-    return FrameworkSpec(
-        variant=doc.get("variant", "EMD_DTW_NN"),
-        predictor=_parse_predictor(doc.get("predictor", {})),
-        sift=sift,
-        eemd=_parse_eemd(doc.get("eemd", {}), sift),
-        split=split,
-        grouping=_parse_grouping(doc.get("grouping", {})),
-        horizon=int(doc.get("horizon", 1)),
-    )
-
-
-def _parse_dataset(doc: dict) -> dict:
-    _check_keys(doc, ("path", "column", "has_header"), "dataset")
+def _parse_dataset(doc) -> dict:
+    _check(doc, _DATASET, "dataset")
     if "path" not in doc:
         raise ConfigError("dataset.path is required")
-    return {
-        "path": doc["path"],
-        "column": doc.get("column", 1),
-        "has_header": bool(doc.get("has_header", False)),
-    }
+    return {"column": 1, "has_header": False, **doc}
 
 
-def _load_config(path: str, allowed, context: str) -> dict:
+def _load_config(path: str, schema: dict) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -149,42 +174,25 @@ def _load_config(path: str, allowed, context: str) -> dict:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(doc, allowed, context)
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
-        )
+    _check(doc, schema, "config")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, "
+                          f"got {json.dumps(doc.get('schema_version'))}")
     return doc
 
 
 def parse_predict_config(path: str) -> dict:
-    doc = _load_config(path, ("schema_version", "dataset", "framework",
-                              "output_dir", "seed"), "config")
-    try:
-        framework = parse_framework(doc.get("framework", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return {
-        "dataset": _parse_dataset(doc.get("dataset", {})),
-        "framework": framework,
-        "output_dir": doc.get("output_dir", "."),
-        "seed": doc.get("seed"),
-    }
+    doc = _load_config(path, _PREDICT)
+    return {"output_dir": ".", "seed": None, **doc,
+            "dataset": _parse_dataset(doc.get("dataset", {})),
+            "framework": parse_framework(doc.get("framework", {}))}
 
 
 def parse_benchmark_config(path: str) -> dict:
-    doc = _load_config(path, ("schema_version", "dataset", "frameworks", "labels",
-                              "holdout", "runs", "seeds", "output_dir"), "config")
-    frameworks_doc = doc.get("frameworks", [])
-    if len(frameworks_doc) < 2:
+    doc = _load_config(path, _BENCHMARK)
+    frameworks = [parse_framework(f) for f in doc.get("frameworks", [])]
+    if len(frameworks) < 2:
         raise ConfigError("benchmark needs at least 2 framework specs")
-    try:
-        frameworks = [parse_framework(f) for f in frameworks_doc]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
     if "holdout" not in doc:
         raise ConfigError("holdout is required")
     seeds = doc.get("seeds")
@@ -193,15 +201,8 @@ def parse_benchmark_config(path: str) -> dict:
     labels = doc.get("labels")
     if labels is not None and len(labels) != len(frameworks):
         raise ConfigError("labels must match the number of frameworks")
-    return {
-        "dataset": _parse_dataset(doc.get("dataset", {})),
-        "frameworks": frameworks,
-        "labels": labels,
-        "holdout": int(doc["holdout"]),
-        "runs": int(doc.get("runs", len(seeds))),
-        "seeds": [int(s) for s in seeds],
-        "output_dir": doc.get("output_dir", "."),
-    }
+    return {"labels": None, "runs": len(seeds), "output_dir": ".", **doc,
+            "dataset": _parse_dataset(doc.get("dataset", {})), "frameworks": frameworks}
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,7 @@ def parse_benchmark_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _fmt_distance(value: float) -> str:
-    return str(int(value)) if value == int(value) else format_number(value)
+    return str(int(value)) if value.is_integer() else format_number(value)
 
 
 def cmd_decompose(args) -> int:
@@ -441,18 +442,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (PipelineError, TrainingDivergedError, InsufficientExtremaError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ValueError, PipelineError, TrainingDivergedError) as exc:
+        if isinstance(exc, DataError):
+            code, label = EXIT_DATA, "data error"
+        elif isinstance(exc, (PipelineError, TrainingDivergedError, InsufficientExtremaError)):
+            code, label = EXIT_NUMERIC, "numeric failure"
+        else:  # ConfigError or any other ValueError
+            code, label = EXIT_CONFIG, "config error"
+        message = str(exc).replace("\n", "\\n")  # one stderr line, whatever the message holds
+        print(f"{label}: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

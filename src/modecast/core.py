@@ -147,8 +147,19 @@ class FrequencySplit:
 
 
 # ---------------------------------------------------------------------------
-# Min-max scaling
+# Scaling
 # ---------------------------------------------------------------------------
+
+def pow2_exponent(values: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+    """Exponent e such that the squares of ``np.ldexp(values, -e)`` neither
+    overflow nor underflow: 0 while max|values| (over ``axis``, kept as a
+    length-1 axis) lies within 2**+-500, else the binary exponent of
+    max|values|, which maps the values into (-1, 1). Scaling by a power of
+    two is exact wherever it neither overflows nor underflows, so ratios of
+    sums of squares, standard deviations and z-scores keep their bits."""
+    e = np.frexp(np.max(np.abs(values), axis=axis, keepdims=axis is not None))[1]
+    return e * (abs(e) > 500)
+
 
 @dataclass(frozen=True)
 class MinMaxScale:
@@ -180,10 +191,6 @@ class MinMaxScale:
     @classmethod
     def from_dict(cls, d: dict) -> "MinMaxScale":
         return cls(lo=float(d["lo"]), hi=float(d["hi"]), degenerate=bool(d["degenerate"]))
-
-    @classmethod
-    def identity(cls) -> "MinMaxScale":
-        return cls(lo=0.0, hi=1.0, degenerate=False)
 
 
 def minmax_normalize(series: TimeSeries) -> tuple:
@@ -254,7 +261,7 @@ def load_csv(
         row and column), or empty series.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"input file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]

@@ -14,7 +14,8 @@ Each sift step scans the extrema once (:func:`find_extrema`, whole-array
 comparisons over runs of equal samples); the envelope mean and the balance
 test share that scan. Squares of raw samples overflow above about 1e154 and
 underflow below about 1e-154, so beyond 2**+-500 the stopping ratio and the
-EEMD noise amplitude are computed on samples scaled by an exact power of two.
+EEMD noise amplitude are computed on samples scaled by an exact power of two,
+and so is the whole decomposition, which keeps the envelope splines finite.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .core import DataError, Decomposition, TimeSeries, spawn_rng
+from .core import DataError, Decomposition, TimeSeries, pow2_exponent, spawn_rng
 
 BOUNDARY_MODES = ("mirror", "clamp")
 
@@ -98,17 +99,6 @@ class SiftOutcome:
     imf: np.ndarray
     remainder: np.ndarray
     stats: SiftStats
-
-
-def _exponent(values: np.ndarray) -> int:
-    """Exponent e such that the squares of ``np.ldexp(values, -e)`` neither
-    overflow nor underflow: 0 while max|values| lies within 2**+-500, else the
-    binary exponent of max|values|, which maps the values into (-1, 1).
-    Scaling by a power of two is exact wherever it neither overflows nor
-    underflows, so ratios of sums of squares and standard deviations keep
-    their bits."""
-    e = int(np.frexp(np.max(np.abs(values)))[1])
-    return e if abs(e) > 500 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +225,7 @@ def extract_imf(values: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftOutco
     while iterations < cfg.max_sift_iterations:
         h = h_prev - mean
         iterations += 1
-        e = _exponent(h_prev)
+        e = pow2_exponent(h_prev)
         denom = float(np.sum(np.ldexp(h_prev, -e) ** 2))
         sd = float(np.sum(np.ldexp(h_prev - h, -e) ** 2) / denom) if denom > 0 else 0.0
         h_prev = h
@@ -269,11 +259,21 @@ def extract_imf(values: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftOutco
 # EMD / EEMD
 # ---------------------------------------------------------------------------
 
+def _rescaled(series: TimeSeries, values: np.ndarray, e) -> TimeSeries:
+    """``values * 2**e`` with the labels of ``series``; a value the scaling
+    takes beyond the float range is a DataError, not an overflow warning."""
+    with np.errstate(over="ignore"):
+        return series.replace_values(np.ldexp(values, e))
+
+
 def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
-    """Full decomposition plus per-IMF sift statistics."""
+    """Full decomposition plus per-IMF sift statistics. Beyond 2**+-500 the
+    series is sifted scaled by an exact power of two and the components are
+    scaled back, so the envelope splines cannot overflow."""
     if len(series) < 4:
         raise DataError(f"decomposition needs length >= 4, got {len(series)}")
-    remainder = series.values
+    e = pow2_exponent(series.values)
+    remainder = np.ldexp(series.values, -e)
     imfs = []
     stats = []
     while len(imfs) < cfg.max_imfs:
@@ -281,10 +281,10 @@ def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
             outcome = extract_imf(remainder, cfg)
         except InsufficientExtremaError:
             break
-        imfs.append(series.replace_values(outcome.imf))
+        imfs.append(_rescaled(series, outcome.imf, e))
         stats.append(outcome.stats)
         remainder = outcome.remainder
-    decomp = Decomposition(imfs=tuple(imfs), residual=series.replace_values(remainder),
+    decomp = Decomposition(imfs=tuple(imfs), residual=_rescaled(series, remainder, e),
                            source_length=len(series))
     return decomp, stats
 
@@ -326,11 +326,18 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
     """
     if len(series) < 4:
         raise DataError(f"decomposition needs length >= 4, got {len(series)}")
-    e = _exponent(series.values)
+    e = pow2_exponent(series.values)
     amplitude = cfg.noise_amplitude * float(np.ldexp(np.std(np.ldexp(series.values, -e)), e))
+    if not math.isfinite(amplitude):
+        raise ValueError(f"noise_amplitude {cfg.noise_amplitude} times the series std overflows")
     n_trials = cfg.ensemble_size
 
-    trials = [_eemd_trial(series, cfg, amplitude, t) for t in range(n_trials)]
+    # the trials run on series and noise scaled by 2**-s, so that noisy
+    # samples and trial sums stay finite
+    s = pow2_exponent(np.array([np.max(np.abs(series.values)), amplitude]))
+    scaled = TimeSeries(np.ldexp(series.values, -s))
+    trials = [_eemd_trial(scaled, cfg, float(np.ldexp(amplitude, -s)), t)
+              for t in range(n_trials)]
 
     n_imfs = max(d.n_imfs for d in trials)
     length = len(series)
@@ -341,6 +348,6 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
             imf_sums[i] += imf.values
         residual_sum += d.residual.values
 
-    imfs = tuple(series.replace_values(s / n_trials) for s in imf_sums)
-    residual = series.replace_values(residual_sum / n_trials)
+    imfs = tuple(_rescaled(series, total / n_trials, s) for total in imf_sums)
+    residual = _rescaled(series, residual_sum / n_trials, s)
     return Decomposition(imfs=imfs, residual=residual, source_length=length)

@@ -25,14 +25,6 @@ class CostMatrix:
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
 
-    @property
-    def rows(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.cells.shape[1]
-
 
 def point_distance(a: float, b: float, weight: float = 1.0) -> float:
     """Weighted one-dimensional Euclidean distance ``weight * |a - b|``."""
@@ -58,7 +50,7 @@ def dtw_distance(y, z, weight: float = 1.0) -> tuple:
     Returns
     -------
     distance : float
-        gamma(m, n).
+        gamma(m, n); a cost beyond the float range is +inf.
     matrix : CostMatrix
         Full cumulative grid, for path recovery.
     """
@@ -69,16 +61,17 @@ def dtw_distance(y, z, weight: float = 1.0) -> tuple:
     if weight <= 0:
         raise ValueError("weight must be positive")
 
-    local = weight * np.abs(y[:, None] - z[None, :])
-    m, n = local.shape
-    g = np.empty((m, n), dtype=np.float64)
-    g[0, 0] = local[0, 0]
-    for j in range(1, n):
-        g[0, j] = local[0, j] + g[0, j - 1]
-    for i in range(1, m):
-        g[i, 0] = local[i, 0] + g[i - 1, 0]
+    with np.errstate(over="ignore"):
+        local = weight * np.abs(y[:, None] - z[None, :])
+        m, n = local.shape
+        g = np.empty((m, n), dtype=np.float64)
+        g[0, 0] = local[0, 0]
         for j in range(1, n):
-            g[i, j] = local[i, j] + min(g[i - 1, j - 1], g[i - 1, j], g[i, j - 1])
+            g[0, j] = local[0, j] + g[0, j - 1]
+        for i in range(1, m):
+            g[i, 0] = local[i, 0] + g[i - 1, 0]
+            for j in range(1, n):
+                g[i, j] = local[i, j] + min(g[i - 1, j - 1], g[i - 1, j], g[i, j - 1])
     return float(g[m - 1, n - 1]), CostMatrix(g)
 
 
@@ -103,7 +96,7 @@ def dtw_distances(windows, reference, weight: float = 1.0) -> np.ndarray:
     Returns
     -------
     ndarray, shape (n,)
-        gamma(m, L) of each row.
+        gamma(m, L) of each row; a cost beyond the float range is +inf.
     """
     windows = np.asarray(windows, dtype=np.float64)
     z = np.asarray(reference, dtype=np.float64)
@@ -117,19 +110,20 @@ def dtw_distances(windows, reference, weight: float = 1.0) -> np.ndarray:
     # g[j] holds gamma(i, j) of every row, a contiguous vector per cell
     best = np.empty(windows.shape[0])
     g = None
-    for y_i in windows.T:
-        local = weight * np.abs(y_i[None, :] - z[:, None])
-        prev, g = g, np.empty_like(local)
-        if prev is None:
-            g[0] = local[0]
+    with np.errstate(over="ignore"):
+        for y_i in windows.T:
+            local = weight * np.abs(y_i[None, :] - z[:, None])
+            prev, g = g, np.empty_like(local)
+            if prev is None:
+                g[0] = local[0]
+                for j in range(1, z.size):
+                    np.add(local[j], g[j - 1], out=g[j])
+                continue
+            np.add(local[0], prev[0], out=g[0])
             for j in range(1, z.size):
-                np.add(local[j], g[j - 1], out=g[j])
-            continue
-        np.add(local[0], prev[0], out=g[0])
-        for j in range(1, z.size):
-            np.minimum(prev[j - 1], prev[j], out=best)
-            np.minimum(best, g[j - 1], out=best)
-            np.add(local[j], best, out=g[j])
+                np.minimum(prev[j - 1], prev[j], out=best)
+                np.minimum(best, g[j - 1], out=best)
+                np.add(local[j], best, out=g[j])
     return g[-1].copy()
 
 

@@ -167,10 +167,8 @@ def benchmark(series: TimeSeries, holdout: int, specs: Sequence[FrameworkSpec],
                 f"({2 * spec.grouping.segment_length}) training points"
             )
 
-    train_labels = series.labels[:holdout] if series.labels else None
-    train_series = TimeSeries(series.values[:holdout], train_labels)
-    actual_labels = series.labels[holdout:] if series.labels else None
-    actuals = TimeSeries(series.values[holdout:], actual_labels)
+    train_series = TimeSeries(series.values[:holdout])
+    actuals = TimeSeries(series.values[holdout:])
 
     if labels is None:
         labels = [framework_label(spec) for spec in specs]

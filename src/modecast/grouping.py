@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import TimeSeries
+from .core import TimeSeries, pow2_exponent
 # dtw_distance is unused here, but perfbench's tracer self-test expects a
 # wrapper at this binding
 from .dtw import dtw_distance, dtw_distances  # noqa: F401
@@ -91,9 +91,12 @@ class TrainingSet:
 
 def _comparison_values(values: np.ndarray, znormalize: bool) -> np.ndarray:
     """Values as compared: standardized along the last axis when
-    ``znormalize`` is set, with a constant window mapping to zeros."""
+    ``znormalize`` is set, with a constant window mapping to zeros. Each
+    window is first scaled by an exact power of two (:func:`pow2_exponent`),
+    so its mean and std cannot overflow."""
     if not znormalize:
         return values
+    values = np.ldexp(values, -pow2_exponent(values, axis=-1))
     mean = values.mean(axis=-1, keepdims=True)
     std = values.std(axis=-1, keepdims=True)
     flat = std == 0
@@ -141,7 +144,8 @@ def select_group(distances, cfg: GroupingConfig) -> int:
     """
     if cfg.selection == "topk":
         return min(cfg.group_size, len(distances))
-    kept = np.count_nonzero(distances <= cfg.threshold_alpha * np.median(distances))
+    with np.errstate(over="ignore"):  # a median or bound beyond the float range is +inf
+        kept = np.count_nonzero(distances <= cfg.threshold_alpha * np.median(distances))
     return max(int(kept), 1)
 
 

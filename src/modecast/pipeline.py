@@ -1,11 +1,12 @@
 """Framework orchestration: decompose, forecast each component, recombine.
 
-Four variants share one entry point. ``nn`` regresses on the raw series;
-``emd_nn`` forecasts every decomposition component directly;
-``emd_dtw_nn`` and ``eemd_dtw_nn`` split components into fast and slow,
-forecast the fast ones from DTW-similarity-grouped training sets, and the
-slow ones from plain sliding windows. The combined forecast is always the
-exact ordered sum of the per-component forecasts.
+Four variants share one entry point and one component loop. A variant is a
+component list and a fast count P: ``NN`` forecasts the raw series and
+``EMD_NN`` every decomposition component, both with P = 0; ``EMD_DTW_NN``
+and ``EEMD_DTW_NN`` take P from :func:`split_components`. The first P
+components are forecast from DTW-similarity-grouped training sets, the rest
+from plain sliding windows. The combined forecast is always the exact
+ordered sum of the per-component forecasts.
 
 All randomness derives from one root seed via per-(component, step) keys,
 so reruns agree bit for bit.
@@ -52,7 +53,7 @@ class FrameworkSpec:
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     sift: SiftConfig = field(default_factory=SiftConfig)
     eemd: EemdConfig = field(default_factory=EemdConfig)
-    split: Union[str, tuple] = "auto"
+    split: Union[str, tuple[int, int]] = "auto"
     grouping: GroupingConfig = field(default_factory=GroupingConfig)
     horizon: int = 1
 
@@ -62,6 +63,8 @@ class FrameworkSpec:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.split != "auto":
+            if isinstance(self.split, str) or len(self.split) != 2:
+                raise ValueError(f'split must be "auto" or a (P, Q) pair, got {self.split!r}')
             p, q = self.split
             if p < 0 or q < 1:
                 raise ValueError(f"explicit split needs P >= 0 and Q >= 1, got ({p}, {q})")
@@ -225,14 +228,14 @@ def forecast_high(component: TimeSeries, grouping: GroupingConfig,
 # Framework runner
 # ---------------------------------------------------------------------------
 
-def _component_names(n_imfs: int) -> list:
-    return [f"imf_{i + 1}" for i in range(n_imfs)] + ["residual"]
-
-
 def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
                   seed: Optional[int] = None,
                   group_trace: Optional[dict] = None) -> ForecastResult:
     """Run one framework variant end to end.
+
+    Component ``idx`` is forecast by :func:`forecast_high` if ``idx < P``,
+    else by :func:`forecast_low`, with seed ``derive_seed(root, idx)``; its
+    failure is raised as :class:`PipelineError` naming the component.
 
     Parameters
     ----------
@@ -256,51 +259,34 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
     eemd_cfg = spec.eemd if seed is None else replace(spec.eemd, seed=seed)
     eemd_cfg = replace(eemd_cfg, sift=spec.sift)  # one source of truth for sifting
     root = pred_cfg.seed
-    window = spec.grouping.segment_length
     horizon = spec.horizon
 
-    split_meta = None
-    if spec.variant == "NN":
-        parts = [("series", _forecast_component(
-            series, "series", 0, forecast_low, pred_cfg, root, window, horizon))]
-        n_imfs = None
-    else:
-        if spec.variant == "EEMD_DTW_NN":
-            decomp = eemd(series, eemd_cfg)
-        else:
-            decomp = emd(series, spec.sift)
-        names = _component_names(decomp.n_imfs)
+    names, comps, p, split_meta, n_imfs = ["series"], [series], 0, None, None
+    if spec.variant != "NN":
+        decomp = (eemd(series, eemd_cfg) if spec.variant == "EEMD_DTW_NN"
+                  else emd(series, spec.sift))
         n_imfs = decomp.n_imfs
-        if spec.variant == "EMD_NN":
-            comps = decomp.components()
-            parts = [
-                (name, _forecast_component(
-                    comp, name, idx, forecast_low, pred_cfg, root, window, horizon))
-                for idx, (name, comp) in enumerate(zip(names, comps))
-            ]
-        else:
+        names = [f"imf_{i + 1}" for i in range(n_imfs)] + ["residual"]
+        comps = decomp.components()
+        if spec.variant != "EMD_NN":
             fsplit = split_components(decomp, spec.split)
-            split_meta = [fsplit.p_count, fsplit.q_count]
-            parts = []
-            for idx, comp in enumerate(fsplit.high):
-                name = names[idx]
-                trace = [] if group_trace is not None else None
-                comp_cfg = replace(pred_cfg, seed=derive_seed(root, idx))
-                try:
-                    values = forecast_high(comp, spec.grouping, comp_cfg, horizon,
-                                           trace=trace)
-                except PipelineError:
-                    raise
-                except Exception as exc:
-                    raise PipelineError(f"component {idx + 1} ({name}): {exc}") from exc
-                if group_trace is not None:
-                    group_trace[name] = trace
-                parts.append((name, values))
-            for offset, comp in enumerate(fsplit.low):
-                idx = fsplit.p_count + offset
-                name = names[idx]
-                parts.append((name, _forecast_component(
-                    comp, name, idx, forecast_low, pred_cfg, root, window, horizon)))
+            p = fsplit.p_count
+            split_meta = [p, fsplit.q_count]
+
+    parts = []
+    for idx, (name, comp) in enumerate(zip(names, comps)):
+        comp_cfg = replace(pred_cfg, seed=derive_seed(root, idx))
+        trace = [] if group_trace is not None and idx < p else None
+        try:
+            if idx < p:
+                values = forecast_high(comp, spec.grouping, comp_cfg, horizon, trace=trace)
+            else:
+                values = forecast_low(comp, comp_cfg, spec.grouping.segment_length, horizon)
+        except Exception as exc:
+            raise PipelineError(f"component {idx + 1} ({name}): {exc}") from exc
+        if trace is not None:
+            group_trace[name] = trace
+        parts.append((name, values))
 
     combined = np.zeros(horizon)
     for _, values in parts:
@@ -315,11 +301,3 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
         "elapsed_seconds": time.perf_counter() - started,
     }
     return ForecastResult(combined=combined, per_component=tuple(parts), metadata=metadata)
-
-
-def _forecast_component(component, name, idx, fn, pred_cfg, root, window, horizon):
-    comp_cfg = replace(pred_cfg, seed=derive_seed(root, idx))
-    try:
-        return fn(component, comp_cfg, window, horizon)
-    except Exception as exc:
-        raise PipelineError(f"component {idx + 1} ({name}): {exc}") from exc

@@ -73,6 +73,8 @@ class PredictorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < 2.0 * self.grnn_sigma * self.grnn_sigma < math.inf:  # the kernel divisor
+            raise ValueError("grnn_sigma squared must be a positive finite float")
 
 
 @dataclass(frozen=True)

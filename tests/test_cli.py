@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modecast.cli import main
 
@@ -69,6 +73,18 @@ class TestDecompose:
         if method == "emd":
             assert all(s["converged"] for s in stats["sift_stats"])
 
+    @pytest.mark.parametrize("method", ["emd", "eemd"])
+    def test_near_float_max_decomposes_cleanly(self, method, tmp_path, capsys):
+        # the envelope spline of raw samples overflows above about 5e307
+        x = np.random.default_rng(0).normal(size=64)
+        path = tmp_path / "near_max.csv"
+        write_series(path, x / np.max(np.abs(x)) * 1.5e308)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "decompose", str(path), "--method", method]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "components.csv").read_text().splitlines()[1:]
+        assert np.isfinite(np.array([r.split(",") for r in rows], dtype=float)).all()
+
 
 class TestDtw:
     def test_identical_files(self, tmp_path, capsys):
@@ -84,6 +100,15 @@ class TestDtw:
         write_series(b, [1.0, 3.0])
         assert main(["dtw", str(a), str(b)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "1"
+
+    def test_cost_beyond_float_range_is_inf(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        write_series(a, [0.0, 1.0, 2.0])
+        write_series(b, [1e308, -1e308])
+        assert main(["dtw", str(a), str(b)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["inf"] and captured.err == ""
 
     def test_path_on_identical_files(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -284,6 +309,122 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("config error: ") and field in err
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc.setdefault(key, {})
+    doc[path[-1]] = value
+
+
+def _run(argv) -> tuple:
+    """(exit code, stderr, recorded warnings) of one in-process CLI run."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), caught
+
+
+def _tiny_configs(root):
+    """A small valid predict config (EEMD_DTW_NN, every section given) and a
+    small valid benchmark config, over a 40-point CSV under ``root``."""
+    t = np.arange(40)
+    data = root / "series.csv"
+    write_series(data, 5 + 0.05 * t + np.sin(2 * np.pi * t / 6) + np.sin(2 * np.pi * t / 17))
+    framework = {
+        "variant": "EEMD_DTW_NN",
+        "predictor": {"kind": "BPNN", "hidden_units": 3, "learning_rate": 0.05,
+                      "epochs": 3, "grnn_sigma": 0.1, "seed": 1},
+        "sift": {"sd_threshold": 0.2, "max_sift_iterations": 20, "max_imfs": 4,
+                 "boundary_mode": "mirror"},
+        "eemd": {"ensemble_size": 2, "noise_amplitude": 0.1, "seed": 2},
+        "split": "auto",
+        "grouping": {"segment_length": 4, "group_size": 5, "dtw_weight": 1.0,
+                     "znormalize": False, "selection": "topk", "threshold_alpha": 1.0},
+        "horizon": 1,
+    }
+    dataset = {"path": str(data), "column": 1, "has_header": False}
+    predict = {"schema_version": 1, "dataset": dataset, "framework": framework,
+               "output_dir": "out", "seed": 3}
+    nn = {"variant": "NN", "predictor": framework["predictor"], "grouping": {"segment_length": 4}}
+    benchmark = {"schema_version": 1, "dataset": dataset, "frameworks": [nn, framework],
+                 "labels": ["a", "b"], "holdout": 39, "runs": 1, "seeds": [5],
+                 "output_dir": "out"}
+    return {"predict": predict, "benchmark": benchmark}
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+MISTYPED = [
+    ("benchmark", ("holdout",), None),
+    ("benchmark", ("dataset",), [1]),
+    ("benchmark", ("frameworks",), 5),
+    ("benchmark", ("seeds",), [1.5]),
+    ("predict", ("dataset", "column"), 1.5),
+    ("predict", ("dataset", "has_header"), "false"),
+    ("predict", ("framework", "predictor", "epochs"), 1.5),
+    ("predict", ("framework", "predictor", "epochs"), True),
+    ("predict", ("framework", "grouping", "znormalize"), "no"),
+    ("predict", ("framework", "horizon"), 2.7),
+    ("predict", ("seed",), "x"),
+    ("predict", ("framework", "predictor"), [1]),
+]
+
+
+class TestTypedConfig:
+    @pytest.mark.parametrize("command, path, value", MISTYPED, ids=[
+        f"{command}:{'.'.join(path)}={json.dumps(value)}" for command, path, value in MISTYPED])
+    def test_mistyped_value_is_one_config_error(self, command, path, value, tmp_path):
+        cfg = _tiny_configs(tmp_path)[command]
+        _set(cfg, path, value)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        code, err, _ = _run(["--out", str(tmp_path / "out"), command, str(config)])
+        assert code == 1
+        assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert path[-1] in err
+
+    scalars = {bool: st.booleans(), int: st.integers(-2, 5), float: st.floats(),
+               str: st.text(max_size=4)}
+    json_values = st.recursive(
+        st.none() | st.one_of(*scalars.values()),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+        max_leaves=4)
+
+    # any JSON value, or one of the key's own type (so that most runs get past
+    # the parser); epochs, ensemble sizes, horizons and window lengths stay
+    # small because drawn integers lie in -2..5
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_fuzzed_key_exits_cleanly(self, tmp_path, data):
+        configs = _tiny_configs(tmp_path)
+        command = data.draw(st.sampled_from(sorted(configs)))
+        cfg = configs[command]
+        path = data.draw(st.sampled_from(sorted(_key_paths(cfg))))
+        original = cfg
+        for key in path:
+            original = original[key]
+        same_type = self.scalars.get(type(original), self.json_values)
+        _set(cfg, path, data.draw(same_type | self.json_values))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        code, err, caught = _run(["--out", str(tmp_path / "out"), command, str(config),
+                                  "--horizon" if command == "predict" else "--runs", "1"])
+        assert not caught, [str(w.message) for w in caught]
+        if code == 0:
+            assert err == ""
+        else:
+            prefix = {1: "config error: ", 2: "data error: ", 3: "numeric failure: "}[code]
+            assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestGradcheck:

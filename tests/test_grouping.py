@@ -97,6 +97,10 @@ class TestRankBySimilarity:
 
 
 def _standardized(values):
+    # beyond 2**+-500 the window is standardized after an exact power-of-two
+    # scaling, so that its mean and std neither overflow nor underflow
+    e = np.frexp(np.max(np.abs(values)))[1]
+    values = np.ldexp(values, -e if abs(e) > 500 else 0)
     std = values.std()
     return np.zeros_like(values) if std == 0 else (values - values.mean()) / std
 

@@ -63,6 +63,12 @@ class TestGrnn:
             value = predict(model, q)
             assert ts.targets.min() - 1e-12 <= value <= ts.targets.max() + 1e-12
 
+    # 2 * sigma**2 must neither underflow to 0 (a 0/0 kernel) nor overflow
+    @pytest.mark.parametrize("sigma", [1e-200, 5e-324, 1e200])
+    def test_sigma_whose_square_leaves_the_float_range_is_rejected(self, sigma):
+        with pytest.raises(ValueError, match="grnn_sigma squared"):
+            PredictorConfig(kind="GRNN", grnn_sigma=sigma)
+
     def test_not_gradient_trained(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match="not gradient-trained"):

@@ -119,19 +119,31 @@ def _describe(hint) -> str:
 
 
 def _check(doc, schema: dict, context: str) -> dict:
-    """``doc`` once it is a JSON object whose keys are in ``schema`` and whose
-    values have the JSON types that ``schema`` gives them."""
+    """``doc`` once it is a JSON object whose keys are in ``schema``, whose
+    values have the JSON types that ``schema`` gives them, and whose seeds
+    are not negative."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{context}: expected object, got {json.dumps(doc)}")
     unknown = sorted(set(doc) - set(schema))
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {', '.join(unknown)}")
     for key, value in doc.items():
+        name = key if context == "config" else f"{context}.{key}"
         if not _is(value, schema[key]):
-            name = key if context == "config" else f"{context}.{key}"
             raise ConfigError(f"{name}: expected {_describe(schema[key])}, "
                               f"got {json.dumps(value)}")
+        if key in ("seed", "seeds"):
+            _check_seeds(name, value)
     return doc
+
+
+def _check_seeds(name: str, value) -> None:
+    """Reject a negative seed (or ``seeds`` entry) by its key, before numpy's
+    ``SeedSequence`` rejects it without one."""
+    for i, seed in enumerate(value) if isinstance(value, list) else [(None, value)]:
+        if seed is not None and seed < 0:
+            where = name if i is None else f"{name}[{i}]"
+            raise ConfigError(f"{where}: expected non-negative integer, got {seed}")
 
 
 def _fields(cls, *skip) -> dict:
@@ -441,6 +453,7 @@ def _column_arg(text: str):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_seeds("--seed", args.seed)
         return args.func(args)
     except (ValueError, PipelineError, TrainingDivergedError) as exc:
         if isinstance(exc, DataError):

@@ -8,6 +8,7 @@ of the package (window offsets, warping paths, CSV columns).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -180,10 +181,16 @@ class MinMaxScale:
         return (x - self.lo) / (self.hi - self.lo)
 
     def inverse(self, y):
+        """``lo + y * (hi - lo)``; a result that is not finite (a value
+        mapped beyond the float range) is a DataError, not a warning."""
         y = np.asarray(y, dtype=np.float64)
         if self.degenerate:
             return np.full_like(y, self.lo)
-        return self.lo + y * (self.hi - self.lo)
+        with np.errstate(over="ignore"):
+            x = self.lo + y * (self.hi - self.lo)
+        if not np.isfinite(x).all():
+            raise DataError("denormalized value beyond the float range")
+        return x
 
     def to_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "degenerate": self.degenerate}
@@ -212,6 +219,8 @@ def minmax_normalize(series: TimeSeries) -> tuple:
         raise ValueError("normalization needs at least 2 points")
     lo = float(series.values.min())
     hi = float(series.values.max())
+    if not math.isfinite(hi - lo):
+        raise DataError(f"series range {lo!r}..{hi!r} exceeds the float range")
     scale = MinMaxScale(lo=lo, hi=hi, degenerate=(hi == lo))
     return series.replace_values(scale.transform(series.values)), scale
 
@@ -246,31 +255,36 @@ def load_csv(
     column : str or int
         Header name (requires ``has_header``) or 1-based column number.
     has_header : bool
-        Whether the first row is a header.
+        Whether the first non-blank row is a header.
 
     Returns
     -------
     TimeSeries
-        Values in file row order. When the selected column is not the first,
-        the first column supplies per-point labels.
+        Values in file row order; blank rows are skipped. When the selected
+        column is not the first, the first column supplies per-point labels.
 
     Raises
     ------
     DataError
-        Missing file, unknown column, unparseable cell (reported with its
-        row and column), or empty series.
+        Missing or unreadable file (not UTF-8, or a field over the csv
+        module's size limit), unknown column, unparseable cell (reported with its line in the file and
+        its column), or empty series.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)  # rows keep their line numbers; blank ones go
+            rows = [(reader.line_num, row) for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path} as UTF-8 CSV: {exc}") from None
     if not rows:
         raise DataError(f"empty file: {path}")
 
     header = None
     if has_header:
-        header = rows[0]
+        header = rows[0][1]
         rows = rows[1:]
     if not rows:
         raise DataError(f"no data rows in {path}")
@@ -291,13 +305,10 @@ def load_csv(
 
     values = []
     labels = []
-    first_row_offset = 2 if has_header else 1
-    for i, row in enumerate(rows):
+    for line, row in rows:
         if col_idx >= len(row):
-            raise DataError(
-                f"row {i + first_row_offset}, column {col_name}: missing cell"
-            )
-        values.append(_parse_cell(row[col_idx].strip(), i + first_row_offset, col_name))
+            raise DataError(f"row {line}, column {col_name}: missing cell")
+        values.append(_parse_cell(row[col_idx].strip(), line, col_name))
         if col_idx != 0:
             labels.append(row[0])
     return TimeSeries(values, labels if labels else None)

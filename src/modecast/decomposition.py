@@ -12,10 +12,14 @@ the boundary: the input of :func:`emd`, :func:`emd_with_stats` and
 :func:`eemd`, and the IMFs and residual of the returned ``Decomposition``.
 Each sift step scans the extrema once (:func:`find_extrema`, whole-array
 comparisons over runs of equal samples); the envelope mean and the balance
-test share that scan. Squares of raw samples overflow above about 1e154 and
-underflow below about 1e-154, so beyond 2**+-500 the stopping ratio and the
-EEMD noise amplitude are computed on samples scaled by an exact power of two,
-and so is the whole decomposition, which keeps the envelope splines finite.
+test share that scan. Each envelope is a natural cubic spline solved
+directly: one LAPACK ``dgtsv`` call on the tridiagonal system, then the
+Hermite polynomials at every index, with scipy's ``CubicSpline`` arithmetic
+repeated operation for operation, so the envelopes are bit-identical to it.
+Squares of raw samples overflow above about 1e154 and underflow below about
+1e-154, so beyond 2**+-500 the stopping ratio and the EEMD noise amplitude
+are computed on samples scaled by an exact power of two, and so is the whole
+decomposition, which keeps the envelope splines finite.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from .core import DataError, Decomposition, TimeSeries, pow2_exponent, spawn_rng
 
@@ -149,6 +153,40 @@ def find_extrema(values: np.ndarray) -> tuple:
 # Envelopes and sifting
 # ---------------------------------------------------------------------------
 
+def _natural_spline(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``CubicSpline(x, y, bc_type="natural")(at)`` bit for bit, for ``x``
+    finite and strictly increasing and ``at`` within ``[x[0], x[-1]]``: scipy's
+    tridiagonal system and LAPACK ``dgtsv`` solve, its Hermite coefficients,
+    and its evaluator's interval search and summation order. Non-finite knot
+    values or slopes raise scipy's ``ValueError``, with no numeric warning."""
+    if not np.isfinite(y).all():
+        raise ValueError("`y` must contain only finite values.")
+    n = x.size
+    with np.errstate(all="ignore"):
+        dx = x[1:] - x[:-1]
+        rise = y[1:] - y[:-1]
+        slope = rise / dx
+        d = np.empty(n)
+        d[0], d[-1] = 2 * dx[0], 2 * dx[-1]
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
+        b = np.empty(n)
+        # scipy's end rows add -0.5 * 0.0 * dx**2 and 0.5 * 0.0 * dx**2 (zero
+        # end curvature): -0.0 + v is v, and 0.0 + v turns -0.0 into 0.0
+        b[0], b[-1] = 3 * rise[0], 0.0 + 3 * rise[-1]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        # strictly diagonally dominant: no zero pivot, so dgtsv's info is 0
+        s = dgtsv(np.concatenate((dx[1:], dx[-1:])), d, np.concatenate((dx[:1], dx[:-1])),
+                  b, True, True, True, True)[3]
+        if not np.isfinite(s).all():
+            raise ValueError("`dydx` must contain only finite values.")
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        c1, c0 = (slope - s[:-1]) / dx - t, t / dx  # of z**2 and z**3
+        i = np.minimum(np.searchsorted(x, at, "right") - 1, n - 2)
+        z = at - x[i]
+        zz = z * z
+        return 0.0 + y[i] + s[i] * z + c1[i] * zz + c0[i] * (zz * z)
+
+
 def envelope(values: np.ndarray, knots, mode: str = "mirror") -> np.ndarray:
     """Natural cubic spline through the samples at ``knots``, at every index.
 
@@ -172,14 +210,16 @@ def envelope(values: np.ndarray, knots, mode: str = "mirror") -> np.ndarray:
     if mode not in BOUNDARY_MODES:
         raise ValueError(f"mode must be one of {BOUNDARY_MODES}")
     last = values.size - 1
+    # the boundary knots keep the order sorted, so duplicates are adjacent
     if mode == "mirror":
-        xs = np.concatenate([knots, -knots[:2], 2 * last - knots[-2:]])
-        sources = np.concatenate([knots, knots[:2], knots[-2:]])
+        xs = np.concatenate((-knots[1::-1], knots, 2 * last - knots[:-3:-1]))
+        sources = np.concatenate((knots[1::-1], knots, knots[:-3:-1]))
     else:
-        xs = sources = np.concatenate([knots, [0, last]])
-    xs, first = np.unique(xs, return_index=True)
-    spline = CubicSpline(xs.astype(np.float64), values[sources[first]], bc_type="natural")
-    return spline(np.arange(values.size, dtype=np.float64))
+        xs = sources = np.concatenate(([0], knots, [last]))
+    keep = np.concatenate(([True], xs[1:] != xs[:-1]))
+    return _natural_spline(xs[keep].astype(np.float64),
+                           np.asarray(values[sources[keep]], dtype=np.float64),
+                           np.arange(values.size, dtype=np.float64))
 
 
 def _envelope_mean(values: np.ndarray, cfg: SiftConfig) -> tuple:

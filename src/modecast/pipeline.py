@@ -289,8 +289,11 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
         parts.append((name, values))
 
     combined = np.zeros(horizon)
-    for _, values in parts:
-        combined = combined + values
+    with np.errstate(over="ignore"):
+        for _, values in parts:
+            combined = combined + values
+    if not np.isfinite(combined).all():
+        raise PipelineError("the component forecasts sum beyond the float range")
 
     metadata = {
         "variant": spec.variant,

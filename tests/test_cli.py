@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -167,6 +170,19 @@ class TestPredict:
         main(["--out", str(tmp_path / "b")] + args)
         for name in ("forecast.json", "forecast.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_forecast_beyond_float_range_is_numeric_failure(self, tmp_path):
+        # the components' forecasts denormalize past -1.8e308
+        data = tmp_path / "huge.csv"
+        write_series(data, [0.0] * 11 + [-1.7230281982522544e308])
+        cfg = _tiny_configs(tmp_path)["predict"]
+        cfg["dataset"] = {"path": str(data)}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        code, err, caught = _run(["--out", str(tmp_path / "out"), "predict", str(config)])
+        assert not caught and code == 3
+        assert err.startswith("numeric failure: component ") and err.count("\n") == 1
+        assert err.endswith("beyond the float range\n")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -427,6 +443,112 @@ class TestTypedConfig:
             assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
 
 
+CSV_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.3e}")
+               | st.integers(-10 ** 20, 10 ** 20)).map(str)
+CSV_CELLS = CSV_NUMBERS | st.text(max_size=3) | st.sampled_from(
+    ["", " 1.5 ", "+1", "1.", ".5", "-0", "1_0", "1e400", "nan", "-Infinity", "x", '"2"',
+     "\x00", "\udcff"])  # "\udcff" is written as the byte 0xff, which is not UTF-8
+
+
+@st.composite
+def csv_files(draw):
+    """(bytes, column, has_header): mostly numeric rows of 1-3 cells, any
+    magnitude, with odd cells, blank and ragged rows and a header now and
+    then."""
+    width = draw(st.integers(1, 3))
+    length = draw(st.integers(0, 6) | st.integers(12, 40))
+    rows = draw(st.lists(st.lists(CSV_NUMBERS, min_size=width, max_size=width),
+                         min_size=length, max_size=length))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = draw(st.sampled_from([[], [""], rows[i][:1], rows[i] + ["7"]]))
+            if rows[i] and draw(st.booleans()):
+                rows[i][-1] = draw(CSV_CELLS)
+    has_header = draw(st.booleans())
+    header = draw(st.lists(st.sampled_from(["value", "t", "a b", ""]) | st.text(max_size=3),
+                           min_size=1, max_size=width))
+    if has_header or draw(st.integers(0, 9)) == 0:
+        rows.insert(0, header)
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(",".join(r) for r in rows)
+    column = draw(st.sampled_from([1, width] + header * has_header))
+    if draw(st.integers(0, 9)) == 0:  # a column the file may not have
+        column = draw(st.sampled_from([2, str(width)] + header))
+    return text.encode("utf-8", "surrogateescape"), column, has_header
+
+
+class TestCsvFuzz:
+    """Fuzzed data files under valid commands: a run either succeeds with an
+    empty stderr or fails with one line, as a data error or a numeric
+    failure (never a config error, since the config is valid), and never
+    warns."""
+
+    @settings(deadline=None, max_examples=400,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_files(), st.sampled_from(["emd", "eemd", "predict"]))
+    def test_fuzzed_data_file_exits_cleanly(self, tmp_path, case, command):
+        raw, column, has_header = case
+        data = tmp_path / "data.csv"
+        data.write_bytes(raw)
+        if command == "predict":
+            cfg = _tiny_configs(tmp_path)["predict"]
+            cfg["dataset"] = {"path": str(data), "column": column, "has_header": has_header}
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(cfg))
+            argv = ["predict", str(config)]
+        else:
+            argv = ["decompose", str(data), f"--column={column}", "--method", command,
+                    "--ensemble", "2"] + ["--has-header"] * has_header
+        code, err, caught = _run(["--out", str(tmp_path / "out"), *argv])
+        assert not caught, [str(w.message) for w in caught]
+        if code == 0:
+            assert err == ""
+        else:
+            prefix = {2: "data error: ", 3: "numeric failure: "}[code]
+            assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+
+
+NEGATIVE_SEEDS = [
+    ("predict", ("seed",), "seed"),
+    ("predict", ("framework", "predictor", "seed"), "predictor.seed"),
+    ("predict", ("framework", "eemd", "seed"), "eemd.seed"),
+    ("benchmark", ("seeds",), "seeds[1]"),
+    ("benchmark", ("frameworks", 1, "predictor", "seed"), "predictor.seed"),
+]
+SEED_FLAG_COMMANDS = ["predict", "benchmark", "decompose-emd", "decompose-eemd", "dtw",
+                      "gradcheck"]
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command, path, key", NEGATIVE_SEEDS,
+                             ids=[f"{c}:{k}" for c, _, k in NEGATIVE_SEEDS])
+    def test_config_seed_names_its_key(self, command, path, key, tmp_path):
+        cfg = _tiny_configs(tmp_path)[command]
+        doc = cfg
+        for step in path[:-1]:
+            doc = doc[step]
+        doc[path[-1]] = [5, -1] if key.startswith("seeds") else -1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        code, err, _ = _run(["--out", str(tmp_path / "out"), command, str(config)])
+        assert (code, err) == (1, f"config error: {key}: expected non-negative integer, got -1\n")
+
+    @pytest.mark.parametrize("command", SEED_FLAG_COMMANDS)
+    def test_seed_flag_names_itself(self, command, tmp_path):
+        configs = _tiny_configs(tmp_path)
+        data = configs["predict"]["dataset"]["path"]
+        argv = {"decompose-emd": ["decompose", data, "--method", "emd"],
+                "decompose-eemd": ["decompose", data, "--method", "eemd"],
+                "dtw": ["dtw", data, data], "gradcheck": ["gradcheck", "--trials", "1"]}
+        if command in configs:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(configs[command]))
+            argv[command] = [command, str(config)]
+        code, err, _ = _run(["--seed", "-2", "--out", str(tmp_path / "out"), *argv[command]])
+        assert (code, err) == (1, "config error: --seed: expected non-negative integer, got -2\n")
+
+
 class TestGradcheck:
     def test_passes_at_default_tolerance(self, capsys):
         code = main(["gradcheck", "--trials", "3"])
@@ -436,3 +558,15 @@ class TestGradcheck:
 
     def test_rejects_non_gradient_kind(self):
         assert main(["gradcheck", "--kinds", "GRNN"]) == 1
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    # the envelope spline is solved in modecast; scipy.interpolate would add
+    # about 0.1 s to every command's start-up
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, modecast.cli; print('scipy.interpolate' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "False\n"

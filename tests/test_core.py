@@ -50,6 +50,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 7"):
             load_csv(path, column=2)
 
+    def test_bad_cell_reports_its_line_past_blank_rows(self, tmp_path):
+        path = tmp_path / "gappy.csv"
+        path.write_text("value\n1\n\n\n2\nx\n")
+        with pytest.raises(DataError, match="row 6, column 1: cannot parse 'x'"):
+            load_csv(path, has_header=True)
+
+    @pytest.mark.parametrize("raw", [b"1\n\xff\n2\n", b'1\n"' + b"9" * 140_000 + b'"\n'],
+                             ids=["not-utf8", "field-over-csv-limit"])
+    def test_unreadable_file_is_data_error(self, tmp_path, raw):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="cannot read .* as UTF-8 CSV"):
+            load_csv(path)
+
     def test_table_actuals_fixture(self, data_dir):
         series = load_csv(data_dir / "vtf_table1_actuals.csv", column=2, has_header=True)
         assert series.values.tolist() == [34.0, 37.0, 36.0, 41.0, 48.0, 39.0, 38.0, 34.0]
@@ -98,6 +112,16 @@ class TestMinMax:
         assert scaled.values.tolist() == [0.5, 0.5, 0.5]
         assert scale.degenerate
         assert scale.inverse(np.array([0.1, 0.9])).tolist() == [5.0, 5.0]
+
+    def test_range_beyond_float_is_data_error(self):
+        with pytest.raises(DataError, match="exceeds the float range"):
+            minmax_normalize(TimeSeries([-1e308, 1e308]))
+
+    def test_inverse_beyond_float_is_data_error(self):
+        _, scale = minmax_normalize(TimeSeries([-1.7e308, 0.0]))
+        assert scale.inverse(np.array([0.0, 1.0])).tolist() == [-1.7e308, 0.0]
+        with pytest.raises(DataError, match="beyond the float range"):
+            scale.inverse(np.array([-0.1]))
 
     def test_roundtrip_identity(self):
         x = np.array([1.3, -2.7, 0.0])

@@ -1,17 +1,23 @@
 """The array-based decomposition layer against the frozen one in
 ``legacy_decomposition``: extrema, zero crossings, envelopes, IMFs,
-residuals, sift statistics and errors must be bit-identical. Also the
-properties the layer promises on its own: exact reconstruction, admissible
-converged IMFs, and exact scaling by powers of two."""
+residuals, sift statistics and errors must be bit-identical. The envelope
+spline must equal scipy's ``CubicSpline`` bit for bit and fail as it fails.
+Also the properties the layer promises on its own: exact reconstruction,
+admissible converged IMFs, and exact scaling by powers of two."""
+
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 import legacy_decomposition as legacy
 from modecast.core import TimeSeries
 from modecast.decomposition import (
     EemdConfig,
     SiftConfig,
+    _natural_spline,
     count_zero_crossings,
     eemd,
     emd_with_stats,
@@ -129,6 +135,59 @@ class TestEnvelopeOracle:
         assert new[0] == "ok" or new == old
         if new[0] == "ok":
             assert old[0] == "ok" and _bits(new[1], old[1].values)
+
+
+@st.composite
+def spline_cases(draw):
+    """Knots at integer and fractional positions, often below 0 (mirrored
+    knots); values of either sign with magnitudes 2^-400..2^400 or exact
+    zeros; points at the knots (the last one always) and between them."""
+    n = draw(st.integers(2, 60))
+    gaps = draw(st.lists(st.integers(1, 12) | st.sampled_from([0.25, 0.5, 1.5]),
+                         min_size=n - 1, max_size=n - 1))
+    x = draw(st.integers(-60, 60)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    magnitude = st.floats(SMALL, BIG)
+    y = np.array(draw(st.lists(
+        st.sampled_from([0.0, -0.0]) | magnitude | magnitude.map(lambda v: -v),
+        min_size=n, max_size=n)))
+    knots = draw(st.lists(st.integers(0, n - 1), max_size=8))
+    between = draw(st.lists(st.tuples(st.integers(0, n - 2), st.floats(0, 1, exclude_max=True)),
+                            max_size=30))
+    at = [x[i] for i in knots] + [x[i] + f * (x[i + 1] - x[i]) for i, f in between] + [x[-1]]
+    return x, y, np.array(draw(st.permutations(at)), dtype=np.float64)
+
+
+class TestSplineOracle:
+    @settings(deadline=None, max_examples=400)
+    @given(spline_cases())
+    def test_natural_spline_matches_cubic_spline(self, case):
+        x, y, at = case
+        assert _bits(_natural_spline(x, y, at), CubicSpline(x, y, bc_type="natural")(at))
+
+    @pytest.mark.parametrize("mode", ["mirror", "clamp"])
+    @pytest.mark.parametrize("big", [np.inf, -np.inf, 1.5e308, -1.5e308])
+    def test_non_finite_spline_fails_as_scipy_does(self, big, mode):
+        """A knot value of +-inf fails the finiteness check on y, and one of
+        +-1.5e308 overflows the slopes and fails the check on dydx, through
+        envelope and extract_imf alike, and without a numeric warning."""
+        values = np.array([0.0, 1.0, -1.0, big, -1.0, 1.0, -2.0, 2.0, 0.0])
+        cfg = SiftConfig(boundary_mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked warning becomes the outcome
+            new_envelope = _outcome(envelope, values, np.array([1, 3, 5, 7]), mode)
+            new_imf = _outcome(extract_imf, values, cfg)
+        # The frozen envelope takes its knot values as (index, value) pairs, so
+        # an infinite one never meets a TimeSeries; its numpy arithmetic warns.
+        series = TimeSeries(np.where(np.isfinite(values), values, 0.0))
+        with np.errstate(all="ignore"):
+            old_envelope, *old_means = [
+                _outcome(legacy.envelope, series, [(i, values[i]) for i in knots], mode)
+                for knots in ([1, 3, 5, 7], *find_extrema(values))]
+            old_imf = next(o for o in old_means if o[0] != "ok")  # upper, then lower
+            if np.isfinite(big):
+                assert _outcome(legacy.extract_imf, TimeSeries(values), cfg) == old_imf
+        assert new_envelope[0] is ValueError and new_envelope == old_envelope
+        assert new_imf[0] is ValueError and new_imf == old_imf
 
 
 class TestSiftOracle:

@@ -237,6 +237,17 @@ class TestRunFramework:
         with pytest.raises(PipelineError, match=r"component \d+ \(imf_1\)"):
             run_framework(series, spec)
 
+    @pytest.mark.filterwarnings("error")
+    def test_components_summing_past_float_max_fail(self):
+        # every component forecast is finite; the IMF's and the residual's sum is not
+        t = np.arange(31)
+        amp = 0.2861298349712619 * 1.79e308
+        x = np.minimum(1.797e308 - amp + amp * np.sin(2 * np.pi * t / 3.865 + 5.692), 1.797e308)
+        spec = FrameworkSpec(variant="EMD_NN", predictor=PredictorConfig(kind="GRNN"),
+                             grouping=GroupingConfig(segment_length=4), horizon=3)
+        with pytest.raises(PipelineError, match="^the component forecasts sum beyond the float"):
+            run_framework(TimeSeries(x), spec)
+
     def test_bad_explicit_split_mentions_constraint(self):
         series = wiggly_series()
         spec = small_spec("EMD_DTW_NN", split=(5, 5))

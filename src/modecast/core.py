@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -229,13 +230,15 @@ def minmax_normalize(series: TimeSeries) -> tuple:
 # CSV ingestion / emission
 # ---------------------------------------------------------------------------
 
+# plain ASCII decimal text, with an optional sign and exponent; float()
+# alone would also take "1_0", non-ASCII digits, "nan" and "inf"
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def _parse_cell(cell: str, row: int, column: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(
-            f"row {row}, column {column}: cannot parse {cell!r} as a number"
-        ) from None
+    if not _DECIMAL.fullmatch(cell):
+        raise DataError(f"row {row}, column {column}: cannot parse {cell!r} as a number")
+    value = float(cell)
     if not np.isfinite(value):
         raise DataError(f"row {row}, column {column}: non-finite value {cell!r}")
     return value
@@ -308,7 +311,7 @@ def load_csv(
     for line, row in rows:
         if col_idx >= len(row):
             raise DataError(f"row {line}, column {col_name}: missing cell")
-        values.append(_parse_cell(row[col_idx].strip(), line, col_name))
+        values.append(_parse_cell(row[col_idx].strip(" \t"), line, col_name))
         if col_idx != 0:
             labels.append(row[0])
     return TimeSeries(values, labels if labels else None)

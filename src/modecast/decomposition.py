@@ -299,11 +299,16 @@ def extract_imf(values: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftOutco
 # EMD / EEMD
 # ---------------------------------------------------------------------------
 
-def _rescaled(series: TimeSeries, values: np.ndarray, e) -> TimeSeries:
+def _rescaled(series: TimeSeries, values: np.ndarray, e, name: str) -> TimeSeries:
     """``values * 2**e`` with the labels of ``series``; a value the scaling
-    takes beyond the float range is a DataError, not an overflow warning."""
+    takes beyond the float range is a DataError naming the component, not an
+    overflow warning."""
     with np.errstate(over="ignore"):
-        return series.replace_values(np.ldexp(values, e))
+        scaled = np.ldexp(values, e)
+    if np.any(np.isinf(scaled) & np.isfinite(values)):
+        raise DataError(f"{name}: scaling the component back to the series' magnitude "
+                        f"passes the float range")
+    return series.replace_values(scaled)
 
 
 def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
@@ -321,10 +326,11 @@ def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
             outcome = extract_imf(remainder, cfg)
         except InsufficientExtremaError:
             break
-        imfs.append(_rescaled(series, outcome.imf, e))
+        imfs.append(_rescaled(series, outcome.imf, e, f"imf_{len(imfs) + 1}"))
         stats.append(outcome.stats)
         remainder = outcome.remainder
-    decomp = Decomposition(imfs=tuple(imfs), residual=_rescaled(series, remainder, e),
+    decomp = Decomposition(imfs=tuple(imfs),
+                           residual=_rescaled(series, remainder, e, "residual"),
                            source_length=len(series))
     return decomp, stats
 
@@ -388,6 +394,7 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
             imf_sums[i] += imf.values
         residual_sum += d.residual.values
 
-    imfs = tuple(_rescaled(series, total / n_trials, s) for total in imf_sums)
-    residual = _rescaled(series, residual_sum / n_trials, s)
+    imfs = tuple(_rescaled(series, total / n_trials, s, f"imf_{i + 1}")
+                 for i, total in enumerate(imf_sums))
+    residual = _rescaled(series, residual_sum / n_trials, s, "residual")
     return Decomposition(imfs=imfs, residual=residual, source_length=length)

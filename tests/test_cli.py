@@ -89,6 +89,17 @@ class TestDecompose:
         assert np.isfinite(np.array([r.split(",") for r in rows], dtype=float)).all()
 
 
+    @pytest.mark.parametrize("method", ["emd", "eemd"])
+    def test_component_past_float_range_is_named_data_error(self, method, tmp_path, capsys):
+        path = tmp_path / "past_max.csv"
+        write_series(path, np.random.default_rng(0).uniform(-1, 1, 26) * 1.79e308)
+        assert main(["--out", str(tmp_path / "out"), "decompose", str(path),
+                     "--method", method]) == 2
+        assert capsys.readouterr().err == (
+            "data error: imf_1: scaling the component back to the series' magnitude "
+            "passes the float range\n")
+
+
 class TestDtw:
     def test_identical_files(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -452,12 +463,12 @@ CSV_CELLS = CSV_NUMBERS | st.text(max_size=3) | st.sampled_from(
 
 
 @st.composite
-def csv_files(draw):
+def csv_files(draw, lengths=st.integers(0, 6) | st.integers(12, 40)):
     """(bytes, column, has_header): mostly numeric rows of 1-3 cells, any
     magnitude, with odd cells, blank and ragged rows and a header now and
     then."""
     width = draw(st.integers(1, 3))
-    length = draw(st.integers(0, 6) | st.integers(12, 40))
+    length = draw(lengths)
     rows = draw(st.lists(st.lists(CSV_NUMBERS, min_size=width, max_size=width),
                          min_size=length, max_size=length))
     for _ in range(draw(st.integers(0, 3))):
@@ -501,6 +512,30 @@ class TestCsvFuzz:
             argv = ["decompose", str(data), f"--column={column}", "--method", command,
                     "--ensemble", "2"] + ["--has-header"] * has_header
         code, err, caught = _run(["--out", str(tmp_path / "out"), *argv])
+        assert not caught, [str(w.message) for w in caught]
+        if code == 0:
+            assert err == ""
+        else:
+            prefix = {2: "data error: ", 3: "numeric failure: "}[code]
+            assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+
+    # at least 16 rows: up to three blank ones still leave the 12 training
+    # points and one to forecast
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_files(lengths=st.integers(16, 40)))
+    def test_fuzzed_data_file_under_benchmark_exits_cleanly(self, tmp_path, case):
+        """Two frameworks (NN and EEMD_DTW_NN), two runs, a 12-point
+        training window."""
+        raw, column, has_header = case
+        data = tmp_path / "data.csv"
+        data.write_bytes(raw)
+        cfg = _tiny_configs(tmp_path)["benchmark"]
+        cfg.update(dataset={"path": str(data), "column": column, "has_header": has_header},
+                   holdout=12, runs=2, seeds=[5, 6])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        code, err, caught = _run(["--out", str(tmp_path / "out"), "benchmark", str(config)])
         assert not caught, [str(w.message) for w in caught]
         if code == 0:
             assert err == ""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,19 @@ class TestLoadCsv:
         path.write_text("value\n1\n\n\n2\nx\n")
         with pytest.raises(DataError, match="row 6, column 1: cannot parse 'x'"):
             load_csv(path, has_header=True)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", "nan", "\u20031"],
+                             ids=["underscore", "arabic-indic-digit", "nan", "em-space"])
+    def test_only_plain_decimal_text_is_a_number(self, tmp_path, cell):
+        path = tmp_path / "odd.csv"
+        path.write_text(f"value\n1\n{cell}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"row 3, column 1: cannot parse {cell!r}")):
+            load_csv(path, has_header=True)
+
+    def test_plain_decimal_forms_load(self, tmp_path):
+        path = tmp_path / "forms.csv"
+        path.write_text(" +1.5e3 ,\t-2.\n.25,x\n-0,x\n7E-1,x\n", encoding="utf-8")
+        assert load_csv(path).values.tolist() == [1500.0, 0.25, -0.0, 0.7]
 
     @pytest.mark.parametrize("raw", [b"1\n\xff\n2\n", b'1\n"' + b"9" * 140_000 + b'"\n'],
                              ids=["not-utf8", "field-over-csv-limit"])

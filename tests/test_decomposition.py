@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modecast.core import TimeSeries
+from modecast.core import DataError, TimeSeries
 from modecast.decomposition import (
     EemdConfig,
     InsufficientExtremaError,
@@ -158,7 +158,18 @@ class TestExtractImf:
         assert outcome.stats.iterations == 1
 
 
+PAST_FLOAT_MAX = np.random.default_rng(0).uniform(-1, 1, 26) * 1.79e308
+PAST_FLOAT_MAX_MESSAGE = ("imf_1: scaling the component back to the series' magnitude "
+                          "passes the float range")
+
+
 class TestEmd:
+    def test_component_scaled_back_past_float_range_is_named(self):
+        # sifted at 2**-1024 scale, imf_1 swings past the float range at 2**1024
+        with pytest.raises(DataError) as info:
+            emd(TimeSeries(PAST_FLOAT_MAX))
+        assert str(info.value) == PAST_FLOAT_MAX_MESSAGE
+
     def test_monotone_ramp(self):
         d = emd(TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert d.n_imfs == 0

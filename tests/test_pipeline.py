@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modecast.core import Decomposition, TimeSeries, minmax_normalize
+from modecast.core import DataError, Decomposition, TimeSeries, minmax_normalize
 from modecast.decomposition import EemdConfig, emd
 from modecast import pipeline
 from modecast.grouping import GroupingConfig
@@ -263,6 +263,38 @@ class TestRunFramework:
         for name, steps in trace.items():
             assert len(steps) == 4
             assert all("candidates" in s for s in steps)
+
+    @pytest.mark.parametrize("fast_fails", [True, False])
+    def test_lowest_failing_component_wins_over_an_earlier_failure(self, fast_fails,
+                                                                   monkeypatch):
+        """The slow components (imf_2, residual) fail when their sessions
+        start, which the lockstep order reaches before the fast imf_1's
+        second step. The error is still the one a sequential run meets
+        first, and the trace stops before it."""
+        real = pipeline.predict
+        calls = []
+
+        def nan_at_step_two(model, x):
+            calls.append(x)
+            return float("nan") if fast_fails and len(calls) == 2 else real(model, x)
+
+        class BrokenSession(pipeline.ForecastSession):
+            def step(self, x):
+                raise ValueError("session broke")
+
+        monkeypatch.setattr(pipeline, "predict", nan_at_step_two)
+        monkeypatch.setattr(pipeline, "ForecastSession", BrokenSession)
+        trace = {}
+        with pytest.raises(PipelineError) as info:
+            run_framework(wiggly_series(), small_spec("EMD_DTW_NN"), group_trace=trace)
+        if fast_fails:
+            assert str(info.value) == "component 1 (imf_1): series contains NaN or infinite values"
+            assert isinstance(info.value.__cause__, DataError)
+            assert trace == {}
+        else:
+            assert str(info.value) == "component 2 (imf_2): session broke"
+            assert isinstance(info.value.__cause__, ValueError)
+            assert list(trace) == ["imf_1"] and len(trace["imf_1"]) == 4
 
 
 class TestForecastResult:

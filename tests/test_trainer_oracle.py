@@ -3,14 +3,17 @@
 finite-difference checks must be bit-identical."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import legacy_trainer as legacy
+from modecast.core import MinMaxScale
 from modecast.grouping import TrainingSet
 from modecast.predictors import (
     ForecastSession,
     PredictorConfig,
+    TrainedModel,
     TrainingDivergedError,
     _enn_context,
     _init_params,
@@ -20,6 +23,7 @@ from modecast.predictors import (
     gradient_check,
     predict,
     train,
+    train_many,
 )
 
 
@@ -139,3 +143,75 @@ class TestSigmoidOracle:
         out = np.empty_like(z)
         assert _sigmoid(z, out=out) is out
         assert _same_floats(out, legacy._sigmoid(z))
+
+
+@st.composite
+def model_batches(draw):
+    """1-10 models over a pool of 1-3 group keys (kind, pairs, input length,
+    hidden units, epochs, rate), so most calls hold groups of several
+    models, next to singletons. Rates of 1e2 and above diverge at epochs
+    that differ between group-mates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = draw(st.lists(st.tuples(
+        st.sampled_from(["BPNN", "WNN", "ENN", "GRNN"]), st.sampled_from([1, 3, 10]),
+        st.sampled_from([1, 4]), st.sampled_from([1, 3]), st.sampled_from([1, 7, 25]),
+        st.sampled_from([0.05, 0.5, 1e2, 1e4, 1e8])), min_size=1, max_size=3))
+    batch = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind, n, length, hidden, epochs, rate = draw(st.sampled_from(keys))
+        training_set = TrainingSet(
+            inputs=rng.normal(size=(n, length)) * draw(st.sampled_from([1.0, 30.0])),
+            targets=rng.normal(size=n),
+            provenance=tuple((int(o) + 1, 0.0) for o in rng.permutation(n)),
+        )
+        cfg = PredictorConfig(kind=kind, hidden_units=hidden, learning_rate=rate,
+                              epochs=epochs, seed=draw(st.integers(0, 2**16)))
+        batch.append((training_set, cfg, MinMaxScale(0.0, float(len(batch) + 1))))
+    return batch
+
+
+class TestTrainManyOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(model_batches())
+    def test_matches_lone_training(self, batch):
+        """Each model of one ``train_many`` call equals the frozen trainer
+        run alone: weights and loss curve, or the epoch its loss became
+        non-finite; every other field is the config's or the scale's. GRNN
+        models store their pairs."""
+        results = train_many(*zip(*batch))
+        assert len(results) == len(batch)
+        for (training_set, cfg, scale), result in zip(batch, results):
+            try:
+                old = ((np.concatenate([training_set.inputs.ravel(), training_set.targets]),
+                        np.zeros(0)) if cfg.kind == "GRNN" else legacy.train(training_set, cfg))
+            except ValueError as err:
+                assert isinstance(result, TrainingDivergedError)
+                assert (result.epoch, result.learning_rate) == (err.args[0], cfg.learning_rate)
+                assert str(result) == str(TrainingDivergedError(cfg.kind, result.epoch,
+                                                                cfg.learning_rate))
+                continue
+            assert isinstance(result, TrainedModel)
+            assert np.array_equal(result.weights, old[0])
+            assert np.array_equal(result.training_loss_curve, old[1])
+            assert (result.kind, result.input_length, result.hidden_units, result.grnn_sigma,
+                    result.scale) == (cfg.kind, training_set.input_length, cfg.hidden_units,
+                                      cfg.grnn_sigma, scale)
+
+    def test_diverged_mate_leaves_the_group_without_warning(self, recwarn):
+        """Two models of one group: the second diverges at epoch 2 (and the
+        first epochs overflow on the way), the first trains on to the same
+        bits as alone."""
+        calm = TrainingSet(inputs=[[0.1, 0.2], [0.3, 0.1]], targets=[0.2, 0.4],
+                           provenance=((1, 0.0), (2, 0.0)))
+        wild = TrainingSet(inputs=[[0.5, -0.5], [2.0, 0.5]], targets=[1e150, 1e150],
+                           provenance=((1, 0.0), (2, 0.0)))
+        cfg = PredictorConfig(kind="BPNN", hidden_units=2, learning_rate=1e2, epochs=20)
+        kept, diverged = train_many([calm, wild], [cfg, cfg])
+        old_weights, old_curve = legacy.train(calm, cfg)
+        assert np.array_equal(kept.weights, old_weights)
+        assert np.array_equal(kept.training_loss_curve, old_curve)
+        assert isinstance(diverged, TrainingDivergedError)
+        with pytest.raises(ValueError) as err:
+            legacy.train(wild, cfg)
+        assert diverged.epoch == err.value.args[0] == 2
+        assert not recwarn.list

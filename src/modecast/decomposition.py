@@ -10,12 +10,14 @@ averages the aligned IMFs, which suppresses mode mixing.
 The sift loop works on plain float64 arrays. ``TimeSeries`` appears only at
 the boundary: the input of :func:`emd`, :func:`emd_with_stats` and
 :func:`eemd`, and the IMFs and residual of the returned ``Decomposition``.
-Each sift step scans the extrema once (:func:`find_extrema`, whole-array
-comparisons over runs of equal samples); the envelope mean and the balance
-test share that scan. Each envelope is a natural cubic spline solved
-directly: one LAPACK ``dgtsv`` call on the tridiagonal system, then the
-Hermite polynomials at every index, with scipy's ``CubicSpline`` arithmetic
-repeated operation for operation, so the envelopes are bit-identical to it.
+One sift core extracts an IMF from K rows at once (:func:`extract_imf` is
+its one-row call, :func:`eemd` runs it over its trials). Each sift step
+scans the extrema of all rows once (whole-array comparisons over runs of
+equal samples); the envelope means and the balance tests share that scan.
+The envelopes are natural cubic splines, all of a step solved at once: one
+LAPACK ``dgtsv`` call on their block-diagonal system, then the Hermite
+polynomials at every index, with scipy's ``CubicSpline`` arithmetic
+repeated operation for operation, so every envelope is bit-identical to it.
 Squares of raw samples overflow above about 1e154 and underflow below about
 1e-154, so beyond 2**+-500 the stopping ratio and the EEMD noise amplitude
 are computed on samples scaled by an exact power of two, and so is the whole
@@ -122,6 +124,30 @@ def count_zero_crossings(values: np.ndarray) -> int:
     return crossings + int(negative.size > 0 and values[-1] == 0)
 
 
+def _extrema(rows: np.ndarray) -> tuple:
+    """:func:`find_extrema` of every row of a (K, T) array in one pass: the
+    maxima and the minima as flat indices into ``rows``, in row-major order."""
+    n = rows.shape[1]
+    if n < 3:
+        raise ValueError(f"extrema detection needs length >= 3, got {n}")
+    v = rows.ravel()
+    change = v[1:] != v[:-1]
+    change[n - 1::n] = True  # every row starts a run
+    last = np.flatnonzero(change)  # the last sample of every run but the final one
+    after = v[last + 1]
+    # run j has the neighbours v[last[j]] and after[j + 1]; its level is after[j]
+    left, level, right = v[last[:-1]], after[:-1], after[1:]
+    maxima = (left < level) & (right < level)
+    minima = (left > level) & (right > level)
+    if rows.shape[0] > 1:  # drop the runs that start or end a row
+        inner = (last + 1) % n != 0
+        inner = inner[:-1] & inner[1:]
+        maxima &= inner
+        minima &= inner
+    mid = (last[:-1] + last[1:] + 1) // 2
+    return mid[maxima], mid[minima]
+
+
 def find_extrema(values: np.ndarray) -> tuple:
     """Locate interior local maxima and minima.
 
@@ -139,56 +165,141 @@ def find_extrema(values: np.ndarray) -> tuple:
     (maxima, minima) : tuple of int arrays
         Strictly increasing sample indices; maxima and minima interleave.
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.size < 3:
-        raise ValueError(f"extrema detection needs length >= 3, got {v.size}")
-    starts = np.flatnonzero(v[1:] != v[:-1]) + 1
-    first, end = starts[:-1], starts[1:] - 1  # the runs with a neighbour on each side
-    level, left, right = v[first], v[first - 1], v[end + 1]
-    mid = (first + end) // 2
-    return mid[(left < level) & (right < level)], mid[(left > level) & (right > level)]
+    return _extrema(np.asarray(values, dtype=np.float64).reshape(1, -1))
 
 
 # ---------------------------------------------------------------------------
 # Envelopes and sifting
 # ---------------------------------------------------------------------------
 
-def _natural_spline(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """``CubicSpline(x, y, bc_type="natural")(at)`` bit for bit, for ``x``
-    finite and strictly increasing and ``at`` within ``[x[0], x[-1]]``: scipy's
-    tridiagonal system and LAPACK ``dgtsv`` solve, its Hermite coefficients,
-    and its evaluator's interval search and summation order. Non-finite knot
-    values or slopes raise scipy's ``ValueError``, with no numeric warning."""
-    if not np.isfinite(y).all():
-        raise ValueError("`y` must contain only finite values.")
-    n = x.size
+# Status of one spline block or one sifted row; the ValueError messages are
+# scipy's, in the order CubicSpline checks them.
+_OK, _NO_EXTREMA, _BAD_Y, _BAD_SLOPE = range(4)
+_SPLINE_ERRORS = {_BAD_Y: "`y` must contain only finite values.",
+                  _BAD_SLOPE: "`dydx` must contain only finite values."}
+_EVALUATION_POINTS = 1 << 13  # spline points evaluated per pass over the blocks
+
+
+def _natural_splines(x: np.ndarray, y: np.ndarray, bounds: np.ndarray,
+                     at: np.ndarray) -> tuple:
+    """Natural cubic splines through blocks of knots, all evaluated at ``at``.
+
+    Block j holds the knots ``x[a:b]``, ``y[a:b]`` with ``a, b = bounds[j],
+    bounds[j + 1]``: at least 2, with ``x`` finite and strictly increasing,
+    and ``at`` sorted and within ``[x[a], x[b - 1]]``. Row j of the returned
+    (blocks, ``at.size``) array is ``CubicSpline(x[a:b], y[a:b],
+    bc_type="natural")(at)`` bit for bit: scipy's tridiagonal system, its
+    Hermite coefficients, and its evaluator's interval (the last knot at or
+    below the point, at most the second to last) and summation order.
+
+    All blocks are solved by one LAPACK ``dgtsv`` call on the block-diagonal
+    system. Its coupling entries are zero, so each block is eliminated as
+    if alone, up to the sign of zero terms, which the evaluation's leading
+    ``0.0 +`` absorbs. The second array gives each block's status: ``_OK``,
+    or the scipy check it fails (``_BAD_Y``, ``_BAD_SLOPE``), and the values
+    of a failed block are 0. No numeric warning is raised.
+    """
+    first, last = bounds[:-1], bounds[1:] - 1
+    status = np.where(np.logical_and.reduceat(np.isfinite(y), first), _OK, _BAD_Y)
+    coupling = last[:-1]
     with np.errstate(all="ignore"):
         dx = x[1:] - x[:-1]
         rise = y[1:] - y[:-1]
         slope = rise / dx
-        d = np.empty(n)
-        d[0], d[-1] = 2 * dx[0], 2 * dx[-1]
+        head, tail = dx[first], dx[last - 1]
+        d = np.empty(x.size)
         d[1:-1] = 2 * (dx[:-1] + dx[1:])
-        b = np.empty(n)
+        d[first], d[last] = 2 * head, 2 * tail
+        b = np.empty(x.size)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         # scipy's end rows add -0.5 * 0.0 * dx**2 and 0.5 * 0.0 * dx**2 (zero
         # end curvature): -0.0 + v is v, and 0.0 + v turns -0.0 into 0.0
-        b[0], b[-1] = 3 * rise[0], 0.0 + 3 * rise[-1]
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[first], b[last] = 3 * rise[first], 0.0 + 3 * rise[last - 1]
+        sub = np.empty(dx.size)
+        sub[:-1], sub[last - 1], sub[coupling] = dx[1:], tail, 0.0
+        sup = np.empty(dx.size)
+        sup[1:], sup[first], sup[coupling] = dx[:-1], head, 0.0
         # strictly diagonally dominant: no zero pivot, so dgtsv's info is 0
-        s = dgtsv(np.concatenate((dx[1:], dx[-1:])), d, np.concatenate((dx[:1], dx[:-1])),
-                  b, True, True, True, True)[3]
-        if not np.isfinite(s).all():
-            raise ValueError("`dydx` must contain only finite values.")
+        s = dgtsv(sub, d, sup, b, True, True, True, True)[3]
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         c1, c0 = (slope - s[:-1]) / dx - t, t / dx  # of z**2 and z**3
-        i = np.minimum(np.searchsorted(x, at, "right") - 1, n - 2)
-        z = at - x[i]
-        zz = z * z
-        return 0.0 + y[i] + s[i] * z + c1[i] * zz + c0[i] * (zz * z)
+        # each point's interval is the last knot of its block at or below it
+        # (at most the second to last): repeat each knot's index over the
+        # points from it to the next knot, where a block's last knot reaches
+        # the end of its points. Evaluated a few blocks at a time, so that
+        # the temporaries stay small.
+        reach = np.searchsorted(at, x) + np.repeat(np.arange(0, first.size * at.size, at.size),
+                                                   last - first + 1)
+        reach[last] = np.arange(at.size, (first.size + 1) * at.size, at.size)
+        points = np.diff(reach)
+        values = np.empty((first.size, at.size))
+        chunk = max(1, _EVALUATION_POINTS // max(at.size, 1))
+        for lo in range(0, first.size, chunk):
+            start, stop = first[lo], last[min(lo + chunk, first.size) - 1]
+            out = values[lo:lo + chunk]
+            i = np.repeat(np.arange(start, stop), points[start:stop]).reshape(out.shape)
+            z = at - x[i]
+            zz = z * z
+            np.add(0.0, y[i], out=out)
+            out += s[i] * z
+            out += c1[i] * zz
+            zz *= z
+            out += c0[i] * zz
+    finite_s = np.isfinite(s)
+    if not finite_s.all():
+        for j in np.flatnonzero(~np.logical_and.reduceat(finite_s, first) & (status == _OK)):
+            if first.size == 1:
+                status[j] = _BAD_SLOPE
+            else:  # NaN spreads through the zero coupling: solve the block alone
+                block = slice(first[j], last[j] + 1)
+                alone = _natural_splines(x[block], y[block], bounds[j:j + 2] - first[j], at)
+                values[j], status[j] = alone[0][0], alone[1][0]
+    if np.count_nonzero(status):
+        values[status != _OK] = 0.0
+    return values, status
+
+
+def _boundary_knots(positions: np.ndarray, sources: np.ndarray, bounds: np.ndarray,
+                    last: int, mode: str) -> tuple:
+    """Extend blocks of knots past both ends of their rows.
+
+    Block j holds at least 2 knots, ``positions[a:b]`` (strictly increasing
+    sample indices within a row whose last index is ``last``) and
+    ``sources[a:b]`` (the same samples as indices into all the rows), with
+    ``a, b = bounds[j], bounds[j + 1]``. ``mirror`` reflects the two knots
+    nearest each end across that end; ``clamp`` adds the end samples.
+    Returns the new positions (float), sources and bounds. A boundary knot
+    lands on an existing knot only where a knot is an end sample.
+    """
+    lo, hi = bounds[:-1], bounds[1:] - 1
+    pad = 2 if mode == "mirror" else 1
+    start = lo + np.arange(0, 2 * pad * lo.size, 2 * pad)  # of each extended block
+    end = start + (hi - lo) + (2 * pad + 1)
+    if mode == "mirror":
+        ends = np.concatenate((start, start + 1, end - 2, end - 1))
+        take = np.concatenate((lo + 1, lo, hi, hi - 1))
+        end_sources, end_positions = sources[take], positions[take]
+        end_positions[:2 * lo.size] *= -1
+        end_positions[2 * lo.size:] = 2 * last - end_positions[2 * lo.size:]
+    else:
+        ends = np.concatenate((start, end - 1))
+        row_starts = sources[lo] - positions[lo]
+        end_sources = np.concatenate((row_starts, row_starts + last))
+        end_positions = np.repeat(np.array([0, last]), lo.size)
+    xs = np.empty(end[-1])
+    src = np.empty(end[-1], dtype=np.intp)
+    body = np.ones(end[-1], dtype=bool)
+    body[ends] = False
+    xs[body], src[body] = positions, sources
+    xs[ends], src[ends] = end_positions, end_sources
+    return xs, src, np.concatenate((start, end[-1:]))
 
 
 def envelope(values: np.ndarray, knots, mode: str = "mirror") -> np.ndarray:
     """Natural cubic spline through the samples at ``knots``, at every index.
+
+    The one-block case of the spline solve that each sift step runs over
+    the upper and lower envelopes of all its rows at once.
 
     Parameters
     ----------
@@ -209,32 +320,128 @@ def envelope(values: np.ndarray, knots, mode: str = "mirror") -> np.ndarray:
         )
     if mode not in BOUNDARY_MODES:
         raise ValueError(f"mode must be one of {BOUNDARY_MODES}")
-    last = values.size - 1
+    xs, sources, _ = _boundary_knots(knots, knots, np.array([0, knots.size]),
+                                     values.size - 1, mode)
     # the boundary knots keep the order sorted, so duplicates are adjacent
-    if mode == "mirror":
-        xs = np.concatenate((-knots[1::-1], knots, 2 * last - knots[:-3:-1]))
-        sources = np.concatenate((knots[1::-1], knots, knots[:-3:-1]))
-    else:
-        xs = sources = np.concatenate(([0], knots, [last]))
     keep = np.concatenate(([True], xs[1:] != xs[:-1]))
-    return _natural_spline(xs[keep].astype(np.float64),
-                           np.asarray(values[sources[keep]], dtype=np.float64),
-                           np.arange(values.size, dtype=np.float64))
+    spline, status = _natural_splines(xs[keep],
+                                      np.asarray(values[sources[keep]], dtype=np.float64),
+                                      np.array([0, np.count_nonzero(keep)]),
+                                      np.arange(values.size, dtype=np.float64))
+    if status[0] != _OK:
+        raise ValueError(_SPLINE_ERRORS[status[0]])
+    return spline[0]
 
 
-def _envelope_mean(values: np.ndarray, cfg: SiftConfig) -> tuple:
-    """Mean of the upper and lower envelopes (None when there are fewer than
-    2 maxima or 2 minima), and the number of extrema."""
-    maxima, minima = find_extrema(values)
-    n_extrema = maxima.size + minima.size
-    if maxima.size < 2 or minima.size < 2:
-        return None, n_extrema
-    upper = envelope(values, maxima, cfg.boundary_mode)
-    lower = envelope(values, minima, cfg.boundary_mode)
-    return (upper + lower) / 2.0, n_extrema
+def _envelope_means(rows: np.ndarray, mode: str) -> tuple:
+    """For every row of a (K, T) array: the mean of its upper and lower
+    envelopes (0 unless the status is ``_OK``), its number of extrema, and
+    its status: ``_NO_EXTREMA`` below 2 maxima or 2 minima, else the first
+    spline check that fails, upper envelope first. The envelopes of all rows
+    take one spline solve: the upper ones in row order, then the lower.
+    Extrema are never end samples, so no boundary knot lands on a knot."""
+    k, n = rows.shape
+    maxima, minima = _extrema(rows)
+    knots = np.concatenate((maxima, minima))
+    block, positions = np.divmod(knots, n)
+    block[maxima.size:] += k  # row, or K + row
+    counts = np.bincount(block, minlength=2 * k)
+    n_extrema = counts[:k] + counts[k:]
+    fit = np.minimum(counts[:k], counts[k:]) >= 2
+    status = np.where(fit, _OK, _NO_EXTREMA)
+    rows_fit = np.flatnonzero(fit)
+    if rows_fit.size < k:
+        if not rows_fit.size:
+            return np.zeros((k, n)), n_extrema, status
+        keep = np.concatenate((fit, fit))
+        knots, positions, counts = knots[keep[block]], positions[keep[block]], counts[keep]
+    bounds = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    xs, sources, bounds = _boundary_knots(positions, knots, bounds, n - 1, mode)
+    spline, spline_status = _natural_splines(xs, np.take(rows, sources), bounds,
+                                             np.arange(n, dtype=np.float64))
+    mean = (spline[:rows_fit.size] + spline[rows_fit.size:]) / 2.0
+    if np.count_nonzero(spline_status):
+        upper, lower = spline_status[:rows_fit.size], spline_status[rows_fit.size:]
+        status[rows_fit] = np.where(upper != _OK, upper, lower)
+    if rows_fit.size < k:
+        mean, fitted = np.zeros((k, n)), mean
+        mean[rows_fit] = fitted
+    return mean, n_extrema, status
+
+
+def _sd_ratios(h_prev: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per row: sum((h_prev - h)^2) / sum(h_prev^2), 0 where h_prev is all
+    zero, on both scaled by the row's own power of two (:func:`pow2_exponent`)."""
+    e = pow2_exponent(h_prev, axis=1)
+    step = h_prev - h
+    if np.count_nonzero(e):
+        h_prev, step = np.ldexp(h_prev, -e), np.ldexp(step, -e)
+    denom = np.sum(np.square(h_prev), axis=1)
+    num = np.sum(np.square(step, out=step), axis=1)
+    positive = denom > 0
+    if np.count_nonzero(positive) == positive.size:
+        return num / denom
+    return np.where(positive, num / np.where(positive, denom, 1.0), 0.0)
 
 
 _ENVELOPE_MEAN_RATIO = 0.1  # local-zero-mean bound, relative to IMF amplitude
+
+
+def _sift(rows: np.ndarray, cfg: SiftConfig) -> list:
+    """:func:`extract_imf` of every row of a (K, T) float64 array, in
+    lockstep: per row its ``SiftOutcome``, or the exception ``extract_imf``
+    raises for that row alone. Each pass finds the extrema of all rows still
+    sifting and fits all their envelopes in one spline solve
+    (:func:`_envelope_means`); then each row takes its own stopping
+    decision, and the rows that stop leave the batch."""
+    outcomes = [None] * rows.shape[0]
+
+    def stop(r, h, sd, iterations, reason):  # a copy, not a view of the pass's whole batch
+        outcomes[r] = SiftOutcome(imf=h.copy(), remainder=rows[r] - h, stats=SiftStats(
+            iterations=iterations, sd_at_stop=float(sd), converged=(reason == "sd"),
+            stop_reason=reason))
+
+    mean, _, status = _envelope_means(rows, cfg.boundary_mode)
+    live, h_prev = np.arange(rows.shape[0]), rows
+    if np.count_nonzero(status):
+        for r in np.flatnonzero(status):
+            outcomes[r] = (ValueError(_SPLINE_ERRORS[status[r]]) if status[r] != _NO_EXTREMA
+                           else InsufficientExtremaError("IMF extraction needs at least 2 "
+                                                         "maxima and 2 minima"))
+        live = np.flatnonzero(status == _OK)
+        h_prev, mean = rows[live], mean[live]
+    iterations = 0
+    while live.size:
+        h = np.subtract(h_prev, mean, out=mean)  # the envelope mean is not needed again
+        iterations += 1
+        sd = _sd_ratios(h_prev, h)
+        h_prev = h
+        if iterations >= cfg.max_sift_iterations:
+            for j, r in enumerate(live):
+                stop(r, h_prev[j], sd[j], iterations, "iteration_cap")
+            break
+        mean, n_extrema, status = _envelope_means(h_prev, cfg.boundary_mode)
+        converged = []
+        for j in np.flatnonzero(sd < cfg.sd_threshold):
+            amplitude = float(np.max(np.abs(h_prev[j])))
+            if status[j] == _OK and (amplitude == 0.0 or (
+                float(np.max(np.abs(mean[j]))) < _ENVELOPE_MEAN_RATIO * amplitude
+                and abs(n_extrema[j] - count_zero_crossings(h_prev[j])) <= 1
+            )):
+                converged.append(j)
+        if not converged and not np.count_nonzero(status):
+            continue
+        going = status == _OK
+        going[converged] = False
+        for j in np.flatnonzero(~going):
+            if status[j] > _NO_EXTREMA:
+                outcomes[live[j]] = ValueError(_SPLINE_ERRORS[status[j]])
+            else:
+                stop(live[j], h_prev[j], sd[j], iterations,
+                     "no_extrema" if status[j] == _NO_EXTREMA else "sd")
+        live, h_prev, mean = live[going], h_prev[going], mean[going]
+    return outcomes
 
 
 def extract_imf(values: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftOutcome:
@@ -249,58 +456,21 @@ def extract_imf(values: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftOutco
     at ``cfg.max_sift_iterations``. Returns the IMF, the remainder
     (values - IMF) and per-extraction statistics; raises
     :class:`InsufficientExtremaError` when the input has fewer than 2
-    maxima or 2 minima.
+    maxima or 2 minima. The one-row call of the lockstep sift that
+    :func:`eemd` runs over its trials.
     """
-    values = np.asarray(values, dtype=np.float64)
-    mean, _ = _envelope_mean(values, cfg)
-    if mean is None:
-        raise InsufficientExtremaError(
-            "IMF extraction needs at least 2 maxima and 2 minima"
-        )
-
-    h_prev = values
-    iterations = 0
-    sd = np.inf
-    stop_reason = "iteration_cap"
-    while iterations < cfg.max_sift_iterations:
-        h = h_prev - mean
-        iterations += 1
-        e = pow2_exponent(h_prev)
-        denom = float(np.sum(np.ldexp(h_prev, -e) ** 2))
-        sd = float(np.sum(np.ldexp(h_prev - h, -e) ** 2) / denom) if denom > 0 else 0.0
-        h_prev = h
-        if iterations >= cfg.max_sift_iterations:
-            break
-        mean, n_extrema = _envelope_mean(h_prev, cfg)
-        if mean is None:
-            stop_reason = "no_extrema"
-            break
-        amplitude = float(np.max(np.abs(h_prev)))
-        if sd < cfg.sd_threshold and (
-            amplitude == 0.0
-            or (
-                float(np.max(np.abs(mean))) < _ENVELOPE_MEAN_RATIO * amplitude
-                and abs(n_extrema - count_zero_crossings(h_prev)) <= 1
-            )
-        ):
-            stop_reason = "sd"
-            break
-
-    stats = SiftStats(
-        iterations=iterations,
-        sd_at_stop=sd,
-        converged=(stop_reason == "sd"),
-        stop_reason=stop_reason,
-    )
-    return SiftOutcome(imf=h_prev, remainder=values - h_prev, stats=stats)
+    outcome = _sift(np.asarray(values, dtype=np.float64).reshape(1, -1), cfg)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
 # EMD / EEMD
 # ---------------------------------------------------------------------------
 
-def _rescaled(series: TimeSeries, values: np.ndarray, e, name: str) -> TimeSeries:
-    """``values * 2**e`` with the labels of ``series``; a value the scaling
+def _rescaled(values: np.ndarray, e, name: str, labels=None) -> TimeSeries:
+    """``values * 2**e`` as a series with ``labels``; a value the scaling
     takes beyond the float range is a DataError naming the component, not an
     overflow warning."""
     with np.errstate(over="ignore"):
@@ -308,7 +478,7 @@ def _rescaled(series: TimeSeries, values: np.ndarray, e, name: str) -> TimeSerie
     if np.any(np.isinf(scaled) & np.isfinite(values)):
         raise DataError(f"{name}: scaling the component back to the series' magnitude "
                         f"passes the float range")
-    return series.replace_values(scaled)
+    return TimeSeries(scaled, labels)
 
 
 def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
@@ -326,11 +496,11 @@ def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
             outcome = extract_imf(remainder, cfg)
         except InsufficientExtremaError:
             break
-        imfs.append(_rescaled(series, outcome.imf, e, f"imf_{len(imfs) + 1}"))
+        imfs.append(_rescaled(outcome.imf, e, f"imf_{len(imfs) + 1}", series.labels))
         stats.append(outcome.stats)
         remainder = outcome.remainder
     decomp = Decomposition(imfs=tuple(imfs),
-                           residual=_rescaled(series, remainder, e, "residual"),
+                           residual=_rescaled(remainder, e, "residual", series.labels),
                            source_length=len(series))
     return decomp, stats
 
@@ -344,24 +514,28 @@ def emd(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> Decomposition:
     return emd_with_stats(series, cfg)[0]
 
 
-def _eemd_trial(series: TimeSeries, cfg: EemdConfig, amplitude: float, trial: int):
-    if amplitude > 0:
-        rng = spawn_rng(cfg.seed, trial)
-        noisy = series.values + rng.uniform(-amplitude, amplitude, len(series))
-        perturbed = TimeSeries(noisy)
-    else:
-        perturbed = series
-    return emd(perturbed, cfg.sift)
+# Samples sifted in one lockstep batch (32 trials of 512 points). Larger
+# batches run no faster, and their arrays grow the process's heap.
+_BATCH_SAMPLES = 1 << 14
 
 
 def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
     """Ensemble decomposition: average IMFs over noise-perturbed trials.
 
     Each trial adds zero-mean uniform white noise with amplitude
-    ``cfg.noise_amplitude * std(series)``, decomposes it, and the i-th IMFs
-    are averaged across trials. Trials yielding fewer IMFs are padded with
-    zero series before averaging; residuals average like any component.
-    Deterministic given ``cfg.seed``.
+    ``cfg.noise_amplitude * std(series)`` (trial t draws it from
+    ``spawn_rng(cfg.seed, t)``), decomposes it as :func:`emd` does, and the
+    i-th IMFs are averaged across trials. Trials yielding fewer IMFs are
+    padded with zero series before averaging; residuals average like any
+    component. Deterministic given ``cfg.seed``.
+
+    The trials are sifted in lockstep, one IMF level at a time, in batches
+    of up to 2**14 samples: every pass finds the extrema of all trials of a
+    batch still sifting and solves all their envelopes in one spline solve,
+    while each trial keeps its own power-of-two scaling, stopping decision,
+    iteration count and IMF count. The result is bit-identical to
+    decomposing the trials one after another: the sums run in trial order,
+    and a failure raises the error of the lowest failing trial.
 
     Parameters
     ----------
@@ -376,25 +550,53 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
     amplitude = cfg.noise_amplitude * float(np.ldexp(np.std(np.ldexp(series.values, -e)), e))
     if not math.isfinite(amplitude):
         raise ValueError(f"noise_amplitude {cfg.noise_amplitude} times the series std overflows")
-    n_trials = cfg.ensemble_size
+    n_trials, length = cfg.ensemble_size, len(series)
 
     # the trials run on series and noise scaled by 2**-s, so that noisy
-    # samples and trial sums stay finite
+    # samples and trial sums stay finite; each trial is then sifted scaled
+    # by its own power of two, as emd sifts it
     s = pow2_exponent(np.array([np.max(np.abs(series.values)), amplitude]))
-    scaled = TimeSeries(np.ldexp(series.values, -s))
-    trials = [_eemd_trial(scaled, cfg, float(np.ldexp(amplitude, -s)), t)
-              for t in range(n_trials)]
+    scaled, noise = np.ldexp(series.values, -s), float(np.ldexp(amplitude, -s))
+    rows = np.empty((n_trials, length))
+    for t in range(n_trials):
+        rows[t] = scaled
+        if noise > 0:
+            rows[t] += spawn_rng(cfg.seed, t).uniform(-noise, noise, length)
+    exponents = pow2_exponent(rows, axis=1)[:, 0]
+    rows = np.ldexp(rows, -exponents[:, None])
 
-    n_imfs = max(d.n_imfs for d in trials)
-    length = len(series)
-    imf_sums = [np.zeros(length) for _ in range(n_imfs)]
+    failure = None  # (trial, error) of the lowest trial that has failed
+    imf_sums = []
+    live = np.arange(n_trials)
+    batch = max(1, _BATCH_SAMPLES // length)
+    while live.size and len(imf_sums) < cfg.sift.max_imfs:
+        name = f"imf_{len(imf_sums) + 1}"
+        total, extracted, outcomes = np.zeros(length), [], []
+        for lo in range(0, live.size, batch):
+            outcomes += _sift(rows[live[lo:lo + batch]], cfg.sift)
+        for t, outcome in zip(live, outcomes):
+            if isinstance(outcome, InsufficientExtremaError):
+                continue
+            if not isinstance(outcome, Exception):
+                try:
+                    total += _rescaled(outcome.imf, exponents[t], name).values
+                except DataError as exc:
+                    outcome = exc
+            if isinstance(outcome, Exception):  # the later trials no longer matter
+                failure = t, outcome
+                break
+            rows[t] = outcome.remainder
+            extracted.append(t)
+        if extracted:
+            imf_sums.append(total)  # fixed trial order keeps the reduction deterministic
+        live = np.array(extracted, dtype=np.intp)
     residual_sum = np.zeros(length)
-    for d in trials:  # fixed trial order keeps the reduction deterministic
-        for i, imf in enumerate(d.imfs):
-            imf_sums[i] += imf.values
-        residual_sum += d.residual.values
+    for t in range(n_trials if failure is None else failure[0]):
+        residual_sum += _rescaled(rows[t], exponents[t], "residual").values
+    if failure is not None:
+        raise failure[1]
 
-    imfs = tuple(_rescaled(series, total / n_trials, s, f"imf_{i + 1}")
+    imfs = tuple(_rescaled(total / n_trials, s, f"imf_{i + 1}", series.labels)
                  for i, total in enumerate(imf_sums))
-    residual = _rescaled(series, residual_sum / n_trials, s, "residual")
+    residual = _rescaled(residual_sum / n_trials, s, "residual", series.labels)
     return Decomposition(imfs=imfs, residual=residual, source_length=length)

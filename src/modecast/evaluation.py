@@ -180,8 +180,9 @@ def benchmark(series: TimeSeries, holdout: int, specs: Sequence[FrameworkSpec],
     if len(seeds) != runs:
         raise ValueError(f"need {runs} seeds, got {len(seeds)}")
     horizon = len(series) - holdout
-    if horizon < 1:
-        raise ValueError("holdout leaves nothing to forecast")
+    if horizon < 1:  # the data file, not the config, is too short
+        raise DataError(f"holdout {holdout} leaves nothing to forecast in a series "
+                        f"of {len(series)} points")
     for spec in specs:
         if holdout < 2 * spec.grouping.segment_length:
             raise ValueError(

@@ -291,6 +291,16 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path / "out"), "decompose", str(path)]) == 2
         assert capsys.readouterr().err == "data error: decomposition needs length >= 4, got 3\n"
 
+    def test_data_file_shorter_than_holdout_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        write_series(data, 5 + np.sin(np.arange(12.0)))
+        cfg = dict(small_benchmark_config(tmp_path, data), holdout=12)
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path / "out"), "benchmark", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: holdout 12 leaves nothing to forecast in a series of 12 points\n")
+
     # a numpy warning leaking out of training would surface as the failure
     # message instead of being collected by pytest
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modecast import decomposition
 from modecast.core import DataError, TimeSeries
 from modecast.decomposition import (
     EemdConfig,
@@ -267,3 +268,25 @@ class TestEemd:
         # cancel exactly, it shrinks like amplitude / sqrt(trials)
         amplitude = np.max(np.abs(x))
         assert np.max(np.abs(ensemble.reconstruct() - x)) < 1e-2 * amplitude
+
+    def test_the_lowest_failing_trial_raises(self, monkeypatch):
+        """Failures injected into the lockstep sift: trial 5 fails at the
+        first level and trial 2 at the third. Decomposing the trials in order
+        raises trial 2's error, so eemd does too; after each failure the
+        later trials are no longer sifted."""
+        t = np.arange(200)
+        series = TimeSeries(np.sin(t / 3) + np.random.default_rng(1).normal(size=200))
+        sizes, sift = [], decomposition._sift
+
+        def failing(rows, cfg):
+            outcomes = sift(rows, cfg)
+            failing_row = {0: 5, 2: 2}.get(len(sizes))
+            if failing_row is not None:
+                outcomes[failing_row] = ValueError(f"row {failing_row}")
+            sizes.append(rows.shape[0])
+            return outcomes
+
+        monkeypatch.setattr(decomposition, "_sift", failing)
+        with pytest.raises(ValueError, match="^row 2$"):
+            eemd(series, EemdConfig(ensemble_size=8, noise_amplitude=0.2, seed=3))
+        assert sizes[:4] == [8, 5, 5, 2]

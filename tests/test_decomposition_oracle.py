@@ -1,8 +1,10 @@
 """The array-based decomposition layer against the frozen one in
 ``legacy_decomposition``: extrema, zero crossings, envelopes, IMFs,
-residuals, sift statistics and errors must be bit-identical. The envelope
-spline must equal scipy's ``CubicSpline`` bit for bit and fail as it fails.
-Also the properties the layer promises on its own: exact reconstruction,
+residuals, sift statistics and errors must be bit-identical, and the
+lockstep EEMD must equal the frozen trial-by-trial loop. The block-batched
+envelope spline must equal scipy's ``CubicSpline`` on every block bit for
+bit and fail as it fails. Also the properties the layer promises on its own:
+rows sifted together come out as sifted alone, exact reconstruction,
 admissible converged IMFs, and exact scaling by powers of two."""
 
 import warnings
@@ -13,11 +15,13 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 import legacy_decomposition as legacy
+from modecast import decomposition
 from modecast.core import TimeSeries
 from modecast.decomposition import (
     EemdConfig,
     SiftConfig,
-    _natural_spline,
+    _natural_splines,
+    _sift,
     count_zero_crossings,
     eemd,
     emd_with_stats,
@@ -141,7 +145,7 @@ class TestEnvelopeOracle:
 def spline_cases(draw):
     """Knots at integer and fractional positions, often below 0 (mirrored
     knots); values of either sign with magnitudes 2^-400..2^400 or exact
-    zeros; points at the knots (the last one always) and between them."""
+    zeros; sorted points at the knots (the last one always) and between them."""
     n = draw(st.integers(2, 60))
     gaps = draw(st.lists(st.integers(1, 12) | st.sampled_from([0.25, 0.5, 1.5]),
                          min_size=n - 1, max_size=n - 1))
@@ -154,7 +158,40 @@ def spline_cases(draw):
     between = draw(st.lists(st.tuples(st.integers(0, n - 2), st.floats(0, 1, exclude_max=True)),
                             max_size=30))
     at = [x[i] for i in knots] + [x[i] + f * (x[i + 1] - x[i]) for i, f in between] + [x[-1]]
-    return x, y, np.array(draw(st.permutations(at)), dtype=np.float64)
+    return x, y, np.sort(np.array(at, dtype=np.float64))
+
+
+@st.composite
+def spline_blocks(draw):
+    """1-6 blocks of 2-20 knots, each reaching past both ends of shared
+    sorted points in [0, span]: knots at integer and fractional positions,
+    values of either sign with magnitudes 2^-400..2^400, exact zeros, whole
+    blocks of signed zeros, and a signed zero at either edge of a block;
+    now and then a block with an infinite value (CubicSpline rejects y) or
+    one of +-1.5e308 (it rejects the slopes)."""
+    span = draw(st.integers(0, 30))
+    at = np.sort(np.array(draw(st.lists(st.floats(0, span), max_size=30)) + [0.0, span],
+                          dtype=np.float64))
+    magnitude = st.floats(SMALL, BIG)
+    zeros = st.sampled_from([0.0, -0.0])
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        gaps = draw(st.lists(st.integers(1, 12) | st.sampled_from([0.25, 0.5, 1.5]),
+                             min_size=1, max_size=19))
+        x = -draw(st.integers(0, 3)) - draw(st.sampled_from([0.0, 0.25])) + np.concatenate(
+            ([0.0], np.cumsum(gaps)))
+        if x[-1] < span:
+            x = np.append(x, span + draw(st.integers(0, 3)))
+        values = zeros if draw(st.booleans()) else zeros | magnitude | magnitude.map(lambda v: -v)
+        y = np.array(draw(st.lists(values, min_size=x.size, max_size=x.size)))
+        for edge in (0, -1):
+            if draw(st.booleans()):
+                y[edge] = draw(zeros)
+        if draw(st.sampled_from([False] * 7 + [True])):
+            y[draw(st.integers(0, y.size - 1))] = draw(st.sampled_from(
+                [np.inf, -np.inf, 1.5e308, -1.5e308]))
+        blocks.append((x, y))
+    return blocks, at
 
 
 class TestSplineOracle:
@@ -162,7 +199,31 @@ class TestSplineOracle:
     @given(spline_cases())
     def test_natural_spline_matches_cubic_spline(self, case):
         x, y, at = case
-        assert _bits(_natural_spline(x, y, at), CubicSpline(x, y, bc_type="natural")(at))
+        values, status = _natural_splines(x, y, np.array([0, x.size]), at)
+        assert status.tolist() == [0]
+        assert _bits(values[0], CubicSpline(x, y, bc_type="natural")(at))
+
+    @settings(deadline=None, max_examples=300)
+    @given(spline_blocks())
+    def test_blocks_match_cubic_spline_each(self, case):
+        """One solve over many blocks gives every block what CubicSpline
+        gives it alone, all-zero blocks and signed zeros at the block edges
+        included; a block that CubicSpline rejects fails with its message
+        and leaves the others untouched, without a numeric warning."""
+        blocks, at = case
+        x, y = np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+        bounds = np.cumsum([0] + [b[0].size for b in blocks])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, status = _natural_splines(x, y, bounds, at)
+        assert values.shape == (len(blocks), at.size)
+        for (bx, by), row, code in zip(blocks, values, status):
+            with np.errstate(all="ignore"):
+                old = _outcome(lambda: CubicSpline(bx, by, bc_type="natural")(at))
+            if old[0] == "ok":
+                assert code == 0 and _bits(row, old[1])
+            else:
+                assert code != 0 and old == (ValueError, decomposition._SPLINE_ERRORS[code])
 
     @pytest.mark.parametrize("mode", ["mirror", "clamp"])
     @pytest.mark.parametrize("big", [np.inf, -np.inf, 1.5e308, -1.5e308])
@@ -235,6 +296,84 @@ class TestSiftOracle:
         else:
             assert old[0] == "ok" and _same_decomposition(new[1][0], old[1][0])
             assert _stats(new[1][1]) == _stats(old[1][1])
+
+
+@st.composite
+def ensemble_cases(draw):
+    """A series of 4-200 samples with its sift settings (iteration caps of
+    1 and 3 end levels by ``iteration_cap``, a max_imfs of 2 cuts the
+    ensemble short), 2-40 trials and a noise amplitude high enough that the
+    trials disagree on their IMF counts."""
+    x, sift = draw(decomposition_cases(max_length=200))
+    trials = draw(st.integers(2, 40))
+    noise = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    return x, EemdConfig(sift=sift, ensemble_size=trials, noise_amplitude=noise,
+                         seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _stop_reasons(monkeypatch) -> list:
+    """Patch the lockstep sift to record, per call, how each row ended."""
+    levels = []
+
+    def recording(rows, cfg):
+        outcomes = _sift(rows, cfg)
+        levels.append([o.stats.stop_reason if hasattr(o, "stats") else type(o).__name__
+                       for o in outcomes])
+        return outcomes
+
+    monkeypatch.setattr(decomposition, "_sift", recording)
+    return levels
+
+
+class TestLockstepOracle:
+    @settings(deadline=None, max_examples=40)
+    @given(ensemble_cases())
+    def test_lockstep_eemd_matches_legacy(self, case):
+        x, cfg = case
+        assert _same_decomposition(eemd(TimeSeries(x), cfg), legacy.eemd(TimeSeries(x), cfg))
+
+    @pytest.mark.parametrize("mode", ["mirror", "clamp"])
+    def test_trials_end_levels_every_way(self, mode, monkeypatch):
+        """In one ensemble, trials end a level by ``sd``, by ``no_extrema``
+        and by ``iteration_cap``, and some run out of extrema at a level
+        where others still extract an IMF (they disagree on the IMF count);
+        the lockstep result still equals the trial-by-trial one."""
+        x = np.random.default_rng(7).normal(size=9)
+        cfg = EemdConfig(sift=SiftConfig(max_sift_iterations=4, boundary_mode=mode),
+                         ensemble_size=40, noise_amplitude=0.5, seed=11)
+        levels = _stop_reasons(monkeypatch)
+        assert _same_decomposition(eemd(TimeSeries(x), cfg), legacy.eemd(TimeSeries(x), cfg))
+        assert {"sd", "no_extrema", "iteration_cap"} <= {r for level in levels for r in level}
+        assert any("InsufficientExtremaError" in level and len(set(level)) > 1
+                   for level in levels)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(decomposition_cases(max_length=60), min_size=2, max_size=8),
+           st.integers(0, 60), st.data())
+    def test_rows_sift_together_as_alone(self, cases, length, data):
+        """Rows sifted in one batch stop when and as they stop alone, and
+        a row whose spline fails fails alone: the envelopes of all rows
+        share one spline solve, and NaN from one block must not reach its
+        neighbours."""
+        length = max(4, min(length, min(x.size for x, _ in cases)))
+        cfg = cases[0][1]
+        # rows beyond 2^+-500 take their own power of two in the stopping ratio
+        rows = np.array([np.ldexp(x[:length], data.draw(st.sampled_from([0, 0, 600, -600])))
+                         for x, _ in cases])
+        for r in data.draw(st.sets(st.integers(0, len(cases) - 1), max_size=2)):
+            maxima, _ = find_extrema(rows[r])
+            if maxima.size:
+                rows[r, maxima[0]] = data.draw(st.sampled_from([np.inf, 1.5e308, -1.5e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            together = _sift(rows, cfg)
+            alone = [_outcome(extract_imf, row, cfg) for row in rows]
+        for new, old in zip(together, alone):
+            if old[0] != "ok":
+                assert (type(new), str(new)) == old
+            else:
+                assert _bits(new.imf, old[1].imf) and _bits(new.remainder, old[1].remainder)
+                assert _stats([new.stats]) == _stats([old[1].stats])
 
 
 class TestDecompositionProperties:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modecast.core import DataError, Decomposition, TimeSeries, minmax_normalize
-from modecast.decomposition import EemdConfig, emd
+from modecast.decomposition import EemdConfig, SiftConfig, emd
 from modecast import pipeline
 from modecast.grouping import GroupingConfig
 from modecast.pipeline import (
@@ -295,6 +295,24 @@ class TestRunFramework:
             assert str(info.value) == "component 2 (imf_2): session broke"
             assert isinstance(info.value.__cause__, ValueError)
             assert list(trace) == ["imf_1"] and len(trace["imf_1"]) == 4
+
+
+    def test_emd_cells_share_one_decomposition_per_sift_config(self, monkeypatch):
+        """EMD draws no noise, so EMD_NN and EMD_DTW_NN cells with one sift
+        config decompose the series once per call; another sift config and
+        every EEMD cell decompose on their own. Each cell still matches its
+        run alone."""
+        series = wiggly_series()
+        cells = [(small_spec("EMD_NN"), 1), (small_spec("EMD_DTW_NN"), 2),
+                 (small_spec("EMD_DTW_NN"), 3), (small_spec("EEMD_DTW_NN"), 4),
+                 (small_spec("EMD_NN", sift=SiftConfig(max_imfs=1)), 5)]
+        alone = [run_framework(series, spec, seed=seed) for spec, seed in cells]
+        calls = []
+        monkeypatch.setattr(pipeline, "emd", lambda s, cfg: calls.append(cfg) or emd(s, cfg))
+        batched = pipeline.run_frameworks(series, cells)
+        assert calls == [SiftConfig(), SiftConfig(max_imfs=1)]
+        for a, b in zip(alone, batched):
+            assert a.to_dict() == b.to_dict()
 
 
 class TestForecastResult:

@@ -179,11 +179,21 @@ def reported(run, *args):
         return raised(exc)
 
 
+def legacy_reported(series, holdout, *rest):
+    """The frozen loop's reports or error. A series too short for its
+    holdout was a ValueError there; it is a DataError naming both lengths."""
+    out = reported(legacy_evaluation.benchmark, series, holdout, *rest)
+    if out == (ValueError, "holdout leaves nothing to forecast", type(None)):
+        return (DataError, f"holdout {holdout} leaves nothing to forecast in a series of "
+                           f"{len(series)} points", type(None))
+    return out
+
+
 class TestBenchmarkOracle:
     @settings(deadline=None, max_examples=100)
     @given(benchmark_cases())
     def test_benchmark_matches_run_by_run_loop(self, case):
-        assert reported(benchmark, *case) == reported(legacy_evaluation.benchmark, *case)
+        assert reported(benchmark, *case) == legacy_reported(*case)
 
     @pytest.mark.parametrize("diverging_first", [False, True])
     def test_a_report_error_comes_before_a_later_framework_failure(self, diverging_first):

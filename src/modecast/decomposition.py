@@ -499,9 +499,18 @@ def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
         imfs.append(_rescaled(outcome.imf, e, f"imf_{len(imfs) + 1}", series.labels))
         stats.append(outcome.stats)
         remainder = outcome.remainder
-    decomp = Decomposition(imfs=tuple(imfs),
-                           residual=_rescaled(remainder, e, "residual", series.labels),
-                           source_length=len(series))
+    if e < 0:
+        # scaled back below 2**-500 the IMFs may round (to subnormals or 0),
+        # so the residual is what they leave of the series, subtracted in
+        # extraction order: the components still sum back to the series, and
+        # where scaling back is exact the bits are the scaled remainder's
+        residual = series.values
+        for imf in imfs:
+            residual = residual - imf.values
+        residual = TimeSeries(residual, series.labels)
+    else:
+        residual = _rescaled(remainder, e, "residual", series.labels)
+    decomp = Decomposition(imfs=tuple(imfs), residual=residual, source_length=len(series))
     return decomp, stats
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -352,6 +353,11 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag in ("trials", "pairs", "window", "hidden"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag}: expected integer >= 1, got {getattr(args, flag)}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConfigError(f"--tolerance: expected positive finite number, got {args.tolerance}")
     kinds = [k.strip().upper() for k in args.kinds.split(",")]
     for kind in kinds:
         if kind not in GRADIENT_TRAINED:

@@ -11,23 +11,26 @@ The sift loop works on plain float64 arrays. ``TimeSeries`` appears only at
 the boundary: the input of :func:`emd`, :func:`emd_with_stats` and
 :func:`eemd`, and the IMFs and residual of the returned ``Decomposition``.
 One sift core extracts an IMF from K rows at once (:func:`extract_imf` is
-its one-row call, :func:`eemd` runs it over its trials). Each sift step
-scans the extrema of all rows once (whole-array comparisons over runs of
-equal samples); the envelope means and the balance tests share that scan.
-The envelopes are natural cubic splines, all of a step solved at once: one
-LAPACK ``dgtsv`` call on their block-diagonal system, then the Hermite
-polynomials at every index, with scipy's ``CubicSpline`` arithmetic
+its one-row call), and one level loop runs it over the rows of an array
+(:func:`emd` is its one-row case, :func:`eemd` runs it over its trials).
+Each sift step scans the extrema of all rows once (whole-array comparisons
+over runs of equal samples); the envelope means and the balance tests share
+that scan. The envelopes are natural cubic splines, all of a step solved at
+once: one LAPACK ``dgtsv`` call on their block-diagonal system, then the
+Hermite polynomials at every index, with scipy's ``CubicSpline`` arithmetic
 repeated operation for operation, so every envelope is bit-identical to it.
 Squares of raw samples overflow above about 1e154 and underflow below about
 1e-154, so beyond 2**+-500 the stopping ratio and the EEMD noise amplitude
-are computed on samples scaled by an exact power of two, and so is the whole
-decomposition, which keeps the envelope splines finite.
+are computed on samples scaled by an exact power of two, and so is each row
+of the level loop, which keeps the envelope splines finite; its residual is
+the row minus its IMFs. EEMD scales its ensemble down only above 2**500.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -456,8 +459,8 @@ def extract_imf(values: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftOutco
     at ``cfg.max_sift_iterations``. Returns the IMF, the remainder
     (values - IMF) and per-extraction statistics; raises
     :class:`InsufficientExtremaError` when the input has fewer than 2
-    maxima or 2 minima. The one-row call of the lockstep sift that
-    :func:`eemd` runs over its trials.
+    maxima or 2 minima. The one-row call of the lockstep sift that the
+    level loop of :func:`emd` and :func:`eemd` runs over its rows.
     """
     outcome = _sift(np.asarray(values, dtype=np.float64).reshape(1, -1), cfg)[0]
     if isinstance(outcome, Exception):
@@ -469,48 +472,82 @@ def extract_imf(values: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftOutco
 # EMD / EEMD
 # ---------------------------------------------------------------------------
 
-def _rescaled(values: np.ndarray, e, name: str, labels=None) -> TimeSeries:
-    """``values * 2**e`` as a series with ``labels``; a value the scaling
-    takes beyond the float range is a DataError naming the component, not an
-    overflow warning."""
+# Samples sifted in one lockstep batch (32 rows of 512 points). Larger
+# batches run no faster, and their arrays grow the process's heap.
+_BATCH_SAMPLES = 1 << 14
+
+
+def _rescaled(values: np.ndarray, e, name: str) -> np.ndarray:
+    """``values * 2**e``; a value the scaling takes beyond the float range is
+    a DataError naming the component, not an overflow warning."""
     with np.errstate(over="ignore"):
         scaled = np.ldexp(values, e)
     if np.any(np.isinf(scaled) & np.isfinite(values)):
         raise DataError(f"{name}: scaling the component back to the series' magnitude "
                         f"passes the float range")
-    return TimeSeries(scaled, labels)
+    return scaled
+
+
+def _decompose(rows: np.ndarray, cfg: SiftConfig) -> list:
+    """EMD of every row of a (K, T) float64 array: per row its IMFs, their
+    ``SiftStats`` and its residual, as arrays. Each row is sifted times
+    2**-e, e its :func:`pow2_exponent`, and its IMFs are scaled back; the
+    rows go through :func:`_sift` one IMF level at a time, in batches of up
+    to 2**14 samples. A row's residual is the row minus its IMFs, in
+    extraction order: the scaled remainder's bits where scaling is exact,
+    and a complete sum where the IMFs round (below 2**-500). The lowest
+    failing row raises its error; after it fails, only the rows below it
+    are sifted further."""
+    k, length = rows.shape
+    if length < 4:
+        raise DataError(f"decomposition needs length >= 4, got {length}")
+    exponents = pow2_exponent(rows, axis=1)[:, 0]
+    remainders = np.ldexp(rows, -exponents[:, None])
+    imfs, stats = [[] for _ in range(k)], [[] for _ in range(k)]
+    failure = None  # (row, error) of the lowest row that has failed
+    live = np.arange(k)
+    batch = max(1, _BATCH_SAMPLES // length)
+    for level in range(1, cfg.max_imfs + 1):
+        outcomes = []
+        for lo in range(0, live.size, batch):
+            outcomes += _sift(remainders[live[lo:lo + batch]], cfg)
+        extracted = []
+        for r, outcome in zip(live, outcomes):
+            if isinstance(outcome, InsufficientExtremaError):
+                continue
+            if not isinstance(outcome, Exception):
+                try:
+                    imfs[r].append(_rescaled(outcome.imf, exponents[r], f"imf_{level}"))
+                except DataError as exc:
+                    outcome = exc
+            if isinstance(outcome, Exception):  # the later rows no longer matter
+                failure = r, outcome
+                break
+            stats[r].append(outcome.stats)
+            remainders[r] = outcome.remainder
+            extracted.append(r)
+        live = np.array(extracted, dtype=np.intp)
+        if not live.size:
+            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = [reduce(np.subtract, imfs[r], rows[r])
+                     for r in range(k if failure is None else failure[0])]
+    if not all(np.isfinite(residual).all() for residual in residuals):
+        raise DataError("residual: the row minus its IMFs passes the float range")
+    if failure is not None:
+        raise failure[1]
+    return list(zip(imfs, stats, residuals))
 
 
 def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
-    """Full decomposition plus per-IMF sift statistics. Beyond 2**+-500 the
-    series is sifted scaled by an exact power of two and the components are
-    scaled back, so the envelope splines cannot overflow."""
-    if len(series) < 4:
-        raise DataError(f"decomposition needs length >= 4, got {len(series)}")
-    e = pow2_exponent(series.values)
-    remainder = np.ldexp(series.values, -e)
-    imfs = []
-    stats = []
-    while len(imfs) < cfg.max_imfs:
-        try:
-            outcome = extract_imf(remainder, cfg)
-        except InsufficientExtremaError:
-            break
-        imfs.append(_rescaled(outcome.imf, e, f"imf_{len(imfs) + 1}", series.labels))
-        stats.append(outcome.stats)
-        remainder = outcome.remainder
-    if e < 0:
-        # scaled back below 2**-500 the IMFs may round (to subnormals or 0),
-        # so the residual is what they leave of the series, subtracted in
-        # extraction order: the components still sum back to the series, and
-        # where scaling back is exact the bits are the scaled remainder's
-        residual = series.values
-        for imf in imfs:
-            residual = residual - imf.values
-        residual = TimeSeries(residual, series.labels)
-    else:
-        residual = _rescaled(remainder, e, "residual", series.labels)
-    decomp = Decomposition(imfs=tuple(imfs), residual=residual, source_length=len(series))
+    """Full decomposition plus per-IMF sift statistics: the one-row case of
+    the level loop that :func:`eemd` runs over its trials. Beyond 2**+-500
+    the series is sifted scaled by an exact power of two, so the envelope
+    splines cannot overflow; the residual is the series minus its IMFs."""
+    (imfs, stats, residual), = _decompose(series.values.reshape(1, -1), cfg)
+    decomp = Decomposition(imfs=tuple(TimeSeries(imf, series.labels) for imf in imfs),
+                           residual=TimeSeries(residual, series.labels),
+                           source_length=len(series))
     return decomp, stats
 
 
@@ -523,11 +560,6 @@ def emd(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> Decomposition:
     return emd_with_stats(series, cfg)[0]
 
 
-# Samples sifted in one lockstep batch (32 trials of 512 points). Larger
-# batches run no faster, and their arrays grow the process's heap.
-_BATCH_SAMPLES = 1 << 14
-
-
 def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
     """Ensemble decomposition: average IMFs over noise-perturbed trials.
 
@@ -538,13 +570,13 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
     padded with zero series before averaging; residuals average like any
     component. Deterministic given ``cfg.seed``.
 
-    The trials are sifted in lockstep, one IMF level at a time, in batches
-    of up to 2**14 samples: every pass finds the extrema of all trials of a
-    batch still sifting and solves all their envelopes in one spline solve,
-    while each trial keeps its own power-of-two scaling, stopping decision,
-    iteration count and IMF count. The result is bit-identical to
-    decomposing the trials one after another: the sums run in trial order,
-    and a failure raises the error of the lowest failing trial.
+    The trials are the rows of the level loop that :func:`emd` runs on one
+    row, sifted in lockstep one IMF level at a time, each at its own power
+    of two. The result is bit-identical to decomposing the trials one after
+    another: the sums run in trial order, and a failure raises the error of
+    the lowest failing trial. Above 2**500 the series and its noise are
+    scaled down by one power of two, so that noisy samples and sums stay
+    finite, and the averages are scaled back.
 
     Parameters
     ----------
@@ -553,59 +585,23 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
     cfg : EemdConfig
         Ensemble controls.
     """
-    if len(series) < 4:
-        raise DataError(f"decomposition needs length >= 4, got {len(series)}")
     e = pow2_exponent(series.values)
     amplitude = cfg.noise_amplitude * float(np.ldexp(np.std(np.ldexp(series.values, -e)), e))
     if not math.isfinite(amplitude):
         raise ValueError(f"noise_amplitude {cfg.noise_amplitude} times the series std overflows")
     n_trials, length = cfg.ensemble_size, len(series)
-
-    # the trials run on series and noise scaled by 2**-s, so that noisy
-    # samples and trial sums stay finite; each trial is then sifted scaled
-    # by its own power of two, as emd sifts it
-    s = pow2_exponent(np.array([np.max(np.abs(series.values)), amplitude]))
+    s = max(0, pow2_exponent(np.array([np.max(np.abs(series.values)), amplitude])))
     scaled, noise = np.ldexp(series.values, -s), float(np.ldexp(amplitude, -s))
-    rows = np.empty((n_trials, length))
-    for t in range(n_trials):
-        rows[t] = scaled
-        if noise > 0:
+    rows = np.tile(scaled, (n_trials, 1))
+    if noise > 0:
+        for t in range(n_trials):
             rows[t] += spawn_rng(cfg.seed, t).uniform(-noise, noise, length)
-    exponents = pow2_exponent(rows, axis=1)[:, 0]
-    rows = np.ldexp(rows, -exponents[:, None])
-
-    failure = None  # (trial, error) of the lowest trial that has failed
-    imf_sums = []
-    live = np.arange(n_trials)
-    batch = max(1, _BATCH_SAMPLES // length)
-    while live.size and len(imf_sums) < cfg.sift.max_imfs:
-        name = f"imf_{len(imf_sums) + 1}"
-        total, extracted, outcomes = np.zeros(length), [], []
-        for lo in range(0, live.size, batch):
-            outcomes += _sift(rows[live[lo:lo + batch]], cfg.sift)
-        for t, outcome in zip(live, outcomes):
-            if isinstance(outcome, InsufficientExtremaError):
-                continue
-            if not isinstance(outcome, Exception):
-                try:
-                    total += _rescaled(outcome.imf, exponents[t], name).values
-                except DataError as exc:
-                    outcome = exc
-            if isinstance(outcome, Exception):  # the later trials no longer matter
-                failure = t, outcome
-                break
-            rows[t] = outcome.remainder
-            extracted.append(t)
-        if extracted:
-            imf_sums.append(total)  # fixed trial order keeps the reduction deterministic
-        live = np.array(extracted, dtype=np.intp)
-    residual_sum = np.zeros(length)
-    for t in range(n_trials if failure is None else failure[0]):
-        residual_sum += _rescaled(rows[t], exponents[t], "residual").values
-    if failure is not None:
-        raise failure[1]
-
-    imfs = tuple(_rescaled(total / n_trials, s, f"imf_{i + 1}", series.labels)
-                 for i, total in enumerate(imf_sums))
-    residual = _rescaled(residual_sum / n_trials, s, "residual", series.labels)
-    return Decomposition(imfs=imfs, residual=residual, source_length=length)
+    trials = _decompose(rows, cfg.sift)
+    sums = np.zeros((max(len(imfs) for imfs, _, _ in trials) + 1, length))
+    for imfs, _, residual in trials:  # fixed trial order keeps the sums deterministic
+        for total, component in zip(sums, [residual, *imfs]):
+            total += component
+    names = ["residual"] + [f"imf_{i}" for i in range(1, len(sums))]
+    components = [TimeSeries(_rescaled(total / n_trials, s, name), series.labels)
+                  for total, name in zip(sums, names)]
+    return Decomposition(imfs=components[1:], residual=components[0], source_length=length)

@@ -8,6 +8,7 @@ gamma(m,n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,14 @@ class CostMatrix:
         object.__setattr__(self, "cells", cells)
 
 
+def _check_weight(weight: float) -> None:
+    if not (math.isfinite(weight) and weight > 0):
+        raise ValueError(f"weight must be positive and finite, got {weight}")
+
+
 def point_distance(a: float, b: float, weight: float = 1.0) -> float:
     """Weighted one-dimensional Euclidean distance ``weight * |a - b|``."""
-    if weight <= 0:
-        raise ValueError("weight must be positive")
+    _check_weight(weight)
     return weight * abs(a - b)
 
 
@@ -45,7 +50,7 @@ def dtw_distance(y, z, weight: float = 1.0) -> tuple:
     y, z : array_like
         Non-empty value sequences; lengths may differ.
     weight : float
-        Positive scale of the pointwise distance.
+        Positive, finite scale of the pointwise distance.
 
     Returns
     -------
@@ -58,8 +63,7 @@ def dtw_distance(y, z, weight: float = 1.0) -> tuple:
     z = np.asarray(z, dtype=np.float64)
     if y.size == 0 or z.size == 0:
         raise ValueError("sequences must be non-empty")
-    if weight <= 0:
-        raise ValueError("weight must be positive")
+    _check_weight(weight)
 
     with np.errstate(over="ignore"):
         local = weight * np.abs(y[:, None] - z[None, :])
@@ -91,7 +95,7 @@ def dtw_distances(windows, reference, weight: float = 1.0) -> np.ndarray:
     reference : array_like, shape (L,)
         Non-empty sequence every row is aligned to.
     weight : float
-        Positive scale of the pointwise distance.
+        Positive, finite scale of the pointwise distance.
 
     Returns
     -------
@@ -104,8 +108,7 @@ def dtw_distances(windows, reference, weight: float = 1.0) -> np.ndarray:
         raise ValueError("windows must be 2-D and the reference 1-D")
     if windows.shape[1] == 0 or z.size == 0:
         raise ValueError("sequences must be non-empty")
-    if weight <= 0:
-        raise ValueError("weight must be positive")
+    _check_weight(weight)
 
     # g[j] holds gamma(i, j) of every row, a contiguous vector per cell
     best = np.empty(windows.shape[0])

@@ -130,6 +130,15 @@ class TestDtw:
         assert main(["dtw", str(a), str(a), "--path"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0", "(1,1)", "(2,2)", "(3,3)"]
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "0"])
+    def test_weight_not_positive_and_finite_is_config_error(self, weight, tmp_path):
+        a = tmp_path / "a.csv"
+        write_series(a, [4.0, 5.0, 6.0])
+        code, err, caught = _run(["dtw", str(a), str(a), "--weight", weight])
+        assert (code, caught) == (1, [])
+        assert err == (f"config error: weight must be positive and finite, "
+                       f"got {float(weight)}\n")
+
 
 class TestPredict:
     def test_annual_horizon_ten(self, tmp_path, monkeypatch):
@@ -603,6 +612,17 @@ class TestGradcheck:
 
     def test_rejects_non_gradient_kind(self):
         assert main(["gradcheck", "--kinds", "GRNN"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--trials", "--pairs", "--window", "--hidden"])
+    def test_count_below_one_names_its_flag(self, flag):
+        code, err, _ = _run(["gradcheck", flag, "0"])
+        assert (code, err) == (1, f"config error: {flag}: expected integer >= 1, got 0\n")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_tolerance_not_positive_and_finite_names_its_flag(self, tolerance):
+        code, err, _ = _run(["gradcheck", "--trials", "1", "--tolerance", tolerance])
+        assert (code, err) == (1, "config error: --tolerance: expected positive finite "
+                                  f"number, got {float(tolerance)}\n")
 
 
 def test_cli_import_leaves_scipy_interpolate_out():

@@ -51,6 +51,16 @@ class TestPointDistance:
             point_distance(1, 2, 0.0)
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_every_distance_rejects_a_weight_not_positive_and_finite(weight):
+    with pytest.raises(ValueError, match="^weight must be positive and finite"):
+        point_distance(1, 2, weight)
+    with pytest.raises(ValueError, match="^weight must be positive and finite"):
+        dtw_distance([1.0, 2.0], [1.0], weight)
+    with pytest.raises(ValueError, match="^weight must be positive and finite"):
+        dtw_distances([[1.0, 2.0]], [1.0], weight)
+
+
 class TestDtwDistance:
     def test_identical_sequences(self):
         dist, _ = dtw_distance([1, 5, 2], [1, 5, 2])

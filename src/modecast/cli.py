@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import fields, is_dataclass, replace
@@ -53,6 +54,14 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1" and "-.5" for values but "-1e-4" and "-inf" for
+        # option names; read them as values too, so that a float flag's own
+        # check sees them and names them
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):  # map argparse usage errors onto exit code 1
         raise ConfigError(message)
 

@@ -61,7 +61,7 @@ class SiftConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.sd_threshold) and self.sd_threshold > 0):
-            raise ValueError("sd_threshold must be positive and finite")
+            raise ValueError(f"sd_threshold must be positive and finite, got {self.sd_threshold}")
         if self.max_sift_iterations < 1:
             raise ValueError("max_sift_iterations must be >= 1")
         if self.max_imfs < 1:
@@ -88,7 +88,7 @@ class EemdConfig:
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
-            raise ValueError("noise_amplitude must be finite and >= 0")
+            raise ValueError(f"noise_amplitude must be finite and >= 0, got {self.noise_amplitude}")
 
 
 @dataclass(frozen=True)

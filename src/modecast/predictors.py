@@ -28,9 +28,10 @@ epoch loop per group over a (K, P) parameter buffer and a (K, P) gradient
 buffer: each epoch writes every model's gradient through the views and
 updates the parameters in place. Each stacked product is the BLAS call a
 lone model makes, so every model comes out bit for bit as if trained alone;
-``train`` is the one-model call. A model whose loss turns non-finite leaves
-its group at that epoch. The ENN context recurrence runs pair by pair and
-model by model on 2-D views.
+``train`` is the one-model call. A model whose loss turns non-finite runs
+on to the last epoch and is reported diverged at that epoch. The ENN
+context recurrence runs model by model on buffers built once, after one
+stacked input projection per epoch (``_enn_context``).
 """
 
 from __future__ import annotations
@@ -264,24 +265,44 @@ def _wnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
     return loss_grad
 
 
-def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> np.ndarray:
-    """Fill ``contexts`` with one model's hidden-state trajectory; row t is
-    the context fed to pair t.
+def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> Callable:
+    """``fill()``: write one model's hidden-state trajectory at the current
+    ``p`` into ``contexts``; row t is the context fed to pair t.
 
-    The recurrence runs pair by pair on purpose: batching ``x @ Wx.T`` over
-    the trajectory turns GEMVs into one GEMM and moves low-order bits. It
-    also runs model by model: a stacked ``matmul`` recurrence is
-    bit-identical but slower for a single model.
+    Every buffer is built here, once, so a call allocates nothing. The input
+    projections of all pairs are one stacked ``matmul`` with a trailing unit
+    axis: per pair the GEMV ``np.dot(Wx, x[t])`` makes, with its bits (at
+    L = H = 1 a zero may change sign; the sigmoid maps both zeros to 0.5).
+    Each step then computes ``(Wx x[t] + Wh c[t]) + b`` and the sigmoid
+    unrolled as ``exp(min(z, 0)) / (1 + exp(-|z|))``, which is ``_sigmoid``
+    bit for bit on every non-NaN z, with both exps in one call. A stacked
+    recurrence over K models is bit-identical but slower for a lone model.
     """
     wx, wh, b = p["Wx"], p["Wh"], p["b"]
-    u, v = np.empty(b.size), np.empty(b.size)
+    h = b.size
+    xs, proj = x[:-1, :, None], np.empty((x.shape[0] - 1, h, 1))
+    u, v, scratch = np.empty(h), np.empty(h), np.empty((2, h))
+    low, tail = scratch  # min(z, 0) and -|z|, exponentiated together in place
+    # array operands: a Python float costs each ufunc call a conversion
+    zero, one, minus_one = np.zeros(h), np.ones(h), np.full(h, -1.0)
     contexts[0] = 0.0
-    for t in range(x.shape[0] - 1):
-        np.dot(wx, x[t], out=u)
-        u += np.dot(wh, contexts[t], out=v)
-        u += b
-        _sigmoid(u, out=contexts[t + 1])
-    return contexts
+    steps = list(zip(proj[..., 0], contexts[:-1], contexts[1:]))
+    matmul, dot, add, minimum, copysign, exp, divide = (
+        np.matmul, np.dot, np.add, np.minimum, np.copysign, np.exp, np.divide)
+
+    def fill() -> None:
+        matmul(wx, xs, out=proj)
+        for projected, context, following in steps:
+            dot(wh, context, out=v)
+            add(projected, v, out=u)
+            add(u, b, out=u)
+            minimum(u, zero, out=low)
+            copysign(u, minus_one, out=tail)
+            exp(scratch, out=scratch)
+            add(tail, one, out=tail)
+            divide(low, tail, out=following)
+
+    return fill
 
 
 def _enn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray,
@@ -316,12 +337,12 @@ def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
     if kind == "WNN":
         return _wnn_loss_grad(p, g, x, y)
     contexts = np.empty(x.shape[:-1] + (h,))
-    models = [(_views(kind, flat[i], l, h), x[i], contexts[i])
-              for i in np.ndindex(flat.shape[:-1])]
+    fills = [_enn_context(_views(kind, flat[i], l, h), x[i], contexts[i])
+             for i in np.ndindex(flat.shape[:-1])]
 
     def fill() -> None:
-        for model in models:
-            _enn_context(*model)
+        for model_fill in fills:
+            model_fill()
 
     if frozen:
         fill()
@@ -342,34 +363,26 @@ def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
              h: int, epochs: int, learning_rate: float) -> list:
     """Full-batch descent of the K models stacked in ``flat`` (K, P), in
     place, for ``epochs`` epochs. Returns per model its (weights, loss
-    curve), or the :class:`TrainingDivergedError` of the epoch whose loss
-    became non-finite. A diverged model leaves the stack at once, so it
-    costs its group-mates nothing and runs no epoch a lone model would not."""
-    outcomes = [None] * flat.shape[0]
-    live = np.arange(flat.shape[0])
+    curve), or the :class:`TrainingDivergedError` of the first epoch whose
+    loss is non-finite. A diverged model runs on in the stack to the last
+    epoch, on non-finite weights; a model's bits never depend on its
+    group-mates, so it costs them nothing but time."""
     curves = np.empty((flat.shape[0], epochs + 1))
     grad, step = np.empty_like(flat), np.empty_like(flat)
     loss_grad = _objective(kind, flat, grad, x, y, l, h)
-    # divergence overflows on the way; the finite-loss checks report it
+    # divergence overflows on the way, and a diverged model's inf and nan
+    # weights make invalid operations; its loss curve reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs + 1):
-            loss = loss_grad()
-            finite = np.isfinite(loss)
-            if not np.logical_and.reduce(finite):
-                for i in live[~finite]:
-                    outcomes[i] = TrainingDivergedError(kind, epoch, learning_rate)
-                live, loss = live[finite], loss[finite]
-                if not live.size:
-                    return outcomes
-                flat, grad, curves = flat[finite], grad[finite], curves[finite]
-                x, y, step = x[finite], y[finite], np.empty_like(flat)
-                loss_grad = _objective(kind, flat, grad, x, y, l, h)
-            curves[:, epoch] = loss
+            curves[:, epoch] = loss_grad()
             if epoch < epochs:
                 np.multiply(grad, learning_rate, out=step)
                 np.subtract(flat, step, out=flat)
-    for i, weights, curve in zip(live, flat, curves):
-        outcomes[i] = weights, curve
+    outcomes = []
+    for weights, curve in zip(flat, curves):
+        diverged = np.flatnonzero(~np.isfinite(curve))
+        outcomes.append(TrainingDivergedError(kind, int(diverged[0]), learning_rate)
+                        if diverged.size else (weights, curve))
     return outcomes
 
 

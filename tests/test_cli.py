@@ -59,6 +59,18 @@ class TestDecompose:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope.csv")]) == 2
 
+    # argparse alone would read "-1e-4" and "-inf" as option names
+    @pytest.mark.parametrize("value", ["-1e-4", "-inf", "-2E+3", "-nan"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--sd-threshold"], "sd_threshold must be positive and finite"),
+        (["--method", "eemd", "--noise"], "noise_amplitude must be finite and >= 0"),
+    ], ids=["sd-threshold", "noise"])
+    def test_negative_float_after_a_space_is_named(self, flags, message, value,
+                                                    two_tone_csv, tmp_path):
+        code, err, _ = _run(["--out", str(tmp_path / "out"), "decompose", str(two_tone_csv),
+                             *flags, value])
+        assert (code, err) == (1, f"config error: {message}, got {float(value)}\n")
+
     @pytest.mark.parametrize("method", ["emd", "eemd"])
     def test_huge_magnitudes_decompose_cleanly(self, method, tmp_path, capsys):
         # squares of 1e300 overflow; the sift ratio and the EEMD noise
@@ -130,7 +142,8 @@ class TestDtw:
         assert main(["dtw", str(a), str(a), "--path"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0", "(1,1)", "(2,2)", "(3,3)"]
 
-    @pytest.mark.parametrize("weight", ["nan", "inf", "0"])
+    # argparse alone would read "-1e-4" and "-inf" as option names
+    @pytest.mark.parametrize("weight", ["nan", "inf", "0", "-inf", "-1e-4", "-1.5E2"])
     def test_weight_not_positive_and_finite_is_config_error(self, weight, tmp_path):
         a = tmp_path / "a.csv"
         write_series(a, [4.0, 5.0, 6.0])
@@ -618,7 +631,7 @@ class TestGradcheck:
         code, err, _ = _run(["gradcheck", flag, "0"])
         assert (code, err) == (1, f"config error: {flag}: expected integer >= 1, got 0\n")
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1", "-1e-4", "-inf", "-NaN"])
     def test_tolerance_not_positive_and_finite_names_its_flag(self, tolerance):
         code, err, _ = _run(["gradcheck", "--trials", "1", "--tolerance", tolerance])
         assert (code, err) == (1, "config error: --tolerance: expected positive finite "

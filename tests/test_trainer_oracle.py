@@ -103,8 +103,9 @@ class TestTrainerOracle:
         kwargs = {}
         if kind == "ENN":
             contexts = legacy._enn_context(legacy._unpack(kind, flat, l, h), x)
-            assert np.array_equal(
-                _enn_context(_views(kind, flat, l, h), x, np.empty_like(contexts)), contexts)
+            filled = np.empty_like(contexts)
+            _enn_context(_views(kind, flat, l, h), x, filled)()
+            assert np.array_equal(filled, contexts)
             kwargs["contexts"] = contexts
         old_loss, old_grad = legacy._LOSS_GRAD[kind](flat, x, y, l, h, **kwargs)
         assert loss == old_loss
@@ -143,6 +144,72 @@ class TestSigmoidOracle:
         out = np.empty_like(z)
         assert _sigmoid(z, out=out) is out
         assert _same_floats(out, legacy._sigmoid(z))
+
+
+class TestEnnContextOracle:
+    """``_enn_context`` at the production shape (L = H = 8, up to 120
+    pairs) against the frozen per-pair recurrence; weights scaled by 1e3
+    drive the sigmoid deep into both tails."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 120), st.sampled_from([1.0, 1e3]), st.integers(0, 2**32 - 1))
+    def test_fill_matches_and_follows_the_weights(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        flat = rng.uniform(-0.5, 0.5, 8 * 8 + 8 * 8 + 2 * 8 + 1) * scale
+        x = rng.uniform(0.0, 1.0, (n, 8))
+        filled = np.full((n, 8), np.nan)
+        fill = _enn_context(_views("ENN", flat, 8, 8), x, filled)
+        for _ in range(2):  # the second call sees weights changed in place
+            fill()
+            expected = legacy._enn_context(legacy._unpack("ENN", flat, 8, 8), x)
+            assert np.array_equal(filled, expected)
+            flat -= rng.uniform(0.0, 0.1, flat.size) * scale
+
+    @settings(deadline=None, max_examples=10)
+    @given(st.integers(2, 120), st.sampled_from([1.0, 1e3]), st.integers(0, 2**32 - 1))
+    def test_group_of_three_matches_lone_training(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        sets = [TrainingSet(inputs=rng.uniform(0.0, 1.0, (n, 8)) * scale,
+                            targets=rng.uniform(0.0, 1.0, n),
+                            provenance=tuple((int(o) + 1, 0.0) for o in rng.permutation(n)))
+                for _ in range(3)]
+        cfgs = [PredictorConfig(kind="ENN", hidden_units=8, epochs=12, seed=int(s))
+                for s in rng.integers(0, 2**16, 3)]
+        for training_set, cfg, model in zip(sets, cfgs, train_many(sets, cfgs)):
+            old_weights, old_curve = legacy.train(training_set, cfg)
+            assert np.array_equal(model.weights, old_weights)
+            assert np.array_equal(model.training_loss_curve, old_curve)
+
+
+def _unrolled_sigmoid(z):
+    """The sigmoid inside ``_enn_context``, fed ``z`` as the bias of a
+    one-step recurrence whose weights are zero: the pre-activation is
+    ``(0 + 0) + z``, which is ``z`` bit for bit, except that -0 becomes +0
+    (the sigmoid maps both zeros to 0.5)."""
+    h = z.size
+    p = {"Wx": np.zeros((h, 1)), "Wh": np.zeros((h, h)), "b": z}
+    contexts = np.empty((2, h))
+    _enn_context(p, np.ones((2, 1)), contexts)()
+    return contexts[1]
+
+
+class TestUnrolledSigmoid:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2,
+             np.nan, -np.nan]
+
+    def test_edges(self):
+        z = np.array(self.EDGES)
+        assert _same_floats(_unrolled_sigmoid(z), _sigmoid(z))
+
+    @given(st.sampled_from([0.1, 1.0, 10.0, 100.0, 800.0]), st.integers(0, 2**32 - 1))
+    def test_normal_draws_at_scale(self, scale, seed):
+        z = np.random.default_rng(seed).normal(size=64) * scale
+        assert _same_floats(_unrolled_sigmoid(z), _sigmoid(z))
+
+    @given(arrays(np.float64, st.integers(1, 40),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_any_float(self, z):
+        assert _same_floats(_unrolled_sigmoid(z), _sigmoid(z))
 
 
 @st.composite
@@ -198,20 +265,22 @@ class TestTrainManyOracle:
                                       cfg.grnn_sigma, scale)
 
     def test_diverged_mate_leaves_the_group_without_warning(self, recwarn):
-        """Two models of one group: the second diverges at epoch 2 (and the
-        first epochs overflow on the way), the first trains on to the same
-        bits as alone."""
+        """Two models of one group, for each gradient-trained kind: the
+        second diverges at epoch 2 (and the first epochs overflow on the
+        way) and runs on to the last epoch on non-finite weights; the first
+        trains on to the same bits as alone."""
         calm = TrainingSet(inputs=[[0.1, 0.2], [0.3, 0.1]], targets=[0.2, 0.4],
                            provenance=((1, 0.0), (2, 0.0)))
         wild = TrainingSet(inputs=[[0.5, -0.5], [2.0, 0.5]], targets=[1e150, 1e150],
                            provenance=((1, 0.0), (2, 0.0)))
-        cfg = PredictorConfig(kind="BPNN", hidden_units=2, learning_rate=1e2, epochs=20)
-        kept, diverged = train_many([calm, wild], [cfg, cfg])
-        old_weights, old_curve = legacy.train(calm, cfg)
-        assert np.array_equal(kept.weights, old_weights)
-        assert np.array_equal(kept.training_loss_curve, old_curve)
-        assert isinstance(diverged, TrainingDivergedError)
-        with pytest.raises(ValueError) as err:
-            legacy.train(wild, cfg)
-        assert diverged.epoch == err.value.args[0] == 2
+        for kind in ("BPNN", "WNN", "ENN"):
+            cfg = PredictorConfig(kind=kind, hidden_units=2, learning_rate=1e2, epochs=20)
+            kept, diverged = train_many([calm, wild], [cfg, cfg])
+            old_weights, old_curve = legacy.train(calm, cfg)
+            assert np.array_equal(kept.weights, old_weights)
+            assert np.array_equal(kept.training_loss_curve, old_curve)
+            assert isinstance(diverged, TrainingDivergedError)
+            with pytest.raises(ValueError) as err:
+                legacy.train(wild, cfg)
+            assert diverged.epoch == err.value.args[0] == 2
         assert not recwarn.list

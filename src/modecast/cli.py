@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import sys
 import tempfile
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -66,16 +67,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _Count(argparse.Action):
+    """An integer flag that counts something: below 1 it is rejected by name."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise ConfigError(f"{self.option_strings[0]}: expected integer >= 1, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 # ---------------------------------------------------------------------------
 # Atomic output helpers
 # ---------------------------------------------------------------------------
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, write: Callable) -> None:
+    """``write(fh)`` into a temporary file beside ``path``, moved onto it when done."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -84,7 +95,12 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2) + "\n")
+    _write_atomic(path, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
+
+
+def _write_csv(path: Path, rows) -> None:
+    """Rows of fields, quoted where a field holds a comma, quote or newline."""
+    _write_atomic(path, lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +278,8 @@ def cmd_decompose(args) -> int:
     out = Path(args.out)
     names = [f"imf_{i + 1}" for i in range(decomp.n_imfs)] + ["residual"]
     comps = decomp.components()
-    lines = [",".join(names)]
-    for t in range(decomp.source_length):
-        lines.append(",".join(format_number(c.values[t]) for c in comps))
-    _write_atomic(out / "components.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "components.csv", [names] + [
+        [format_number(c.values[t]) for c in comps] for t in range(decomp.source_length)])
 
     zero_crossings = [count_zero_crossings(c.values) for c in comps]
     _write_json(out / "decompose_stats.json", {
@@ -308,11 +322,8 @@ def cmd_predict(args) -> int:
 
     out = Path(args.out if args.out != "." else cfg["output_dir"])
     _write_json(out / "forecast.json", result.to_dict())
-    lines = [
-        f"{step + 1},{format_number(v)}"
-        for step, v in enumerate(result.combined)
-    ]
-    _write_atomic(out / "forecast.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "forecast.csv",
+               ([step + 1, format_number(v)] for step, v in enumerate(result.combined)))
     if group_trace is not None:
         _write_json(out / "groups.json", group_trace)
 
@@ -338,14 +349,12 @@ def cmd_benchmark(args) -> int:
         + [f"pred_std_{i + 1}" for i in range(horizon)]
         + ["mean_re", "std_re"]
     )
-    lines = [",".join(header)]
-    for rep in reports:
-        row = [rep.label]
-        row += [format_number(p) for _, p, _ in rep.per_point]
-        row += [format_number(s) for s in rep.per_point_std]
-        row += [format_number(rep.re_mean_over_runs), format_number(rep.re_std_over_runs)]
-        lines.append(",".join(row))
-    _write_atomic(out / "benchmark.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "benchmark.csv", [header] + [
+        [rep.label]
+        + [format_number(p) for _, p, _ in rep.per_point]
+        + [format_number(s) for s in rep.per_point_std]
+        + [format_number(rep.re_mean_over_runs), format_number(rep.re_std_over_runs)]
+        for rep in reports])
     _write_json(out / "benchmark_runs.json", {
         "runs": runs,
         "seeds": list(seeds),
@@ -356,15 +365,13 @@ def cmd_benchmark(args) -> int:
     print(f"{'rank':<5}{'framework':<20}{'mean RE':>10}{'std RE':>10}")
     ranked = sorted(reports, key=lambda r: r.re_mean_over_runs)
     for rank, rep in enumerate(ranked, start=1):
-        print(f"{rank:<5}{rep.label:<20}{rep.re_mean_over_runs:>10.4f}"
+        label = rep.label.replace("\n", "\\n")  # one line per framework
+        print(f"{rank:<5}{label:<20}{rep.re_mean_over_runs:>10.4f}"
               f"{rep.re_std_over_runs:>10.4f}")
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    for flag in ("trials", "pairs", "window", "hidden"):
-        if getattr(args, flag) < 1:
-            raise ConfigError(f"--{flag}: expected integer >= 1, got {getattr(args, flag)}")
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ConfigError(f"--tolerance: expected positive finite number, got {args.tolerance}")
     kinds = [k.strip().upper() for k in args.kinds.split(",")]
@@ -417,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--method", choices=("emd", "eemd"), default="emd")
     p.add_argument("--sd-threshold", type=float, default=0.2)
-    p.add_argument("--max-sift-iterations", type=int, default=100)
-    p.add_argument("--max-imfs", type=int, default=12)
+    p.add_argument("--max-sift-iterations", type=int, default=100, action=_Count)
+    p.add_argument("--max-imfs", type=int, default=12, action=_Count)
     p.add_argument("--boundary-mode", choices=("mirror", "clamp"), default="mirror")
-    p.add_argument("--ensemble", type=int, default=100, help="EEMD trial count")
+    p.add_argument("--ensemble", type=int, default=100, action=_Count, help="EEMD trial count")
     p.add_argument("--noise", type=float, default=0.2,
                    help="EEMD noise amplitude as a fraction of the input std")
     p.set_defaults(func=cmd_decompose)
@@ -436,23 +443,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="forecast beyond a series with one framework")
     p.add_argument("config", help="JSON run configuration")
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=int, default=None, action=_Count)
     p.add_argument("--dump-groups", action="store_true",
                    help="emit per-step similarity-group provenance JSON")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("benchmark", help="compare frameworks on a holdout window")
     p.add_argument("config", help="JSON benchmark configuration")
-    p.add_argument("--runs", type=int, default=None)
+    p.add_argument("--runs", type=int, default=None, action=_Count)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against "
                                          "finite differences")
     p.add_argument("--kinds", default="BPNN,WNN,ENN")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--pairs", type=int, default=6)
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--hidden", type=int, default=3)
+    p.add_argument("--trials", type=int, default=20, action=_Count)
+    p.add_argument("--pairs", type=int, default=6, action=_Count)
+    p.add_argument("--window", type=int, default=4, action=_Count)
+    p.add_argument("--hidden", type=int, default=3, action=_Count)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
     return parser

@@ -3,7 +3,8 @@ and a lock-step Euclidean baseline.
 
 Cells and path pairs use 1-based indices: the cumulative cost gamma(1,1) is
 the local distance of the first points and the optimal alignment cost is
-gamma(m,n).
+gamma(m,n). Both DTW entry points run one recurrence, one anti-diagonal of
+the grid at a time (``_diagonals``).
 """
 
 from __future__ import annotations
@@ -38,17 +39,62 @@ def point_distance(a: float, b: float, weight: float = 1.0) -> float:
     return weight * abs(a - b)
 
 
+def _checked(y, z, ndim: int, weight: float = 1.0) -> tuple:
+    """``y`` (``ndim``-D) and ``z`` (1-D) as float arrays, once both are
+    non-empty and finite and ``weight`` is positive and finite."""
+    y = np.asarray(y, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if y.ndim != ndim or z.ndim != 1:
+        raise ValueError(f"expected a {ndim}-D and a 1-D sequence, got shapes "
+                         f"{y.shape} and {z.shape}")
+    if y.shape[-1] == 0 or z.size == 0:
+        raise ValueError("sequences must be non-empty")
+    if not (np.isfinite(y).all() and np.isfinite(z).all()):
+        raise ValueError("sequences must be finite")
+    _check_weight(weight)
+    return y, z
+
+
+def _diagonals(windows: np.ndarray, z: np.ndarray, weight: float):
+    """Yield ``(lo, cells)`` per anti-diagonal d = i + j, in order, of the
+    cumulative grids of the n rows of ``windows`` (n, m) against ``z`` (L,):
+    ``cells[k]`` is gamma(lo + k, d - lo - k) of every row until the next
+    step. Three rotating (m + 1, n) buffers hold row i in slot i + 1 and the
+    border row i = -1 in slot 0, at +inf but for gamma(-1, -1) = 0, so
+    gamma(0, 0) = local + 0.0 = local. Run under ``over="ignore"``."""
+    n, m = windows.shape
+    l = z.size
+    rows, z_reversed = np.ascontiguousarray(windows.T), z[::-1]
+    diagonal = np.full((3, m + 1, n), np.inf)
+    diagonal[0, 0] = 0.0
+    for d in range(m + l - 1):
+        before, last, current = diagonal[d % 3], diagonal[(d + 1) % 3], diagonal[(d + 2) % 3]
+        lo, hi = max(0, d - l + 1), min(m - 1, d)
+        # diagonal d - 2 is read for the last time, so it takes the minimum
+        best, out = before[lo : hi + 1], current[lo + 1 : hi + 2]
+        np.minimum(best, last[lo : hi + 1], out=best)
+        np.minimum(best, last[lo + 1 : hi + 2], out=best)
+        # z_j for j = d - lo down to d - hi
+        np.subtract(rows[lo : hi + 1], z_reversed[l - 1 - d + lo : l - d + hi, None], out=out)
+        np.abs(out, out=out)
+        np.multiply(weight, out, out=out)
+        np.add(out, best, out=out)
+        current[lo] = np.inf  # the border row, unless gamma(-1, -1) left a 0 there
+        yield lo, out
+
+
 def dtw_distance(y, z, weight: float = 1.0) -> tuple:
     """Minimal cumulative alignment cost between two sequences.
 
     Fills the cumulative matrix by
     gamma(i,j) = d(y_i, z_j) + min(gamma(i-1,j-1), gamma(i-1,j), gamma(i,j-1))
-    with out-of-range neighbors treated as +inf and gamma(1,1) = d(y_1, z_1).
+    with out-of-range neighbors treated as +inf and gamma(1,1) = d(y_1, z_1),
+    one anti-diagonal at a time: the one-candidate :func:`dtw_distances`.
 
     Parameters
     ----------
     y, z : array_like
-        Non-empty value sequences; lengths may differ.
+        Non-empty, finite 1-D sequences; lengths may differ.
     weight : float
         Positive, finite scale of the pointwise distance.
 
@@ -59,41 +105,30 @@ def dtw_distance(y, z, weight: float = 1.0) -> tuple:
     matrix : CostMatrix
         Full cumulative grid, for path recovery.
     """
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if y.size == 0 or z.size == 0:
-        raise ValueError("sequences must be non-empty")
-    _check_weight(weight)
-
+    y, z = _checked(y, z, ndim=1, weight=weight)
+    g, i = np.empty((y.size, z.size)), np.arange(y.size)
     with np.errstate(over="ignore"):
-        local = weight * np.abs(y[:, None] - z[None, :])
-        m, n = local.shape
-        g = np.empty((m, n), dtype=np.float64)
-        g[0, 0] = local[0, 0]
-        for j in range(1, n):
-            g[0, j] = local[0, j] + g[0, j - 1]
-        for i in range(1, m):
-            g[i, 0] = local[i, 0] + g[i - 1, 0]
-            for j in range(1, n):
-                g[i, j] = local[i, j] + min(g[i - 1, j - 1], g[i - 1, j], g[i, j - 1])
-    return float(g[m - 1, n - 1]), CostMatrix(g)
+        for d, (lo, cells) in enumerate(_diagonals(y[None, :], z, weight)):
+            rows = i[lo : lo + cells.size]
+            g[rows, d - rows] = cells[:, 0]
+    return float(g[-1, -1]), CostMatrix(g)
 
 
 def dtw_distances(windows, reference, weight: float = 1.0) -> np.ndarray:
     """DTW distance of every row of ``windows`` to one reference sequence.
 
-    Runs the recurrence of :func:`dtw_distance` cell by cell in the same
-    order, with each cell vectorised over all rows, so entry k equals
+    Runs the anti-diagonal recurrence of :func:`dtw_distance` with each
+    diagonal vectorised over all rows, so entry k equals
     ``dtw_distance(windows[k], reference, weight)[0]`` bit for bit. Time is
-    O(n*m*L); only two rows of the cumulative grid are held, as (L, n)
-    arrays, never the full (n, m, L) tensor.
+    O(n*m*L); only three diagonals of the cumulative grids are held, as
+    (m + 1, n) arrays, never the full (n, m, L) tensor.
 
     Parameters
     ----------
     windows : array_like, shape (n, m)
-        Candidate sequences, one per row; m >= 1.
+        Finite candidate sequences, one per row; m >= 1.
     reference : array_like, shape (L,)
-        Non-empty sequence every row is aligned to.
+        Non-empty, finite sequence every row is aligned to.
     weight : float
         Positive, finite scale of the pointwise distance.
 
@@ -102,32 +137,11 @@ def dtw_distances(windows, reference, weight: float = 1.0) -> np.ndarray:
     ndarray, shape (n,)
         gamma(m, L) of each row; a cost beyond the float range is +inf.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    z = np.asarray(reference, dtype=np.float64)
-    if windows.ndim != 2 or z.ndim != 1:
-        raise ValueError("windows must be 2-D and the reference 1-D")
-    if windows.shape[1] == 0 or z.size == 0:
-        raise ValueError("sequences must be non-empty")
-    _check_weight(weight)
-
-    # g[j] holds gamma(i, j) of every row, a contiguous vector per cell
-    best = np.empty(windows.shape[0])
-    g = None
+    windows, z = _checked(windows, reference, ndim=2, weight=weight)
     with np.errstate(over="ignore"):
-        for y_i in windows.T:
-            local = weight * np.abs(y_i[None, :] - z[:, None])
-            prev, g = g, np.empty_like(local)
-            if prev is None:
-                g[0] = local[0]
-                for j in range(1, z.size):
-                    np.add(local[j], g[j - 1], out=g[j])
-                continue
-            np.add(local[0], prev[0], out=g[0])
-            for j in range(1, z.size):
-                np.minimum(prev[j - 1], prev[j], out=best)
-                np.minimum(best, g[j - 1], out=best)
-                np.add(local[j], best, out=g[j])
-    return g[-1].copy()
+        for _, cells in _diagonals(windows, z, weight):
+            pass
+    return cells[0].copy()
 
 
 def warp_path(matrix: CostMatrix) -> tuple:
@@ -162,12 +176,11 @@ def warp_path(matrix: CostMatrix) -> tuple:
 
 
 def euclidean_distance(y, z) -> float:
-    """Lock-step distance sum(|y_i - z_i|) under the same point metric,
-    for apples-to-apples comparison with DTW. Lengths must match."""
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
+    """Lock-step distance sum(|y_i - z_i|) under the same point metric and
+    input checks, for apples-to-apples comparison with DTW. Lengths must
+    match; a sum beyond the float range is +inf."""
+    y, z = _checked(y, z, ndim=1)
     if y.size != z.size:
         raise ValueError(f"length mismatch: {y.size} vs {z.size}")
-    if y.size == 0:
-        raise ValueError("sequences must be non-empty")
-    return float(np.sum(np.abs(y - z)))
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(y - z)))

@@ -119,16 +119,7 @@ class TrainedModel:
 
 def weight_count(kind: str, input_length: int, hidden_units: int, n_pairs: int = 0) -> int:
     """Parameter count implied by the architecture."""
-    l, h = input_length, hidden_units
-    if kind == "BPNN":
-        return h * l + 2 * h + 1
-    if kind == "WNN":
-        return h * l + 3 * h + 1
-    if kind == "ENN":
-        return h * l + h * h + 2 * h + 1
-    if kind == "GRNN":
-        return n_pairs * (l + 1)
-    raise ValueError(f"unknown kind {kind!r}")
+    return sum(math.prod(shape) for _, shape in _layout(kind, input_length, hidden_units, n_pairs))
 
 
 def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -151,20 +142,26 @@ def _morlet_deriv(u: np.ndarray) -> np.ndarray:
 # Flat parameter layout
 # ---------------------------------------------------------------------------
 
-def _views(kind: str, flat: np.ndarray, l: int, h: int) -> dict:
-    """Named views into ``flat`` in the layout of the module docstring;
+def _layout(kind: str, l: int, h: int, n: int = 0) -> tuple:
+    """The (name, shape) blocks of a kind's flat weight vector, in the order
+    of the module docstring."""
+    layouts = {
+        "BPNN": (("W1", (h, l)), ("b1", (h,)), ("w2", (h,)), ("b2", (1,))),
+        "WNN": (("W", (h, l)), ("t", (h,)), ("d", (h,)), ("v", (h,)), ("c", (1,))),
+        "ENN": (("Wx", (h, l)), ("Wh", (h, h)), ("b", (h,)), ("v", (h,)), ("c", (1,))),
+        "GRNN": (("inputs", (n, l)), ("targets", (n,))),
+    }
+    if kind not in layouts:
+        raise ValueError(f"unknown kind {kind!r}")
+    return layouts[kind]
+
+
+def _views(kind: str, flat: np.ndarray, l: int, h: int, n: int = 0) -> dict:
+    """Named views into ``flat`` in the blocks of :func:`_layout`;
     writing through a view writes ``flat``. Leading axes of ``flat`` (K
     stacked models) lead every view."""
-    if kind == "BPNN":
-        layout = (("W1", (h, l)), ("b1", (h,)), ("w2", (h,)), ("b2", (1,)))
-    elif kind == "WNN":
-        layout = (("W", (h, l)), ("t", (h,)), ("d", (h,)), ("v", (h,)), ("c", (1,)))
-    elif kind == "ENN":
-        layout = (("Wx", (h, l)), ("Wh", (h, h)), ("b", (h,)), ("v", (h,)), ("c", (1,)))
-    else:
-        raise ValueError(f"{kind} has no dense parameter layout")
     views, offset, lead = {}, 0, flat.shape[:-1]
-    for name, shape in layout:
+    for name, shape in _layout(kind, l, h, n):
         size = math.prod(shape)
         views[name] = flat[..., offset : offset + size].reshape(lead + shape, copy=False)
         offset += size
@@ -461,15 +458,11 @@ def train(training_set: TrainingSet, cfg: PredictorConfig,
     return model
 
 
-def _grnn_predict(model: TrainedModel, x: np.ndarray) -> float:
-    l = model.input_length
-    n = model._grnn_pairs()
-    stored = model.weights[: n * l].reshape(n, l)
-    targets = model.weights[n * l :]
-    d2 = np.sum((stored - x) ** 2, axis=1)
+def _grnn_predict(p: dict, x: np.ndarray, sigma: float) -> float:
+    d2 = np.sum((p["inputs"] - x) ** 2, axis=1)
     # shift by the minimum so the nearest pair always has unit kernel weight
-    w = np.exp(-(d2 - d2.min()) / (2.0 * model.grnn_sigma**2))
-    return float(w @ targets / w.sum())
+    w = np.exp(-(d2 - d2.min()) / (2.0 * sigma**2))
+    return float(w @ p["targets"] / w.sum())
 
 
 def _checked_input(model: TrainedModel, x) -> np.ndarray:
@@ -495,9 +488,10 @@ def predict(model: TrainedModel, x, context: Optional[np.ndarray] = None) -> flo
     (see :class:`ForecastSession`), so independent calls never interfere.
     """
     x = _checked_input(model, x)
+    p = _views(model.kind, model.weights, model.input_length, model.hidden_units,
+               model._grnn_pairs())
     if model.kind == "GRNN":
-        return _grnn_predict(model, x)
-    p = _views(model.kind, model.weights, model.input_length, model.hidden_units)
+        return _grnn_predict(p, x, model.grnn_sigma)
     if model.kind == "BPNN":
         return float(_bpnn_forward(p, x[None, :])[0])
     if model.kind == "WNN":

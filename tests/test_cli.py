@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -292,6 +293,19 @@ class TestBenchmark:
         path = tmp_path / "one.json"
         path.write_text(json.dumps(cfg))
         assert main(["benchmark", str(path)]) == 1
+
+    def test_labels_with_commas_quotes_and_newlines_read_back(self, tmp_path, capsys):
+        labels = ['plain, "NN"', "EMD\nNN"]
+        config = tmp_path / "labels.json"
+        config.write_text(json.dumps({**_tiny_configs(tmp_path)["benchmark"], "labels": labels}))
+        assert main(["--out", str(tmp_path / "out"), "benchmark", str(config)]) == 0
+        with open(tmp_path / "out" / "benchmark.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == labels
+        assert len({len(row) for row in rows}) == 1
+        table = capsys.readouterr().out.splitlines()
+        assert len(table) == 1 + len(labels)
+        assert any("EMD\\nNN" in line for line in table)  # one line per label
 
     def test_golden_config_yields_four_row_summary(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(REPO)
@@ -614,6 +628,21 @@ class TestNegativeSeed:
             argv[command] = [command, str(config)]
         code, err, _ = _run(["--seed", "-2", "--out", str(tmp_path / "out"), *argv[command]])
         assert (code, err) == (1, "config error: --seed: expected non-negative integer, got -2\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command, flag", [
+    ("decompose", "--max-imfs"), ("decompose", "--max-sift-iterations"),
+    ("decompose", "--ensemble"), ("predict", "--horizon"), ("benchmark", "--runs")])
+def test_count_flag_below_one_names_itself(command, flag, value, tmp_path):
+    configs = _tiny_configs(tmp_path)
+    argv = [command, configs["predict"]["dataset"]["path"], "--method", "eemd"]
+    if command in configs:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(configs[command]))
+        argv = [command, str(config)]
+    code, err, _ = _run(["--out", str(tmp_path / "out"), *argv, flag, value])
+    assert (code, err) == (1, f"config error: {flag}: expected integer >= 1, got {value}\n")
 
 
 class TestGradcheck:

@@ -61,6 +61,26 @@ def test_every_distance_rejects_a_weight_not_positive_and_finite(weight):
         dtw_distances([[1.0, 2.0]], [1.0], weight)
 
 
+@pytest.mark.parametrize("distance, y, z, message", [
+    (dtw_distance, np.zeros((2, 2)), [1.0],
+     r"expected a 1-D and a 1-D sequence, got shapes \(2, 2\) and \(1,\)"),
+    (dtw_distance, 5.0, [1.0], r"expected a 1-D and a 1-D sequence, got shapes \(\) and \(1,\)"),
+    (dtw_distance, [1.0], [[1.0]], "expected a 1-D and a 1-D sequence"),
+    (dtw_distances, [1.0, 2.0], [1.0], "expected a 2-D and a 1-D sequence"),
+    (dtw_distances, np.zeros((3, 0)), [1.0], "sequences must be non-empty"),
+    (dtw_distance, [1.0], [], "sequences must be non-empty"),
+    (dtw_distance, [np.inf], [np.inf], "sequences must be finite"),
+    (dtw_distance, [1.0, np.nan], [1.0], "sequences must be finite"),
+    (dtw_distances, [[np.inf]], [np.inf], "sequences must be finite"),
+    (dtw_distances, [[1.0]], [-np.inf], "sequences must be finite"),
+    (euclidean_distance, [np.inf], [np.inf], "sequences must be finite"),
+    (euclidean_distance, [[1.0, 2.0]], [[1.0, 3.0]], "expected a 1-D and a 1-D sequence"),
+])
+def test_bad_sequences_raise_one_value_error_naming_the_problem(distance, y, z, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        distance(y, z)
+
+
 class TestDtwDistance:
     def test_identical_sequences(self):
         dist, _ = dtw_distance([1, 5, 2], [1, 5, 2])
@@ -191,6 +211,9 @@ class TestEuclidean:
 
     def test_unit_differences(self):
         assert euclidean_distance([0, 1], [1, 0]) == 2.0
+
+    def test_sum_beyond_float_range_is_inf(self):
+        assert euclidean_distance([1e308, 0.0], [-1e308, 0.0]) == np.inf
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ import sys
 import tempfile
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -99,8 +100,12 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_csv(path: Path, rows) -> None:
-    """Rows of fields, quoted where a field holds a comma, quote or newline."""
-    _write_atomic(path, lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows))
+    """Rows of fields, quoted where a field holds a comma, a quote, ``\\r`` or
+    ``\\n``, one ``\\n``-terminated line per row."""
+    # csv quotes line breaks only if they are in the line terminator, so rows
+    # end in "\r\n" and are cut back to "\n" as they are written
+    _write_atomic(path, lambda fh: csv.writer(SimpleNamespace(
+        write=lambda line: fh.write(line[:-2] + "\n"))).writerows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +238,8 @@ def parse_benchmark_config(path: str) -> dict:
         raise ConfigError("benchmark needs at least 2 framework specs")
     if "holdout" not in doc:
         raise ConfigError("holdout is required")
+    if doc.get("runs", 1) < 1:
+        raise ConfigError(f"runs: expected integer >= 1, got {doc['runs']}")
     seeds = doc.get("seeds")
     if not seeds:
         raise ConfigError("a non-empty seed list is required")
@@ -365,7 +372,7 @@ def cmd_benchmark(args) -> int:
     print(f"{'rank':<5}{'framework':<20}{'mean RE':>10}{'std RE':>10}")
     ranked = sorted(reports, key=lambda r: r.re_mean_over_runs)
     for rank, rep in enumerate(ranked, start=1):
-        label = rep.label.replace("\n", "\\n")  # one line per framework
+        label = rep.label.replace("\n", "\\n").replace("\r", "\\r")  # one line per framework
         print(f"{rank:<5}{label:<20}{rep.re_mean_over_runs:>10.4f}"
               f"{rep.re_std_over_runs:>10.4f}")
     return EXIT_OK

@@ -19,6 +19,8 @@ that scan. The envelopes are natural cubic splines, all of a step solved at
 once: one LAPACK ``dgtsv`` call on their block-diagonal system, then the
 Hermite polynomials at every index, with scipy's ``CubicSpline`` arithmetic
 repeated operation for operation, so every envelope is bit-identical to it.
+``dgtsv`` is imported from ``scipy.linalg`` at the first solve, so a
+program that fits no envelope never loads scipy.
 Squares of raw samples overflow above about 1e154 and underflow below about
 1e-154, so beyond 2**+-500 the stopping ratio and the EEMD noise amplitude
 are computed on samples scaled by an exact power of two, and so is each row
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .core import DataError, Decomposition, TimeSeries, pow2_exponent, spawn_rng
 
@@ -222,7 +223,9 @@ def _natural_splines(x: np.ndarray, y: np.ndarray, bounds: np.ndarray,
         sub[:-1], sub[last - 1], sub[coupling] = dx[1:], tail, 0.0
         sup = np.empty(dx.size)
         sup[1:], sup[first], sup[coupling] = dx[:-1], head, 0.0
-        # strictly diagonally dominant: no zero pivot, so dgtsv's info is 0
+        # strictly diagonally dominant: no zero pivot, so dgtsv's info is 0.
+        # Imported at the solve: loading scipy.linalg takes about 0.3 s.
+        from scipy.linalg.lapack import dgtsv
         s = dgtsv(sub, d, sup, b, True, True, True, True)[3]
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         c1, c0 = (slope - s[:-1]) / dx - t, t / dx  # of z**2 and z**3

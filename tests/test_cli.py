@@ -294,10 +294,19 @@ class TestBenchmark:
         path.write_text(json.dumps(cfg))
         assert main(["benchmark", str(path)]) == 1
 
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_config_runs_below_one_is_named(self, runs, tmp_path):
+        config = tmp_path / "runs.json"
+        config.write_text(json.dumps({**_tiny_configs(tmp_path)["benchmark"], "runs": runs}))
+        code, err, _ = _run(["--out", str(tmp_path / "out"), "benchmark", str(config)])
+        assert (code, err) == (1, f"config error: runs: expected integer >= 1, got {runs}\n")
+
     def test_labels_with_commas_quotes_and_newlines_read_back(self, tmp_path, capsys):
-        labels = ['plain, "NN"', "EMD\nNN"]
+        labels = ['plain, "NN"', "EMD\nNN", "a\rb"]
+        doc = _tiny_configs(tmp_path)["benchmark"]
         config = tmp_path / "labels.json"
-        config.write_text(json.dumps({**_tiny_configs(tmp_path)["benchmark"], "labels": labels}))
+        config.write_text(json.dumps({**doc, "frameworks": doc["frameworks"] + doc["frameworks"][1:],
+                                      "labels": labels}))
         assert main(["--out", str(tmp_path / "out"), "benchmark", str(config)]) == 0
         with open(tmp_path / "out" / "benchmark.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -306,6 +315,7 @@ class TestBenchmark:
         table = capsys.readouterr().out.splitlines()
         assert len(table) == 1 + len(labels)
         assert any("EMD\\nNN" in line for line in table)  # one line per label
+        assert any("a\\rb" in line for line in table)
 
     def test_golden_config_yields_four_row_summary(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(REPO)
@@ -668,8 +678,8 @@ class TestGradcheck:
 
 
 def test_cli_import_leaves_scipy_interpolate_out():
-    # the envelope spline is solved in modecast; scipy.interpolate would add
-    # about 0.1 s to every command's start-up
+    # the envelope spline is solved in modecast; scipy.interpolate, which
+    # loads scipy.linalg too, would add about 0.6 s to every command's start-up
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
@@ -677,3 +687,50 @@ def test_cli_import_leaves_scipy_interpolate_out():
          "import sys, modecast.cli; print('scipy.interpolate' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "False\n"
+
+
+def _fresh(code: str, *args: str) -> str:
+    """The last line ``code`` prints when run with ``args`` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
+# whether scipy.linalg is loaded before and after one CLI run, and its exit code
+_LINALG_AROUND_MAIN = ("import sys; from modecast.cli import main; "
+                       "print('scipy.linalg' in sys.modules, main(sys.argv[1:]), "
+                       "'scipy.linalg' in sys.modules)")
+
+
+@pytest.mark.parametrize("module", ["modecast", "modecast.cli"])
+def test_import_leaves_scipy_linalg_out(module):
+    assert _fresh(f"import sys, {module}; print('scipy.linalg' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("command", ["predict-NN", "dtw", "gradcheck", "config-error"])
+def test_command_without_a_spline_leaves_scipy_linalg_out(command, tmp_path):
+    # scipy.linalg is imported at the first envelope spline solve, and these
+    # commands solve none
+    configs = _tiny_configs(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**configs["predict"],
+                                  "framework": configs["benchmark"]["frameworks"][0]}))
+    series = configs["predict"]["dataset"]["path"]
+    argv, code = {"predict-NN": (["predict", str(config)], 0),
+                  "dtw": (["dtw", series, series], 0),
+                  "gradcheck": (["gradcheck", "--trials", "1"], 0),
+                  "config-error": (["decompose", series, "--max-imfs", "0"], 1)}[command]
+    assert _fresh(_LINALG_AROUND_MAIN, "--out", str(tmp_path / "out"), *argv) \
+        == f"False {code} False"
+
+
+def test_first_spline_solve_in_fresh_interpreter_is_bit_identical(two_tone_csv, tmp_path):
+    argv = ["decompose", str(two_tone_csv), "--method", "emd"]
+    # the fresh run loads scipy.linalg at its first solve, not before
+    assert _fresh(_LINALG_AROUND_MAIN, "--out", str(tmp_path / "fresh"), *argv) == "False 0 True"
+    import scipy.linalg.lapack  # noqa: F401  (loaded before this run's first solve)
+    assert main(["--out", str(tmp_path / "loaded"), *argv]) == 0
+    assert (tmp_path / "fresh" / "components.csv").read_bytes() \
+        == (tmp_path / "loaded" / "components.csv").read_bytes()

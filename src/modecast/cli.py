@@ -491,7 +491,8 @@ def main(argv=None) -> int:
             code, label = EXIT_NUMERIC, "numeric failure"
         else:  # ConfigError or any other ValueError
             code, label = EXIT_CONFIG, "config error"
-        message = str(exc).replace("\n", "\\n")  # one stderr line, whatever the message holds
+        # one stderr line, whatever the message holds
+        message = str(exc).replace("\n", "\\n").replace("\r", "\\r")
         print(f"{label}: {message}", file=sys.stderr)
         return code
 

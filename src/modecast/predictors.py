@@ -26,12 +26,15 @@ Training runs in lockstep. ``train_many`` groups its models by (kind, pairs
 n, input length L, hidden units H, epochs, learning rate) and runs one
 epoch loop per group over a (K, P) parameter buffer and a (K, P) gradient
 buffer: each epoch writes every model's gradient through the views and
-updates the parameters in place. Each stacked product is the BLAS call a
-lone model makes, so every model comes out bit for bit as if trained alone;
-``train`` is the one-model call. A model whose loss turns non-finite runs
-on to the last epoch and is reported diverged at that epoch. The ENN
-context recurrence runs model by model on buffers built once, after one
-stacked input projection per epoch (``_enn_context``).
+updates the parameters in place. A group descends each distinct request
+(config and pairs) once, and every request gets its own result. Each
+stacked product is the BLAS call a lone model makes, so every model comes
+out bit for bit as if trained alone; ``train`` is the one-model call. A
+model whose loss turns non-finite runs on to the last epoch and is
+reported diverged at that epoch. The BPNN epoch and the shared readout
+write every temporary into buffers built once per group. The ENN context
+recurrence runs model by model on buffers built once, after one stacked
+input projection per epoch (``_enn_context``).
 """
 
 from __future__ import annotations
@@ -201,14 +204,21 @@ def _readout(v: np.ndarray, c: np.ndarray, gv: np.ndarray, gc: np.ndarray,
              y: np.ndarray) -> Callable:
     """``grad(hidden)``: the error and scaled error ``e`` of the linear
     readout ``hidden @ v + c``, its gradient written into ``gv`` and
-    ``gc``."""
-    v, gv, gc, n = v[..., None], gv[..., None], gc[..., 0], y.shape[-1]
+    ``gc``. The error and ``e`` are buffers built once, which the next call
+    overwrites."""
+    v, gv, gc = v[..., None], gv[..., None], gc[..., 0]
+    out, err, e = np.empty(y.shape + (1,)), np.empty(y.shape), np.empty(y.shape)
+    projected, column = out[..., 0], e[..., None]
+    two, n = np.array(2.0), np.array(float(y.shape[-1]))  # a Python number costs a conversion
 
     def grad(hidden: np.ndarray) -> tuple:
-        err = np.matmul(hidden, v)[..., 0] + c - y
-        e = 2.0 * err / n
+        np.matmul(hidden, v, out=out)
+        np.add(projected, c, out=err)
+        np.subtract(err, y, out=err)
+        np.multiply(err, two, out=e)
+        np.divide(e, n, out=e)
         np.add.reduce(e, axis=-1, out=gc)
-        np.matmul(_t(hidden), e[..., None], out=gv)
+        np.matmul(_t(hidden), column, out=gv)
         return err, e
 
     return grad
@@ -224,15 +234,38 @@ def _bpnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
 
 
 def _bpnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
+    """Every temporary is built here, once, as a C-contiguous (..., n, H)
+    array, so a call writes through ``out=`` and allocates only the loss.
+    The sigmoid is ``_enn_context``'s unrolled form, ``_sigmoid`` bit for
+    bit on every non-NaN z, with both exps in one call."""
     w1, b1, w2 = _t(p["W1"]), p["b1"][..., None, :], p["w2"][..., None, :]
+    gw1, gb1 = g["W1"], g["b1"]
     readout = _readout(p["w2"], p["b2"], g["w2"], g["b2"], y)
+    shape = x.shape[:-1] + w1.shape[-1:]
+    z, a, dz, complement = (np.empty(shape) for _ in range(4))
+    scratch = np.empty((2,) + shape)
+    low, tail = scratch  # min(z, 0) and -|z|, exponentiated together in place
+    dz_t = _t(dz)
+    zero, one, minus_one = np.array(0.0), np.array(1.0), np.array(-1.0)
+    matmul, add, subtract, multiply, minimum, copysign, exp, divide = (
+        np.matmul, np.add, np.subtract, np.multiply, np.minimum, np.copysign, np.exp,
+        np.divide)
 
     def loss_grad() -> np.ndarray:
-        a = _sigmoid(np.matmul(x, w1) + b1)
+        matmul(x, w1, out=z)
+        add(z, b1, out=z)
+        minimum(z, zero, out=low)
+        copysign(z, minus_one, out=tail)
+        exp(scratch, out=scratch)
+        add(tail, one, out=tail)
+        divide(low, tail, out=a)
         err, e = readout(a)
-        dz = (e[..., None] * w2) * a * (1.0 - a)
-        np.matmul(_t(dz), x, out=g["W1"])
-        np.add.reduce(dz, axis=-2, out=g["b1"])
+        multiply(e[..., None], w2, out=dz)
+        multiply(dz, a, out=dz)
+        subtract(one, a, out=complement)
+        multiply(dz, complement, out=dz)
+        matmul(dz_t, x, out=gw1)
+        add.reduce(dz, axis=-2, out=gb1)
         return _mse(err)
 
     return loss_grad
@@ -360,10 +393,10 @@ def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
              h: int, epochs: int, learning_rate: float) -> list:
     """Full-batch descent of the K models stacked in ``flat`` (K, P), in
     place, for ``epochs`` epochs. Returns per model its (weights, loss
-    curve), or the :class:`TrainingDivergedError` of the first epoch whose
-    loss is non-finite. A diverged model runs on in the stack to the last
-    epoch, on non-finite weights; a model's bits never depend on its
-    group-mates, so it costs them nothing but time."""
+    curve), or the first epoch whose loss is non-finite. A diverged model
+    runs on in the stack to the last epoch, on non-finite weights; a
+    model's bits never depend on its group-mates, so it costs them nothing
+    but time."""
     curves = np.empty((flat.shape[0], epochs + 1))
     grad, step = np.empty_like(flat), np.empty_like(flat)
     loss_grad = _objective(kind, flat, grad, x, y, l, h)
@@ -378,8 +411,7 @@ def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
     outcomes = []
     for weights, curve in zip(flat, curves):
         diverged = np.flatnonzero(~np.isfinite(curve))
-        outcomes.append(TrainingDivergedError(kind, int(diverged[0]), learning_rate)
-                        if diverged.size else (weights, curve))
+        outcomes.append(int(diverged[0]) if diverged.size else (weights, curve))
     return outcomes
 
 
@@ -395,16 +427,19 @@ def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorCon
     Gradient-trained models that share (kind, pair count n, input length
     L, hidden units H, epochs, learning rate) form a group and descend in
     lockstep: one epoch loop over a (K, P) parameter buffer and a (K, P)
-    gradient buffer for the group's K models, each from its own seeded
-    start. GRNN models store their pairs.
+    gradient buffer for the group's K distinct requests, each from its own
+    seeded start. Requests of a group with equal configs (seed included)
+    and byte-equal pairs as the descent sees them (ENN's in provenance
+    order) are one request: it descends once, and each of them gets its
+    own copy of the result. GRNN models store their pairs.
 
     Returns
     -------
     list
-        In input order, each :class:`TrainedModel`, or the
-        :class:`TrainingDivergedError` that :func:`train` raises for that
-        model. A diverged model records its own epoch; its group-mates train
-        on untouched.
+        In input order, each :class:`TrainedModel` with its own scale, or
+        the :class:`TrainingDivergedError` that :func:`train` raises for
+        that model. A diverged model records its own epoch; its group-mates
+        train on untouched.
     """
     scales = [None] * len(cfgs) if scales is None else scales
     fitted, groups = [None] * len(cfgs), {}
@@ -417,13 +452,20 @@ def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorCon
                    cfg.hidden_units, cfg.epochs, cfg.learning_rate)
             groups.setdefault(key, []).append(i)
     for (kind, _, l, h, epochs, learning_rate), members in groups.items():
-        x, y = zip(*(_pairs(kind, training_sets[i]) for i in members))
-        flat = np.stack([_init_params(cfgs[i], l) for i in members])
+        requests = {}  # (config, pair bytes) -> (config, x, y, the indices asking)
+        for i in members:
+            x, y = _pairs(kind, training_sets[i])
+            request = (cfgs[i], x.tobytes(), y.tobytes())
+            requests.setdefault(request, (cfgs[i], x, y, []))[-1].append(i)
+        distinct, x, y, asking = zip(*requests.values())
+        flat = np.stack([_init_params(cfg, l) for cfg in distinct])
         outcomes = _descend(kind, flat, np.stack(x), np.stack(y), l, h, epochs, learning_rate)
-        for i, outcome in zip(members, outcomes):
-            fitted[i] = outcome
+        for indices, outcome in zip(asking, outcomes):
+            for i in indices:
+                fitted[i] = outcome
     return [
-        outcome if isinstance(outcome, TrainingDivergedError) else TrainedModel(
+        TrainingDivergedError(cfg.kind, outcome, cfg.learning_rate)
+        if isinstance(outcome, int) else TrainedModel(
             kind=cfg.kind, input_length=training_set.input_length,
             hidden_units=cfg.hidden_units, weights=outcome[0].copy(),
             grnn_sigma=cfg.grnn_sigma, scale=scale, training_loss_curve=outcome[1].copy(),

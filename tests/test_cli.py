@@ -224,6 +224,15 @@ class TestPredict:
         assert main(["predict", str(path)]) == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_line_breaks_in_a_config_key_are_escaped(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema_version": 1, "a\rb": 1, "c\nd": 2}))
+        code, err, _ = _run(["predict", str(path)])
+        assert code == 1
+        assert err.startswith("config error: unknown key") and "\r" not in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "a\\rb" in err and "c\\nd" in err
+
     def test_wrong_schema_version(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 99}))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import legacy_trainer as legacy
+from modecast import predictors
 from modecast.core import MinMaxScale
 from modecast.grouping import TrainingSet
 from modecast.predictors import (
@@ -15,6 +16,7 @@ from modecast.predictors import (
     PredictorConfig,
     TrainedModel,
     TrainingDivergedError,
+    _descend,
     _enn_context,
     _init_params,
     _objective,
@@ -225,44 +227,105 @@ def model_batches(draw):
         st.sampled_from([0.05, 0.5, 1e2, 1e4, 1e8])), min_size=1, max_size=3))
     batch = []
     for _ in range(draw(st.integers(1, 10))):
-        kind, n, length, hidden, epochs, rate = draw(st.sampled_from(keys))
-        training_set = TrainingSet(
-            inputs=rng.normal(size=(n, length)) * draw(st.sampled_from([1.0, 30.0])),
-            targets=rng.normal(size=n),
-            provenance=tuple((int(o) + 1, 0.0) for o in rng.permutation(n)),
-        )
-        cfg = PredictorConfig(kind=kind, hidden_units=hidden, learning_rate=rate,
-                              epochs=epochs, seed=draw(st.integers(0, 2**16)))
+        if batch and draw(st.integers(0, 3)) == 0:
+            # an earlier request again, as a new object with a new scale
+            earlier, cfg, _ = draw(st.sampled_from(batch))
+            training_set = TrainingSet(inputs=earlier.inputs.copy(),
+                                       targets=earlier.targets.copy(),
+                                       provenance=earlier.provenance)
+        else:
+            kind, n, length, hidden, epochs, rate = draw(st.sampled_from(keys))
+            training_set = TrainingSet(
+                inputs=rng.normal(size=(n, length)) * draw(st.sampled_from([1.0, 30.0])),
+                targets=rng.normal(size=n),
+                provenance=tuple((int(o) + 1, 0.0) for o in rng.permutation(n)),
+            )
+            cfg = PredictorConfig(kind=kind, hidden_units=hidden, learning_rate=rate,
+                                  epochs=epochs, seed=draw(st.integers(0, 2**16)))
         batch.append((training_set, cfg, MinMaxScale(0.0, float(len(batch) + 1))))
     return batch
+
+
+def assert_matches_lone_training(training_set, cfg, scale, result):
+    """``result`` equals the frozen trainer run alone: weights and loss
+    curve, or the epoch its loss became non-finite; every other field is
+    the config's or the scale's. GRNN models store their pairs."""
+    try:
+        old = ((np.concatenate([training_set.inputs.ravel(), training_set.targets]),
+                np.zeros(0)) if cfg.kind == "GRNN" else legacy.train(training_set, cfg))
+    except ValueError as err:
+        assert isinstance(result, TrainingDivergedError)
+        assert (result.epoch, result.learning_rate) == (err.args[0], cfg.learning_rate)
+        assert str(result) == str(TrainingDivergedError(cfg.kind, result.epoch,
+                                                        cfg.learning_rate))
+        return
+    assert isinstance(result, TrainedModel)
+    assert np.array_equal(result.weights, old[0])
+    assert np.array_equal(result.training_loss_curve, old[1])
+    assert (result.kind, result.input_length, result.hidden_units, result.grnn_sigma,
+            result.scale) == (cfg.kind, training_set.input_length, cfg.hidden_units,
+                              cfg.grnn_sigma, scale)
 
 
 class TestTrainManyOracle:
     @settings(deadline=None, max_examples=150)
     @given(model_batches())
     def test_matches_lone_training(self, batch):
-        """Each model of one ``train_many`` call equals the frozen trainer
-        run alone: weights and loss curve, or the epoch its loss became
-        non-finite; every other field is the config's or the scale's. GRNN
-        models store their pairs."""
+        """Each model of one ``train_many`` call, repeated requests
+        included, equals the frozen trainer run alone and is an object of
+        its own."""
         results = train_many(*zip(*batch))
         assert len(results) == len(batch)
+        assert len({id(result) for result in results}) == len(results)
         for (training_set, cfg, scale), result in zip(batch, results):
-            try:
-                old = ((np.concatenate([training_set.inputs.ravel(), training_set.targets]),
-                        np.zeros(0)) if cfg.kind == "GRNN" else legacy.train(training_set, cfg))
-            except ValueError as err:
-                assert isinstance(result, TrainingDivergedError)
-                assert (result.epoch, result.learning_rate) == (err.args[0], cfg.learning_rate)
-                assert str(result) == str(TrainingDivergedError(cfg.kind, result.epoch,
-                                                                cfg.learning_rate))
-                continue
-            assert isinstance(result, TrainedModel)
-            assert np.array_equal(result.weights, old[0])
-            assert np.array_equal(result.training_loss_curve, old[1])
-            assert (result.kind, result.input_length, result.hidden_units, result.grnn_sigma,
-                    result.scale) == (cfg.kind, training_set.input_length, cfg.hidden_units,
-                                      cfg.grnn_sigma, scale)
+            assert_matches_lone_training(training_set, cfg, scale, result)
+
+    @settings(deadline=None, max_examples=10)
+    @given(st.integers(1, 10), st.sampled_from([1.0, 1e3]), st.integers(0, 2**32 - 1))
+    def test_bpnn_group_at_production_shape(self, k, scale, seed):
+        """A BPNN group of up to 10 models at n = 128, L = H = 8, the shape
+        of the slow components' group of the golden benchmark; inputs
+        scaled by 1e3 drive the sigmoid deep into both tails."""
+        rng = np.random.default_rng(seed)
+        sets = [TrainingSet(inputs=rng.uniform(0.0, 1.0, (128, 8)) * scale,
+                            targets=rng.uniform(0.0, 1.0, 128),
+                            provenance=tuple((o + 1, 0.0) for o in range(128)))
+                for _ in range(k)]
+        cfgs = [PredictorConfig(kind="BPNN", hidden_units=8, epochs=12, seed=int(s))
+                for s in rng.integers(0, 2**16, k)]
+        for training_set, cfg, model in zip(sets, cfgs, train_many(sets, cfgs)):
+            assert_matches_lone_training(training_set, cfg, None, model)
+
+    def test_equal_requests_descend_once(self, monkeypatch):
+        """Two equal requests of one group, and an ENN pair whose inputs
+        and targets are equal but whose provenance orders them differently:
+        the equal BPNN requests reach ``_descend`` as one stacked model and
+        come back as two models with their own scales; the ENN pair
+        descends as two."""
+        stacked = []
+
+        def spy(kind, flat, *args):
+            stacked.append((kind, flat.shape[0]))
+            return _descend(kind, flat, *args)
+
+        monkeypatch.setattr(predictors, "_descend", spy)
+        rng = np.random.default_rng(7)
+        inputs, targets = rng.normal(size=(6, 3)), rng.normal(size=6)
+        forward = TrainingSet(inputs=inputs, targets=targets,
+                              provenance=tuple((o + 1, 0.0) for o in range(6)))
+        backward = TrainingSet(inputs=inputs, targets=targets,
+                               provenance=tuple((6 - o, 0.0) for o in range(6)))
+        bpnn = PredictorConfig(kind="BPNN", hidden_units=4, epochs=30, seed=3)
+        enn = PredictorConfig(kind="ENN", hidden_units=4, epochs=30, seed=3)
+        batch = [(forward, bpnn, MinMaxScale(0.0, 1.0)), (backward, bpnn, MinMaxScale(0.0, 2.0)),
+                 (forward, enn, MinMaxScale(0.0, 3.0)), (backward, enn, MinMaxScale(0.0, 4.0))]
+        results = train_many(*zip(*batch))
+        assert stacked == [("BPNN", 1), ("ENN", 2)]
+        for (training_set, cfg, scale), result in zip(batch, results):
+            assert_matches_lone_training(training_set, cfg, scale, result)
+        assert results[0].weights is not results[1].weights
+        assert np.array_equal(results[0].weights, results[1].weights)
+        assert not np.array_equal(results[2].weights, results[3].weights)
 
     def test_diverged_mate_leaves_the_group_without_warning(self, recwarn):
         """Two models of one group, for each gradient-trained kind: the

@@ -31,10 +31,15 @@ updates the parameters in place. A group descends each distinct request
 stacked product is the BLAS call a lone model makes, so every model comes
 out bit for bit as if trained alone; ``train`` is the one-model call. A
 model whose loss turns non-finite runs on to the last epoch and is
-reported diverged at that epoch. The BPNN epoch and the shared readout
-write every temporary into buffers built once per group. The ENN context
+reported diverged at that epoch.
+
+Each epoch costs a fixed sequence of numpy calls, so the loop is built to
+make few of them. The BPNN and ENN epochs and the shared readout write
+every temporary into buffers built once per group, and the ENN context
 recurrence runs model by model on buffers built once, after one stacked
-input projection per epoch (``_enn_context``).
+input projection per epoch (``_enn_context``). An epoch writes its
+residuals into one row of a block of ``_BLOCK`` epochs, and the loss
+curves are reduced once per block, not once per epoch.
 """
 
 from __future__ import annotations
@@ -133,8 +138,8 @@ def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def _morlet(u: np.ndarray) -> np.ndarray:
-    return np.cos(1.75 * u) * np.exp(-0.5 * u * u)
+def _morlet(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.multiply(np.cos(1.75 * u), np.exp(-0.5 * u * u), out=out)
 
 
 def _morlet_deriv(u: np.ndarray) -> np.ndarray:
@@ -186,42 +191,70 @@ def _init_params(cfg: PredictorConfig, l: int) -> np.ndarray:
 # Loss and gradients (full batch, mean squared error) of K stacked models.
 # Parameter views ``p`` and gradient views ``g`` lead with the model axes of
 # the buffer, ``x`` is (..., n, L) and ``y`` is (..., n). Each ``*_loss_grad``
-# builds its broadcast views once and returns ``loss_grad()``, which reads
-# ``p``, writes the gradient into ``g`` and returns the losses. Every stacked
-# item of a ``matmul`` is the BLAS call a single model makes (a
-# matrix-vector product keeps a trailing unit axis, so it stays a GEMV), and
-# every reduction runs over one model's axis in one model's order, so a
-# model's bits do not depend on its group-mates. ``np.add.reduce`` is the
-# reduction ``np.sum`` and ``np.mean`` run, without their Python-level
-# dispatch.
+# builds its broadcast views and buffers once and returns ``loss_grad(err)``,
+# which reads ``p``, writes the gradient into ``g`` and the residual
+# (prediction - target) into ``err``, an (..., n) array; the loss is
+# ``_mse(err)``. Every stacked item of a ``matmul`` is the BLAS call a single
+# model makes (a matrix-vector product keeps a trailing unit axis, so it
+# stays a GEMV), and every reduction runs over one model's axis in one
+# model's order, so a model's bits do not depend on its group-mates.
+# ``np.add.reduce`` is the reduction ``np.sum`` and ``np.mean`` run, without
+# their Python-level dispatch. The hot closures bind their numpy functions
+# to locals and pass ``out`` positionally, except to ``np.minimum``, where
+# numpy 2.4 deprecates it; constants are 0-d arrays, because a Python float
+# costs every ufunc call a conversion.
 # ---------------------------------------------------------------------------
+
+_BLOCK = 64  # epochs whose residuals ``_descend`` keeps per loss-curve reduction
+
+_zero, _one, _minus_one, _two = (np.array(value) for value in (0.0, 1.0, -1.0, 2.0))
+
 
 def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _unrolled_sigmoid(shape: tuple) -> Callable:
+    """``sigmoid(z, out)``: ``exp(min(z, 0)) / (1 + exp(-|z|))`` with both
+    exps in one call on a (2, *shape) scratch built here, once. It is
+    ``_sigmoid`` bit for bit on every non-NaN z."""
+    scratch = np.empty((2,) + shape)
+    low, tail = scratch  # min(z, 0) and -|z|, exponentiated together in place
+    add, minimum, copysign, exp, divide = np.add, np.minimum, np.copysign, np.exp, np.divide
+
+    def sigmoid(z: np.ndarray, out: np.ndarray) -> None:
+        minimum(z, _zero, out=low)
+        copysign(z, _minus_one, tail)
+        exp(scratch, scratch)
+        add(tail, _one, tail)
+        divide(low, tail, out)
+
+    return sigmoid
+
+
 def _readout(v: np.ndarray, c: np.ndarray, gv: np.ndarray, gc: np.ndarray,
-             y: np.ndarray) -> Callable:
-    """``grad(hidden)``: the error and scaled error ``e`` of the linear
-    readout ``hidden @ v + c``, its gradient written into ``gv`` and
-    ``gc``. The error and ``e`` are buffers built once, which the next call
-    overwrites."""
-    v, gv, gc = v[..., None], gv[..., None], gc[..., 0]
-    out, err, e = np.empty(y.shape + (1,)), np.empty(y.shape), np.empty(y.shape)
+             y: np.ndarray, hidden: np.ndarray) -> tuple:
+    """``(grad, e)``: ``grad(err)`` writes the residual of the linear
+    readout ``hidden @ v + c`` into ``err``, the scaled error into the
+    buffer ``e`` and the readout's gradient into ``gv`` and ``gc``, for the
+    current contents of the buffer ``hidden``."""
+    v, gv, gc, hidden_t = v[..., None], gv[..., None], gc[..., 0], _t(hidden)
+    out, e = np.empty(y.shape + (1,)), np.empty(y.shape)
     projected, column = out[..., 0], e[..., None]
-    two, n = np.array(2.0), np.array(float(y.shape[-1]))  # a Python number costs a conversion
+    n = np.array(float(y.shape[-1]))
+    matmul, add, subtract, multiply, divide = (
+        np.matmul, np.add, np.subtract, np.multiply, np.divide)
 
-    def grad(hidden: np.ndarray) -> tuple:
-        np.matmul(hidden, v, out=out)
-        np.add(projected, c, out=err)
-        np.subtract(err, y, out=err)
-        np.multiply(err, two, out=e)
-        np.divide(e, n, out=e)
-        np.add.reduce(e, axis=-1, out=gc)
-        np.matmul(_t(hidden), column, out=gv)
-        return err, e
+    def grad(err: np.ndarray) -> None:
+        matmul(hidden, v, out)
+        add(projected, c, err)
+        subtract(err, y, err)
+        multiply(err, _two, e)
+        divide(e, n, e)
+        add.reduce(e, -1, None, gc)
+        matmul(hidden_t, column, gv)
 
-    return grad
+    return grad, e
 
 
 def _mse(err: np.ndarray) -> np.ndarray:
@@ -235,38 +268,27 @@ def _bpnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
 
 def _bpnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
     """Every temporary is built here, once, as a C-contiguous (..., n, H)
-    array, so a call writes through ``out=`` and allocates only the loss.
-    The sigmoid is ``_enn_context``'s unrolled form, ``_sigmoid`` bit for
-    bit on every non-NaN z, with both exps in one call."""
+    array, so a call writes through ``out`` and allocates nothing."""
     w1, b1, w2 = _t(p["W1"]), p["b1"][..., None, :], p["w2"][..., None, :]
     gw1, gb1 = g["W1"], g["b1"]
-    readout = _readout(p["w2"], p["b2"], g["w2"], g["b2"], y)
     shape = x.shape[:-1] + w1.shape[-1:]
     z, a, dz, complement = (np.empty(shape) for _ in range(4))
-    scratch = np.empty((2,) + shape)
-    low, tail = scratch  # min(z, 0) and -|z|, exponentiated together in place
-    dz_t = _t(dz)
-    zero, one, minus_one = np.array(0.0), np.array(1.0), np.array(-1.0)
-    matmul, add, subtract, multiply, minimum, copysign, exp, divide = (
-        np.matmul, np.add, np.subtract, np.multiply, np.minimum, np.copysign, np.exp,
-        np.divide)
+    sigmoid = _unrolled_sigmoid(shape)
+    readout, e = _readout(p["w2"], p["b2"], g["w2"], g["b2"], y, a)
+    column, dz_t = e[..., None], _t(dz)
+    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
 
-    def loss_grad() -> np.ndarray:
-        matmul(x, w1, out=z)
-        add(z, b1, out=z)
-        minimum(z, zero, out=low)
-        copysign(z, minus_one, out=tail)
-        exp(scratch, out=scratch)
-        add(tail, one, out=tail)
-        divide(low, tail, out=a)
-        err, e = readout(a)
-        multiply(e[..., None], w2, out=dz)
-        multiply(dz, a, out=dz)
-        subtract(one, a, out=complement)
-        multiply(dz, complement, out=dz)
-        matmul(dz_t, x, out=gw1)
-        add.reduce(dz, axis=-2, out=gb1)
-        return _mse(err)
+    def loss_grad(err: np.ndarray) -> None:
+        matmul(x, w1, z)
+        add(z, b1, z)
+        sigmoid(z, a)
+        readout(err)
+        multiply(column, w2, dz)
+        multiply(dz, a, dz)
+        subtract(_one, a, complement)
+        multiply(dz, complement, dz)
+        matmul(dz_t, x, gw1)
+        add.reduce(dz, -2, None, gb1)
 
     return loss_grad
 
@@ -278,11 +300,13 @@ def _wnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
 
 def _wnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
     w, t, d, v = _t(p["W"]), p["t"][..., None, :], p["d"][..., None, :], p["v"][..., None, :]
-    readout = _readout(p["v"], p["c"], g["v"], g["c"], y)
+    psi = np.empty(x.shape[:-1] + w.shape[-1:])
+    readout, e = _readout(p["v"], p["c"], g["v"], g["c"], y, psi)
 
-    def loss_grad() -> np.ndarray:
+    def loss_grad(err: np.ndarray) -> None:
         u = (np.matmul(x, w) - t) / d
-        err, e = readout(_morlet(u))
+        _morlet(u, psi)
+        readout(err)
         du = (e[..., None] * v) * _morlet_deriv(u)
         du_scaled = du / d
         np.matmul(_t(du_scaled), x, out=g["W"])
@@ -290,7 +314,6 @@ def _wnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
         # negative to the wrong elements when the stride is 64 bytes (P = 8)
         g["t"][...] = np.negative(np.add.reduce(du_scaled, axis=-2))
         np.add.reduce(du * (-u / d), axis=-2, out=g["d"])
-        return _mse(err)
 
     return loss_grad
 
@@ -303,34 +326,32 @@ def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> Callable:
     projections of all pairs are one stacked ``matmul`` with a trailing unit
     axis: per pair the GEMV ``np.dot(Wx, x[t])`` makes, with its bits (at
     L = H = 1 a zero may change sign; the sigmoid maps both zeros to 0.5).
-    Each step then computes ``(Wx x[t] + Wh c[t]) + b`` and the sigmoid
-    unrolled as ``exp(min(z, 0)) / (1 + exp(-|z|))``, which is ``_sigmoid``
-    bit for bit on every non-NaN z, with both exps in one call. A stacked
-    recurrence over K models is bit-identical but slower for a lone model.
+    Each step then computes ``Wh c[t]`` with the bound ``Wh.dot``, the same
+    GEMV as ``np.dot`` without its dispatcher, ``(Wx x[t] + Wh c[t]) + b``,
+    and ``_unrolled_sigmoid`` inline. A stacked recurrence over K models is
+    bit-identical but slower for a lone model.
     """
-    wx, wh, b = p["Wx"], p["Wh"], p["b"]
+    wx, b = p["Wx"], p["b"]
     h = b.size
     xs, proj = x[:-1, :, None], np.empty((x.shape[0] - 1, h, 1))
     u, v, scratch = np.empty(h), np.empty(h), np.empty((2, h))
     low, tail = scratch  # min(z, 0) and -|z|, exponentiated together in place
-    # array operands: a Python float costs each ufunc call a conversion
-    zero, one, minus_one = np.zeros(h), np.ones(h), np.full(h, -1.0)
     contexts[0] = 0.0
     steps = list(zip(proj[..., 0], contexts[:-1], contexts[1:]))
-    matmul, dot, add, minimum, copysign, exp, divide = (
-        np.matmul, np.dot, np.add, np.minimum, np.copysign, np.exp, np.divide)
+    dot, matmul, add, minimum, copysign, exp, divide = (
+        p["Wh"].dot, np.matmul, np.add, np.minimum, np.copysign, np.exp, np.divide)
 
     def fill() -> None:
-        matmul(wx, xs, out=proj)
+        matmul(wx, xs, proj)
         for projected, context, following in steps:
-            dot(wh, context, out=v)
-            add(projected, v, out=u)
-            add(u, b, out=u)
-            minimum(u, zero, out=low)
-            copysign(u, minus_one, out=tail)
-            exp(scratch, out=scratch)
-            add(tail, one, out=tail)
-            divide(low, tail, out=following)
+            dot(context, v)
+            add(projected, v, u)
+            add(u, b, u)
+            minimum(u, _zero, out=low)
+            copysign(u, _minus_one, tail)
+            exp(scratch, scratch)
+            add(tail, _one, tail)
+            divide(low, tail, following)
 
     return fill
 
@@ -338,29 +359,44 @@ def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> Callable:
 def _enn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray,
                    contexts: np.ndarray, fill: Callable) -> Callable:
     """One-step-truncated gradient: the carried ``contexts``, which
-    ``fill()`` recomputes at the start of each call, are data."""
+    ``fill()`` recomputes at the start of each call, are data. Like the
+    BPNN epoch, every temporary is a C-contiguous (..., n, H) buffer built
+    once."""
     wx, wh, b, v = _t(p["Wx"]), _t(p["Wh"]), p["b"][..., None, :], p["v"][..., None, :]
-    readout = _readout(p["v"], p["c"], g["v"], g["c"], y)
+    gwx, gwh, gb = g["Wx"], g["Wh"], g["b"]
+    shape = contexts.shape
+    s, recurrent, hid, ds, complement = (np.empty(shape) for _ in range(5))
+    sigmoid = _unrolled_sigmoid(shape)
+    readout, e = _readout(p["v"], p["c"], g["v"], g["c"], y, hid)
+    column, ds_t = e[..., None], _t(ds)
+    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
 
-    def loss_grad() -> np.ndarray:
+    def loss_grad(err: np.ndarray) -> None:
         fill()
-        hid = _sigmoid(np.matmul(x, wx) + np.matmul(contexts, wh) + b)
-        err, e = readout(hid)
-        ds = (e[..., None] * v) * hid * (1.0 - hid)
-        np.matmul(_t(ds), x, out=g["Wx"])
-        np.matmul(_t(ds), contexts, out=g["Wh"])
-        np.add.reduce(ds, axis=-2, out=g["b"])
-        return _mse(err)
+        matmul(x, wx, s)
+        matmul(contexts, wh, recurrent)
+        add(s, recurrent, s)
+        add(s, b, s)
+        sigmoid(s, hid)
+        readout(err)
+        multiply(column, v, ds)
+        multiply(ds, hid, ds)
+        subtract(_one, hid, complement)
+        multiply(ds, complement, ds)
+        matmul(ds_t, x, gwx)
+        matmul(ds_t, contexts, gwh)
+        add.reduce(ds, -2, None, gb)
 
     return loss_grad
 
 
 def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
                y: np.ndarray, l: int, h: int, frozen: bool = False) -> Callable:
-    """``loss()`` at the current contents of ``flat`` (one model, or K
-    stacked along the leading axes); each call also writes the gradient into
-    ``grad``. ENN recomputes every model's context trajectory on every call,
-    unless ``frozen`` fixes it at the current ``flat``."""
+    """``loss_grad(err)`` at the current contents of ``flat`` (one model,
+    or K stacked along the leading axes); each call writes the gradient
+    into ``grad`` and the residual into ``err``. ENN recomputes every
+    model's context trajectory on every call, unless ``frozen`` fixes it at
+    the current ``flat``."""
     p, g = _views(kind, flat, l, h), _views(kind, grad, l, h)
     if kind == "BPNN":
         return _bpnn_loss_grad(p, g, x, y)
@@ -396,18 +432,32 @@ def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
     curve), or the first epoch whose loss is non-finite. A diverged model
     runs on in the stack to the last epoch, on non-finite weights; a
     model's bits never depend on its group-mates, so it costs them nothing
-    but time."""
-    curves = np.empty((flat.shape[0], epochs + 1))
+    but time.
+
+    Epoch e writes its residuals into row e % ``_BLOCK`` of a (``_BLOCK``,
+    K, n) buffer, and one ``_mse`` per block of epochs fills the loss
+    curves: a reduction over the last axis sums each (epoch, model) row
+    pairwise as it sums one model's (n,) residual, so the curves keep their
+    bits."""
+    stop = epochs + 1
+    curves = np.empty((flat.shape[0], stop))
     grad, step = np.empty_like(flat), np.empty_like(flat)
+    residuals = np.empty((min(_BLOCK, stop),) + y.shape)
+    rows = list(residuals)
+    rate = np.array(learning_rate)
     loss_grad = _objective(kind, flat, grad, x, y, l, h)
+    multiply, subtract = np.multiply, np.subtract
     # divergence overflows on the way, and a diverged model's inf and nan
     # weights make invalid operations; its loss curve reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs + 1):
-            curves[:, epoch] = loss_grad()
-            if epoch < epochs:
-                np.multiply(grad, learning_rate, out=step)
-                np.subtract(flat, step, out=flat)
+        loss_grad(rows[0])
+        for start in range(0, stop, _BLOCK):
+            m = min(_BLOCK, stop - start)
+            for err in rows[start == 0 : m]:  # epoch 0 took row 0 before any step
+                multiply(grad, rate, step)
+                subtract(flat, step, flat)
+                loss_grad(err)
+            curves[:, start : start + m] = _mse(residuals[:m]).T
     outcomes = []
     for weights, curve in zip(flat, curves):
         diverged = np.flatnonzero(~np.isfinite(curve))
@@ -440,8 +490,18 @@ def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorCon
         the :class:`TrainingDivergedError` that :func:`train` raises for
         that model. A diverged model records its own epoch; its group-mates
         train on untouched.
+
+    Raises
+    ------
+    ValueError
+        If the training sets, configs and scales differ in number.
     """
-    scales = [None] * len(cfgs) if scales is None else scales
+    scales = [None] * len(training_sets) if scales is None else scales
+    if not len(training_sets) == len(cfgs) == len(scales):
+        raise ValueError(
+            f"train_many takes one config and one scale per training set, got "
+            f"{len(training_sets)} training sets, {len(cfgs)} configs and {len(scales)} scales"
+        )
     fitted, groups = [None] * len(cfgs), {}
     for i, (training_set, cfg) in enumerate(zip(training_sets, cfgs)):
         if cfg.kind == "GRNN":
@@ -507,16 +567,19 @@ def _grnn_predict(p: dict, x: np.ndarray, sigma: float) -> float:
     return float(w @ p["targets"] / w.sum())
 
 
-def _checked_input(model: TrainedModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_length,):
+def _checked(values, length: int, name: str, size_name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (length,):
         raise ValueError(
-            f"input length {x.shape} does not match model input length "
-            f"({model.input_length},)"
+            f"{name} length {values.shape} does not match model {size_name} ({length},)"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
-    return x
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} contains non-finite values")
+    return values
+
+
+def _checked_input(model: TrainedModel, x) -> np.ndarray:
+    return _checked(x, model.input_length, "input", "input length")
 
 
 def _enn_hidden(p: dict, x: np.ndarray, context: np.ndarray) -> np.ndarray:
@@ -528,8 +591,14 @@ def predict(model: TrainedModel, x, context: Optional[np.ndarray] = None) -> flo
 
     ENN context starts at zero unless an explicit session context is given
     (see :class:`ForecastSession`), so independent calls never interfere.
+    A context must be finite and hold one value per hidden unit; the other
+    kinds take none.
     """
     x = _checked_input(model, x)
+    if context is not None:
+        if model.kind != "ENN":
+            raise ValueError(f"{model.kind} models take no context; only ENN carries one")
+        context = _checked(context, model.hidden_units, "context", "hidden units")
     p = _views(model.kind, model.weights, model.input_length, model.hidden_units,
                model._grnn_pairs())
     if model.kind == "GRNN":
@@ -579,17 +648,20 @@ def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
     flat = _init_params(cfg, training_set.input_length)
     grad = np.empty_like(flat)
     x, y = _pairs(cfg.kind, training_set)
+    residual = np.empty(y.shape)
     loss_grad = _objective(cfg.kind, flat, grad, x, y, training_set.input_length,
                            cfg.hidden_units, frozen=True)
-    loss_grad()
+    loss_grad(residual)
     analytic = grad.copy()
     numeric = np.empty_like(analytic)
     for i in range(flat.size):
         centre = flat[i]
         flat[i] = centre + step
-        hi = loss_grad()
+        loss_grad(residual)
+        hi = _mse(residual)
         flat[i] = centre - step
-        lo = loss_grad()
+        loss_grad(residual)
+        lo = _mse(residual)
         flat[i] = centre
         numeric[i] = (hi - lo) / (2.0 * step)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)

@@ -14,6 +14,7 @@ from modecast.predictors import (
     predict,
     save_model,
     train,
+    train_many,
 )
 
 
@@ -138,6 +139,18 @@ class TestTraining:
         with pytest.raises(ValueError):
             make_set(np.zeros((0, 2)), [])
 
+    @pytest.mark.parametrize("sets, cfgs, scales, counts", [
+        (2, 1, None, "2 training sets, 1 configs and 2 scales"),
+        (2, 2, 1, "2 training sets, 2 configs and 1 scales"),
+        (1, 2, 2, "1 training sets, 2 configs and 2 scales"),
+        (1, 1, 0, "1 training sets, 1 configs and 0 scales"),
+    ], ids=["few-configs", "few-scales", "few-sets", "no-scales"])
+    def test_train_many_names_mismatched_counts(self, sets, cfgs, scales, counts):
+        ts = random_set(np.random.default_rng(15))
+        cfg = PredictorConfig(kind="BPNN", epochs=5)
+        with pytest.raises(ValueError, match=counts):
+            train_many([ts] * sets, [cfg] * cfgs, None if scales is None else [None] * scales)
+
 
 class TestPredict:
     def test_repeated_calls_identical(self):
@@ -167,6 +180,28 @@ class TestPredict:
         assert second_with_context != predict(model, x2)
         fresh = ForecastSession(model)
         assert fresh.step(x1) == first
+
+    @pytest.mark.parametrize("context, message", [
+        ([0.1, np.nan, 0.2, 0.3], "context contains non-finite values"),
+        ([0.1, 0.2, 0.3, np.inf], "context contains non-finite values"),
+        ([0.1, 0.2, 0.3], r"context length \(3,\) does not match model hidden units \(4,\)"),
+        ([[0.1, 0.2, 0.3, 0.4]], r"context length \(1, 4\) does not match"),
+    ], ids=["nan", "inf", "short", "2-d"])
+    def test_enn_context_is_checked(self, context, message):
+        rng = np.random.default_rng(16)
+        model = train(random_set(rng), PredictorConfig(kind="ENN", hidden_units=4, epochs=10))
+        with pytest.raises(ValueError, match=message):
+            predict(model, [0.1, 0.2, 0.3], context=context)
+        # a list of the right length is the array it holds
+        assert (predict(model, [0.1, 0.2, 0.3], context=[0.1, 0.2, 0.3, 0.4])
+                == predict(model, [0.1, 0.2, 0.3], context=np.array([0.1, 0.2, 0.3, 0.4])))
+
+    @pytest.mark.parametrize("kind", ["BPNN", "WNN", "GRNN"])
+    def test_context_rejected_for_kinds_without_one(self, kind):
+        rng = np.random.default_rng(17)
+        model = train(random_set(rng), PredictorConfig(kind=kind, hidden_units=4, epochs=10))
+        with pytest.raises(ValueError, match=f"{kind} models take no context"):
+            predict(model, [0.1, 0.2, 0.3], context=np.zeros(4))
 
     @pytest.mark.parametrize("kind", ["BPNN", "WNN", "ENN", "GRNN"])
     def test_session_rejects_non_finite_input(self, kind):

@@ -12,6 +12,7 @@ from modecast import predictors
 from modecast.core import MinMaxScale
 from modecast.grouping import TrainingSet
 from modecast.predictors import (
+    _BLOCK,
     ForecastSession,
     PredictorConfig,
     TrainedModel,
@@ -19,6 +20,7 @@ from modecast.predictors import (
     _descend,
     _enn_context,
     _init_params,
+    _mse,
     _objective,
     _sigmoid,
     _views,
@@ -101,7 +103,9 @@ class TestTrainerOracle:
         flat = _init_params(cfg, l)
         assert np.array_equal(flat, legacy._init_params(cfg, l))
         grad = np.full_like(flat, np.nan)
-        loss = _objective(kind, flat, grad, x, y, l, h, frozen=frozen)()
+        err = np.full_like(y, np.nan)
+        _objective(kind, flat, grad, x, y, l, h, frozen=frozen)(err)
+        loss = _mse(err)
         kwargs = {}
         if kind == "ENN":
             contexts = legacy._enn_context(legacy._unpack(kind, flat, l, h), x)
@@ -183,7 +187,7 @@ class TestEnnContextOracle:
             assert np.array_equal(model.training_loss_curve, old_curve)
 
 
-def _unrolled_sigmoid(z):
+def _recurrence_sigmoid(z):
     """The sigmoid inside ``_enn_context``, fed ``z`` as the bias of a
     one-step recurrence whose weights are zero: the pre-activation is
     ``(0 + 0) + z``, which is ``z`` bit for bit, except that -0 becomes +0
@@ -195,23 +199,33 @@ def _unrolled_sigmoid(z):
     return contexts[1]
 
 
+def _batch_sigmoid(z):
+    """The sigmoid of the BPNN and ENN batch epochs."""
+    out = np.empty_like(z)
+    predictors._unrolled_sigmoid(z.shape)(z, out)
+    return out
+
+
 class TestUnrolledSigmoid:
     EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2,
              np.nan, -np.nan]
 
     def test_edges(self):
         z = np.array(self.EDGES)
-        assert _same_floats(_unrolled_sigmoid(z), _sigmoid(z))
+        assert _same_floats(_recurrence_sigmoid(z), _sigmoid(z))
+        assert _same_floats(_batch_sigmoid(z), _sigmoid(z))
 
     @given(st.sampled_from([0.1, 1.0, 10.0, 100.0, 800.0]), st.integers(0, 2**32 - 1))
     def test_normal_draws_at_scale(self, scale, seed):
         z = np.random.default_rng(seed).normal(size=64) * scale
-        assert _same_floats(_unrolled_sigmoid(z), _sigmoid(z))
+        assert _same_floats(_recurrence_sigmoid(z), _sigmoid(z))
+        assert _same_floats(_batch_sigmoid(z), _sigmoid(z))
 
     @given(arrays(np.float64, st.integers(1, 40),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
     def test_any_float(self, z):
-        assert _same_floats(_unrolled_sigmoid(z), _sigmoid(z))
+        assert _same_floats(_recurrence_sigmoid(z), _sigmoid(z))
+        assert _same_floats(_batch_sigmoid(z), _sigmoid(z))
 
 
 @st.composite
@@ -347,3 +361,39 @@ class TestTrainManyOracle:
                 legacy.train(wild, cfg)
             assert diverged.epoch == err.value.args[0] == 2
         assert not recwarn.list
+
+
+class TestLossCurveBlocks:
+    """``_descend`` reduces the loss curve once per ``_BLOCK`` epochs: runs
+    that end just before, on and just after a block edge, and one block
+    later, match the frozen trainer alone and in a group, and a model that
+    diverges in the second block reports its own epoch."""
+
+    @pytest.mark.parametrize("kind", ["BPNN", "WNN", "ENN"])
+    @pytest.mark.parametrize("epochs", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_lone_and_grouped_match(self, kind, epochs):
+        rng = np.random.default_rng(epochs)
+        sets = [TrainingSet(inputs=rng.normal(size=(5, 3)), targets=rng.normal(size=5),
+                            provenance=tuple((int(o) + 1, 0.0) for o in rng.permutation(5)))
+                for _ in range(3)]
+        cfgs = [PredictorConfig(kind=kind, hidden_units=3, learning_rate=0.1, epochs=epochs,
+                                seed=seed) for seed in (1, 2, 3)]
+        assert_matches_lone_training(sets[0], cfgs[0], None, train_many(sets[:1], cfgs[:1])[0])
+        for training_set, cfg, result in zip(sets, cfgs, train_many(sets, cfgs)):
+            assert_matches_lone_training(training_set, cfg, None, result)
+
+    @pytest.mark.parametrize("kind, rate", [("BPNN", 3.0), ("WNN", 10.0), ("ENN", 3.0)])
+    def test_divergence_after_the_first_block(self, kind, rate):
+        calm = TrainingSet(inputs=[[0.1, 0.2], [0.3, 0.1]], targets=[0.2, 0.4],
+                           provenance=((1, 0.0), (2, 0.0)))
+        wild = TrainingSet(inputs=[[0.5, -0.5], [2.0, 0.5]], targets=[1e50, 1e50],
+                           provenance=((1, 0.0), (2, 0.0)))
+        cfg = PredictorConfig(kind=kind, hidden_units=2, learning_rate=rate,
+                              epochs=2 * _BLOCK + 1)
+        with pytest.raises(ValueError) as err:
+            legacy.train(wild, cfg)
+        assert _BLOCK < err.value.args[0] < 2 * _BLOCK
+        for batch in ([wild], [calm, wild], [wild, calm]):
+            for training_set, result in zip(batch, train_many(batch, [cfg] * len(batch))):
+                assert_matches_lone_training(training_set, cfg, None, result)
+

@@ -83,7 +83,10 @@ class _Count(argparse.Action):
 
 def _write_atomic(path: Path, write: Callable) -> None:
     """``write(fh)`` into a temporary file beside ``path``, moved onto it when done."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file where a directory should be, say
+        raise ConfigError(f"cannot create output directory {path.parent}: {exc.strerror}") from exc
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
@@ -217,6 +220,8 @@ def _load_config(path: str, schema: dict) -> dict:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"cannot read config {p}: {exc.strerror}") from exc
     _check(doc, schema, "config")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, "

@@ -7,14 +7,15 @@ BPNN : one sigmoid hidden layer, linear output, full-batch gradient descent.
 WNN  : same topology with a Morlet wavelet activation
        psi(u) = cos(1.75 u) * exp(-u^2 / 2) and per-unit translation and
        dilation, trained by the same descent.
-ENN  : Elman network; context units copy the previous hidden state, pairs
-       are presented in source-offset order and gradients are truncated to
-       one step (the carried context is treated as data).
+ENN  : Elman network: the BPNN layer fed the window and the context units,
+       which copy the previous hidden state. Pairs are presented in
+       source-offset order and gradients are truncated to one step (the
+       carried context is treated as data).
 GRNN : Nadaraya-Watson kernel regressor over stored pairs; no iterative
        training.
 
 Flat weight layouts (row-major, L = input length, H = hidden units, n = pairs)
-    BPNN: [W1 (H*L), b1 (H), w2 (H), b2 (1)]
+    BPNN: [W (H*L), b (H), v (H), c (1)]
     WNN:  [W (H*L), t (H), d (H), v (H), c (1)]
     ENN:  [Wx (H*L), Wh (H*H), b (H), v (H), c (1)]
     GRNN: [inputs (n*L), targets (n)]
@@ -34,12 +35,13 @@ model whose loss turns non-finite runs on to the last epoch and is
 reported diverged at that epoch.
 
 Each epoch costs a fixed sequence of numpy calls, so the loop is built to
-make few of them. The BPNN and ENN epochs and the shared readout write
-every temporary into buffers built once per group, and the ENN context
-recurrence runs model by model on buffers built once, after one stacked
-input projection per epoch (``_enn_context``). An epoch writes its
-residuals into one row of a block of ``_BLOCK`` epochs, and the loss
-curves are reduced once per block, not once per epoch.
+make few of them. The BPNN and ENN epochs (one sigmoid-layer builder,
+``_sigmoid_loss_grad``) and the shared readout write every temporary into
+buffers built once per group, and the ENN context recurrence runs model by
+model on buffers built once, after one stacked input projection per epoch
+(``_enn_context``). An epoch writes its residuals into one row of a block
+of ``_BLOCK`` epochs, and the loss curves are reduced once per block, not
+once per epoch.
 """
 
 from __future__ import annotations
@@ -130,14 +132,6 @@ def weight_count(kind: str, input_length: int, hidden_units: int, n_pairs: int =
     return sum(math.prod(shape) for _, shape in _layout(kind, input_length, hidden_units, n_pairs))
 
 
-def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    # copysign(z, -1) == -|z| is z itself for z < 0, so this is
-    # 1 / (1 + exp(-z)) on z >= 0 and exp(z) / (1 + exp(z)) below, bit for
-    # bit, without masks; exp never overflows
-    e = np.exp(np.copysign(z, -1.0))
-    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
-
-
 def _morlet(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.multiply(np.cos(1.75 * u), np.exp(-0.5 * u * u), out=out)
 
@@ -154,7 +148,7 @@ def _layout(kind: str, l: int, h: int, n: int = 0) -> tuple:
     """The (name, shape) blocks of a kind's flat weight vector, in the order
     of the module docstring."""
     layouts = {
-        "BPNN": (("W1", (h, l)), ("b1", (h,)), ("w2", (h,)), ("b2", (1,))),
+        "BPNN": (("W", (h, l)), ("b", (h,)), ("v", (h,)), ("c", (1,))),
         "WNN": (("W", (h, l)), ("t", (h,)), ("d", (h,)), ("v", (h,)), ("c", (1,))),
         "ENN": (("Wx", (h, l)), ("Wh", (h, h)), ("b", (h,)), ("v", (h,)), ("c", (1,))),
         "GRNN": (("inputs", (n, l)), ("targets", (n,))),
@@ -216,8 +210,9 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 def _unrolled_sigmoid(shape: tuple) -> Callable:
     """``sigmoid(z, out)``: ``exp(min(z, 0)) / (1 + exp(-|z|))`` with both
-    exps in one call on a (2, *shape) scratch built here, once. It is
-    ``_sigmoid`` bit for bit on every non-NaN z."""
+    exps in one call on a (2, *shape) scratch built here, once. That is
+    ``1 / (1 + exp(-z))`` on z >= 0 and ``exp(z) / (1 + exp(z))`` below, bit
+    for bit on every non-NaN z, and no exp overflows."""
     scratch = np.empty((2,) + shape)
     low, tail = scratch  # min(z, 0) and -|z|, exponentiated together in place
     add, minimum, copysign, exp, divide = np.add, np.minimum, np.copysign, np.exp, np.divide
@@ -230,6 +225,12 @@ def _unrolled_sigmoid(shape: tuple) -> Callable:
         divide(low, tail, out)
 
     return sigmoid
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty(z.shape)
+    _unrolled_sigmoid(z.shape)(z, out)
+    return out
 
 
 def _readout(v: np.ndarray, c: np.ndarray, gv: np.ndarray, gc: np.ndarray,
@@ -262,33 +263,45 @@ def _mse(err: np.ndarray) -> np.ndarray:
 
 
 def _bpnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
-    a = _sigmoid(x @ p["W1"].T + p["b1"])
-    return a @ p["w2"] + p["b2"][0]
+    a = _sigmoid(x @ p["W"].T + p["b"])
+    return a @ p["v"] + p["c"][0]
 
 
-def _bpnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
-    """Every temporary is built here, once, as a C-contiguous (..., n, H)
-    array, so a call writes through ``out`` and allocates nothing."""
-    w1, b1, w2 = _t(p["W1"]), p["b1"][..., None, :], p["w2"][..., None, :]
-    gw1, gb1 = g["W1"], g["b1"]
-    shape = x.shape[:-1] + w1.shape[-1:]
-    z, a, dz, complement = (np.empty(shape) for _ in range(4))
+def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, inputs: tuple,
+                       fill: Callable = lambda: None) -> Callable:
+    """The sigmoid layer ``sigmoid(sum(a @ block.T) + b)`` over the (array
+    ``a``, weight block) pairs of ``inputs``, summed in their order, under
+    the shared readout: BPNN's ``((x, "W"),)`` and ENN's
+    ``((x, "Wx"), (contexts, "Wh"))``. ``fill()`` runs first in each call;
+    ENN's recomputes the carried contexts there, which the gradient treats
+    as data (one-step truncation). Every temporary is built here, once, as
+    a C-contiguous (..., n, H) array, so a call allocates nothing."""
+    b, v, gb = p["b"][..., None, :], p["v"][..., None, :], g["b"]
+    shape = y.shape + b.shape[-1:]
+    s, term, hid, ds, complement = (np.empty(shape) for _ in range(5))
+    (first, w), *rest = [(a, _t(p[name])) for a, name in inputs]
+    grads = [(a, g[name]) for a, name in inputs]
     sigmoid = _unrolled_sigmoid(shape)
-    readout, e = _readout(p["w2"], p["b2"], g["w2"], g["b2"], y, a)
-    column, dz_t = e[..., None], _t(dz)
+    readout, e = _readout(p["v"], p["c"], g["v"], g["c"], y, hid)
+    column, ds_t = e[..., None], _t(ds)
     matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
 
     def loss_grad(err: np.ndarray) -> None:
-        matmul(x, w1, z)
-        add(z, b1, z)
-        sigmoid(z, a)
+        fill()
+        matmul(first, w, s)
+        for a, block in rest:
+            matmul(a, block, term)
+            add(s, term, s)
+        add(s, b, s)
+        sigmoid(s, hid)
         readout(err)
-        multiply(column, w2, dz)
-        multiply(dz, a, dz)
-        subtract(_one, a, complement)
-        multiply(dz, complement, dz)
-        matmul(dz_t, x, gw1)
-        add.reduce(dz, -2, None, gb1)
+        multiply(column, v, ds)
+        multiply(ds, hid, ds)
+        subtract(_one, hid, complement)
+        multiply(ds, complement, ds)
+        for a, grad in grads:
+            matmul(ds_t, a, grad)
+        add.reduce(ds, -2, None, gb)
 
     return loss_grad
 
@@ -356,40 +369,6 @@ def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> Callable:
     return fill
 
 
-def _enn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray,
-                   contexts: np.ndarray, fill: Callable) -> Callable:
-    """One-step-truncated gradient: the carried ``contexts``, which
-    ``fill()`` recomputes at the start of each call, are data. Like the
-    BPNN epoch, every temporary is a C-contiguous (..., n, H) buffer built
-    once."""
-    wx, wh, b, v = _t(p["Wx"]), _t(p["Wh"]), p["b"][..., None, :], p["v"][..., None, :]
-    gwx, gwh, gb = g["Wx"], g["Wh"], g["b"]
-    shape = contexts.shape
-    s, recurrent, hid, ds, complement = (np.empty(shape) for _ in range(5))
-    sigmoid = _unrolled_sigmoid(shape)
-    readout, e = _readout(p["v"], p["c"], g["v"], g["c"], y, hid)
-    column, ds_t = e[..., None], _t(ds)
-    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
-
-    def loss_grad(err: np.ndarray) -> None:
-        fill()
-        matmul(x, wx, s)
-        matmul(contexts, wh, recurrent)
-        add(s, recurrent, s)
-        add(s, b, s)
-        sigmoid(s, hid)
-        readout(err)
-        multiply(column, v, ds)
-        multiply(ds, hid, ds)
-        subtract(_one, hid, complement)
-        multiply(ds, complement, ds)
-        matmul(ds_t, x, gwx)
-        matmul(ds_t, contexts, gwh)
-        add.reduce(ds, -2, None, gb)
-
-    return loss_grad
-
-
 def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
                y: np.ndarray, l: int, h: int, frozen: bool = False) -> Callable:
     """``loss_grad(err)`` at the current contents of ``flat`` (one model,
@@ -399,10 +378,11 @@ def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
     the current ``flat``."""
     p, g = _views(kind, flat, l, h), _views(kind, grad, l, h)
     if kind == "BPNN":
-        return _bpnn_loss_grad(p, g, x, y)
+        return _sigmoid_loss_grad(p, g, y, ((x, "W"),))
     if kind == "WNN":
         return _wnn_loss_grad(p, g, x, y)
     contexts = np.empty(x.shape[:-1] + (h,))
+    inputs = ((x, "Wx"), (contexts, "Wh"))
     fills = [_enn_context(_views(kind, flat[i], l, h), x[i], contexts[i])
              for i in np.ndindex(flat.shape[:-1])]
 
@@ -412,8 +392,8 @@ def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
 
     if frozen:
         fill()
-        return _enn_loss_grad(p, g, x, y, contexts, lambda: None)
-    return _enn_loss_grad(p, g, x, y, contexts, fill)
+        return _sigmoid_loss_grad(p, g, y, inputs)
+    return _sigmoid_loss_grad(p, g, y, inputs, fill)
 
 
 def _pairs(kind: str, training_set: TrainingSet):

@@ -402,6 +402,28 @@ class TestExitCodes:
         assert err.startswith("config error: ") and field in err
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("command", ["predict", "benchmark"])
+    def test_config_directory_is_config_error(self, command, tmp_path, capsys):
+        assert main(["--out", str(tmp_path / "out"), command, str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(tmp_path) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["predict", "decompose"])
+    def test_out_below_a_regular_file_is_config_error(self, command, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        if command == "predict":
+            given = tmp_path / "predict.json"
+            given.write_text(json.dumps(_tiny_configs(tmp_path)["predict"]))
+        else:
+            given = tmp_path / "series.csv"
+            write_series(given, np.sin(np.arange(64.0)))
+        assert main(["--out", str(blocker / "sub"), command, str(given)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(blocker / "sub") in err
+        assert err.count("\n") == 1
+
 
 def _set(doc, path, value):
     for key in path[:-1]:

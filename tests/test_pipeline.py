@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modecast.core import DataError, Decomposition, TimeSeries, minmax_normalize
 from modecast.decomposition import EemdConfig, SiftConfig, emd
@@ -9,12 +10,16 @@ from modecast.pipeline import (
     ForecastResult,
     FrameworkSpec,
     PipelineError,
+    VARIANTS,
     forecast_high,
     forecast_low,
     run_framework,
+    run_frameworks,
     split_components,
 )
-from modecast.predictors import PredictorConfig
+from modecast.predictors import KINDS, PredictorConfig
+
+from test_pipeline_oracle import series_values
 
 
 def fake_decomposition(n_imfs, length=16):
@@ -313,6 +318,30 @@ class TestRunFramework:
         assert calls == [SiftConfig(), SiftConfig(max_imfs=1)]
         for a, b in zip(alone, batched):
             assert a.to_dict() == b.to_dict()
+
+
+class TestPowerOfTwoEquivariance:
+    """Scaling a series by 2^k scales every forecast by 2^k, bit for bit:
+    min-max scaling, EMD/EEMD and the EEMD noise scale, DTW ranking and the
+    inverse scaling are all exact under a power of two."""
+
+    CELLS = [(small_spec(variant, predictor=PredictorConfig(kind=kind, epochs=60, seed=3),
+                         eemd=EemdConfig(ensemble_size=8, seed=3)), 3)
+             for variant in VARIANTS for kind in KINDS]
+
+    @settings(deadline=None, max_examples=8)
+    @given(series_values(min_length=48, max_length=72), st.integers(-300, 300))
+    def test_every_variant_and_kind(self, series, k):
+        # the drawn series stay below 2^4 in magnitude, so 2^k x stays
+        # well inside the normal range
+        scaled = TimeSeries(np.ldexp(series.values, k))
+        for plain, big in zip(run_frameworks(series, self.CELLS),
+                              run_frameworks(scaled, self.CELLS)):
+            assert [name for name, _ in big.per_component] == [
+                name for name, _ in plain.per_component]
+            for (_, a), (_, b) in zip(plain.per_component, big.per_component):
+                assert np.ldexp(a, k).tobytes() == b.tobytes()
+            assert np.ldexp(plain.combined, k).tobytes() == big.combined.tobytes()
 
 
 class TestForecastResult:

@@ -145,12 +145,6 @@ class TestSigmoidOracle:
         z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 745.0, -745.0])
         assert _same_floats(_sigmoid(z), legacy._sigmoid(z))
 
-    def test_out_matches_return(self):
-        z = np.linspace(-40.0, 40.0, 17).reshape(1, 17)
-        out = np.empty_like(z)
-        assert _sigmoid(z, out=out) is out
-        assert _same_floats(out, legacy._sigmoid(z))
-
 
 class TestEnnContextOracle:
     """``_enn_context`` at the production shape (L = H = 8, up to 120
@@ -199,33 +193,26 @@ def _recurrence_sigmoid(z):
     return contexts[1]
 
 
-def _batch_sigmoid(z):
-    """The sigmoid of the BPNN and ENN batch epochs."""
-    out = np.empty_like(z)
-    predictors._unrolled_sigmoid(z.shape)(z, out)
-    return out
-
-
 class TestUnrolledSigmoid:
     EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2,
              np.nan, -np.nan]
 
     def test_edges(self):
         z = np.array(self.EDGES)
-        assert _same_floats(_recurrence_sigmoid(z), _sigmoid(z))
-        assert _same_floats(_batch_sigmoid(z), _sigmoid(z))
+        assert _same_floats(_recurrence_sigmoid(z), legacy._sigmoid(z))
+        assert _same_floats(_sigmoid(z), legacy._sigmoid(z))
 
     @given(st.sampled_from([0.1, 1.0, 10.0, 100.0, 800.0]), st.integers(0, 2**32 - 1))
     def test_normal_draws_at_scale(self, scale, seed):
         z = np.random.default_rng(seed).normal(size=64) * scale
-        assert _same_floats(_recurrence_sigmoid(z), _sigmoid(z))
-        assert _same_floats(_batch_sigmoid(z), _sigmoid(z))
+        assert _same_floats(_recurrence_sigmoid(z), legacy._sigmoid(z))
+        assert _same_floats(_sigmoid(z), legacy._sigmoid(z))
 
     @given(arrays(np.float64, st.integers(1, 40),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
     def test_any_float(self, z):
-        assert _same_floats(_recurrence_sigmoid(z), _sigmoid(z))
-        assert _same_floats(_batch_sigmoid(z), _sigmoid(z))
+        assert _same_floats(_recurrence_sigmoid(z), legacy._sigmoid(z))
+        assert _same_floats(_sigmoid(z), legacy._sigmoid(z))
 
 
 @st.composite

@@ -16,7 +16,6 @@ from .core import (
     load_csv,
     minmax_normalize,
     spawn_rng,
-    write_csv,
 )
 from .decomposition import (
     EemdConfig,

@@ -16,15 +16,14 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from .core import DataError, TimeSeries, format_number, load_csv
+from .core import DataError, TimeSeries, format_number, load_csv, spawn_rng
 from .decomposition import (
+    BOUNDARY_MODES,
     EemdConfig,
     InsufficientExtremaError,
     SiftConfig,
@@ -217,7 +216,7 @@ def _load_config(path: str, schema: dict) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(p.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except OSError as exc:  # a directory, say
@@ -265,27 +264,18 @@ def _fmt_distance(value: float) -> str:
 
 def cmd_decompose(args) -> int:
     series = load_csv(args.input, column=args.column, has_header=args.has_header)
-    sift = SiftConfig(
-        sd_threshold=args.sd_threshold,
-        max_sift_iterations=args.max_sift_iterations,
-        max_imfs=args.max_imfs,
-        boundary_mode=args.boundary_mode,
-    )
+    sift = SiftConfig(**{f.name: getattr(args, f.name) for f in fields(SiftConfig)})
     if args.method == "emd":
         decomp, stats = emd_with_stats(series, sift)
-        sift_stats = [
-            {"imf": i + 1, "iterations": s.iterations, "sd_at_stop": s.sd_at_stop,
-             "converged": s.converged, "stop_reason": s.stop_reason}
-            for i, s in enumerate(stats)
-        ]
+        sift_stats = [{"imf": i + 1, **asdict(s)} for i, s in enumerate(stats)]
         method_info = {"method": "emd"}
     else:
         cfg = EemdConfig(sift=sift, ensemble_size=args.ensemble,
                          noise_amplitude=args.noise, seed=args.seed or 0)
         decomp = eemd(series, cfg)
         sift_stats = None  # per-trial statistics are not aggregated
-        method_info = {"method": "eemd", "ensemble_size": args.ensemble,
-                       "noise_amplitude": args.noise, "seed": args.seed or 0}
+        method_info = {"method": "eemd", "ensemble_size": cfg.ensemble_size,
+                       "noise_amplitude": cfg.noise_amplitude, "seed": cfg.seed}
 
     out = Path(args.out)
     names = [f"imf_{i + 1}" for i in range(decomp.n_imfs)] + ["residual"]
@@ -397,8 +387,7 @@ def cmd_gradcheck(args) -> int:
     for kind in kinds:
         errors = []
         for trial in range(args.trials):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(root, spawn_key=(trial,)))
+            rng = spawn_rng(root, trial)
             values = rng.normal(size=args.pairs + args.window)
             ts = sliding_window_set(TimeSeries(values), args.window)
             cfg = PredictorConfig(kind=kind, hidden_units=args.hidden,
@@ -435,12 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="value column (1-based number or header name)")
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--method", choices=("emd", "eemd"), default="emd")
-    p.add_argument("--sd-threshold", type=float, default=0.2)
-    p.add_argument("--max-sift-iterations", type=int, default=100, action=_Count)
-    p.add_argument("--max-imfs", type=int, default=12, action=_Count)
-    p.add_argument("--boundary-mode", choices=("mirror", "clamp"), default="mirror")
-    p.add_argument("--ensemble", type=int, default=100, action=_Count, help="EEMD trial count")
-    p.add_argument("--noise", type=float, default=0.2,
+    p.add_argument("--sd-threshold", type=float, default=SiftConfig.sd_threshold)
+    p.add_argument("--max-sift-iterations", type=int, default=SiftConfig.max_sift_iterations,
+                   action=_Count)
+    p.add_argument("--max-imfs", type=int, default=SiftConfig.max_imfs, action=_Count)
+    p.add_argument("--boundary-mode", choices=BOUNDARY_MODES, default=SiftConfig.boundary_mode)
+    p.add_argument("--ensemble", type=int, default=EemdConfig.ensemble_size, action=_Count,
+                   help="EEMD trial count")
+    p.add_argument("--noise", type=float, default=EemdConfig.noise_amplitude,
                    help="EEMD noise amplitude as a fraction of the input std")
     p.set_defaults(func=cmd_decompose)
 
@@ -467,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against "
                                          "finite differences")
-    p.add_argument("--kinds", default="BPNN,WNN,ENN")
+    p.add_argument("--kinds", default=",".join(GRADIENT_TRAINED))
     p.add_argument("--trials", type=int, default=20, action=_Count)
     p.add_argument("--pairs", type=int, default=6, action=_Count)
     p.add_argument("--window", type=int, default=4, action=_Count)

@@ -254,7 +254,7 @@ def load_csv(
     Parameters
     ----------
     path : str or Path
-        CSV file, UTF-8, comma-separated, '.' decimal separator.
+        CSV file, UTF-8 (with or without a byte-order mark), comma-separated, '.' decimal separator.
     column : str or int
         Header name (requires ``has_header``) or 1-based column number.
     has_header : bool
@@ -277,7 +277,7 @@ def load_csv(
     if not path.is_file():
         raise DataError(f"input file not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)  # rows keep their line numbers; blank ones go
             rows = [(reader.line_num, row) for row in reader if row]
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -320,25 +320,3 @@ def load_csv(
 def format_number(x: float) -> str:
     """Round-trip-safe decimal rendering (shortest repr)."""
     return repr(float(x))
-
-
-def write_csv(
-    series: TimeSeries,
-    path: Union[str, Path],
-    value_header: Optional[str] = None,
-    label_header: str = "label",
-) -> None:
-    """Emit a series as CSV with round-trip-safe number formatting."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if series.labels is not None:
-            if value_header is not None:
-                writer.writerow([label_header, value_header])
-            for label, v in zip(series.labels, series.values):
-                writer.writerow([label, format_number(v)])
-        else:
-            if value_header is not None:
-                writer.writerow([value_header])
-            for v in series.values:
-                writer.writerow([format_number(v)])

@@ -8,7 +8,7 @@ mean over repeated seeded runs (population standard deviation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -111,17 +111,7 @@ class EvalReport:
             raise ValueError("relative errors cannot be negative")
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "per_point": [list(p) for p in self.per_point],
-            "per_point_std": list(self.per_point_std),
-            "mean_re": self.mean_re,
-            "runs": self.runs,
-            "re_mean_over_runs": self.re_mean_over_runs,
-            "re_std_over_runs": self.re_std_over_runs,
-            "per_run_mean_re": list(self.per_run_mean_re),
-            "per_run_predictions": [list(p) for p in self.per_run_predictions],
-        }
+        return asdict(self)
 
 
 def aggregate_runs(label: str, actuals: TimeSeries, run_predictions) -> EvalReport:

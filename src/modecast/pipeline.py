@@ -160,8 +160,8 @@ def split_components(decomp: Decomposition, split: Union[str, tuple] = "auto") -
 # Per-component forecasting
 #
 # A component forecast is a generator: it yields a training request
-# ``(training_set, cfg, scale)`` whenever it needs a model, receives the
-# fitted model, and returns the denormalized predictions. :func:`_lockstep`
+# ``(training_set, cfg)`` whenever it needs a model, receives the fitted
+# model, and returns the denormalized predictions. :func:`_lockstep`
 # drives any number of them, training each round's requests in one
 # :func:`train_many` call.
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def _low_steps(component: TimeSeries, cfg: PredictorConfig, window: int,
             f"component length {len(component)} must exceed window {window}"
         )
     normalized, scale = minmax_normalize(component)
-    model = yield sliding_window_set(normalized, window), cfg, scale
+    model = yield sliding_window_set(normalized, window), cfg
     session = ForecastSession(model)
     t = len(component)
     buf = np.empty(t + horizon)
@@ -200,7 +200,7 @@ def _high_steps(component: TimeSeries, grouping: GroupingConfig, cfg: PredictorC
         offsets, distances = rank_by_similarity(extended, grouping)
         k = select_group(distances, grouping)
         training_set = build_training_set(extended, offsets[:k], distances[:k], length)
-        model = yield training_set, replace(cfg, seed=derive_seed(cfg.seed, step)), scale
+        model = yield training_set, replace(cfg, seed=derive_seed(cfg.seed, step))
         reference = extended[-length:]
         value = predict(model, reference)
         if not np.isfinite(value):  # the error the series type gives
@@ -312,8 +312,8 @@ def forecast_high(component: TimeSeries, grouping: GroupingConfig,
 
 def _components(series: TimeSeries, spec: FrameworkSpec, seed: Optional[int],
                 emds: dict) -> tuple:
-    """(predictor config, names, components, P, split metadata, IMF count)
-    of one cell; decomposition and split errors propagate as they are.
+    """(predictor config, names, components, P, metadata) of one cell;
+    decomposition and split errors propagate as they are.
     ``emds`` holds the EMD of ``series`` per sift config: EMD draws no
     noise, so cells with the same sift config share one decomposition."""
     pred_cfg = spec.predictor if seed is None else replace(spec.predictor, seed=seed)
@@ -334,14 +334,16 @@ def _components(series: TimeSeries, spec: FrameworkSpec, seed: Optional[int],
             fsplit = split_components(decomp, spec.split)
             p = fsplit.p_count
             split_meta = [p, fsplit.q_count]
-    return pred_cfg, names, comps, p, split_meta, n_imfs
+    metadata = {"variant": spec.variant, "root_seed": int(pred_cfg.seed), "split": split_meta,
+                "horizon": spec.horizon, "n_imfs": n_imfs}
+    return pred_cfg, names, comps, p, metadata
 
 
-def _result(spec: FrameworkSpec, plan: tuple, outcomes: list, traces: list,
-            group_trace: Optional[dict], started: float) -> ForecastResult:
+def _result(plan: tuple, outcomes: list, traces: list, group_trace: Optional[dict],
+            started: float) -> ForecastResult:
     """One cell's :class:`ForecastResult` from its component outcomes, or
     the error of its first failed component."""
-    pred_cfg, names, _, _, split_meta, n_imfs = plan
+    _, names, _, _, metadata = plan
     parts = []
     for idx, (name, outcome, trace) in enumerate(zip(names, outcomes, traces)):
         if isinstance(outcome, Exception):
@@ -350,21 +352,14 @@ def _result(spec: FrameworkSpec, plan: tuple, outcomes: list, traces: list,
             group_trace[name] = trace
         parts.append((name, outcome))
 
-    combined = np.zeros(spec.horizon)
+    combined = np.zeros(metadata["horizon"])
     with np.errstate(over="ignore"):
         for _, values in parts:
             combined = combined + values
     if not np.isfinite(combined).all():
         raise PipelineError("the component forecasts sum beyond the float range")
 
-    metadata = {
-        "variant": spec.variant,
-        "root_seed": int(pred_cfg.seed),
-        "split": split_meta,
-        "horizon": spec.horizon,
-        "n_imfs": n_imfs,
-        "elapsed_seconds": time.perf_counter() - started,
-    }
+    metadata = {**metadata, "elapsed_seconds": time.perf_counter() - started}
     return ForecastResult(combined=combined, per_component=tuple(parts), metadata=metadata)
 
 
@@ -415,7 +410,7 @@ def run_frameworks(series: TimeSeries, cells: Sequence[tuple],
         except Exception as exc:
             outcomes[c] = exc
             continue
-        pred_cfg, _, comps, p, _, _ = plan
+        pred_cfg, _, comps, p, _ = plan
         traces = []
         for idx, comp in enumerate(comps):
             comp_cfg = replace(pred_cfg, seed=derive_seed(pred_cfg.seed, idx))
@@ -431,8 +426,8 @@ def run_frameworks(series: TimeSeries, cells: Sequence[tuple],
     components = iter(_lockstep(tasks))
     for c, (plan, traces) in plans.items():
         try:
-            outcomes[c] = _result(cells[c][0], plan, [next(components) for _ in traces],
-                                  traces, group_traces[c], started)
+            outcomes[c] = _result(plan, [next(components) for _ in traces], traces,
+                                  group_traces[c], started)
         except Exception as exc:
             outcomes[c] = exc
     return outcomes

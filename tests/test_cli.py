@@ -12,6 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modecast.cli import main
+from modecast.core import load_csv
+from modecast.decomposition import emd
 
 from conftest import REPO
 
@@ -59,6 +61,19 @@ class TestDecompose:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_components_csv_reads_back_bit_exact(self, scale, tmp_path):
+        path = tmp_path / "series.csv"
+        write_series(path, np.random.default_rng(5).normal(size=96) * scale)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "decompose", str(path)]) == 0
+        decomp = emd(load_csv(path))
+        names = [f"imf_{i + 1}" for i in range(decomp.n_imfs)] + ["residual"]
+        assert decomp.n_imfs >= 2
+        for name, comp in zip(names, decomp.components()):
+            back = load_csv(out / "components.csv", column=name, has_header=True)
+            assert back.values.tobytes() == comp.values.tobytes(), name
 
     # argparse alone would read "-1e-4" and "-inf" as option names
     @pytest.mark.parametrize("value", ["-1e-4", "-inf", "-2E+3", "-nan"])
@@ -237,6 +252,17 @@ class TestPredict:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 99}))
         assert main(["predict", str(path)]) == 1
+
+    def test_config_with_byte_order_mark_reads_as_without(self, tmp_path):
+        cfg = json.dumps(_tiny_configs(tmp_path)["predict"])
+        (tmp_path / "plain.json").write_text(cfg, encoding="utf-8")
+        (tmp_path / "bom.json").write_text(cfg, encoding="utf-8-sig")
+        for name in ("plain", "bom"):
+            code, err, _ = _run(["--out", str(tmp_path / name), "predict",
+                                 str(tmp_path / f"{name}.json")])
+            assert (code, err) == (0, "")
+        for name in ("forecast.json", "forecast.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "bom" / name).read_bytes()
 
 
 def small_benchmark_config(tmp_path, data_csv):

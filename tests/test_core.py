@@ -10,7 +10,6 @@ from modecast.core import (
     load_csv,
     minmax_normalize,
     spawn_rng,
-    write_csv,
 )
 
 
@@ -106,13 +105,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="not found"):
             load_csv(path, column="vessels", has_header=True)
 
-    def test_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        series = TimeSeries(rng.normal(size=50) * rng.uniform(0.01, 1e6))
-        path = tmp_path / "roundtrip.csv"
-        write_csv(series, path)
-        back = load_csv(path, column=1)
-        assert np.array_equal(back.values, series.values)
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark
+    def test_byte_order_mark_before_a_value_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("10\n20\n", encoding="utf-8-sig")
+        assert load_csv(path).values.tolist() == [10.0, 20.0]
+
+    def test_byte_order_mark_before_a_header_is_skipped(self, tmp_path):
+        path = tmp_path / "bom_named.csv"
+        path.write_text("year,tonnes\n1996,10\n1997,20\n", encoding="utf-8-sig")
+        assert load_csv(path, column="year", has_header=True).values.tolist() == [1996.0, 1997.0]
 
 
 class TestMinMax:

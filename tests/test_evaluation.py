@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modecast.core import TimeSeries
 from modecast.decomposition import EemdConfig
@@ -12,8 +13,10 @@ from modecast.evaluation import (
     relative_error,
 )
 from modecast.grouping import GroupingConfig
-from modecast.pipeline import FrameworkSpec
-from modecast.predictors import PredictorConfig
+from modecast.pipeline import VARIANTS, FrameworkSpec
+from modecast.predictors import KINDS, PredictorConfig
+
+from test_pipeline_oracle import series_values
 
 TABLE_ACTUALS = [34.0, 37.0, 36.0, 41.0, 48.0, 39.0, 38.0, 34.0]
 
@@ -137,3 +140,54 @@ class TestBenchmark:
         specs = quick_specs()
         assert framework_label(specs[0]) == "BPNN"
         assert framework_label(specs[1]) == "EMD+BPNN"
+
+
+def metamorphic_specs(kind):
+    predictor = PredictorConfig(kind=kind, hidden_units=3, epochs=20, seed=0)
+    grouping = GroupingConfig(segment_length=6, group_size=6)
+    eemd = EemdConfig(ensemble_size=3, seed=0)
+    return [FrameworkSpec(variant=v, predictor=predictor, grouping=grouping, eemd=eemd)
+            for v in VARIANTS]
+
+
+def predictions_bytes(report, run=None):
+    rows = report.per_run_predictions if run is None else [report.per_run_predictions[run]]
+    return np.array(rows).tobytes()
+
+
+nonzero_actuals = st.floats(0.5, 50) | st.floats(-50, -0.5)
+
+
+class TestMetamorphic:
+    """Whole-benchmark properties: a forecast never sees the holdout, and a
+    run's seed reaches that run alone."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(series_values(min_length=40, max_length=56), st.sampled_from(KINDS),
+           st.integers(2, 4).flatmap(lambda h: st.tuples(
+               st.lists(nonzero_actuals, min_size=h, max_size=h),
+               st.lists(nonzero_actuals, min_size=h, max_size=h))))
+    def test_no_look_ahead(self, train, kind, holdouts):
+        before, after = [
+            benchmark(TimeSeries(np.concatenate([train.values, holdout])), len(train),
+                      metamorphic_specs(kind), 2, [4, 9])
+            for holdout in holdouts]
+        for a, b in zip(before, after):
+            assert predictions_bytes(a) == predictions_bytes(b)
+            if holdouts[0] != holdouts[1]:
+                assert [re for *_, re in a.per_point] != [re for *_, re in b.per_point]
+
+    # GRNN draws nothing from the seed, so its NN and EMD runs would not move
+    @settings(deadline=None, max_examples=30)
+    @given(series_values(min_length=44, max_length=56), st.sampled_from(["BPNN", "WNN"]),
+           st.lists(st.integers(0, 2**32), min_size=3, max_size=3), st.integers(0, 2),
+           st.integers(1, 2**16))
+    def test_seed_locality(self, series, kind, seeds, run, shift):
+        specs = metamorphic_specs(kind)
+        changed = seeds[:run] + [seeds[run] + shift] + seeds[run + 1:]
+        holdout = len(series) - 3
+        for a, b in zip(benchmark(series, holdout, specs, 3, seeds),
+                        benchmark(series, holdout, specs, 3, changed)):
+            for r in range(3):
+                same = predictions_bytes(a, r) == predictions_bytes(b, r)
+                assert same == (r != run), (a.label, r)

@@ -310,23 +310,16 @@ def forecast_high(component: TimeSeries, grouping: GroupingConfig,
 # Framework runner
 # ---------------------------------------------------------------------------
 
-def _components(series: TimeSeries, spec: FrameworkSpec, seed: Optional[int],
-                emds: dict) -> tuple:
+def _components(series: TimeSeries, spec: FrameworkSpec, seed: Optional[int]) -> tuple:
     """(predictor config, names, components, P, metadata) of one cell;
-    decomposition and split errors propagate as they are.
-    ``emds`` holds the EMD of ``series`` per sift config: EMD draws no
-    noise, so cells with the same sift config share one decomposition."""
+    decomposition and split errors propagate as they are."""
     pred_cfg = spec.predictor if seed is None else replace(spec.predictor, seed=seed)
     eemd_cfg = spec.eemd if seed is None else replace(spec.eemd, seed=seed)
     eemd_cfg = replace(eemd_cfg, sift=spec.sift)  # one source of truth for sifting
     names, comps, p, split_meta, n_imfs = ["series"], [series], 0, None, None
     if spec.variant != "NN":
-        if spec.variant == "EEMD_DTW_NN":
-            decomp = eemd(series, eemd_cfg)
-        else:
-            if spec.sift not in emds:
-                emds[spec.sift] = emd(series, spec.sift)
-            decomp = emds[spec.sift]
+        decomp = (eemd(series, eemd_cfg) if spec.variant == "EEMD_DTW_NN"
+                  else emd(series, spec.sift))
         n_imfs = decomp.n_imfs
         names = [f"imf_{i + 1}" for i in range(n_imfs)] + ["residual"]
         comps = decomp.components()
@@ -370,8 +363,7 @@ def run_frameworks(series: TimeSeries, cells: Sequence[tuple],
     A cell is a ``(FrameworkSpec, seed)`` pair, run as
     ``run_framework(series, spec, seed=seed)`` runs it alone. The stages:
 
-    1. decompose every cell into its component list (the cells that run
-       EMD with the same sift config share one decomposition);
+    1. decompose every cell into its component list;
     2. train every slow component of every cell in one :func:`train_many`
        call, then run their forecast sessions;
     3. at each forecast step, rank, select and build a training set for
@@ -403,10 +395,10 @@ def run_frameworks(series: TimeSeries, cells: Sequence[tuple],
     """
     started = time.perf_counter()
     group_traces = [None] * len(cells) if group_traces is None else group_traces
-    outcomes, plans, tasks, emds = [None] * len(cells), {}, [], {}
+    outcomes, plans, tasks = [None] * len(cells), {}, []
     for c, (spec, seed) in enumerate(cells):
         try:
-            plan = _components(series, spec, seed, emds)
+            plan = _components(series, spec, seed)
         except Exception as exc:
             outcomes[c] = exc
             continue

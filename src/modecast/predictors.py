@@ -29,10 +29,11 @@ epoch loop per group over a (K, P) parameter buffer and a (K, P) gradient
 buffer: each epoch writes every model's gradient through the views and
 updates the parameters in place. A group descends each distinct request
 (config and pairs) once, and every request gets its own result. Each
-stacked product is the BLAS call a lone model makes, so every model comes
-out bit for bit as if trained alone; ``train`` is the one-model call. A
-model whose loss turns non-finite runs on to the last epoch and is
-reported diverged at that epoch.
+stacked product is the BLAS call a lone model makes, on operands aligned
+as a lone model's are (``_stacked``), so every model comes out bit for bit
+as if trained alone; ``train`` is the one-model call. A model whose loss
+turns non-finite runs on to the last epoch and is reported diverged at
+that epoch.
 
 Each epoch costs a fixed sequence of numpy calls, so the loop is built to
 make few of them. The BPNN and ENN epochs (one sigmoid-layer builder,
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -208,6 +209,15 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _stacked(shape: tuple) -> np.ndarray:
+    """An empty (K, ...) float64 array whose K items each start 16 bytes
+    aligned, as a lone model's buffer does: each is padded to an even
+    number of floats. On SSE2 kernels (OpenBLAS's Prescott) a product's
+    bits follow the 16-byte alignment of its operands."""
+    size = math.prod(shape[1:])
+    return np.empty((shape[0], size + size % 2))[:, :size].reshape(shape, copy=False)
+
+
 def _unrolled_sigmoid(shape: tuple) -> Callable:
     """``sigmoid(z, out)``: ``exp(min(z, 0)) / (1 + exp(-|z|))`` with both
     exps in one call on a (2, *shape) scratch built here, once. That is
@@ -240,7 +250,7 @@ def _readout(v: np.ndarray, c: np.ndarray, gv: np.ndarray, gc: np.ndarray,
     buffer ``e`` and the readout's gradient into ``gv`` and ``gc``, for the
     current contents of the buffer ``hidden``."""
     v, gv, gc, hidden_t = v[..., None], gv[..., None], gc[..., 0], _t(hidden)
-    out, e = np.empty(y.shape + (1,)), np.empty(y.shape)
+    out, e = _stacked(y.shape + (1,)), _stacked(y.shape)
     projected, column = out[..., 0], e[..., None]
     n = np.array(float(y.shape[-1]))
     matmul, add, subtract, multiply, divide = (
@@ -275,10 +285,10 @@ def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, inputs: tuple,
     ``((x, "Wx"), (contexts, "Wh"))``. ``fill()`` runs first in each call;
     ENN's recomputes the carried contexts there, which the gradient treats
     as data (one-step truncation). Every temporary is built here, once, as
-    a C-contiguous (..., n, H) array, so a call allocates nothing."""
+    a (K, n, H) array of C-contiguous items, so a call allocates nothing."""
     b, v, gb = p["b"][..., None, :], p["v"][..., None, :], g["b"]
     shape = y.shape + b.shape[-1:]
-    s, term, hid, ds, complement = (np.empty(shape) for _ in range(5))
+    s, term, hid, ds, complement = (_stacked(shape) for _ in range(5))
     (first, w), *rest = [(a, _t(p[name])) for a, name in inputs]
     grads = [(a, g[name]) for a, name in inputs]
     sigmoid = _unrolled_sigmoid(shape)
@@ -313,15 +323,15 @@ def _wnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
 
 def _wnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
     w, t, d, v = _t(p["W"]), p["t"][..., None, :], p["d"][..., None, :], p["v"][..., None, :]
-    psi = np.empty(x.shape[:-1] + w.shape[-1:])
+    u, psi, du_scaled = (_stacked(y.shape + w.shape[-1:]) for _ in range(3))
     readout, e = _readout(p["v"], p["c"], g["v"], g["c"], y, psi)
 
     def loss_grad(err: np.ndarray) -> None:
-        u = (np.matmul(x, w) - t) / d
+        np.divide(np.subtract(np.matmul(x, w, out=u), t, out=u), d, out=u)
         _morlet(u, psi)
         readout(err)
         du = (e[..., None] * v) * _morlet_deriv(u)
-        du_scaled = du / d
+        np.divide(du, d, out=du_scaled)
         np.matmul(_t(du_scaled), x, out=g["W"])
         # not np.negative(g["t"], out=g["t"]): numpy 2.4 writes an in-place
         # negative to the wrong elements when the stride is 64 bytes (P = 8)
@@ -371,20 +381,20 @@ def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> Callable:
 
 def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
                y: np.ndarray, l: int, h: int, frozen: bool = False) -> Callable:
-    """``loss_grad(err)`` at the current contents of ``flat`` (one model,
-    or K stacked along the leading axes); each call writes the gradient
-    into ``grad`` and the residual into ``err``. ENN recomputes every
-    model's context trajectory on every call, unless ``frozen`` fixes it at
-    the current ``flat``."""
+    """``loss_grad(err)`` at the current contents of ``flat``, the (K, P)
+    parameters of K stacked models; each call writes the gradient into
+    ``grad`` and the residual into ``err``. ENN recomputes every model's
+    context trajectory on every call, unless ``frozen`` fixes it at the
+    current ``flat``."""
     p, g = _views(kind, flat, l, h), _views(kind, grad, l, h)
     if kind == "BPNN":
         return _sigmoid_loss_grad(p, g, y, ((x, "W"),))
     if kind == "WNN":
         return _wnn_loss_grad(p, g, x, y)
-    contexts = np.empty(x.shape[:-1] + (h,))
+    contexts = _stacked(y.shape + (h,))
     inputs = ((x, "Wx"), (contexts, "Wh"))
-    fills = [_enn_context(_views(kind, flat[i], l, h), x[i], contexts[i])
-             for i in np.ndindex(flat.shape[:-1])]
+    fills = [_enn_context(_views(kind, params, l, h), pairs, context)
+             for params, pairs, context in zip(flat, x, contexts)]
 
     def fill() -> None:
         for model_fill in fills:
@@ -407,25 +417,29 @@ def _pairs(kind: str, training_set: TrainingSet):
 
 def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
              h: int, epochs: int, learning_rate: float) -> list:
-    """Full-batch descent of the K models stacked in ``flat`` (K, P), in
-    place, for ``epochs`` epochs. Returns per model its (weights, loss
-    curve), or the first epoch whose loss is non-finite. A diverged model
-    runs on in the stack to the last epoch, on non-finite weights; a
-    model's bits never depend on its group-mates, so it costs them nothing
-    but time.
+    """Full-batch descent of the K models stacked in ``flat`` (K, P) for
+    ``epochs`` epochs. Returns per model its (weights, loss curve), or the
+    first epoch whose loss is non-finite. A diverged model runs on in the
+    stack to the last epoch, on non-finite weights; a model's bits never
+    depend on its group-mates, so it costs them nothing but time.
+
+    The parameters, gradient and step are contiguous (K, P + P % 2)
+    buffers with a zero pad, so each row starts 16 bytes aligned (see
+    ``_stacked``) and an update is one contiguous pass.
 
     Epoch e writes its residuals into row e % ``_BLOCK`` of a (``_BLOCK``,
     K, n) buffer, and one ``_mse`` per block of epochs fills the loss
     curves: a reduction over the last axis sums each (epoch, model) row
     pairwise as it sums one model's (n,) residual, so the curves keep their
     bits."""
-    stop = epochs + 1
+    stop, size = epochs + 1, flat.shape[-1]
     curves = np.empty((flat.shape[0], stop))
-    grad, step = np.empty_like(flat), np.empty_like(flat)
+    params, grad, step = (np.zeros((flat.shape[0], size + size % 2)) for _ in range(3))
+    params[:, :size] = flat
     residuals = np.empty((min(_BLOCK, stop),) + y.shape)
     rows = list(residuals)
     rate = np.array(learning_rate)
-    loss_grad = _objective(kind, flat, grad, x, y, l, h)
+    loss_grad = _objective(kind, params, grad, x, y, l, h)
     multiply, subtract = np.multiply, np.subtract
     # divergence overflows on the way, and a diverged model's inf and nan
     # weights make invalid operations; its loss curve reports it
@@ -435,11 +449,11 @@ def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
             m = min(_BLOCK, stop - start)
             for err in rows[start == 0 : m]:  # epoch 0 took row 0 before any step
                 multiply(grad, rate, step)
-                subtract(flat, step, flat)
+                subtract(params, step, params)
                 loss_grad(err)
             curves[:, start : start + m] = _mse(residuals[:m]).T
     outcomes = []
-    for weights, curve in zip(flat, curves):
+    for weights, curve in zip(params[:, :size], curves):
         diverged = np.flatnonzero(~np.isfinite(curve))
         outcomes.append(int(diverged[0]) if diverged.size else (weights, curve))
     return outcomes
@@ -449,9 +463,8 @@ def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
 # Public contract
 # ---------------------------------------------------------------------------
 
-def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorConfig],
-               scales: Optional[Sequence[Optional[MinMaxScale]]] = None) -> list:
-    """Fit one regressor per (training set, config, scale), bit for bit as
+def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorConfig]) -> list:
+    """Fit one regressor per (training set, config), bit for bit as
     :func:`train` fits each alone.
 
     Gradient-trained models that share (kind, pair count n, input length
@@ -466,21 +479,20 @@ def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorCon
     Returns
     -------
     list
-        In input order, each :class:`TrainedModel` with its own scale, or
-        the :class:`TrainingDivergedError` that :func:`train` raises for
-        that model. A diverged model records its own epoch; its group-mates
+        In input order, each :class:`TrainedModel`, or the
+        :class:`TrainingDivergedError` that :func:`train` raises for that
+        model. A diverged model records its own epoch; its group-mates
         train on untouched.
 
     Raises
     ------
     ValueError
-        If the training sets, configs and scales differ in number.
+        If the training sets and configs differ in number.
     """
-    scales = [None] * len(training_sets) if scales is None else scales
-    if not len(training_sets) == len(cfgs) == len(scales):
+    if len(training_sets) != len(cfgs):
         raise ValueError(
-            f"train_many takes one config and one scale per training set, got "
-            f"{len(training_sets)} training sets, {len(cfgs)} configs and {len(scales)} scales"
+            f"train_many takes one config per training set, got "
+            f"{len(training_sets)} training sets and {len(cfgs)} configs"
         )
     fitted, groups = [None] * len(cfgs), {}
     for i, (training_set, cfg) in enumerate(zip(training_sets, cfgs)):
@@ -499,7 +511,8 @@ def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorCon
             requests.setdefault(request, (cfgs[i], x, y, []))[-1].append(i)
         distinct, x, y, asking = zip(*requests.values())
         flat = np.stack([_init_params(cfg, l) for cfg in distinct])
-        outcomes = _descend(kind, flat, np.stack(x), np.stack(y), l, h, epochs, learning_rate)
+        x = np.stack(x, out=_stacked((len(x),) + x[0].shape))  # y meets no product
+        outcomes = _descend(kind, flat, x, np.stack(y), l, h, epochs, learning_rate)
         for indices, outcome in zip(asking, outcomes):
             for i in indices:
                 fitted[i] = outcome
@@ -508,9 +521,9 @@ def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorCon
         if isinstance(outcome, int) else TrainedModel(
             kind=cfg.kind, input_length=training_set.input_length,
             hidden_units=cfg.hidden_units, weights=outcome[0].copy(),
-            grnn_sigma=cfg.grnn_sigma, scale=scale, training_loss_curve=outcome[1].copy(),
+            grnn_sigma=cfg.grnn_sigma, training_loss_curve=outcome[1].copy(),
         )
-        for training_set, cfg, scale, outcome in zip(training_sets, cfgs, scales, fitted)
+        for training_set, cfg, outcome in zip(training_sets, cfgs, fitted)
     ]
 
 
@@ -534,10 +547,10 @@ def train(training_set: TrainingSet, cfg: PredictorConfig,
         Normalization metadata carried on the model for save/load; the
         model itself always operates in the space of its training data.
     """
-    model = train_many([training_set], [cfg], [scale])[0]
+    model = train_many([training_set], [cfg])[0]
     if isinstance(model, TrainingDivergedError):
         raise model
-    return model
+    return replace(model, scale=scale)
 
 
 def _grnn_predict(p: dict, x: np.ndarray, sigma: float) -> float:
@@ -558,37 +571,20 @@ def _checked(values, length: int, name: str, size_name: str) -> np.ndarray:
     return values
 
 
-def _checked_input(model: TrainedModel, x) -> np.ndarray:
-    return _checked(x, model.input_length, "input", "input length")
-
-
-def _enn_hidden(p: dict, x: np.ndarray, context: np.ndarray) -> np.ndarray:
-    return _sigmoid(p["Wx"] @ x + p["Wh"] @ context + p["b"])
-
-
 def predict(model: TrainedModel, x, context: Optional[np.ndarray] = None) -> float:
-    """Deterministic forward pass for one input window.
+    """Deterministic forward pass for one input window: the first step of
+    a fresh :class:`ForecastSession`.
 
-    ENN context starts at zero unless an explicit session context is given
-    (see :class:`ForecastSession`), so independent calls never interfere.
-    A context must be finite and hold one value per hidden unit; the other
-    kinds take none.
+    ENN context starts at zero unless an explicit session context is given,
+    so independent calls never interfere. A context must be finite and hold
+    one value per hidden unit; the other kinds take none.
     """
-    x = _checked_input(model, x)
+    session = ForecastSession(model)
     if context is not None:
         if model.kind != "ENN":
             raise ValueError(f"{model.kind} models take no context; only ENN carries one")
-        context = _checked(context, model.hidden_units, "context", "hidden units")
-    p = _views(model.kind, model.weights, model.input_length, model.hidden_units,
-               model._grnn_pairs())
-    if model.kind == "GRNN":
-        return _grnn_predict(p, x, model.grnn_sigma)
-    if model.kind == "BPNN":
-        return float(_bpnn_forward(p, x[None, :])[0])
-    if model.kind == "WNN":
-        return float(_wnn_forward(p, x[None, :])[0])
-    h = np.zeros(model.hidden_units) if context is None else context
-    return float(_enn_hidden(p, x, h) @ p["v"] + p["c"][0])
+        session._context = _checked(context, model.hidden_units, "context", "hidden units")
+    return session.step(x)
 
 
 class ForecastSession:
@@ -601,18 +597,20 @@ class ForecastSession:
 
     def __init__(self, model: TrainedModel):
         self.model = model
-        if model.kind == "ENN":
-            self._params = _views("ENN", model.weights, model.input_length,
-                                  model.hidden_units)
-            self._context = np.zeros(model.hidden_units)
+        self._params = _views(model.kind, model.weights, model.input_length,
+                              model.hidden_units, model._grnn_pairs())
+        self._context = np.zeros(model.hidden_units)
 
     def step(self, x) -> float:
-        model = self.model
-        if model.kind != "ENN":
-            return predict(model, x)
-        p = self._params
-        self._context = _enn_hidden(p, _checked_input(model, x), self._context)
-        return float(self._context @ p["v"] + p["c"][0])
+        model, p = self.model, self._params
+        x = _checked(x, model.input_length, "input", "input length")
+        if model.kind == "GRNN":
+            return _grnn_predict(p, x, model.grnn_sigma)
+        if model.kind == "ENN":
+            self._context = _sigmoid(p["Wx"] @ x + p["Wh"] @ self._context + p["b"])
+            return float(self._context @ p["v"] + p["c"][0])
+        forward = _bpnn_forward if model.kind == "BPNN" else _wnn_forward
+        return float(forward(p, x[None, :])[0])
 
 
 def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
@@ -625,24 +623,23 @@ def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
     """
     if cfg.kind not in GRADIENT_TRAINED:
         raise ValueError(f"{cfg.kind} is not gradient-trained")
-    flat = _init_params(cfg, training_set.input_length)
-    grad = np.empty_like(flat)
     x, y = _pairs(cfg.kind, training_set)
-    residual = np.empty(y.shape)
-    loss_grad = _objective(cfg.kind, flat, grad, x, y, training_set.input_length,
+    flat = _init_params(cfg, training_set.input_length)[None]  # a stack of one model
+    grad, residual, params = np.empty_like(flat), np.empty((1, y.size)), flat[0]
+    loss_grad = _objective(cfg.kind, flat, grad, x[None], y[None], training_set.input_length,
                            cfg.hidden_units, frozen=True)
     loss_grad(residual)
-    analytic = grad.copy()
+    analytic = grad[0].copy()
     numeric = np.empty_like(analytic)
-    for i in range(flat.size):
-        centre = flat[i]
-        flat[i] = centre + step
+    for i in range(params.size):
+        centre = params[i]
+        params[i] = centre + step
         loss_grad(residual)
-        hi = _mse(residual)
-        flat[i] = centre - step
+        hi = _mse(residual)[0]
+        params[i] = centre - step
         loss_grad(residual)
-        lo = _mse(residual)
-        flat[i] = centre
+        lo = _mse(residual)[0]
+        params[i] = centre
         numeric[i] = (hi - lo) / (2.0 * step)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -302,20 +302,16 @@ class TestRunFramework:
             assert list(trace) == ["imf_1"] and len(trace["imf_1"]) == 4
 
 
-    def test_emd_cells_share_one_decomposition_per_sift_config(self, monkeypatch):
-        """EMD draws no noise, so EMD_NN and EMD_DTW_NN cells with one sift
-        config decompose the series once per call; another sift config and
-        every EEMD cell decompose on their own. Each cell still matches its
-        run alone."""
+    def test_emd_and_eemd_cells_match_their_runs_alone(self):
+        """EMD_NN and EMD_DTW_NN cells with one sift config, one with
+        another sift config and an EEMD cell, run in one call: each cell
+        matches its run alone."""
         series = wiggly_series()
         cells = [(small_spec("EMD_NN"), 1), (small_spec("EMD_DTW_NN"), 2),
                  (small_spec("EMD_DTW_NN"), 3), (small_spec("EEMD_DTW_NN"), 4),
                  (small_spec("EMD_NN", sift=SiftConfig(max_imfs=1)), 5)]
         alone = [run_framework(series, spec, seed=seed) for spec, seed in cells]
-        calls = []
-        monkeypatch.setattr(pipeline, "emd", lambda s, cfg: calls.append(cfg) or emd(s, cfg))
         batched = pipeline.run_frameworks(series, cells)
-        assert calls == [SiftConfig(), SiftConfig(max_imfs=1)]
         for a, b in zip(alone, batched):
             assert a.to_dict() == b.to_dict()
 

@@ -1,5 +1,12 @@
+import os
+import runpy
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+from conftest import REPO
 
 from modecast.grouping import TrainingSet, sliding_window_set
 from modecast.core import TimeSeries
@@ -139,17 +146,60 @@ class TestTraining:
         with pytest.raises(ValueError):
             make_set(np.zeros((0, 2)), [])
 
-    @pytest.mark.parametrize("sets, cfgs, scales, counts", [
-        (2, 1, None, "2 training sets, 1 configs and 2 scales"),
-        (2, 2, 1, "2 training sets, 2 configs and 1 scales"),
-        (1, 2, 2, "1 training sets, 2 configs and 2 scales"),
-        (1, 1, 0, "1 training sets, 1 configs and 0 scales"),
-    ], ids=["few-configs", "few-scales", "few-sets", "no-scales"])
-    def test_train_many_names_mismatched_counts(self, sets, cfgs, scales, counts):
+    @pytest.mark.parametrize("sets, cfgs, counts", [
+        (2, 1, "2 training sets and 1 configs"),
+        (1, 2, "1 training sets and 2 configs"),
+    ], ids=["few-configs", "few-sets"])
+    def test_train_many_names_mismatched_counts(self, sets, cfgs, counts):
         ts = random_set(np.random.default_rng(15))
         cfg = PredictorConfig(kind="BPNN", epochs=5)
         with pytest.raises(ValueError, match=counts):
-            train_many([ts] * sets, [cfg] * cfgs, None if scales is None else [None] * scales)
+            train_many([ts] * sets, [cfg] * cfgs)
+
+    def test_lockstep_is_lone_training_on_sse2_kernels(self):
+        """Under OpenBLAS's Prescott (SSE2) kernels a product's bits follow
+        the 16-byte alignment of its operands. Four models of one group with
+        H = 1 and an odd n * L would start every other model's buffers 8
+        bytes off; a child process on those kernels checks that each model
+        of a ``train_many`` call equals ``train`` alone."""
+        kernel = runpy.run_path(str(REPO / "tools" / "kernel_matrix.py"))["KERNEL"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env.pop("OPENBLAS_CORETYPE", None)
+
+        def child(code: str, **extra) -> list:
+            return subprocess.run([sys.executable, "-c", code], env=dict(env, **extra),
+                                  capture_output=True, text=True, timeout=120,
+                                  check=True).stdout.split()
+
+        default = child(kernel)
+        name, mismatches = child(kernel + _LOCKSTEP_AT_ONE_HIDDEN_UNIT,
+                                 OPENBLAS_CORETYPE="Prescott")
+        if name in ("?", *default):
+            pytest.skip(f"OpenBLAS did not switch kernels (runs {name})")
+        assert mismatches == "0"
+
+
+# the number of models of BPNN, WNN and ENN groups at H = 1 and odd n * L
+# whose ``train_many`` result differs from ``train`` alone
+_LOCKSTEP_AT_ONE_HIDDEN_UNIT = """
+import numpy as np
+from modecast.grouping import TrainingSet
+from modecast.predictors import PredictorConfig, train, train_many
+mismatches = 0
+for kind in ("BPNN", "WNN", "ENN"):
+    for n, length in ((3, 5), (11, 1), (5, 7), (7, 3)):
+        rng = np.random.default_rng(10 * n + length)
+        sets = [TrainingSet(inputs=rng.normal(size=(n, length)), targets=rng.normal(size=n),
+                            provenance=tuple((o + 1, 0.0) for o in range(n)))
+                for _ in range(4)]
+        cfgs = [PredictorConfig(kind=kind, hidden_units=1, epochs=5, seed=s) for s in range(4)]
+        for training_set, cfg, model in zip(sets, cfgs, train_many(sets, cfgs)):
+            alone = train(training_set, cfg)
+            mismatches += not (np.array_equal(model.weights, alone.weights) and np.array_equal(
+                model.training_loss_curve, alone.training_loss_curve))
+print(mismatches)
+"""
 
 
 class TestPredict:
@@ -167,12 +217,19 @@ class TestPredict:
             predict(model, [1.0, 2.0])
 
     def test_enn_session_carries_context_within_not_across(self):
+        """``predict`` is the first step of a fresh session, byte for byte,
+        for every kind; an ENN session carries its context from step to
+        step, and a new session starts from zero."""
         rng = np.random.default_rng(9)
         ts = random_set(rng, n_pairs=6, length=3)
-        model = train(ts, PredictorConfig(kind="ENN", epochs=100, seed=11))
         x1, x2 = rng.normal(size=3), rng.normal(size=3)
+        for kind in ("BPNN", "WNN", "GRNN", "ENN"):
+            model = train(ts, PredictorConfig(kind=kind, epochs=100, seed=11))
+            for x in (x1, x2):
+                assert (np.float64(predict(model, x)).tobytes()
+                        == np.float64(ForecastSession(model).step(x)).tobytes())
 
-        session = ForecastSession(model)
+        session = ForecastSession(model)  # the ENN model
         first = session.step(x1)
         second_with_context = session.step(x2)
         # a fresh session (or bare predict) starts from zero context

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 import legacy_trainer as legacy
 from modecast import predictors
-from modecast.core import MinMaxScale
 from modecast.grouping import TrainingSet
 from modecast.predictors import (
     _BLOCK,
@@ -96,16 +95,18 @@ class TestTrainerOracle:
     @settings(deadline=None, max_examples=60)
     @given(problems(st.just(0.05)), st.booleans())
     def test_one_evaluation_matches(self, problem, frozen):
-        """Loss, gradient and ENN context trajectory at the seeded start."""
+        """Loss, gradient and ENN context trajectory at the seeded start, of
+        the stacked objective over one model."""
         training_set, cfg, _ = problem
         kind, l, h = cfg.kind, training_set.input_length, cfg.hidden_units
         x, y = legacy._pairs(kind, training_set)
         flat = _init_params(cfg, l)
         assert np.array_equal(flat, legacy._init_params(cfg, l))
-        grad = np.full_like(flat, np.nan)
-        err = np.full_like(y, np.nan)
-        _objective(kind, flat, grad, x, y, l, h, frozen=frozen)(err)
-        loss = _mse(err)
+        grad = np.full((1, flat.size), np.nan)
+        err = np.full((1, y.size), np.nan)
+        # the objective runs on stacks of models: here a stack of one
+        _objective(kind, flat[None], grad, x[None], y[None], l, h, frozen=frozen)(err)
+        loss, grad = _mse(err)[0], grad[0]
         kwargs = {}
         if kind == "ENN":
             contexts = legacy._enn_context(legacy._unpack(kind, flat, l, h), x)
@@ -229,8 +230,8 @@ def model_batches(draw):
     batch = []
     for _ in range(draw(st.integers(1, 10))):
         if batch and draw(st.integers(0, 3)) == 0:
-            # an earlier request again, as a new object with a new scale
-            earlier, cfg, _ = draw(st.sampled_from(batch))
+            # an earlier request again, as a new object
+            earlier, cfg = draw(st.sampled_from(batch))
             training_set = TrainingSet(inputs=earlier.inputs.copy(),
                                        targets=earlier.targets.copy(),
                                        provenance=earlier.provenance)
@@ -243,14 +244,15 @@ def model_batches(draw):
             )
             cfg = PredictorConfig(kind=kind, hidden_units=hidden, learning_rate=rate,
                                   epochs=epochs, seed=draw(st.integers(0, 2**16)))
-        batch.append((training_set, cfg, MinMaxScale(0.0, float(len(batch) + 1))))
+        batch.append((training_set, cfg))
     return batch
 
 
-def assert_matches_lone_training(training_set, cfg, scale, result):
+def assert_matches_lone_training(training_set, cfg, result):
     """``result`` equals the frozen trainer run alone: weights and loss
     curve, or the epoch its loss became non-finite; every other field is
-    the config's or the scale's. GRNN models store their pairs."""
+    the config's, and no scale is attached. GRNN models store their
+    pairs."""
     try:
         old = ((np.concatenate([training_set.inputs.ravel(), training_set.targets]),
                 np.zeros(0)) if cfg.kind == "GRNN" else legacy.train(training_set, cfg))
@@ -265,7 +267,7 @@ def assert_matches_lone_training(training_set, cfg, scale, result):
     assert np.array_equal(result.training_loss_curve, old[1])
     assert (result.kind, result.input_length, result.hidden_units, result.grnn_sigma,
             result.scale) == (cfg.kind, training_set.input_length, cfg.hidden_units,
-                              cfg.grnn_sigma, scale)
+                              cfg.grnn_sigma, None)
 
 
 class TestTrainManyOracle:
@@ -278,8 +280,8 @@ class TestTrainManyOracle:
         results = train_many(*zip(*batch))
         assert len(results) == len(batch)
         assert len({id(result) for result in results}) == len(results)
-        for (training_set, cfg, scale), result in zip(batch, results):
-            assert_matches_lone_training(training_set, cfg, scale, result)
+        for (training_set, cfg), result in zip(batch, results):
+            assert_matches_lone_training(training_set, cfg, result)
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(1, 10), st.sampled_from([1.0, 1e3]), st.integers(0, 2**32 - 1))
@@ -295,14 +297,14 @@ class TestTrainManyOracle:
         cfgs = [PredictorConfig(kind="BPNN", hidden_units=8, epochs=12, seed=int(s))
                 for s in rng.integers(0, 2**16, k)]
         for training_set, cfg, model in zip(sets, cfgs, train_many(sets, cfgs)):
-            assert_matches_lone_training(training_set, cfg, None, model)
+            assert_matches_lone_training(training_set, cfg, model)
 
     def test_equal_requests_descend_once(self, monkeypatch):
         """Two equal requests of one group, and an ENN pair whose inputs
         and targets are equal but whose provenance orders them differently:
         the equal BPNN requests reach ``_descend`` as one stacked model and
-        come back as two models with their own scales; the ENN pair
-        descends as two."""
+        come back as two models of their own; the ENN pair descends as
+        two."""
         stacked = []
 
         def spy(kind, flat, *args):
@@ -318,12 +320,12 @@ class TestTrainManyOracle:
                                provenance=tuple((6 - o, 0.0) for o in range(6)))
         bpnn = PredictorConfig(kind="BPNN", hidden_units=4, epochs=30, seed=3)
         enn = PredictorConfig(kind="ENN", hidden_units=4, epochs=30, seed=3)
-        batch = [(forward, bpnn, MinMaxScale(0.0, 1.0)), (backward, bpnn, MinMaxScale(0.0, 2.0)),
-                 (forward, enn, MinMaxScale(0.0, 3.0)), (backward, enn, MinMaxScale(0.0, 4.0))]
+        batch = [(forward, bpnn), (backward, bpnn), (forward, enn), (backward, enn)]
         results = train_many(*zip(*batch))
         assert stacked == [("BPNN", 1), ("ENN", 2)]
-        for (training_set, cfg, scale), result in zip(batch, results):
-            assert_matches_lone_training(training_set, cfg, scale, result)
+        for (training_set, cfg), result in zip(batch, results):
+            assert_matches_lone_training(training_set, cfg, result)
+        assert results[0] is not results[1]
         assert results[0].weights is not results[1].weights
         assert np.array_equal(results[0].weights, results[1].weights)
         assert not np.array_equal(results[2].weights, results[3].weights)
@@ -365,9 +367,9 @@ class TestLossCurveBlocks:
                 for _ in range(3)]
         cfgs = [PredictorConfig(kind=kind, hidden_units=3, learning_rate=0.1, epochs=epochs,
                                 seed=seed) for seed in (1, 2, 3)]
-        assert_matches_lone_training(sets[0], cfgs[0], None, train_many(sets[:1], cfgs[:1])[0])
+        assert_matches_lone_training(sets[0], cfgs[0], train_many(sets[:1], cfgs[:1])[0])
         for training_set, cfg, result in zip(sets, cfgs, train_many(sets, cfgs)):
-            assert_matches_lone_training(training_set, cfg, None, result)
+            assert_matches_lone_training(training_set, cfg, result)
 
     @pytest.mark.parametrize("kind, rate", [("BPNN", 3.0), ("WNN", 10.0), ("ENN", 3.0)])
     def test_divergence_after_the_first_block(self, kind, rate):
@@ -382,5 +384,5 @@ class TestLossCurveBlocks:
         assert _BLOCK < err.value.args[0] < 2 * _BLOCK
         for batch in ([wild], [calm, wild], [wild, calm]):
             for training_set, result in zip(batch, train_many(batch, [cfg] * len(batch))):
-                assert_matches_lone_training(training_set, cfg, None, result)
+                assert_matches_lone_training(training_set, cfg, result)
 

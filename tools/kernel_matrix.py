@@ -15,7 +15,9 @@ The variable takes effect only in a DYNAMIC_ARCH build of OpenBLAS (numpy's
 wheels are one); an unknown name falls back to the detected kernel, and
 some names map to another kernel, which the ``kernel`` column shows. Byte
 identity holds per (numpy, BLAS kernel) pair, so the digests may differ
-between rows. Not part of the test suite: a run takes some minutes.
+between rows. The exit status is 1 when any row shows a failing test, an
+INTERNALERROR or a benchmark that did not exit 0, so the script can serve
+as a gate. Not part of the test suite: a run takes some minutes.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ def _child(args: list, env: dict) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def row(core: str) -> str:
+def row(core: str) -> tuple:
+    """(markdown row, whether its tests and benchmark passed) of one core type."""
     env = dict(os.environ, OPENBLAS_CORETYPE=core,
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
@@ -71,7 +74,9 @@ def row(core: str) -> str:
         runs = Path(out) / "benchmark_runs.json"
         digest = (hashlib.sha256(runs.read_bytes()).hexdigest() if bench.returncode == 0
                   else f"benchmark exited {bench.returncode}")
-    return f"| {core} | {kernel} | {summary} | {', '.join(failed) or '-'} | {digest} |"
+    # pytest exits non-zero on a failing test and on an INTERNALERROR
+    passed = tests.returncode == 0 and bench.returncode == 0
+    return f"| {core} | {kernel} | {summary} | {', '.join(failed) or '-'} | {digest} |", passed
 
 
 def main(argv=None) -> int:
@@ -81,9 +86,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print("| core type | kernel | tests | failed | benchmark_runs.json SHA-256 |")
     print("|---|---|---|---|---|")
+    status = 0
     for core in args.cores:
-        print(row(core), flush=True)
-    return 0
+        line, passed = row(core)
+        print(line, flush=True)
+        status |= not passed
+    return status
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Count the lines of the modecast package, module by module.
 
-    python tools/src_lines.py [PACKAGE_DIR]
+    python tools/src_lines.py [PACKAGE_DIR] [--against REV]
 
 For each module of ``PACKAGE_DIR`` (default ``src/modecast``) and in total,
 prints three counts:
@@ -11,12 +11,16 @@ prints three counts:
 - ``docstring``: the lines of the module, class and function docstrings.
 
 So a cut in docstrings or comments shows in ``lines`` but not in ``code``.
-Standard library only.
+With ``--against REV``, the same counts of the package at the git revision
+REV (read with ``git show``) are printed beside the tree's, so a change
+reports before and after in one table. Standard library and git only.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,15 +44,40 @@ def count(source: str) -> tuple:
     return len(lines), len(code), len(docstrings)
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def _rows(sources: dict) -> dict:
+    """Module name -> counts, plus the total, for ``{name: source}``."""
+    rows = {name: count(source) for name, source in sorted(sources.items())}
+    rows["total"] = tuple(sum(column) for column in zip(*rows.values())) or (0, 0, 0)
+    return rows
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    package = Path(argv[0]) if argv else ROOT / "src" / "modecast"
-    rows = [(path.name, *count(path.read_text(encoding="utf-8")))
-            for path in sorted(package.glob("*.py"))]
-    rows.append(("total", *(sum(column) for column in zip(*(r[1:] for r in rows)))))
-    print(f"{'module':<20}{'lines':>7}{'code':>7}{'docstring':>11}")
-    for name, lines, code, docstring in rows:
-        print(f"{name:<20}{lines:>7}{code:>7}{docstring:>11}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("package", nargs="?", default=ROOT / "src" / "modecast", type=Path,
+                        help="package directory (default: src/modecast)")
+    parser.add_argument("--against", metavar="REV",
+                        help="also print the counts of the package at git revision REV")
+    args = parser.parse_args(argv)
+    columns = [("tree", _rows({path.name: path.read_text(encoding="utf-8")
+                               for path in args.package.glob("*.py")}))]
+    if args.against:
+        where = args.package.resolve().relative_to(ROOT).as_posix()
+        names = _git("ls-tree", "--name-only", f"{args.against}:{where}").split()
+        columns.insert(0, (args.against, _rows({
+            name: _git("show", f"{args.against}:{where}/{name}")
+            for name in names if name.endswith(".py")})))
+    names = sorted({name for _, rows in columns for name in rows} - {"total"}) + ["total"]
+    if args.against:
+        print(f"{'':<20}" + "".join(f"{label:>25}" for label, _ in columns))
+    print(f"{'module':<20}" + f"{'lines':>7}{'code':>7}{'docstring':>11}" * len(columns))
+    for name in names:
+        cells = [rows.get(name, ("-",) * 3) for _, rows in columns]
+        print(f"{name:<20}" + "".join(f"{a:>7}{b:>7}{c:>11}" for a, b, c in cells))
     return 0
 
 

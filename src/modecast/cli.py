@@ -281,7 +281,7 @@ def cmd_decompose(args) -> int:
     names = [f"imf_{i + 1}" for i in range(decomp.n_imfs)] + ["residual"]
     comps = decomp.components()
     _write_csv(out / "components.csv", [names] + [
-        [format_number(c.values[t]) for c in comps] for t in range(decomp.source_length)])
+        [format_number(v) for v in row] for row in zip(*(c.values.tolist() for c in comps))])
 
     zero_crossings = [count_zero_crossings(c.values) for c in comps]
     _write_json(out / "decompose_stats.json", {

@@ -20,6 +20,7 @@ from modecast.core import TimeSeries
 from modecast.decomposition import (
     EemdConfig,
     SiftConfig,
+    _extrema,
     _natural_splines,
     _sift,
     count_zero_crossings,
@@ -112,6 +113,27 @@ def decomposition_cases(draw, max_length=160):
     return x, cfg
 
 
+@st.composite
+def extrema_batches(draw):
+    """(K, T) batches, K = 1..8 and T = 3..24, of a few levels (signed zeros
+    among them), so plateaus are common; now and then a plateau that
+    touches a row end, and a row that ends on the value the next row
+    starts with."""
+    k, t = draw(st.integers(1, 8)), draw(st.integers(3, 24))
+    level = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+    rows = np.array(draw(st.lists(st.lists(level, min_size=t, max_size=t),
+                                  min_size=k, max_size=k)))
+    for r in range(k):
+        width = draw(st.integers(0, t))
+        if draw(st.booleans()):
+            rows[r, :width] = rows[r, 0]
+        else:
+            rows[r, t - width:] = rows[r, -1]
+        if r + 1 < k and draw(st.booleans()):
+            rows[r + 1, 0] = rows[r, -1]
+    return rows
+
+
 class TestExtremaOracle:
     @settings(deadline=None, max_examples=400)
     @given(runs_series())
@@ -119,6 +141,17 @@ class TestExtremaOracle:
         new, old = _outcome(_new_extrema, values), _outcome(_legacy_extrema, values)
         assert new == old
         assert count_zero_crossings(values) == legacy.count_zero_crossings(values)
+
+    @settings(deadline=None, max_examples=300)
+    @given(extrema_batches())
+    def test_batch_matches_rows_alone(self, rows):
+        """The extrema of a batch, as flat indices, are each row's own
+        extrema offset by its start: no run carries over a row boundary."""
+        maxima, minima = _extrema(rows)
+        alone = [find_extrema(row) for row in rows]
+        offsets = range(0, rows.size, rows.shape[1])
+        assert _bits(maxima, np.concatenate([mx + o for o, (mx, _) in zip(offsets, alone)]))
+        assert _bits(minima, np.concatenate([mn + o for o, (_, mn) in zip(offsets, alone)]))
 
 
 class TestEnvelopeOracle:
@@ -143,35 +176,33 @@ class TestEnvelopeOracle:
 
 @st.composite
 def spline_cases(draw):
-    """Knots at integer and fractional positions, often below 0 (mirrored
-    knots); values of either sign with magnitudes 2^-400..2^400 or exact
-    zeros; sorted points at the knots (the last one always) and between them."""
+    """Knots at integer and fractional positions, the first at or below 0
+    and often below it (mirrored knots); values of either sign with
+    magnitudes 2^-400..2^400 or exact zeros; the sample grid 0..m - 1 that
+    the spline is evaluated at, which often ends on the last knot and may
+    end short of it."""
     n = draw(st.integers(2, 60))
     gaps = draw(st.lists(st.integers(1, 12) | st.sampled_from([0.25, 0.5, 1.5]),
                          min_size=n - 1, max_size=n - 1))
-    x = draw(st.integers(-60, 60)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    x = np.concatenate(([0.0], np.cumsum(gaps)))
+    x -= draw(st.integers(0, min(60, int(x[-1]))))
     magnitude = st.floats(SMALL, BIG)
     y = np.array(draw(st.lists(
         st.sampled_from([0.0, -0.0]) | magnitude | magnitude.map(lambda v: -v),
         min_size=n, max_size=n)))
-    knots = draw(st.lists(st.integers(0, n - 1), max_size=8))
-    between = draw(st.lists(st.tuples(st.integers(0, n - 2), st.floats(0, 1, exclude_max=True)),
-                            max_size=30))
-    at = [x[i] for i in knots] + [x[i] + f * (x[i + 1] - x[i]) for i, f in between] + [x[-1]]
-    return x, y, np.sort(np.array(at, dtype=np.float64))
+    size = max(1, int(x[-1]) + 1 - draw(st.integers(0, 2)))
+    return x, y, size
 
 
 @st.composite
 def spline_blocks(draw):
-    """1-6 blocks of 2-20 knots, each reaching past both ends of shared
-    sorted points in [0, span]: knots at integer and fractional positions,
+    """1-6 blocks of 2-20 knots, each reaching past both ends of the
+    sample grid 0..span: knots at integer and fractional positions,
     values of either sign with magnitudes 2^-400..2^400, exact zeros, whole
     blocks of signed zeros, and a signed zero at either edge of a block;
     now and then a block with an infinite value (CubicSpline rejects y) or
     one of +-1.5e308 (it rejects the slopes)."""
     span = draw(st.integers(0, 30))
-    at = np.sort(np.array(draw(st.lists(st.floats(0, span), max_size=30)) + [0.0, span],
-                          dtype=np.float64))
     magnitude = st.floats(SMALL, BIG)
     zeros = st.sampled_from([0.0, -0.0])
     blocks = []
@@ -191,17 +222,22 @@ def spline_blocks(draw):
             y[draw(st.integers(0, y.size - 1))] = draw(st.sampled_from(
                 [np.inf, -np.inf, 1.5e308, -1.5e308]))
         blocks.append((x, y))
-    return blocks, at
+    return blocks, span + 1
+
+
+def _grid(size):
+    """The sample grid 0..size - 1, the only points modecast evaluates a spline at."""
+    return np.arange(size, dtype=np.float64)
 
 
 class TestSplineOracle:
     @settings(deadline=None, max_examples=400)
     @given(spline_cases())
     def test_natural_spline_matches_cubic_spline(self, case):
-        x, y, at = case
-        values, status = _natural_splines(x, y, np.array([0, x.size]), at)
+        x, y, size = case
+        values, status = _natural_splines(x, y, np.array([0, x.size]), size)
         assert status.tolist() == [0]
-        assert _bits(values[0], CubicSpline(x, y, bc_type="natural")(at))
+        assert _bits(values[0], CubicSpline(x, y, bc_type="natural")(_grid(size)))
 
     @settings(deadline=None, max_examples=300)
     @given(spline_blocks())
@@ -210,16 +246,16 @@ class TestSplineOracle:
         gives it alone, all-zero blocks and signed zeros at the block edges
         included; a block that CubicSpline rejects fails with its message
         and leaves the others untouched, without a numeric warning."""
-        blocks, at = case
+        blocks, size = case
         x, y = np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
         bounds = np.cumsum([0] + [b[0].size for b in blocks])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, status = _natural_splines(x, y, bounds, at)
-        assert values.shape == (len(blocks), at.size)
+            values, status = _natural_splines(x, y, bounds, size)
+        assert values.shape == (len(blocks), size)
         for (bx, by), row, code in zip(blocks, values, status):
             with np.errstate(all="ignore"):
-                old = _outcome(lambda: CubicSpline(bx, by, bc_type="natural")(at))
+                old = _outcome(lambda: CubicSpline(bx, by, bc_type="natural")(_grid(size)))
             if old[0] == "ok":
                 assert code == 0 and _bits(row, old[1])
             else:

@@ -3,11 +3,11 @@
     python tools/kernel_matrix.py [CORE ...]
 
 For each core type named (default: SkylakeX Haswell Zen Sandybridge
-Prescott), one child process at a time runs the trainer and pipeline
-oracles and the acceptance tests, then the golden benchmark, with
-``OPENBLAS_CORETYPE=CORE`` set in the child's environment only. A markdown
-table reports per core type the kernel numpy's OpenBLAS chose, the pytest
-summary, the failing tests and the SHA-256 of ``benchmark_runs.json``.
+Prescott), one child process at a time runs the decomposition, trainer
+and pipeline oracles and the acceptance tests, then the golden benchmark,
+with ``OPENBLAS_CORETYPE=CORE`` set in the child's environment only. A
+markdown table reports per core type the kernel numpy's OpenBLAS chose, the
+pytest summary, the failing tests and the SHA-256 of ``benchmark_runs.json``.
 The tests draw from hypothesis seed 0, so every row and every checkout
 draws the same examples (failures saved in ``.hypothesis/`` replay too).
 
@@ -32,8 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CORES = ("SkylakeX", "Haswell", "Zen", "Sandybridge", "Prescott")
-TESTS = ("tests/test_trainer_oracle.py", "tests/test_pipeline_oracle.py",
-         "tests/test_acceptance.py")
+TESTS = ("tests/test_decomposition_oracle.py", "tests/test_trainer_oracle.py",
+         "tests/test_pipeline_oracle.py", "tests/test_acceptance.py")
 GOLDEN = "configs/benchmark_synthetic.json"
 
 # prints the name of the kernel numpy's bundled OpenBLAS runs, or "?"

@@ -9,7 +9,6 @@ grouped training windows, and sums the per-component forecasts.
 from .core import (
     DataError,
     Decomposition,
-    FrequencySplit,
     MinMaxScale,
     TimeSeries,
     derive_seed,
@@ -58,6 +57,7 @@ from .predictors import (
 from .pipeline import (
     ForecastResult,
     FrameworkSpec,
+    FrequencySplit,
     PipelineError,
     forecast_high,
     forecast_low,

@@ -97,6 +97,11 @@ def _write_atomic(path: Path, write: Callable) -> None:
         raise
 
 
+def _out(args, output_dir: str = ".") -> Path:
+    """The output directory: ``--out`` if given, else the config's ``output_dir``."""
+    return Path(output_dir if args.out is None else args.out)
+
+
 def _write_json(path: Path, payload) -> None:
     _write_atomic(path, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
 
@@ -277,7 +282,7 @@ def cmd_decompose(args) -> int:
         method_info = {"method": "eemd", "ensemble_size": cfg.ensemble_size,
                        "noise_amplitude": cfg.noise_amplitude, "seed": cfg.seed}
 
-    out = Path(args.out)
+    out = _out(args)
     names = [f"imf_{i + 1}" for i in range(decomp.n_imfs)] + ["residual"]
     comps = decomp.components()
     _write_csv(out / "components.csv", [names] + [
@@ -322,7 +327,7 @@ def cmd_predict(args) -> int:
     group_trace = {} if args.dump_groups else None
     result = run_framework(series, cfg["framework"], seed=seed, group_trace=group_trace)
 
-    out = Path(args.out if args.out != "." else cfg["output_dir"])
+    out = _out(args, cfg["output_dir"])
     _write_json(out / "forecast.json", result.to_dict())
     _write_csv(out / "forecast.csv",
                ([step + 1, format_number(v)] for step, v in enumerate(result.combined)))
@@ -343,7 +348,7 @@ def cmd_benchmark(args) -> int:
     reports = benchmark(series, cfg["holdout"], cfg["frameworks"], runs, seeds,
                         labels=cfg["labels"])
 
-    out = Path(args.out if args.out != "." else cfg["output_dir"])
+    out = _out(args, cfg["output_dir"])
     horizon = len(reports[0].per_point)
     header = (
         ["framework"]
@@ -415,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect "
                              "(every command runs on one thread)")
-    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--out", help="output directory; overrides the config's "
+                                      "output_dir (default: output_dir, else .)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="decompose a series into IMFs + residual")

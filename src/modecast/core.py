@@ -125,29 +125,6 @@ class Decomposition:
         return total
 
 
-@dataclass(frozen=True)
-class FrequencySplit:
-    """Partition of decomposition components into fast (high) and slow (low).
-
-    The first ``p_count`` components are the hard-to-predict fast ones; the
-    remaining ``q_count`` (always ending with the residual) are predicted
-    directly. p_count + q_count equals the total component count.
-    """
-
-    high: tuple
-    low: tuple
-    p_count: int
-    q_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "high", tuple(self.high))
-        object.__setattr__(self, "low", tuple(self.low))
-        if self.p_count != len(self.high) or self.q_count != len(self.low):
-            raise ValueError("split counts do not match component lists")
-        if self.q_count < 1:
-            raise ValueError("at least one low-frequency component is required")
-
-
 # ---------------------------------------------------------------------------
 # Scaling
 # ---------------------------------------------------------------------------
@@ -192,13 +169,6 @@ class MinMaxScale:
         if not np.isfinite(x).all():
             raise DataError("denormalized value beyond the float range")
         return x
-
-    def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "degenerate": self.degenerate}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MinMaxScale":
-        return cls(lo=float(d["lo"]), hi=float(d["hi"]), degenerate=bool(d["degenerate"]))
 
 
 def minmax_normalize(series: TimeSeries) -> tuple:

@@ -486,7 +486,10 @@ _BATCH_SAMPLES = 1 << 14
 
 def _rescaled(values: np.ndarray, e, name: str) -> np.ndarray:
     """``values * 2**e``; a value the scaling takes beyond the float range is
-    a DataError naming the component, not an overflow warning."""
+    a DataError naming the component, not an overflow warning. At e = 0 it
+    is ``values`` itself."""
+    if not e:
+        return values
     with np.errstate(over="ignore"):
         scaled = np.ldexp(values, e)
     if np.any(np.isinf(scaled) & np.isfinite(values)):

@@ -60,14 +60,13 @@ class RunEvaluation:
 
     per_point_re: tuple
     mean_re: float
-    used_abs_denominator: bool = False
 
 
 def evaluate_run(actuals: TimeSeries, predictions) -> RunEvaluation:
     """Elementwise relative errors of one prediction run and their mean.
 
     Lengths must match and no actual may be zero; negative actuals are
-    scored against their magnitude and flagged.
+    scored against their magnitude.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     if predictions.size != len(actuals):
@@ -78,11 +77,7 @@ def evaluate_run(actuals: TimeSeries, predictions) -> RunEvaluation:
         relative_error(float(a), float(p))
         for a, p in zip(actuals.values, predictions)
     )
-    return RunEvaluation(
-        per_point_re=res,
-        mean_re=float(_moments(res)[0]),
-        used_abs_denominator=bool(np.any(actuals.values < 0)),
-    )
+    return RunEvaluation(per_point_re=res, mean_re=float(_moments(res)[0]))
 
 
 @dataclass(frozen=True)

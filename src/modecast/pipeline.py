@@ -19,20 +19,12 @@ gives for it alone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
-from typing import Generator, Optional, Sequence, Union
+from typing import Generator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    DataError,
-    Decomposition,
-    FrequencySplit,
-    TimeSeries,
-    derive_seed,
-    minmax_normalize,
-)
+from .core import DataError, Decomposition, TimeSeries, derive_seed, minmax_normalize
 from .decomposition import EemdConfig, SiftConfig, count_zero_crossings, emd, eemd
 from .grouping import (
     GroupingConfig,
@@ -110,13 +102,10 @@ class ForecastResult:
             raise ValueError("combined forecast is not the exact sum of components")
 
     def to_dict(self) -> dict:
-        """JSON payload; timing is deliberately excluded so reruns with the
-        same config and seeds serialize byte-identically."""
-        meta = {k: v for k, v in self.metadata.items() if k != "elapsed_seconds"}
         return {
             "combined": self.combined.tolist(),
             "per_component": {name: v.tolist() for name, v in self.per_component},
-            "metadata": meta,
+            "metadata": dict(self.metadata),
         }
 
 
@@ -124,15 +113,23 @@ class ForecastResult:
 # Component split
 # ---------------------------------------------------------------------------
 
+class FrequencySplit(NamedTuple):
+    """The fast (high-frequency) count P and slow count Q of a split: the
+    first P components of ``Decomposition.components()``, and the Q after
+    them, which end with the residual."""
+
+    p_count: int
+    q_count: int
+
+
 def split_components(decomp: Decomposition, split: Union[str, tuple] = "auto") -> FrequencySplit:
-    """Partition components into fast (high) and slow (low) groups.
+    """Count the fast (high) and slow (low) components.
 
     The component list is the IMFs in order with the residual appended
-    last; the first P entries become the fast group. ``"auto"`` sets P to
+    last; the first P entries form the fast group. ``"auto"`` sets P to
     the number of IMFs whose zero-crossing count exceeds T/4 (at least 1
     whenever any IMF exists).
     """
-    comps = decomp.components()
     n = decomp.n_imfs
     if split == "auto":
         threshold = decomp.source_length / 4.0
@@ -148,12 +145,7 @@ def split_components(decomp: Decomposition, split: Union[str, tuple] = "auto") -
                 f"split (P={p}, Q={q}) is inconsistent with {n} IMFs plus residual: "
                 f"the constraint P+Q=N+1 requires P+Q={n + 1}"
             )
-    return FrequencySplit(
-        high=tuple(comps[:p]),
-        low=tuple(comps[p:]),
-        p_count=p,
-        q_count=len(comps) - p,
-    )
+    return FrequencySplit(p, n + 1 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +316,15 @@ def _components(series: TimeSeries, spec: FrameworkSpec, seed: Optional[int]) ->
         names = [f"imf_{i + 1}" for i in range(n_imfs)] + ["residual"]
         comps = decomp.components()
         if spec.variant != "EMD_NN":
-            fsplit = split_components(decomp, spec.split)
-            p = fsplit.p_count
-            split_meta = [p, fsplit.q_count]
+            p, q = split_components(decomp, spec.split)
+            split_meta = [p, q]
     metadata = {"variant": spec.variant, "root_seed": int(pred_cfg.seed), "split": split_meta,
                 "horizon": spec.horizon, "n_imfs": n_imfs}
     return pred_cfg, names, comps, p, metadata
 
 
-def _result(plan: tuple, outcomes: list, traces: list, group_trace: Optional[dict],
-            started: float) -> ForecastResult:
+def _result(plan: tuple, outcomes: list, traces: list,
+            group_trace: Optional[dict]) -> ForecastResult:
     """One cell's :class:`ForecastResult` from its component outcomes, or
     the error of its first failed component."""
     _, names, _, _, metadata = plan
@@ -352,7 +343,6 @@ def _result(plan: tuple, outcomes: list, traces: list, group_trace: Optional[dic
     if not np.isfinite(combined).all():
         raise PipelineError("the component forecasts sum beyond the float range")
 
-    metadata = {**metadata, "elapsed_seconds": time.perf_counter() - started}
     return ForecastResult(combined=combined, per_component=tuple(parts), metadata=metadata)
 
 
@@ -390,10 +380,7 @@ def run_frameworks(series: TimeSeries, cells: Sequence[tuple],
         error as it is, else a :class:`PipelineError` for the component of
         lowest index that fails, else the sum-overflow error. A group
         trace holds the fast components before the first failed one.
-        ``elapsed_seconds`` is the wall time of the call up to the cell's
-        result.
     """
-    started = time.perf_counter()
     group_traces = [None] * len(cells) if group_traces is None else group_traces
     outcomes, plans, tasks = [None] * len(cells), {}, []
     for c, (spec, seed) in enumerate(cells):
@@ -419,7 +406,7 @@ def run_frameworks(series: TimeSeries, cells: Sequence[tuple],
     for c, (plan, traces) in plans.items():
         try:
             outcomes[c] = _result(plan, [next(components) for _ in traces], traces,
-                                  group_traces[c], started)
+                                  group_traces[c])
         except Exception as exc:
             outcomes[c] = exc
     return outcomes

@@ -49,13 +49,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import MinMaxScale, spawn_rng
+from .core import spawn_rng
 from .grouping import TrainingSet
 
 KINDS = ("BPNN", "GRNN", "ENN", "WNN")
@@ -105,7 +105,6 @@ class TrainedModel:
     hidden_units: int
     weights: np.ndarray
     grnn_sigma: float = 0.1
-    scale: Optional[MinMaxScale] = None
     training_loss_curve: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
@@ -527,8 +526,7 @@ def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorCon
     ]
 
 
-def train(training_set: TrainingSet, cfg: PredictorConfig,
-          scale: Optional[MinMaxScale] = None) -> TrainedModel:
+def train(training_set: TrainingSet, cfg: PredictorConfig) -> TrainedModel:
     """Fit a regressor of ``cfg.kind`` on the training pairs; the one-model
     call of :func:`train_many`.
 
@@ -543,14 +541,11 @@ def train(training_set: TrainingSet, cfg: PredictorConfig,
         Non-empty supervised pairs.
     cfg : PredictorConfig
         Architecture and optimization settings.
-    scale : MinMaxScale, optional
-        Normalization metadata carried on the model for save/load; the
-        model itself always operates in the space of its training data.
     """
     model = train_many([training_set], [cfg])[0]
     if isinstance(model, TrainingDivergedError):
         raise model
-    return replace(model, scale=scale)
+    return model
 
 
 def _grnn_predict(p: dict, x: np.ndarray, sigma: float) -> float:
@@ -656,19 +651,18 @@ def model_to_dict(model: TrainedModel) -> dict:
         "hidden_units": model.hidden_units,
         "grnn_sigma": model.grnn_sigma,
         "weights": model.weights.tolist(),
-        "scale": model.scale.to_dict() if model.scale is not None else None,
         "training_loss_curve": model.training_loss_curve.tolist(),
     }
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
+    # other keys, such as the "scale" that older files hold, are ignored
     return TrainedModel(
         kind=doc["kind"],
         input_length=int(doc["input_length"]),
         hidden_units=int(doc["hidden_units"]),
         grnn_sigma=float(doc.get("grnn_sigma", 0.1)),
         weights=np.array(doc["weights"], dtype=np.float64),
-        scale=MinMaxScale.from_dict(doc["scale"]) if doc.get("scale") else None,
         training_loss_curve=np.array(doc.get("training_loss_curve", []), dtype=np.float64),
     )
 

@@ -10,7 +10,6 @@ test pass.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import Optional
 
@@ -42,7 +41,7 @@ def forecast_low(component: TimeSeries, cfg: PredictorConfig, window: int,
         )
     normalized, scale = minmax_normalize(component)
     training_set = sliding_window_set(normalized, window)
-    model = train(training_set, cfg, scale=scale)
+    model = train(training_set, cfg)
     session = ForecastSession(model)
     t = len(component)
     buf = np.empty(t + horizon)
@@ -71,7 +70,7 @@ def forecast_high(component: TimeSeries, grouping: GroupingConfig,
         k = select_group(distances, grouping)
         training_set = build_training_set(extended, offsets[:k], distances[:k], length)
         step_cfg = replace(cfg, seed=derive_seed(cfg.seed, step))
-        model = train(training_set, step_cfg, scale=scale)
+        model = train(training_set, step_cfg)
         reference = extended[-length:]
         value = predict(model, reference)
         if not np.isfinite(value):
@@ -99,7 +98,6 @@ def _component_names(n_imfs: int) -> list:
 def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
                   seed: Optional[int] = None,
                   group_trace: Optional[dict] = None) -> ForecastResult:
-    started = time.perf_counter()
     pred_cfg = spec.predictor if seed is None else replace(spec.predictor, seed=seed)
     eemd_cfg = spec.eemd if seed is None else replace(spec.eemd, seed=seed)
     eemd_cfg = replace(eemd_cfg, sift=spec.sift)
@@ -129,8 +127,9 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
         else:
             fsplit = split_components(decomp, spec.split)
             split_meta = [fsplit.p_count, fsplit.q_count]
+            comps = decomp.components()
             parts = []
-            for idx, comp in enumerate(fsplit.high):
+            for idx, comp in enumerate(comps[:fsplit.p_count]):
                 name = names[idx]
                 trace = [] if group_trace is not None else None
                 comp_cfg = replace(pred_cfg, seed=derive_seed(root, idx))
@@ -144,7 +143,7 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
                 if group_trace is not None:
                     group_trace[name] = trace
                 parts.append((name, values))
-            for offset, comp in enumerate(fsplit.low):
+            for offset, comp in enumerate(comps[fsplit.p_count:]):
                 idx = fsplit.p_count + offset
                 name = names[idx]
                 parts.append((name, _forecast_component(
@@ -160,7 +159,6 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
         "split": split_meta,
         "horizon": horizon,
         "n_imfs": n_imfs,
-        "elapsed_seconds": time.perf_counter() - started,
     }
     return ForecastResult(combined=combined, per_component=tuple(parts), metadata=metadata)
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -712,12 +713,84 @@ def test_count_flag_below_one_names_itself(command, flag, value, tmp_path):
     assert (code, err) == (1, f"config error: {flag}: expected integer >= 1, got {value}\n")
 
 
+class TestOutputDirectory:
+    """``--out`` overrides the config's ``output_dir``, ``.`` included."""
+
+    @pytest.mark.parametrize("command, written", [("predict", "forecast.csv"),
+                                                  ("benchmark", "benchmark.csv")])
+    @pytest.mark.parametrize("out, where", [(None, "out"), (".", "."), ("given", "given")])
+    def test_out_overrides_output_dir(self, command, written, out, where, tmp_path,
+                                      monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_tiny_configs(tmp_path)[command]))  # output_dir "out"
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code, err, _ = _run(([] if out is None else ["--out", out]) + [command, str(config)])
+        assert (code, err) == (0, "")
+        assert [p.relative_to(cwd).parent.as_posix() for p in cwd.rglob(written)] == [where]
+
+
+class TestConfigErrorLine:
+    """A config or usage error exits 1 with exactly one stderr line."""
+
+    def test_missing_config_file(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, err, _ = _run(["predict", str(missing)])
+        assert (code, err) == (1, f"config error: config file not found: {missing}\n")
+
+    def test_invalid_json(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("not json")
+        code, err, _ = _run(["benchmark", str(config)])
+        assert (code, err) == (1, "config error: config is not valid JSON: "
+                                  "Expecting value: line 1 column 1 (char 0)\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("holdout"), "holdout is required"),
+        (lambda doc: doc.update(labels=["a"]), "labels must match the number of frameworks"),
+    ])
+    def test_benchmark_config(self, edit, message, tmp_path):
+        doc = _tiny_configs(tmp_path)["benchmark"]
+        edit(doc)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code, err, _ = _run(["--out", str(tmp_path / "out"), "benchmark", str(config)])
+        assert (code, err) == (1, f"config error: {message}\n")
+
+    def test_runs_above_seed_count(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_tiny_configs(tmp_path)["benchmark"]))  # one seed
+        code, err, _ = _run(["--out", str(tmp_path / "out"), "benchmark", str(config),
+                             "--runs", "2"])
+        assert (code, err) == (1, "config error: config provides 1 seeds, need 2\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["decompose", "x.csv", "--method", "foo"],
+         "argument --method: invalid choice: 'foo' (choose from 'emd', 'eemd')"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "
+                         "'decompose', 'dtw', 'predict', 'benchmark', 'gradcheck')"),
+        (["predict"], "the following arguments are required: config"),
+    ])
+    def test_usage_error(self, argv, message):
+        code, err, _ = _run(argv)
+        assert (code, err) == (1, f"config error: {message}\n")
+
+
 class TestGradcheck:
     def test_passes_at_default_tolerance(self, capsys):
         code = main(["gradcheck", "--trials", "3"])
         assert code == 0
         out = capsys.readouterr().out
         assert "BPNN" in out and "WNN" in out and "ENN" in out and "OK" in out
+
+    def test_error_at_or_above_tolerance_is_exit_three(self, capsys):
+        assert main(["gradcheck", "--trials", "1", "--tolerance", "1e-300"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert re.fullmatch(r"FAIL: worst error \d\.\d{3}e-\d\d >= tolerance 1e-300",
+                            captured.out.splitlines()[-1])
 
     def test_rejects_non_gradient_kind(self):
         assert main(["gradcheck", "--kinds", "GRNN"]) == 1

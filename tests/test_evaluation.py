@@ -60,9 +60,10 @@ class TestEvaluateRun:
         with pytest.raises(ValueError, match="length mismatch"):
             evaluate_run(TimeSeries([1.0, 2.0]), [1.0])
 
-    def test_negative_actuals_flagged(self):
-        result = evaluate_run(TimeSeries([1.0, -2.0]), [1.0, -2.0])
-        assert result.used_abs_denominator
+    def test_negative_actuals_scored_against_magnitude(self):
+        result = evaluate_run(TimeSeries([4.0, -2.0, -8.0]), [5.0, -3.0, -6.0])
+        assert result.per_point_re == (0.25, 0.5, 0.25)
+        assert result.mean_re == 1.0 / 3.0
 
 
 class TestAggregation:

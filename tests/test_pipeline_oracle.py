@@ -113,10 +113,9 @@ def described(result, trace):
     floats compare by their round-trip repr (signed zeros included)."""
     if isinstance(result, Exception):
         return raised(result), json.dumps(trace)
-    meta = {k: v for k, v in result.metadata.items() if k != "elapsed_seconds"}
     parts = [(name, v.dtype.str, v.shape, v.tobytes()) for name, v in result.per_component]
     combined = (result.combined.dtype.str, result.combined.shape, result.combined.tobytes())
-    return (parts, combined, json.dumps(meta), list(result.metadata)), json.dumps(trace)
+    return (parts, combined, json.dumps(result.metadata), list(result.metadata)), json.dumps(trace)
 
 
 def outcome(run, series, spec, seed, traced):

@@ -1,3 +1,4 @@
+import json
 import os
 import runpy
 import subprocess
@@ -16,7 +17,6 @@ from modecast.predictors import (
     TrainingDivergedError,
     gradient_check,
     load_model,
-    model_from_dict,
     model_to_dict,
     predict,
     save_model,
@@ -290,12 +290,20 @@ class TestSaveLoad:
         q = rng.normal(size=3)
         assert predict(back, q) == predict(model, q)
 
-    def test_dict_roundtrip_preserves_scale(self):
-        from modecast.core import MinMaxScale
-
+    @pytest.mark.parametrize("scale", [None, {"lo": 2.0, "hi": 6.0, "degenerate": False}],
+                             ids=["null", "object"])
+    def test_old_format_with_scale_loads(self, scale, tmp_path):
+        """Files saved while models carried a ``"scale"`` entry load, and
+        predict, bit for bit as the model that was saved."""
         rng = np.random.default_rng(13)
-        ts = random_set(rng)
-        model = train(ts, PredictorConfig(kind="BPNN", epochs=10),
-                      scale=MinMaxScale(lo=2.0, hi=6.0))
-        back = model_from_dict(model_to_dict(model))
-        assert back.scale.lo == 2.0 and back.scale.hi == 6.0
+        model = train(random_set(rng), PredictorConfig(kind="BPNN", epochs=10))
+        doc = model_to_dict(model)
+        old = {**{k: v for k, v in doc.items() if k != "training_loss_curve"},
+               "scale": scale, "training_loss_curve": doc["training_loss_curve"]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(old, indent=2))
+        back = load_model(path)
+        assert model_to_dict(back) == doc
+        assert back.weights.tobytes() == model.weights.tobytes()
+        q = rng.normal(size=3)
+        assert predict(back, q) == predict(model, q)

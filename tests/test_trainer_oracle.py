@@ -265,9 +265,8 @@ def assert_matches_lone_training(training_set, cfg, result):
     assert isinstance(result, TrainedModel)
     assert np.array_equal(result.weights, old[0])
     assert np.array_equal(result.training_loss_curve, old[1])
-    assert (result.kind, result.input_length, result.hidden_units, result.grnn_sigma,
-            result.scale) == (cfg.kind, training_set.input_length, cfg.hidden_units,
-                              cfg.grnn_sigma, None)
+    assert (result.kind, result.input_length, result.hidden_units, result.grnn_sigma) == (
+        cfg.kind, training_set.input_length, cfg.hidden_units, cfg.grnn_sigma)
 
 
 class TestTrainManyOracle:

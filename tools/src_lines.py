@@ -13,7 +13,9 @@ prints three counts:
 So a cut in docstrings or comments shows in ``lines`` but not in ``code``.
 With ``--against REV``, the same counts of the package at the git revision
 REV (read with ``git show``) are printed beside the tree's, so a change
-reports before and after in one table. Standard library and git only.
+reports before and after in one table. A revision that git cannot read,
+or a package directory with no modules, is one line on stderr and exit
+status 1. Standard library and git only.
 """
 
 from __future__ import annotations
@@ -45,8 +47,11 @@ def count(source: str) -> tuple:
 
 
 def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                          check=True).stdout
+    done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    if done.returncode != 0:
+        message = (done.stderr.strip().splitlines() or [f"exit status {done.returncode}"])[0]
+        sys.exit(f"src_lines.py: git {args[0]} {args[-1]}: {message}")
+    return done.stdout
 
 
 def _rows(sources: dict) -> dict:
@@ -63,9 +68,13 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="REV",
                         help="also print the counts of the package at git revision REV")
     args = parser.parse_args(argv)
-    columns = [("tree", _rows({path.name: path.read_text(encoding="utf-8")
-                               for path in args.package.glob("*.py")}))]
+    modules = {path.name: path.read_text(encoding="utf-8") for path in args.package.glob("*.py")}
+    if not modules:
+        sys.exit(f"src_lines.py: no modules (*.py) in {args.package}")
+    columns = [("tree", _rows(modules))]
     if args.against:
+        if not args.package.resolve().is_relative_to(ROOT):
+            sys.exit(f"src_lines.py: --against needs a package inside {ROOT}")
         where = args.package.resolve().relative_to(ROOT).as_posix()
         names = _git("ls-tree", "--name-only", f"{args.against}:{where}").split()
         columns.insert(0, (args.against, _rows({

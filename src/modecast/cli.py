@@ -402,7 +402,8 @@ def cmd_gradcheck(args) -> int:
         worst = max(worst, kind_worst)
         print(f"{kind}: max relative error {kind_worst:.3e} over {args.trials} trials")
     if worst >= args.tolerance:
-        print(f"FAIL: worst error {worst:.3e} >= tolerance {args.tolerance:g}")
+        print(f"numeric failure: worst error {worst:.3e} >= tolerance {args.tolerance:g}",
+              file=sys.stderr)
         return EXIT_NUMERIC
     print(f"OK: all gradients within {args.tolerance:g}")
     return EXIT_OK

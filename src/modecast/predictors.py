@@ -42,7 +42,10 @@ buffers built once per group, and the ENN context recurrence runs model by
 model on buffers built once, after one stacked input projection per epoch
 (``_enn_context``). An epoch writes its residuals into one row of a block
 of ``_BLOCK`` epochs, and the loss curves are reduced once per block, not
-once per epoch.
+once per epoch. The sigmoid is ``1 / (1 + exp(-z))`` in training, in the
+recurrence and at predict time, one exp per value: below z = -709.78 the
+exp overflows to inf and the sigmoid is 1/inf = 0, so every site runs it
+under ``errstate(over="ignore")``.
 """
 
 from __future__ import annotations
@@ -194,14 +197,13 @@ def _init_params(cfg: PredictorConfig, l: int) -> np.ndarray:
 # model's order, so a model's bits do not depend on its group-mates.
 # ``np.add.reduce`` is the reduction ``np.sum`` and ``np.mean`` run, without
 # their Python-level dispatch. The hot closures bind their numpy functions
-# to locals and pass ``out`` positionally, except to ``np.minimum``, where
-# numpy 2.4 deprecates it; constants are 0-d arrays, because a Python float
-# costs every ufunc call a conversion.
+# to locals and pass ``out`` positionally; constants are 0-d arrays, because
+# a Python float costs every ufunc call a conversion.
 # ---------------------------------------------------------------------------
 
 _BLOCK = 64  # epochs whose residuals ``_descend`` keeps per loss-curve reduction
 
-_zero, _one, _minus_one, _two = (np.array(value) for value in (0.0, 1.0, -1.0, 2.0))
+_one, _two = np.array(1.0), np.array(2.0)
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -217,29 +219,9 @@ def _stacked(shape: tuple) -> np.ndarray:
     return np.empty((shape[0], size + size % 2))[:, :size].reshape(shape, copy=False)
 
 
-def _unrolled_sigmoid(shape: tuple) -> Callable:
-    """``sigmoid(z, out)``: ``exp(min(z, 0)) / (1 + exp(-|z|))`` with both
-    exps in one call on a (2, *shape) scratch built here, once. That is
-    ``1 / (1 + exp(-z))`` on z >= 0 and ``exp(z) / (1 + exp(z))`` below, bit
-    for bit on every non-NaN z, and no exp overflows."""
-    scratch = np.empty((2,) + shape)
-    low, tail = scratch  # min(z, 0) and -|z|, exponentiated together in place
-    add, minimum, copysign, exp, divide = np.add, np.minimum, np.copysign, np.exp, np.divide
-
-    def sigmoid(z: np.ndarray, out: np.ndarray) -> None:
-        minimum(z, _zero, out=low)
-        copysign(z, _minus_one, tail)
-        exp(scratch, scratch)
-        add(tail, _one, tail)
-        divide(low, tail, out)
-
-    return sigmoid
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.shape)
-    _unrolled_sigmoid(z.shape)(z, out)
-    return out
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _readout(v: np.ndarray, c: np.ndarray, gv: np.ndarray, gc: np.ndarray,
@@ -284,16 +266,18 @@ def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, inputs: tuple,
     ``((x, "Wx"), (contexts, "Wh"))``. ``fill()`` runs first in each call;
     ENN's recomputes the carried contexts there, which the gradient treats
     as data (one-step truncation). Every temporary is built here, once, as
-    a (K, n, H) array of C-contiguous items, so a call allocates nothing."""
+    a (K, n, H) array of C-contiguous items, so a call allocates nothing.
+    Its callers, ``_descend`` and ``gradient_check``, hold the sigmoid's
+    ``errstate(over="ignore")``."""
     b, v, gb = p["b"][..., None, :], p["v"][..., None, :], g["b"]
     shape = y.shape + b.shape[-1:]
     s, term, hid, ds, complement = (_stacked(shape) for _ in range(5))
     (first, w), *rest = [(a, _t(p[name])) for a, name in inputs]
     grads = [(a, g[name]) for a, name in inputs]
-    sigmoid = _unrolled_sigmoid(shape)
     readout, e = _readout(p["v"], p["c"], g["v"], g["c"], y, hid)
     column, ds_t = e[..., None], _t(ds)
-    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+    matmul, add, subtract, multiply, negative, exp, divide = (
+        np.matmul, np.add, np.subtract, np.multiply, np.negative, np.exp, np.divide)
 
     def loss_grad(err: np.ndarray) -> None:
         fill()
@@ -302,7 +286,10 @@ def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, inputs: tuple,
             matmul(a, block, term)
             add(s, term, s)
         add(s, b, s)
-        sigmoid(s, hid)
+        negative(s, hid)
+        exp(hid, hid)
+        add(hid, _one, hid)
+        divide(_one, hid, hid)
         readout(err)
         multiply(column, v, ds)
         multiply(ds, hid, ds)
@@ -348,32 +335,34 @@ def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> Callable:
     projections of all pairs are one stacked ``matmul`` with a trailing unit
     axis: per pair the GEMV ``np.dot(Wx, x[t])`` makes, with its bits (at
     L = H = 1 a zero may change sign; the sigmoid maps both zeros to 0.5).
-    Each step then computes ``Wh c[t]`` with the bound ``Wh.dot``, the same
-    GEMV as ``np.dot`` without its dispatcher, ``(Wx x[t] + Wh c[t]) + b``,
-    and ``_unrolled_sigmoid`` inline. A stacked recurrence over K models is
+    Each step then computes ``v = Wh c[t]`` with the bound ``Wh.dot``, the
+    same GEMV as ``np.dot`` without its dispatcher, ``u = (-b) - (Wx x[t] +
+    v)`` with ``-b`` negated once per call, and ``c[t + 1] = 1 / (1 +
+    exp(u))``. ``(-b) - w`` is ``-(w + b)`` bit for bit, so that is the
+    sigmoid of ``(Wx x[t] + Wh c[t]) + b``. A call runs under its own
+    ``errstate(over="ignore")``. A stacked recurrence over K models is
     bit-identical but slower for a lone model.
     """
     wx, b = p["Wx"], p["b"]
     h = b.size
     xs, proj = x[:-1, :, None], np.empty((x.shape[0] - 1, h, 1))
-    u, v, scratch = np.empty(h), np.empty(h), np.empty((2, h))
-    low, tail = scratch  # min(z, 0) and -|z|, exponentiated together in place
+    u, v, nb = np.empty(h), np.empty(h), np.empty(h)
     contexts[0] = 0.0
     steps = list(zip(proj[..., 0], contexts[:-1], contexts[1:]))
-    dot, matmul, add, minimum, copysign, exp, divide = (
-        p["Wh"].dot, np.matmul, np.add, np.minimum, np.copysign, np.exp, np.divide)
+    dot, matmul, add, subtract, negative, exp, divide = (
+        p["Wh"].dot, np.matmul, np.add, np.subtract, np.negative, np.exp, np.divide)
 
     def fill() -> None:
-        matmul(wx, xs, proj)
-        for projected, context, following in steps:
-            dot(context, v)
-            add(projected, v, u)
-            add(u, b, u)
-            minimum(u, _zero, out=low)
-            copysign(u, _minus_one, tail)
-            exp(scratch, scratch)
-            add(tail, _one, tail)
-            divide(low, tail, following)
+        with np.errstate(over="ignore"):
+            matmul(wx, xs, proj)
+            negative(b, nb)
+            for projected, context, following in steps:
+                dot(context, v)
+                add(projected, v, u)
+                subtract(nb, u, u)
+                exp(u, u)
+                add(u, _one, u)
+                divide(_one, u, following)
 
     return fill
 
@@ -621,21 +610,22 @@ def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
     x, y = _pairs(cfg.kind, training_set)
     flat = _init_params(cfg, training_set.input_length)[None]  # a stack of one model
     grad, residual, params = np.empty_like(flat), np.empty((1, y.size)), flat[0]
-    loss_grad = _objective(cfg.kind, flat, grad, x[None], y[None], training_set.input_length,
-                           cfg.hidden_units, frozen=True)
-    loss_grad(residual)
-    analytic = grad[0].copy()
-    numeric = np.empty_like(analytic)
-    for i in range(params.size):
-        centre = params[i]
-        params[i] = centre + step
+    numeric = np.empty(params.size)
+    with np.errstate(over="ignore"):  # the sigmoid's, as in ``_descend``
+        loss_grad = _objective(cfg.kind, flat, grad, x[None], y[None],
+                               training_set.input_length, cfg.hidden_units, frozen=True)
         loss_grad(residual)
-        hi = _mse(residual)[0]
-        params[i] = centre - step
-        loss_grad(residual)
-        lo = _mse(residual)[0]
-        params[i] = centre
-        numeric[i] = (hi - lo) / (2.0 * step)
+        analytic = grad[0].copy()
+        for i in range(params.size):
+            centre = params[i]
+            params[i] = centre + step
+            loss_grad(residual)
+            hi = _mse(residual)[0]
+            params[i] = centre - step
+            loss_grad(residual)
+            lo = _mse(residual)[0]
+            params[i] = centre
+            numeric[i] = (hi - lo) / (2.0 * step)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
     return float(np.max(np.abs(analytic - numeric) / denom))
 

@@ -1,9 +1,13 @@
 """The trainer as it was before the flat-buffer rewrite, frozen as a test
 oracle: per-epoch ``_unpack``/``_pack`` of the flat weight vector, one
-loss/gradient function per kind, the Python-loop ENN context and the
-boolean-mask sigmoid. ``tests/test_trainer_oracle.py`` checks that
-``modecast.predictors`` reproduces it bit for bit. Do not edit it to make
-that test pass.
+loss/gradient function per kind and the Python-loop ENN context.
+``tests/test_trainer_oracle.py`` checks that ``modecast.predictors``
+reproduces it bit for bit. Do not edit it to make that test pass.
+
+One deliberate change since it was frozen: ``_sigmoid`` is the one-exp
+``1 / (1 + exp(-z))`` that the trainer adopted, in place of the
+boolean-mask two-branch form. Its accuracy is checked on its own, against
+a ``np.longdouble`` sigmoid, in ``tests/test_predictors.py``.
 """
 
 from __future__ import annotations
@@ -17,12 +21,8 @@ from modecast.predictors import PredictorConfig, weight_count
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    with np.errstate(over="ignore"):  # exp(-z) is inf below z = -709.78, and 1/inf = 0
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _morlet(u: np.ndarray) -> np.ndarray:

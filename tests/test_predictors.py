@@ -9,12 +9,16 @@ import pytest
 
 from conftest import REPO
 
+from modecast import predictors
 from modecast.grouping import TrainingSet, sliding_window_set
 from modecast.core import TimeSeries
 from modecast.predictors import (
     ForecastSession,
     PredictorConfig,
+    TrainedModel,
     TrainingDivergedError,
+    _sigmoid,
+    _views,
     gradient_check,
     load_model,
     model_to_dict,
@@ -274,6 +278,78 @@ class TestPredict:
         clean = ForecastSession(model)
         clean.step(x1)
         assert session.step(x2) == clean.step(x2)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                    reason="np.longdouble is float64 here")
+class TestSigmoidAccuracy:
+    """The one-exp sigmoid against a ``np.longdouble`` reference: at most
+    3 ulp wherever ``exp(-z)`` is finite in float64 (z >= -709.78), and an
+    absolute error below 2^-1022 below that, where it returns 0 for a true
+    value under 5.6e-309."""
+
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.78, -709.78,
+             745.2, -745.2]
+
+    def check(self, z):
+        """Errors are in units in the last place of a float64 in the exact
+        value's binade, at least the subnormal spacing 2^-1074."""
+        got, one = _sigmoid(z), np.longdouble(1)
+        with np.errstate(over="ignore"):  # exp past either range is inf, and 1/inf exact
+            finite = np.isfinite(np.exp(-z))
+            exact = one / (one + np.exp(-z.astype(np.longdouble)))
+        error = np.abs(got.astype(np.longdouble) - exact)
+        ulp = np.ldexp(one, np.maximum(np.frexp(exact)[1] - 53, -1074))
+        assert np.all(error[finite] <= 3 * ulp[finite]), np.max((error / ulp)[finite])
+        assert np.all(got[~finite] == 0.0)
+        assert np.all(error[~finite] < np.ldexp(one, -1022))
+
+    def test_edges(self):
+        z = np.array(self.EDGES)
+        self.check(z)
+        assert list(_sigmoid(z)[:4]) == [0.5, 0.5, 1.0, 0.0]
+        assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 10.0, 100.0, 800.0])
+    def test_seeded_draws_at_scale(self, scale):
+        rng = np.random.default_rng(int(scale * 1000))
+        self.check(rng.normal(size=20_000) * scale)
+
+    def test_draws_around_the_overflow_point(self):
+        """Uniform draws over [-746, -700], across the z where ``exp(-z)``
+        overflows and the sigmoid turns subnormal, then 0."""
+        self.check(np.random.default_rng(5).uniform(-746.0, -700.0, 20_000))
+
+
+class TestNoNumericWarnings:
+    """Weights scaled by 1e3 drive the sigmoid's pre-activations past
+    -745, where ``exp(-z)`` overflows; the suite turns any RuntimeWarning
+    into an error, so each call here must stay silent and finite."""
+
+    @pytest.mark.parametrize("kind", ["BPNN", "ENN"])
+    def test_predict_and_session_steps(self, kind):
+        rng = np.random.default_rng(23)
+        trained = train(random_set(rng, n_pairs=6, length=3),
+                        PredictorConfig(kind=kind, hidden_units=4, epochs=5, seed=2))
+        model = TrainedModel(kind=kind, input_length=3, hidden_units=4,
+                             weights=trained.weights * 1e3)
+        xs = rng.normal(size=(4, 3))
+        p = _views(kind, model.weights, 3, 4)
+        assert np.min(xs @ p["W" if kind == "BPNN" else "Wx"].T + p["b"]) < -745.0
+        session = ForecastSession(model)
+        values = [predict(model, x) for x in xs] + [session.step(x) for x in xs]
+        assert np.all(np.isfinite(values))
+
+    def test_enn_gradient_check(self, monkeypatch):
+        seeded = predictors._init_params
+        monkeypatch.setattr(predictors, "_init_params",
+                            lambda cfg, l: seeded(cfg, l) * 1e3)
+        rng = np.random.default_rng(29)
+        training_set = random_set(rng, n_pairs=8, length=3)
+        cfg = PredictorConfig(kind="ENN", hidden_units=4, seed=5)
+        p = _views("ENN", predictors._init_params(cfg, 3), 3, 4)
+        assert np.min(training_set.inputs @ p["Wx"].T + p["b"]) < -745.0
+        assert np.isfinite(gradient_check(cfg, training_set))
 
 
 class TestSaveLoad:

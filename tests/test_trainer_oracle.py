@@ -139,7 +139,7 @@ def _same_floats(a, b):
 class TestSigmoidOracle:
     @given(arrays(np.float64, st.integers(0, 40),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
-    def test_matches_masked_sigmoid(self, z):
+    def test_matches_oracle_sigmoid(self, z):
         assert _same_floats(_sigmoid(z), legacy._sigmoid(z))
 
     def test_signed_zeros_infinities_nan(self):
@@ -184,9 +184,8 @@ class TestEnnContextOracle:
 
 def _recurrence_sigmoid(z):
     """The sigmoid inside ``_enn_context``, fed ``z`` as the bias of a
-    one-step recurrence whose weights are zero: the pre-activation is
-    ``(0 + 0) + z``, which is ``z`` bit for bit, except that -0 becomes +0
-    (the sigmoid maps both zeros to 0.5)."""
+    one-step recurrence whose weights are zero: the negated pre-activation
+    is ``(-z) - (0 + 0)``, which is ``-z`` bit for bit."""
     h = z.size
     p = {"Wx": np.zeros((h, 1)), "Wh": np.zeros((h, h)), "b": z}
     contexts = np.empty((2, h))
@@ -195,6 +194,11 @@ def _recurrence_sigmoid(z):
 
 
 class TestUnrolledSigmoid:
+    """The sigmoid unrolled into the ENN recurrence's step (``-b`` negated
+    once per call, the projections subtracted from it, then exp, add and a
+    reciprocal divide) and the predict-time ``_sigmoid`` equal the oracle's
+    ``1 / (1 + exp(-z))`` bit for bit, overflow to 0 included."""
+
     EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2,
              np.nan, -np.nan]
 

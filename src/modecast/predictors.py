@@ -40,12 +40,15 @@ make few of them. The BPNN and ENN epochs (one sigmoid-layer builder,
 ``_sigmoid_loss_grad``) and the shared readout write every temporary into
 buffers built once per group, and the ENN context recurrence runs model by
 model on buffers built once, after one stacked input projection per epoch
-(``_enn_context``). An epoch writes its residuals into one row of a block
-of ``_BLOCK`` epochs, and the loss curves are reduced once per block, not
-once per epoch. The sigmoid is ``1 / (1 + exp(-z))`` in training, in the
-recurrence and at predict time, one exp per value: below z = -709.78 the
-exp overflows to inf and the sigmoid is 1/inf = 0, so every site runs it
-under ``errstate(over="ignore")``.
+(``_enn_context``), three calls per step. An epoch writes its residuals
+into one row of a block of ``_BLOCK`` epochs, and the loss curves are
+reduced once per block, not once per epoch. The sigmoid is
+``1 / (1 + exp(-z))``, one exp per value. The layer and BPNN's predict
+run it as four numpy calls under ``errstate(over="ignore")``: below
+z = -709.78 the exp overflows to inf and the sigmoid is 1/inf = 0. The
+ENN recurrence and forecast steps run scipy's ``expit``, one compiled
+call with the C library's ``exp`` that warns of no overflow; its loop is
+scalar, so it would be slower on the layer's (K, n, H) arrays.
 """
 
 from __future__ import annotations
@@ -331,38 +334,33 @@ def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> Callable:
     """``fill()``: write one model's hidden-state trajectory at the current
     ``p`` into ``contexts``; row t is the context fed to pair t.
 
-    Every buffer is built here, once, so a call allocates nothing. The input
-    projections of all pairs are one stacked ``matmul`` with a trailing unit
-    axis: per pair the GEMV ``np.dot(Wx, x[t])`` makes, with its bits (at
-    L = H = 1 a zero may change sign; the sigmoid maps both zeros to 0.5).
-    Each step then computes ``v = Wh c[t]`` with the bound ``Wh.dot``, the
-    same GEMV as ``np.dot`` without its dispatcher, ``u = (-b) - (Wx x[t] +
-    v)`` with ``-b`` negated once per call, and ``c[t + 1] = 1 / (1 +
-    exp(u))``. ``(-b) - w`` is ``-(w + b)`` bit for bit, so that is the
-    sigmoid of ``(Wx x[t] + Wh c[t]) + b``. A call runs under its own
-    ``errstate(over="ignore")``. A stacked recurrence over K models is
-    bit-identical but slower for a lone model.
+    Every buffer is built here, once, so a call allocates nothing. A call
+    projects all pairs in one stacked ``matmul`` with a trailing unit axis
+    (per pair the GEMV ``np.dot(Wx, x[t])`` makes, with its bits; at
+    L = H = 1 a zero may change sign, which the sigmoid ignores) and adds
+    ``b`` in one ``add``. Each step is then ``v = Wh c[t]`` with the bound
+    ``Wh.dot`` (``np.dot``'s GEMV without its dispatcher), ``u = (Wx x[t] +
+    b) + v`` and ``c[t + 1] = expit(u)``, as ``ForecastSession.step`` does.
+    ``scipy.special`` loads here, at the first ENN fill. A stacked
+    recurrence over K models is bit-identical but slower for a lone model.
     """
+    from scipy.special import expit
+
     wx, b = p["Wx"], p["b"]
     h = b.size
     xs, proj = x[:-1, :, None], np.empty((x.shape[0] - 1, h, 1))
-    u, v, nb = np.empty(h), np.empty(h), np.empty(h)
+    biased, u, v = proj[..., 0], np.empty(h), np.empty(h)
     contexts[0] = 0.0
-    steps = list(zip(proj[..., 0], contexts[:-1], contexts[1:]))
-    dot, matmul, add, subtract, negative, exp, divide = (
-        p["Wh"].dot, np.matmul, np.add, np.subtract, np.negative, np.exp, np.divide)
+    steps = list(zip(biased, contexts[:-1], contexts[1:]))
+    dot, matmul, add = p["Wh"].dot, np.matmul, np.add
 
     def fill() -> None:
-        with np.errstate(over="ignore"):
-            matmul(wx, xs, proj)
-            negative(b, nb)
-            for projected, context, following in steps:
-                dot(context, v)
-                add(projected, v, u)
-                subtract(nb, u, u)
-                exp(u, u)
-                add(u, _one, u)
-                divide(_one, u, following)
+        matmul(wx, xs, proj)
+        add(biased, b, biased)
+        for projected, context, following in steps:
+            dot(context, v)
+            add(projected, v, u)
+            expit(u, following)
 
     return fill
 
@@ -538,9 +536,20 @@ def train(training_set: TrainingSet, cfg: PredictorConfig) -> TrainedModel:
 
 
 def _grnn_predict(p: dict, x: np.ndarray, sigma: float) -> float:
-    d2 = np.sum((p["inputs"] - x) ** 2, axis=1)
-    # shift by the minimum so the nearest pair always has unit kernel weight
-    w = np.exp(-(d2 - d2.min()) / (2.0 * sigma**2))
+    inputs = p["inputs"]
+    try:
+        with np.errstate(over="raise"):
+            d2 = np.sum((inputs - x) ** 2, axis=1)
+        gap = d2 - d2.min()
+    except FloatingPointError:  # a squared distance overflows: measure at 2^-e
+        e = np.frexp(np.max(np.abs(np.append(inputs, x))))[1]
+        d2 = np.sum((np.ldexp(inputs, -e) - np.ldexp(x, -e)) ** 2, axis=1)
+        with np.errstate(over="ignore"):
+            gap = np.ldexp(d2 - d2.min(), 2 * e)
+    # shifted by the minimum, the nearest pair always has unit kernel weight;
+    # a gap that overflows the kernel's exponent has weight exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        w = np.exp(-gap / (2.0 * sigma**2))
     return float(w @ p["targets"] / w.sum())
 
 
@@ -590,8 +599,9 @@ class ForecastSession:
         x = _checked(x, model.input_length, "input", "input length")
         if model.kind == "GRNN":
             return _grnn_predict(p, x, model.grnn_sigma)
-        if model.kind == "ENN":
-            self._context = _sigmoid(p["Wx"] @ x + p["Wh"] @ self._context + p["b"])
+        if model.kind == "ENN":  # the recurrence of ``_enn_context``, step by step
+            from scipy.special import expit
+            self._context = expit((p["Wx"] @ x + p["b"]) + p["Wh"] @ self._context)
             return float(self._context @ p["v"] + p["c"][0])
         forward = _bpnn_forward if model.kind == "BPNN" else _wnn_forward
         return float(forward(p, x[None, :])[0])

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from pathlib import Path
 
+from modecast.predictors import _enn_context
+
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
 CONFIGS = REPO / "configs"
@@ -25,3 +27,18 @@ def random_smooth_series(rng, length):
         period = rng.uniform(8, length / 2)
         x = x + rng.uniform(0.3, 2.0) * np.sin(2 * np.pi * t / period + rng.uniform(0, 2 * np.pi))
     return x
+
+
+def recurrence_sigmoid(z):
+    """The sigmoid inside ``predictors._enn_context``, applied to ``z`` in
+    chunks of 64 as the bias of one-step recurrences whose weights are
+    zero: the pre-activation ``(0 + z) + 0`` is ``z`` bit for bit (up to
+    the sign of a zero, which the sigmoid maps to 0.5 either way)."""
+    out = np.empty(z.shape)
+    for start in range(0, z.size, 64):
+        bias = z[start : start + 64]
+        h, contexts = bias.size, np.empty((2, bias.size))
+        p = {"Wx": np.zeros((h, 1)), "Wh": np.zeros((h, h)), "b": bias}
+        _enn_context(p, np.ones((2, 1)), contexts)()
+        out[start : start + h] = contexts[1]
+    return out

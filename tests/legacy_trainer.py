@@ -4,10 +4,20 @@ loss/gradient function per kind and the Python-loop ENN context.
 ``tests/test_trainer_oracle.py`` checks that ``modecast.predictors``
 reproduces it bit for bit. Do not edit it to make that test pass.
 
-One deliberate change since it was frozen: ``_sigmoid`` is the one-exp
-``1 / (1 + exp(-z))`` that the trainer adopted, in place of the
-boolean-mask two-branch form. Its accuracy is checked on its own, against
-a ``np.longdouble`` sigmoid, in ``tests/test_predictors.py``.
+Two deliberate changes since it was frozen, each of which the trainer
+adopted first:
+
+1. ``_sigmoid`` is the one-exp ``1 / (1 + exp(-z))``, in place of the
+   boolean-mask two-branch form. It stays the sigmoid of the hidden
+   layers.
+2. The Elman recurrence (``_enn_context``, ENN ``predict`` and
+   ``session_steps``) is ``expit((Wx @ x + b) + Wh @ h)`` with scipy's
+   ``expit``: the bias joins the input projection before the context
+   term, and the sigmoid is one compiled call with the C library's
+   ``exp``, where it was ``_sigmoid(Wx @ x + Wh @ h + b)``.
+
+The accuracy of both sigmoids is checked on its own, against a
+``np.longdouble`` sigmoid, in ``tests/test_predictors.py``.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy.special import expit
 
 from modecast.core import spawn_rng
 from modecast.predictors import PredictorConfig, weight_count
@@ -124,7 +135,7 @@ def _enn_context(p: dict, x: np.ndarray) -> np.ndarray:
     h = np.zeros(h_dim)
     for t in range(n):
         contexts[t] = h
-        h = _sigmoid(p["Wx"] @ x[t] + p["Wh"] @ h + p["b"])
+        h = expit((p["Wx"] @ x[t] + p["b"]) + p["Wh"] @ h)
     return contexts
 
 
@@ -191,7 +202,7 @@ def predict(kind, weights, l, h, x, context=None) -> float:
     if kind == "WNN":
         return float(_wnn_forward(p, x[None, :])[0])
     ctx = np.zeros(h) if context is None else context
-    hid = _sigmoid(p["Wx"] @ x + p["Wh"] @ ctx + p["b"])
+    hid = expit((p["Wx"] @ x + p["b"]) + p["Wh"] @ ctx)
     return float(hid @ p["v"] + p["c"][0])
 
 
@@ -203,7 +214,7 @@ def session_steps(kind, weights, l, h, xs) -> list:
     out = []
     for x in xs:
         p = _unpack("ENN", weights, l, h)
-        hid = _sigmoid(p["Wx"] @ np.asarray(x, dtype=np.float64) + p["Wh"] @ context + p["b"])
+        hid = expit((p["Wx"] @ np.asarray(x, dtype=np.float64) + p["b"]) + p["Wh"] @ context)
         context = hid
         out.append(float(hid @ p["v"] + p["c"][0]))
     return out

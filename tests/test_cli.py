@@ -828,10 +828,11 @@ def _fresh(code: str, *args: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-# whether scipy.linalg is loaded before and after one CLI run, and its exit code
-_LINALG_AROUND_MAIN = ("import sys; from modecast.cli import main; "
-                       "print('scipy.linalg' in sys.modules, main(sys.argv[1:]), "
-                       "'scipy.linalg' in sys.modules)")
+def _around_main(module: str) -> str:
+    """Code that prints whether ``module`` is loaded before and after one
+    CLI run, and the run's exit code."""
+    return ("import sys; from modecast.cli import main; "
+            f"print({module!r} in sys.modules, main(sys.argv[1:]), {module!r} in sys.modules)")
 
 
 @pytest.mark.parametrize("module", ["modecast", "modecast.cli"])
@@ -852,15 +853,53 @@ def test_command_without_a_spline_leaves_scipy_linalg_out(command, tmp_path):
                   "dtw": (["dtw", series, series], 0),
                   "gradcheck": (["gradcheck", "--trials", "1"], 0),
                   "config-error": (["decompose", series, "--max-imfs", "0"], 1)}[command]
-    assert _fresh(_LINALG_AROUND_MAIN, "--out", str(tmp_path / "out"), *argv) \
+    assert _fresh(_around_main("scipy.linalg"), "--out", str(tmp_path / "out"), *argv) \
         == f"False {code} False"
 
 
 def test_first_spline_solve_in_fresh_interpreter_is_bit_identical(two_tone_csv, tmp_path):
     argv = ["decompose", str(two_tone_csv), "--method", "emd"]
     # the fresh run loads scipy.linalg at its first solve, not before
-    assert _fresh(_LINALG_AROUND_MAIN, "--out", str(tmp_path / "fresh"), *argv) == "False 0 True"
+    assert _fresh(_around_main("scipy.linalg"), "--out", str(tmp_path / "fresh"), *argv) \
+        == "False 0 True"
     import scipy.linalg.lapack  # noqa: F401  (loaded before this run's first solve)
     assert main(["--out", str(tmp_path / "loaded"), *argv]) == 0
     assert (tmp_path / "fresh" / "components.csv").read_bytes() \
         == (tmp_path / "loaded" / "components.csv").read_bytes()
+
+
+@pytest.mark.parametrize("module", ["modecast", "modecast.cli"])
+def test_import_leaves_scipy_special_out(module):
+    assert _fresh(f"import sys, {module}; print('scipy.special' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("command", ["predict-NN", "dtw"])
+def test_command_without_an_enn_leaves_scipy_special_out(command, tmp_path):
+    # scipy.special is imported where an ENN context fill or forecast
+    # session is built, and these commands build none
+    configs = _tiny_configs(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**configs["predict"],
+                                  "framework": configs["benchmark"]["frameworks"][0]}))
+    series = configs["predict"]["dataset"]["path"]
+    argv = {"predict-NN": ["predict", str(config)], "dtw": ["dtw", series, series]}[command]
+    assert _fresh(_around_main("scipy.special"), "--out", str(tmp_path / "out"), *argv) \
+        == "False 0 False"
+
+
+def test_first_enn_in_fresh_interpreter_is_bit_identical(tmp_path):
+    # the NN variant forecasts 4 steps with an ENN, carrying its context
+    configs = _tiny_configs(tmp_path)
+    nn = configs["benchmark"]["frameworks"][0]
+    framework = {**nn, "predictor": {**nn["predictor"], "kind": "ENN"}, "horizon": 4}
+    config = tmp_path / "enn.json"
+    config.write_text(json.dumps({**configs["predict"], "framework": framework}))
+    argv = ["predict", str(config)]
+    # the fresh run loads scipy.special at its first ENN, not before
+    assert _fresh(_around_main("scipy.special"), "--out", str(tmp_path / "fresh"), *argv) \
+        == "False 0 True"
+    import scipy.special  # noqa: F401  (loaded before this run's first ENN)
+    assert main(["--out", str(tmp_path / "loaded"), *argv]) == 0
+    for name in ("forecast.json", "forecast.csv"):
+        assert (tmp_path / "fresh" / name).read_bytes() \
+            == (tmp_path / "loaded" / name).read_bytes()

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import REPO
+from conftest import REPO, recurrence_sigmoid
 
 from modecast import predictors
 from modecast.grouping import TrainingSet, sliding_window_set
@@ -74,6 +74,24 @@ class TestGrnn:
             q = rng.normal(size=3)
             value = predict(model, q)
             assert ts.targets.min() - 1e-12 <= value <= ts.targets.max() + 1e-12
+
+    @pytest.mark.parametrize("inputs, query", [
+        ([[0.0, 0.0], [1e200, 9e199], [-1e200, 1e200]], [1e200, 1e200]),  # squares overflow
+        ([[-1e308, 1e308], [1e308, -1e308], [0.0, 0.0]], [1.5e308, -1.5e308]),  # so do differences
+    ])
+    def test_far_from_every_pair_returns_the_nearest_target(self, inputs, query):
+        # the second pair is the nearest, and the others' kernel weights are 0
+        model = train(make_set(inputs, [1.0, 2.0, 3.0]),
+                      PredictorConfig(kind="GRNN", grnn_sigma=0.1))
+        assert predict(model, query) == 2.0
+
+    def test_kernel_exponent_overflow_at_tiny_sigma(self):
+        # 2 * sigma**2 is 2e-320, so every gap but the nearest pair's
+        # overflows the kernel's exponent to -inf
+        model = train(make_set([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0]),
+                      PredictorConfig(kind="GRNN", grnn_sigma=1e-160))
+        assert predict(model, [0.25, 0.25]) == 1.0
+        assert predict(model, [0.5, 0.5]) == 1.5
 
     # 2 * sigma**2 must neither underflow to 0 (a 0/0 kernel) nor overflow
     @pytest.mark.parametrize("sigma", [1e-200, 5e-324, 1e200])
@@ -283,18 +301,19 @@ class TestPredict:
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
                     reason="np.longdouble is float64 here")
 class TestSigmoidAccuracy:
-    """The one-exp sigmoid against a ``np.longdouble`` reference: at most
-    3 ulp wherever ``exp(-z)`` is finite in float64 (z >= -709.78), and an
-    absolute error below 2^-1022 below that, where it returns 0 for a true
-    value under 5.6e-309."""
+    """The one-exp sigmoid of the layers and BPNN's predict against a
+    ``np.longdouble`` reference: at most 3 ulp wherever ``exp(-z)`` is
+    finite in float64 (z >= -709.78), and an absolute error below 2^-1022
+    below that, where it returns 0 for a true value under 5.6e-309."""
 
     EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.78, -709.78,
              745.2, -745.2]
+    sigmoid = staticmethod(_sigmoid)
 
     def check(self, z):
         """Errors are in units in the last place of a float64 in the exact
         value's binade, at least the subnormal spacing 2^-1074."""
-        got, one = _sigmoid(z), np.longdouble(1)
+        got, one = self.sigmoid(z), np.longdouble(1)
         with np.errstate(over="ignore"):  # exp past either range is inf, and 1/inf exact
             finite = np.isfinite(np.exp(-z))
             exact = one / (one + np.exp(-z.astype(np.longdouble)))
@@ -307,8 +326,8 @@ class TestSigmoidAccuracy:
     def test_edges(self):
         z = np.array(self.EDGES)
         self.check(z)
-        assert list(_sigmoid(z)[:4]) == [0.5, 0.5, 1.0, 0.0]
-        assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
+        assert list(self.sigmoid(z)[:4]) == [0.5, 0.5, 1.0, 0.0]
+        assert np.isnan(self.sigmoid(np.array([np.nan, -np.nan]))).all()
 
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 10.0, 100.0, 800.0])
     def test_seeded_draws_at_scale(self, scale):
@@ -319,6 +338,13 @@ class TestSigmoidAccuracy:
         """Uniform draws over [-746, -700], across the z where ``exp(-z)``
         overflows and the sigmoid turns subnormal, then 0."""
         self.check(np.random.default_rng(5).uniform(-746.0, -700.0, 20_000))
+
+
+class TestRecurrenceSigmoidAccuracy(TestSigmoidAccuracy):
+    """The same bounds for scipy's ``expit`` inside the ENN recurrence,
+    which computes the same formula with the C library's ``exp``."""
+
+    sigmoid = staticmethod(recurrence_sigmoid)
 
 
 class TestNoNumericWarnings:

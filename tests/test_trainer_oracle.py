@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import legacy_trainer as legacy
+from conftest import recurrence_sigmoid
 from modecast import predictors
 from modecast.grouping import TrainingSet
 from modecast.predictors import (
@@ -182,42 +183,53 @@ class TestEnnContextOracle:
             assert np.array_equal(model.training_loss_curve, old_curve)
 
 
-def _recurrence_sigmoid(z):
-    """The sigmoid inside ``_enn_context``, fed ``z`` as the bias of a
-    one-step recurrence whose weights are zero: the negated pre-activation
-    is ``(-z) - (0 + 0)``, which is ``-z`` bit for bit."""
-    h = z.size
-    p = {"Wx": np.zeros((h, 1)), "Wh": np.zeros((h, h)), "b": z}
-    contexts = np.empty((2, h))
-    _enn_context(p, np.ones((2, 1)), contexts)()
-    return contexts[1]
+class TestSessionContext:
+    """``ForecastSession.step`` carries its context exactly as training
+    computes it: after steps 0..t on the first rows of ``x``, the session's
+    context is row t + 1 of ``_enn_context``'s fill over ``x``, bit for
+    bit, at every L and H from 1 to 9; weights scaled by 1e3 drive the
+    sigmoid deep into both tails."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(2, 40),
+           st.sampled_from([1.0, 1e3]), st.integers(0, 2**32 - 1))
+    def test_session_context_is_the_fill_row(self, l, h, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(-0.5, 0.5, predictors.weight_count("ENN", l, h)) * scale
+        x = rng.uniform(0.0, 1.0, (n, l))
+        filled = np.full((n, h), np.nan)
+        _enn_context(_views("ENN", weights, l, h), x, filled)()
+        session = ForecastSession(TrainedModel(kind="ENN", input_length=l, hidden_units=h,
+                                               weights=weights))
+        for t in range(n - 1):
+            session.step(x[t])
+            assert session._context.tobytes() == filled[t + 1].tobytes()
 
 
 class TestUnrolledSigmoid:
-    """The sigmoid unrolled into the ENN recurrence's step (``-b`` negated
-    once per call, the projections subtracted from it, then exp, add and a
-    reciprocal divide) and the predict-time ``_sigmoid`` equal the oracle's
-    ``1 / (1 + exp(-z))`` bit for bit, overflow to 0 included."""
+    """The sigmoid of the ENN recurrence's step (scipy's ``expit`` on the
+    pre-activation) equals the oracle's recurrence sigmoid, the same
+    ``expit``, and the predict-time ``_sigmoid`` equals the oracle's layer
+    sigmoid ``1 / (1 + exp(-z))``, bit for bit, overflow to 0 included."""
 
     EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2,
              np.nan, -np.nan]
 
-    def test_edges(self):
-        z = np.array(self.EDGES)
-        assert _same_floats(_recurrence_sigmoid(z), legacy._sigmoid(z))
+    def check(self, z):
+        assert _same_floats(recurrence_sigmoid(z), legacy.expit(z))
         assert _same_floats(_sigmoid(z), legacy._sigmoid(z))
+
+    def test_edges(self):
+        self.check(np.array(self.EDGES))
 
     @given(st.sampled_from([0.1, 1.0, 10.0, 100.0, 800.0]), st.integers(0, 2**32 - 1))
     def test_normal_draws_at_scale(self, scale, seed):
-        z = np.random.default_rng(seed).normal(size=64) * scale
-        assert _same_floats(_recurrence_sigmoid(z), legacy._sigmoid(z))
-        assert _same_floats(_sigmoid(z), legacy._sigmoid(z))
+        self.check(np.random.default_rng(seed).normal(size=64) * scale)
 
     @given(arrays(np.float64, st.integers(1, 40),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
     def test_any_float(self, z):
-        assert _same_floats(_recurrence_sigmoid(z), legacy._sigmoid(z))
-        assert _same_floats(_sigmoid(z), legacy._sigmoid(z))
+        self.check(z)
 
 
 @st.composite

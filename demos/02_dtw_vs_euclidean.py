@@ -19,7 +19,7 @@ print(f"warped distance:    {dtw:g}")
 print(f"lock-step distance: {euclid:g}")
 
 print("\ncumulative cost matrix (rows = pulse, cols = shifted):")
-for row in matrix.cells:
+for row in matrix:
     print("  " + " ".join(f"{v:4.1f}" for v in row))
 
 print("\nwarping path (1-based index pairs):")

@@ -28,7 +28,6 @@ from .decomposition import (
     find_extrema,
 )
 from .dtw import (
-    CostMatrix,
     dtw_distance,
     dtw_distances,
     euclidean_distance,

@@ -184,27 +184,26 @@ def _check_seeds(name: str, value) -> None:
             raise ConfigError(f"{where}: expected non-negative integer, got {seed}")
 
 
-def _fields(cls, *skip) -> dict:
-    """The JSON schema of dataclass ``cls``: its field names and types, less ``skip``."""
+def _fields(cls) -> dict:
+    """The JSON schema of dataclass ``cls``: its field names and types."""
     hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _section(cls, doc, context: str, **given):
-    """``cls(**given, **doc)`` once ``doc`` fits the fields that ``given`` leaves open."""
-    return cls(**given, **_check(doc, _fields(cls, *given), context))
+def _section(cls, doc, context: str):
+    """``cls(**doc)`` once ``doc`` fits the fields of ``cls``."""
+    return cls(**_check(doc, _fields(cls), context))
 
 
 def parse_framework(doc) -> FrameworkSpec:
     """Build a FrameworkSpec from its JSON form, rejecting unknown keys and
     mistyped values."""
     _check(doc, _fields(FrameworkSpec), "framework")
-    sift = _section(SiftConfig, doc.get("sift", {}), "sift")
     return FrameworkSpec(**{
         **doc,
         "predictor": _section(PredictorConfig, doc.get("predictor", {}), "predictor"),
-        "sift": sift,
-        "eemd": _section(EemdConfig, doc.get("eemd", {}), "eemd", sift=sift),
+        "sift": _section(SiftConfig, doc.get("sift", {}), "sift"),
+        "eemd": _section(EemdConfig, doc.get("eemd", {}), "eemd"),
         "grouping": _section(GroupingConfig, doc.get("grouping", {}), "grouping"),
     })
 
@@ -275,9 +274,9 @@ def cmd_decompose(args) -> int:
         sift_stats = [{"imf": i + 1, **asdict(s)} for i, s in enumerate(stats)]
         method_info = {"method": "emd"}
     else:
-        cfg = EemdConfig(sift=sift, ensemble_size=args.ensemble,
-                         noise_amplitude=args.noise, seed=args.seed or 0)
-        decomp = eemd(series, cfg)
+        cfg = EemdConfig(ensemble_size=args.ensemble, noise_amplitude=args.noise,
+                         seed=args.seed or 0)
+        decomp = eemd(series, cfg, sift)
         sift_stats = None  # per-trial statistics are not aggregated
         method_info = {"method": "eemd", "ensemble_size": cfg.ensemble_size,
                        "noise_amplitude": cfg.noise_amplitude, "seed": cfg.seed}

@@ -1,14 +1,15 @@
 """Core series/decomposition types, CSV ingestion, scaling and seed plumbing.
 
-Everything here is immutable after construction and safe to share between
-workers. Indexing follows the 1-based convention used throughout the rest
-of the package (window offsets, warping paths, CSV columns).
+Every type here is immutable after construction. Indexing follows the
+1-based convention used throughout the rest of the package (window offsets,
+warping paths, CSV columns).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,15 @@ import numpy as np
 
 class DataError(ValueError):
     """Raised when an input file or series violates ingestion contracts."""
+
+
+def check_integers(**values) -> None:
+    """Raise a ValueError naming the first of ``values`` that is not an
+    integer. numpy integer types are integers; a bool is not, as in the
+    CLI's JSON types."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +107,6 @@ class Decomposition:
 
     imfs: tuple
     residual: TimeSeries
-    source_length: int
 
     def __post_init__(self):
         object.__setattr__(self, "imfs", tuple(self.imfs))
@@ -106,8 +115,11 @@ class Decomposition:
                 raise ValueError(
                     f"imf {i + 1} length {len(imf)} != source length {self.source_length}"
                 )
-        if len(self.residual) != self.source_length:
-            raise ValueError("residual length != source length")
+
+    @property
+    def source_length(self) -> int:
+        """The length of the decomposed series: the residual's, and every IMF's."""
+        return len(self.residual)
 
     @property
     def n_imfs(self) -> int:
@@ -150,7 +162,11 @@ class MinMaxScale:
 
     lo: float
     hi: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the range is empty (``hi == lo``)."""
+        return self.hi == self.lo
 
     def transform(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -184,7 +200,7 @@ def minmax_normalize(series: TimeSeries) -> tuple:
     scaled : TimeSeries
         Values in [0, 1]; all 0.5 for a constant input.
     scale : MinMaxScale
-        Stores (min, max) and the degenerate-range flag.
+        Stores (min, max).
     """
     if len(series) < 2:
         raise ValueError("normalization needs at least 2 points")
@@ -192,7 +208,7 @@ def minmax_normalize(series: TimeSeries) -> tuple:
     hi = float(series.values.max())
     if not math.isfinite(hi - lo):
         raise DataError(f"series range {lo!r}..{hi!r} exceeds the float range")
-    scale = MinMaxScale(lo=lo, hi=hi, degenerate=(hi == lo))
+    scale = MinMaxScale(lo=lo, hi=hi)
     return series.replace_values(scale.transform(series.values)), scale
 
 

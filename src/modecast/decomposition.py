@@ -34,12 +34,12 @@ the row minus its IMFs. EEMD scales its ensemble down only above 2**500.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .core import DataError, Decomposition, TimeSeries, pow2_exponent, spawn_rng
+from .core import DataError, Decomposition, TimeSeries, check_integers, pow2_exponent, spawn_rng
 
 BOUNDARY_MODES = ("mirror", "clamp")
 
@@ -64,6 +64,7 @@ class SiftConfig:
     boundary_mode: str = "mirror"
 
     def __post_init__(self):
+        check_integers(max_sift_iterations=self.max_sift_iterations, max_imfs=self.max_imfs)
         if not (math.isfinite(self.sd_threshold) and self.sd_threshold > 0):
             raise ValueError(f"sd_threshold must be positive and finite, got {self.sd_threshold}")
         if self.max_sift_iterations < 1:
@@ -83,12 +84,12 @@ class EemdConfig:
     function of (seed, trial index).
     """
 
-    sift: SiftConfig = field(default_factory=SiftConfig)
     ensemble_size: int = 100
     noise_amplitude: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(ensemble_size=self.ensemble_size)
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
@@ -556,8 +557,7 @@ def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
     splines cannot overflow; the residual is the series minus its IMFs."""
     (imfs, stats, residual), = _decompose(series.values.reshape(1, -1), cfg)
     decomp = Decomposition(imfs=tuple(TimeSeries(imf, series.labels) for imf in imfs),
-                           residual=TimeSeries(residual, series.labels),
-                           source_length=len(series))
+                           residual=TimeSeries(residual, series.labels))
     return decomp, stats
 
 
@@ -570,15 +570,16 @@ def emd(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> Decomposition:
     return emd_with_stats(series, cfg)[0]
 
 
-def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
+def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig(),
+         sift: SiftConfig = SiftConfig()) -> Decomposition:
     """Ensemble decomposition: average IMFs over noise-perturbed trials.
 
     Each trial adds zero-mean uniform white noise with amplitude
     ``cfg.noise_amplitude * std(series)`` (trial t draws it from
-    ``spawn_rng(cfg.seed, t)``), decomposes it as :func:`emd` does, and the
-    i-th IMFs are averaged across trials. Trials yielding fewer IMFs are
-    padded with zero series before averaging; residuals average like any
-    component. Deterministic given ``cfg.seed``.
+    ``spawn_rng(cfg.seed, t)``), decomposes it as ``emd(trial, sift)``
+    does, and the i-th IMFs are averaged across trials. Trials yielding
+    fewer IMFs are padded with zero series before averaging; residuals
+    average like any component. Deterministic given ``cfg.seed``.
 
     The trials are the rows of the level loop that :func:`emd` runs on one
     row, sifted in lockstep one IMF level at a time, each at its own power
@@ -594,6 +595,8 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
         Input, length >= 4.
     cfg : EemdConfig
         Ensemble controls.
+    sift : SiftConfig
+        Sifting controls of every trial.
     """
     e = pow2_exponent(series.values)
     amplitude = cfg.noise_amplitude * float(np.ldexp(np.std(np.ldexp(series.values, -e)), e))
@@ -606,7 +609,7 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
     if noise > 0:
         for t in range(n_trials):
             rows[t] += spawn_rng(cfg.seed, t).uniform(-noise, noise, length)
-    trials = _decompose(rows, cfg.sift)
+    trials = _decompose(rows, sift)
     sums = np.zeros((max(len(imfs) for imfs, _, _ in trials) + 1, length))
     for imfs, _, residual in trials:  # fixed trial order keeps the sums deterministic
         for total, component in zip(sums, [residual, *imfs]):
@@ -614,4 +617,4 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
     names = ["residual"] + [f"imf_{i}" for i in range(1, len(sums))]
     components = [TimeSeries(_rescaled(total / n_trials, s, name), series.labels)
                   for total, name in zip(sums, names)]
-    return Decomposition(imfs=components[1:], residual=components[0], source_length=length)
+    return Decomposition(imfs=components[1:], residual=components[0])

@@ -10,22 +10,8 @@ the grid at a time (``_diagonals``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Cumulative alignment costs gamma(i,j), non-decreasing along any
-    monotone path from (1,1) to (m,n)."""
-
-    cells: np.ndarray
-
-    def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.float64)
-        cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
 
 
 def _check_weight(weight: float) -> None:
@@ -102,8 +88,10 @@ def dtw_distance(y, z, weight: float = 1.0) -> tuple:
     -------
     distance : float
         gamma(m, n); a cost beyond the float range is +inf.
-    matrix : CostMatrix
-        Full cumulative grid, for path recovery.
+    matrix : ndarray, shape (m, n)
+        The full cumulative grid, read-only: ``matrix[i - 1, j - 1]`` is
+        gamma(i, j), non-decreasing along any monotone path from (1,1) to
+        (m,n). :func:`warp_path` recovers the alignment from it.
     """
     y, z = _checked(y, z, ndim=1, weight=weight)
     g, i = np.empty((y.size, z.size)), np.arange(y.size)
@@ -111,7 +99,8 @@ def dtw_distance(y, z, weight: float = 1.0) -> tuple:
         for d, (lo, cells) in enumerate(_diagonals(y[None, :], z, weight)):
             rows = i[lo : lo + cells.size]
             g[rows, d - rows] = cells[:, 0]
-    return float(g[-1, -1]), CostMatrix(g)
+    g.flags.writeable = False
+    return float(g[-1, -1]), g
 
 
 def dtw_distances(windows, reference, weight: float = 1.0) -> np.ndarray:
@@ -144,8 +133,9 @@ def dtw_distances(windows, reference, weight: float = 1.0) -> np.ndarray:
     return cells[0].copy()
 
 
-def warp_path(matrix: CostMatrix) -> tuple:
-    """Recover the optimal alignment path by backtracking from (m, n).
+def warp_path(matrix: np.ndarray) -> tuple:
+    """Recover the optimal alignment path by backtracking from (m, n)
+    through the cumulative grid that :func:`dtw_distance` returns.
 
     At each cell the minimal predecessor among diagonal (i-1,j-1),
     vertical (i-1,j) and horizontal (i,j-1) is chosen; ties resolve in that
@@ -157,7 +147,7 @@ def warp_path(matrix: CostMatrix) -> tuple:
         1-based index pairs from (1,1) to (m,n); each step increments i, j,
         or both by exactly 1.
     """
-    g = matrix.cells
+    g = np.asarray(matrix)
     i, j = g.shape[0] - 1, g.shape[1] - 1
     path = [(i + 1, j + 1)]
     while i > 0 or j > 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import TimeSeries, pow2_exponent
+from .core import TimeSeries, check_integers, pow2_exponent
 # dtw_distance is unused here, but perfbench's tracer self-test expects a
 # wrapper at this binding
 from .dtw import dtw_distance, dtw_distances  # noqa: F401
@@ -41,6 +41,7 @@ class GroupingConfig:
     threshold_alpha: float = 1.0
 
     def __post_init__(self):
+        check_integers(segment_length=self.segment_length, group_size=self.group_size)
         if self.segment_length < 2:
             raise ValueError("segment_length must be >= 2")
         if self.group_size < 1:

@@ -24,7 +24,8 @@ from typing import Generator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DataError, Decomposition, TimeSeries, derive_seed, minmax_normalize
+from .core import (DataError, Decomposition, TimeSeries, check_integers, derive_seed,
+                   minmax_normalize)
 from .decomposition import EemdConfig, SiftConfig, count_zero_crossings, emd, eemd
 from .grouping import (
     GroupingConfig,
@@ -66,12 +67,14 @@ class FrameworkSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        check_integers(horizon=self.horizon)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.split != "auto":
-            if isinstance(self.split, str) or len(self.split) != 2:
+            if not isinstance(self.split, (tuple, list)) or len(self.split) != 2:
                 raise ValueError(f'split must be "auto" or a (P, Q) pair, got {self.split!r}')
             p, q = self.split
+            check_integers(**{"split P": p, "split Q": q})
             if p < 0 or q < 1:
                 raise ValueError(f"explicit split needs P >= 0 and Q >= 1, got ({p}, {q})")
             object.__setattr__(self, "split", (int(p), int(q)))
@@ -79,27 +82,27 @@ class FrameworkSpec:
 
 @dataclass(frozen=True)
 class ForecastResult:
-    """Combined and per-component forecasts plus run metadata.
-
-    The combined forecast equals the ordered sum of the per-component
-    forecasts to the last bit.
+    """Per-component forecasts plus run metadata, and their combined
+    forecast: the ordered sum ``0.0 + c1 + c2 + ...`` of the per-component
+    forecasts, read-only. A sum beyond the float range is a
+    :class:`PipelineError`.
     """
 
-    combined: np.ndarray
-    per_component: tuple  # of (name, ndarray)
+    per_component: tuple  # of (name, ndarray), at least one
     metadata: dict
+    combined: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        combined = np.asarray(self.combined, dtype=np.float64)
+        parts = tuple((name, np.asarray(v, dtype=np.float64)) for name, v in self.per_component)
+        if not parts:
+            raise ValueError("a forecast needs at least one component")
+        object.__setattr__(self, "per_component", parts)
+        with np.errstate(over="ignore"):
+            combined = sum((values for _, values in parts), 0.0)
+        if not np.isfinite(combined).all():
+            raise PipelineError("the component forecasts sum beyond the float range")
         combined.flags.writeable = False
         object.__setattr__(self, "combined", combined)
-        parts = tuple((name, np.asarray(v, dtype=np.float64)) for name, v in self.per_component)
-        object.__setattr__(self, "per_component", parts)
-        total = np.zeros_like(combined)
-        for _, values in parts:
-            total = total + values
-        if not np.array_equal(total, combined):
-            raise ValueError("combined forecast is not the exact sum of components")
 
     def to_dict(self) -> dict:
         return {
@@ -307,10 +310,9 @@ def _components(series: TimeSeries, spec: FrameworkSpec, seed: Optional[int]) ->
     decomposition and split errors propagate as they are."""
     pred_cfg = spec.predictor if seed is None else replace(spec.predictor, seed=seed)
     eemd_cfg = spec.eemd if seed is None else replace(spec.eemd, seed=seed)
-    eemd_cfg = replace(eemd_cfg, sift=spec.sift)  # one source of truth for sifting
     names, comps, p, split_meta, n_imfs = ["series"], [series], 0, None, None
     if spec.variant != "NN":
-        decomp = (eemd(series, eemd_cfg) if spec.variant == "EEMD_DTW_NN"
+        decomp = (eemd(series, eemd_cfg, spec.sift) if spec.variant == "EEMD_DTW_NN"
                   else emd(series, spec.sift))
         n_imfs = decomp.n_imfs
         names = [f"imf_{i + 1}" for i in range(n_imfs)] + ["residual"]
@@ -335,15 +337,7 @@ def _result(plan: tuple, outcomes: list, traces: list,
         if trace is not None:
             group_trace[name] = trace
         parts.append((name, outcome))
-
-    combined = np.zeros(metadata["horizon"])
-    with np.errstate(over="ignore"):
-        for _, values in parts:
-            combined = combined + values
-    if not np.isfinite(combined).all():
-        raise PipelineError("the component forecasts sum beyond the float range")
-
-    return ForecastResult(combined=combined, per_component=tuple(parts), metadata=metadata)
+    return ForecastResult(per_component=tuple(parts), metadata=metadata)
 
 
 def run_frameworks(series: TimeSeries, cells: Sequence[tuple],

@@ -61,7 +61,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import spawn_rng
+from .core import check_integers, spawn_rng
 from .grouping import TrainingSet
 
 KINDS = ("BPNN", "GRNN", "ENN", "WNN")
@@ -92,6 +92,7 @@ class PredictorConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        check_integers(hidden_units=self.hidden_units, epochs=self.epochs)
         if self.hidden_units < 1 or self.epochs < 1:
             raise ValueError("hidden_units and epochs must be >= 1")
         for name in ("learning_rate", "grnn_sigma"):
@@ -550,34 +551,23 @@ def _grnn_predict(p: dict, x: np.ndarray, sigma: float) -> float:
     # a gap that overflows the kernel's exponent has weight exp(-inf) = 0
     with np.errstate(over="ignore"):
         w = np.exp(-gap / (2.0 * sigma**2))
-    return float(w @ p["targets"] / w.sum())
+    targets = p["targets"]
+    try:
+        with np.errstate(over="raise"):
+            return float(w @ targets / w.sum())
+    except FloatingPointError:  # the weighted sum overflows: add it up at 2^-e
+        e = np.frexp(np.max(np.abs(targets)))[1]
+        with np.errstate(over="ignore"):  # a mean within an ulp of the float maximum
+            return float(np.ldexp(w @ np.ldexp(targets, -e) / w.sum(), e))
 
 
-def _checked(values, length: int, name: str, size_name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (length,):
-        raise ValueError(
-            f"{name} length {values.shape} does not match model {size_name} ({length},)"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} contains non-finite values")
-    return values
-
-
-def predict(model: TrainedModel, x, context: Optional[np.ndarray] = None) -> float:
+def predict(model: TrainedModel, x) -> float:
     """Deterministic forward pass for one input window: the first step of
-    a fresh :class:`ForecastSession`.
-
-    ENN context starts at zero unless an explicit session context is given,
-    so independent calls never interfere. A context must be finite and hold
-    one value per hidden unit; the other kinds take none.
+    a fresh :class:`ForecastSession`, so an ENN context starts at zero and
+    independent calls never interfere. A forecast that carries an ENN
+    context from step to step is a session's job.
     """
-    session = ForecastSession(model)
-    if context is not None:
-        if model.kind != "ENN":
-            raise ValueError(f"{model.kind} models take no context; only ENN carries one")
-        session._context = _checked(context, model.hidden_units, "context", "hidden units")
-    return session.step(x)
+    return ForecastSession(model).step(x)
 
 
 class ForecastSession:
@@ -596,7 +586,12 @@ class ForecastSession:
 
     def step(self, x) -> float:
         model, p = self.model, self._params
-        x = _checked(x, model.input_length, "input", "input length")
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (model.input_length,):
+            raise ValueError(f"input length {x.shape} does not match model input length "
+                             f"({model.input_length},)")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("input contains non-finite values")
         if model.kind == "GRNN":
             return _grnn_predict(p, x, model.grnn_sigma)
         if model.kind == "ENN":  # the recurrence of ``_enn_context``, step by step

@@ -264,7 +264,7 @@ def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
         imfs.append(outcome.imf)
         stats.append(outcome.stats)
         remainder = outcome.remainder
-    decomp = Decomposition(imfs=tuple(imfs), residual=remainder, source_length=len(series))
+    decomp = Decomposition(imfs=tuple(imfs), residual=remainder)
     return decomp, stats
 
 
@@ -277,17 +277,19 @@ def emd(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> Decomposition:
     return emd_with_stats(series, cfg)[0]
 
 
-def _eemd_trial(series: TimeSeries, cfg: EemdConfig, amplitude: float, trial: int):
+def _eemd_trial(series: TimeSeries, cfg: EemdConfig, sift: SiftConfig, amplitude: float,
+                trial: int):
     if amplitude > 0:
         rng = spawn_rng(cfg.seed, trial)
         noisy = series.values + rng.uniform(-amplitude, amplitude, len(series))
         perturbed = TimeSeries(noisy)
     else:
         perturbed = series
-    return emd(perturbed, cfg.sift)
+    return emd(perturbed, sift)
 
 
-def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
+def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig(),
+         sift: SiftConfig = SiftConfig()) -> Decomposition:
     """Ensemble decomposition: average IMFs over noise-perturbed trials.
 
     Each trial adds zero-mean uniform white noise with amplitude
@@ -302,13 +304,15 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
         Input, length >= 4.
     cfg : EemdConfig
         Ensemble controls.
+    sift : SiftConfig
+        Sifting controls of every trial.
     """
     if len(series) < 4:
         raise DataError(f"decomposition needs length >= 4, got {len(series)}")
     amplitude = cfg.noise_amplitude * float(np.std(series.values))
     n_trials = cfg.ensemble_size
 
-    trials = [_eemd_trial(series, cfg, amplitude, t) for t in range(n_trials)]
+    trials = [_eemd_trial(series, cfg, sift, amplitude, t) for t in range(n_trials)]
 
     n_imfs = max(d.n_imfs for d in trials)
     length = len(series)
@@ -321,4 +325,4 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig()) -> Decomposition:
 
     imfs = tuple(series.replace_values(s / n_trials) for s in imf_sums)
     residual = series.replace_values(residual_sum / n_trials)
-    return Decomposition(imfs=imfs, residual=residual, source_length=length)
+    return Decomposition(imfs=imfs, residual=residual)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from modecast.dtw import CostMatrix, _check_weight
+from modecast.dtw import _check_weight
 
 
 def dtw_distance(y, z, weight: float = 1.0) -> tuple:
@@ -31,7 +31,7 @@ def dtw_distance(y, z, weight: float = 1.0) -> tuple:
             g[i, 0] = local[i, 0] + g[i - 1, 0]
             for j in range(1, n):
                 g[i, j] = local[i, j] + min(g[i - 1, j - 1], g[i - 1, j], g[i, j - 1])
-    return float(g[m - 1, n - 1]), CostMatrix(g)
+    return float(g[m - 1, n - 1]), g
 
 
 def dtw_distances(windows, reference, weight: float = 1.0) -> np.ndarray:

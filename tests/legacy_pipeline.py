@@ -100,7 +100,6 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
                   group_trace: Optional[dict] = None) -> ForecastResult:
     pred_cfg = spec.predictor if seed is None else replace(spec.predictor, seed=seed)
     eemd_cfg = spec.eemd if seed is None else replace(spec.eemd, seed=seed)
-    eemd_cfg = replace(eemd_cfg, sift=spec.sift)
     root = pred_cfg.seed
     window = spec.grouping.segment_length
     horizon = spec.horizon
@@ -112,7 +111,7 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
         n_imfs = None
     else:
         if spec.variant == "EEMD_DTW_NN":
-            decomp = eemd(series, eemd_cfg)
+            decomp = eemd(series, eemd_cfg, spec.sift)
         else:
             decomp = emd(series, spec.sift)
         names = _component_names(decomp.n_imfs)
@@ -149,10 +148,6 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
                 parts.append((name, _forecast_component(
                     comp, name, idx, forecast_low, pred_cfg, root, window, horizon)))
 
-    combined = np.zeros(horizon)
-    for _, values in parts:
-        combined = combined + values
-
     metadata = {
         "variant": spec.variant,
         "root_seed": int(root),
@@ -160,7 +155,7 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
         "horizon": horizon,
         "n_imfs": n_imfs,
     }
-    return ForecastResult(combined=combined, per_component=tuple(parts), metadata=metadata)
+    return ForecastResult(per_component=tuple(parts), metadata=metadata)
 
 
 def _forecast_component(component, name, idx, fn, pred_cfg, root, window, horizon):

@@ -5,12 +5,18 @@ import pytest
 
 from modecast.core import (
     DataError,
+    Decomposition,
+    MinMaxScale,
     TimeSeries,
     derive_seed,
     load_csv,
     minmax_normalize,
     spawn_rng,
 )
+from modecast.decomposition import EemdConfig, SiftConfig
+from modecast.grouping import GroupingConfig
+from modecast.pipeline import FrameworkSpec
+from modecast.predictors import PredictorConfig
 
 
 class TestTimeSeries:
@@ -129,6 +135,7 @@ class TestMinMax:
         assert scaled.values.tolist() == [0.5, 0.5, 0.5]
         assert scale.degenerate
         assert scale.inverse(np.array([0.1, 0.9])).tolist() == [5.0, 5.0]
+        assert scale == MinMaxScale(5.0, 5.0)  # degeneracy is derived, not given
 
     def test_range_beyond_float_is_data_error(self):
         with pytest.raises(DataError, match="exceeds the float range"):
@@ -158,6 +165,42 @@ class TestMinMax:
     def test_too_short(self):
         with pytest.raises(ValueError):
             minmax_normalize(TimeSeries([1.0]))
+
+
+class TestDecomposition:
+    def test_length_is_the_residuals(self):
+        residual = TimeSeries([0.0, 0.5, 1.0])
+        assert Decomposition((TimeSeries([1.0, -1.0, 1.0]),), residual).source_length == 3
+        with pytest.raises(ValueError, match="imf 2 length 2 != source length 3"):
+            Decomposition((TimeSeries([1.0, -1.0, 1.0]), TimeSeries([1.0, -1.0])), residual)
+
+
+COUNTS = {
+    "segment_length": lambda v: GroupingConfig(segment_length=v),
+    "group_size": lambda v: GroupingConfig(group_size=v),
+    "epochs": lambda v: PredictorConfig(epochs=v),
+    "hidden_units": lambda v: PredictorConfig(hidden_units=v),
+    "max_imfs": lambda v: SiftConfig(max_imfs=v),
+    "max_sift_iterations": lambda v: SiftConfig(max_sift_iterations=v),
+    "ensemble_size": lambda v: EemdConfig(ensemble_size=v),
+    "horizon": lambda v: FrameworkSpec(horizon=v),
+    "split P": lambda v: FrameworkSpec(split=(v, 2)),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_counts_must_be_integers(name):
+    """A count that is not an integer is a ValueError naming it when the
+    config is built; numpy integers are integers, and a bool is not."""
+    COUNTS[name](np.int64(4))
+    for value in (4.5, 4.0, True, "4"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            COUNTS[name](value)
+
+
+def test_split_must_be_a_pair():
+    with pytest.raises(ValueError, match=r'split must be "auto" or a \(P, Q\) pair, got 3'):
+        FrameworkSpec(split=3)
 
 
 class TestSeeds:

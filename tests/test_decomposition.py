@@ -234,6 +234,16 @@ class TestEemd:
         assert np.array_equal(plain.reconstruct(), values)
         assert np.array_equal(ensemble.reconstruct(), values)
 
+    def test_sift_settings_are_an_argument(self):
+        """The trials are sifted as ``eemd``'s ``sift`` argument says; the
+        ensemble config has no sift settings of its own to ignore."""
+        with pytest.raises(TypeError):
+            EemdConfig(sift=SiftConfig(max_imfs=1))
+        series = TimeSeries(random_smooth_series(np.random.default_rng(5), 128))
+        cfg = EemdConfig(ensemble_size=3, noise_amplitude=0.2, seed=1)
+        assert eemd(series, cfg).n_imfs > 1
+        assert eemd(series, cfg, SiftConfig(max_imfs=1)).n_imfs == 1
+
     def test_same_seed_bit_identical(self):
         rng = np.random.default_rng(6)
         series = TimeSeries(random_smooth_series(rng, 96))

@@ -302,8 +302,9 @@ class TestSiftOracle:
            st.sampled_from([0.0, 0.05, 0.2]), st.integers(0, 2 ** 32 - 1))
     def test_eemd_matches_legacy(self, case, trials, noise, seed):
         x, sift = case
-        cfg = EemdConfig(sift=sift, ensemble_size=trials, noise_amplitude=noise, seed=seed)
-        assert _same_decomposition(eemd(TimeSeries(x), cfg), legacy.eemd(TimeSeries(x), cfg))
+        cfg = EemdConfig(ensemble_size=trials, noise_amplitude=noise, seed=seed)
+        assert _same_decomposition(eemd(TimeSeries(x), cfg, sift),
+                                   legacy.eemd(TimeSeries(x), cfg, sift))
 
     @settings(deadline=None, max_examples=300)
     @given(runs_series(magnitude=BIG), st.sampled_from([100, 3, 1]),
@@ -336,15 +337,15 @@ class TestSiftOracle:
 
 @st.composite
 def ensemble_cases(draw):
-    """A series of 4-200 samples with its sift settings (iteration caps of
-    1 and 3 end levels by ``iteration_cap``, a max_imfs of 2 cuts the
-    ensemble short), 2-40 trials and a noise amplitude high enough that the
-    trials disagree on their IMF counts."""
+    """A series of 4-200 samples, its ensemble settings (2-40 trials and a
+    noise amplitude high enough that the trials disagree on their IMF
+    counts) and its sift settings (iteration caps of 1 and 3 end levels by
+    ``iteration_cap``, a max_imfs of 2 cuts the ensemble short)."""
     x, sift = draw(decomposition_cases(max_length=200))
     trials = draw(st.integers(2, 40))
     noise = draw(st.sampled_from([0.05, 0.2, 0.5]))
-    return x, EemdConfig(sift=sift, ensemble_size=trials, noise_amplitude=noise,
-                         seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return x, EemdConfig(ensemble_size=trials, noise_amplitude=noise,
+                         seed=draw(st.integers(0, 2 ** 32 - 1))), sift
 
 
 def _stop_reasons(monkeypatch) -> list:
@@ -365,8 +366,9 @@ class TestLockstepOracle:
     @settings(deadline=None, max_examples=40)
     @given(ensemble_cases())
     def test_lockstep_eemd_matches_legacy(self, case):
-        x, cfg = case
-        assert _same_decomposition(eemd(TimeSeries(x), cfg), legacy.eemd(TimeSeries(x), cfg))
+        x, cfg, sift = case
+        assert _same_decomposition(eemd(TimeSeries(x), cfg, sift),
+                                   legacy.eemd(TimeSeries(x), cfg, sift))
 
     @pytest.mark.parametrize("mode", ["mirror", "clamp"])
     def test_trials_end_levels_every_way(self, mode, monkeypatch):
@@ -375,10 +377,11 @@ class TestLockstepOracle:
         where others still extract an IMF (they disagree on the IMF count);
         the lockstep result still equals the trial-by-trial one."""
         x = np.random.default_rng(7).normal(size=9)
-        cfg = EemdConfig(sift=SiftConfig(max_sift_iterations=4, boundary_mode=mode),
-                         ensemble_size=40, noise_amplitude=0.5, seed=11)
+        cfg = EemdConfig(ensemble_size=40, noise_amplitude=0.5, seed=11)
+        sift = SiftConfig(max_sift_iterations=4, boundary_mode=mode)
         levels = _stop_reasons(monkeypatch)
-        assert _same_decomposition(eemd(TimeSeries(x), cfg), legacy.eemd(TimeSeries(x), cfg))
+        assert _same_decomposition(eemd(TimeSeries(x), cfg, sift),
+                                   legacy.eemd(TimeSeries(x), cfg, sift))
         assert {"sd", "no_extrema", "iteration_cap"} <= {r for level in levels for r in level}
         assert any("InsufficientExtremaError" in level and len(set(level)) > 1
                    for level in levels)
@@ -447,10 +450,10 @@ class TestDecompositionProperties:
         peak = np.max(np.abs(x))
         if peak > 0:
             x = np.ldexp(x, -int(np.frexp(peak)[1]))
-        cfg = EemdConfig(sift=sift, ensemble_size=3, noise_amplitude=0.2, seed=seed)
-        base = eemd(TimeSeries(x), cfg)
+        cfg = EemdConfig(ensemble_size=3, noise_amplitude=0.2, seed=seed)
+        base = eemd(TimeSeries(x), cfg, sift)
         for k in (-900, 37, 900):
-            scaled = eemd(TimeSeries(np.ldexp(x, k)), cfg)
+            scaled = eemd(TimeSeries(np.ldexp(x, k)), cfg, sift)
             assert scaled.n_imfs == base.n_imfs
             for a, b in zip(scaled.components(), base.components()):
                 assert _bits(a.values, np.ldexp(b.values, k))

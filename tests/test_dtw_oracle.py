@@ -44,6 +44,6 @@ def test_distance_grid_and_path_match_the_scalar_loop(y, z, weight):
     distance, matrix = dtw_distance(y, z, weight)
     expected, expected_matrix = legacy.dtw_distance(y, z, weight)
     assert _bytes(distance) == _bytes(expected)
-    assert matrix.cells.shape == expected_matrix.cells.shape
-    assert _bytes(matrix.cells) == _bytes(expected_matrix.cells)
+    assert matrix.shape == expected_matrix.shape
+    assert _bytes(matrix) == _bytes(expected_matrix)
     assert warp_path(matrix) == warp_path(expected_matrix)

@@ -28,9 +28,7 @@ def fake_decomposition(n_imfs, length=16):
         TimeSeries(np.sin(2 * np.pi * t * (n_imfs - i) / length))
         for i in range(n_imfs)
     ]
-    return Decomposition(
-        imfs=tuple(imfs), residual=TimeSeries(0.1 * t), source_length=length
-    )
+    return Decomposition(imfs=tuple(imfs), residual=TimeSeries(0.1 * t))
 
 
 class TestSplitComponents:
@@ -61,7 +59,6 @@ class TestSplitComponents:
         d = Decomposition(
             imfs=(TimeSeries(np.sin(2 * np.pi * t / 32)),),
             residual=TimeSeries(0.1 * t),
-            source_length=length,
         )
         s = split_components(d, "auto")
         assert s.p_count == 1
@@ -76,7 +73,6 @@ class TestSplitComponents:
                 TimeSeries(np.sin(2 * np.pi * t / 32)),  # 4 crossings
             ),
             residual=TimeSeries(0.1 * t),
-            source_length=length,
         )
         s = split_components(d, "auto")
         assert s.p_count == 2
@@ -337,10 +333,17 @@ class TestPowerOfTwoEquivariance:
 
 
 class TestForecastResult:
-    def test_sum_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="exact sum"):
-            ForecastResult(
-                combined=np.array([1.0, 2.0]),
-                per_component=(("a", np.array([1.0, 1.0])),),
-                metadata={},
-            )
+    def test_combined_is_the_read_only_ordered_sum(self):
+        """``combined`` is derived, not given: ``0.0 + c1 + c2 + ...`` in
+        component order, bit for bit (the order matters: 1e16 + 1 + 1 and
+        1 + 1 + 1e16 round differently), read-only; a sum beyond the float
+        range and an empty component list are rejected."""
+        parts = (("a", [1e16, -0.0]), ("b", [1.0, -0.0]), ("c", [1.0, -0.0]))
+        result = ForecastResult(parts, {"horizon": 2})
+        assert result.combined.tobytes() == np.array([1e16 + 1.0 + 1.0, 0.0]).tobytes()
+        assert result.combined.tobytes() != np.array([1.0 + 1.0 + 1e16, 0.0]).tobytes()
+        assert not result.combined.flags.writeable
+        with pytest.raises(PipelineError, match="sum beyond the float range"):
+            ForecastResult((("a", [1e308]), ("b", [1e308])), {})
+        with pytest.raises(ValueError, match="at least one component"):
+            ForecastResult((), {})

@@ -84,10 +84,6 @@ class TestTrainerOracle:
         l, h = model.input_length, model.hidden_units
         for q in queries:
             assert predict(model, q) == legacy.predict(cfg.kind, old_weights, l, h, q)
-        context = np.linspace(-1.0, 1.0, h)
-        if cfg.kind == "ENN":
-            assert (predict(model, queries[0], context=context)
-                    == legacy.predict("ENN", old_weights, l, h, queries[0], context))
         session = ForecastSession(model)
         assert ([session.step(q) for q in queries]
                 == legacy.session_steps(cfg.kind, old_weights, l, h, queries))

@@ -14,8 +14,10 @@ draws the same examples (failures saved in ``.hypothesis/`` replay too).
 The variable takes effect only in a DYNAMIC_ARCH build of OpenBLAS (numpy's
 wheels are one); an unknown name falls back to the detected kernel, and
 some names map to another kernel, which the ``kernel`` column shows. Byte
-identity holds per (numpy, BLAS kernel) pair, so the digests may differ
-between rows. The exit status is 1 when any row shows a failing test, an
+identity holds per numpy, scipy, C library and BLAS kernel, so the digests
+may differ between rows; the numpy and scipy versions and the C library are
+printed once above the table, so that tables from two hosts can be
+compared. The exit status is 1 when any row shows a failing test, an
 INTERNALERROR or a benchmark that did not exit 0, so the script can serve
 as a gate. Not part of the test suite: a run takes some minutes.
 """
@@ -25,10 +27,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy
+import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 CORES = ("SkylakeX", "Haswell", "Zen", "Sandybridge", "Prescott")
@@ -84,6 +90,8 @@ def main(argv=None) -> int:
     parser.add_argument("cores", nargs="*", default=CORES,
                         help="OPENBLAS_CORETYPE values, one child run each")
     args = parser.parse_args(argv)
+    print(f"numpy {numpy.__version__}, scipy {scipy.__version__}, "
+          f"C library {' '.join(platform.libc_ver()) or '?'}\n")
     print("| core type | kernel | tests | failed | benchmark_runs.json SHA-256 |")
     print("|---|---|---|---|---|")
     status = 0

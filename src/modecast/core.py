@@ -22,13 +22,15 @@ class DataError(ValueError):
     """Raised when an input file or series violates ingestion contracts."""
 
 
-def check_integers(**values) -> None:
+def check_integers(minimum: int, **values) -> None:
     """Raise a ValueError naming the first of ``values`` that is not an
-    integer. numpy integer types are integers; a bool is not, as in the
-    CLI's JSON types."""
+    integer of at least ``minimum``. numpy integer types are integers; a
+    bool is not, as in the CLI's JSON types."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 # ---------------------------------------------------------------------------

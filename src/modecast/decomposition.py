@@ -64,13 +64,9 @@ class SiftConfig:
     boundary_mode: str = "mirror"
 
     def __post_init__(self):
-        check_integers(max_sift_iterations=self.max_sift_iterations, max_imfs=self.max_imfs)
+        check_integers(1, max_sift_iterations=self.max_sift_iterations, max_imfs=self.max_imfs)
         if not (math.isfinite(self.sd_threshold) and self.sd_threshold > 0):
             raise ValueError(f"sd_threshold must be positive and finite, got {self.sd_threshold}")
-        if self.max_sift_iterations < 1:
-            raise ValueError("max_sift_iterations must be >= 1")
-        if self.max_imfs < 1:
-            raise ValueError("max_imfs must be >= 1")
         if self.boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
 
@@ -89,9 +85,8 @@ class EemdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(ensemble_size=self.ensemble_size)
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be >= 1")
+        check_integers(1, ensemble_size=self.ensemble_size)
+        check_integers(0, seed=self.seed)
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
             raise ValueError(f"noise_amplitude must be finite and >= 0, got {self.noise_amplitude}")
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DataError, TimeSeries, pow2_exponent
+from .core import DataError, TimeSeries, check_integers, pow2_exponent
 # run_framework is unused here, but perfbench's tracer self-test expects a
 # wrapper at this binding
 from .pipeline import VARIANTS, FrameworkSpec, run_framework, run_frameworks  # noqa: F401
@@ -100,8 +100,7 @@ class EvalReport:
     per_run_predictions: tuple
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        check_integers(1, runs=self.runs)
         if self.re_std_over_runs < 0 or any(re < 0 for _, _, re in self.per_point):
             raise ValueError("relative errors cannot be negative")
 

@@ -41,11 +41,8 @@ class GroupingConfig:
     threshold_alpha: float = 1.0
 
     def __post_init__(self):
-        check_integers(segment_length=self.segment_length, group_size=self.group_size)
-        if self.segment_length < 2:
-            raise ValueError("segment_length must be >= 2")
-        if self.group_size < 1:
-            raise ValueError("group_size must be >= 1")
+        check_integers(2, segment_length=self.segment_length)
+        check_integers(1, group_size=self.group_size)
         if not (math.isfinite(self.dtw_weight) and self.dtw_weight > 0):
             raise ValueError("dtw_weight must be positive and finite")
         if self.selection not in SELECTION_MODES:

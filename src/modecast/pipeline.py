@@ -67,16 +67,13 @@ class FrameworkSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        check_integers(horizon=self.horizon)
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        check_integers(1, horizon=self.horizon)
         if self.split != "auto":
             if not isinstance(self.split, (tuple, list)) or len(self.split) != 2:
                 raise ValueError(f'split must be "auto" or a (P, Q) pair, got {self.split!r}')
             p, q = self.split
-            check_integers(**{"split P": p, "split Q": q})
-            if p < 0 or q < 1:
-                raise ValueError(f"explicit split needs P >= 0 and Q >= 1, got ({p}, {q})")
+            check_integers(0, **{"split P": p})
+            check_integers(1, **{"split Q": q})
             object.__setattr__(self, "split", (int(p), int(q)))
 
 
@@ -84,7 +81,8 @@ class FrameworkSpec:
 class ForecastResult:
     """Per-component forecasts plus run metadata, and their combined
     forecast: the ordered sum ``0.0 + c1 + c2 + ...`` of the per-component
-    forecasts, read-only. A sum beyond the float range is a
+    forecasts. Both are read-only; the per-component arrays are copies, so
+    the caller's arrays stay theirs. A sum beyond the float range is a
     :class:`PipelineError`.
     """
 
@@ -93,7 +91,7 @@ class ForecastResult:
     combined: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        parts = tuple((name, np.asarray(v, dtype=np.float64)) for name, v in self.per_component)
+        parts = tuple((name, np.array(v, dtype=np.float64)) for name, v in self.per_component)
         if not parts:
             raise ValueError("a forecast needs at least one component")
         object.__setattr__(self, "per_component", parts)
@@ -101,7 +99,8 @@ class ForecastResult:
             combined = sum((values for _, values in parts), 0.0)
         if not np.isfinite(combined).all():
             raise PipelineError("the component forecasts sum beyond the float range")
-        combined.flags.writeable = False
+        for values in (combined, *(values for _, values in parts)):
+            values.flags.writeable = False
         object.__setattr__(self, "combined", combined)
 
     def to_dict(self) -> dict:

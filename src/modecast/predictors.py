@@ -39,16 +39,16 @@ Each epoch costs a fixed sequence of numpy calls, so the loop is built to
 make few of them. The BPNN and ENN epochs (one sigmoid-layer builder,
 ``_sigmoid_loss_grad``) and the shared readout write every temporary into
 buffers built once per group, and the ENN context recurrence runs model by
-model on buffers built once, after one stacked input projection per epoch
-(``_enn_context``), three calls per step. An epoch writes its residuals
-into one row of a block of ``_BLOCK`` epochs, and the loss curves are
-reduced once per block, not once per epoch. The sigmoid is
-``1 / (1 + exp(-z))``, one exp per value. The layer and BPNN's predict
-run it as four numpy calls under ``errstate(over="ignore")``: below
-z = -709.78 the exp overflows to inf and the sigmoid is 1/inf = 0. The
-ENN recurrence and forecast steps run scipy's ``expit``, one compiled
-call with the C library's ``exp`` that warns of no overflow; its loop is
-scalar, so it would be slower on the layer's (K, n, H) arrays.
+model on buffers built once (``_enn_context``), one GEMV and one ``expit``
+per step. An epoch writes its residuals into one row of a block of
+``_BLOCK`` epochs, and the loss curves are reduced once per block, not
+once per epoch. The sigmoid is ``1 / (1 + exp(-z))``, one exp per value.
+The layer and BPNN's predict run it as four numpy calls under
+``errstate(over="ignore")``: below z = -709.78 the exp overflows to inf
+and the sigmoid is 1/inf = 0. The ENN recurrence and forecast steps run
+scipy's ``expit``, one compiled call with the C library's ``exp`` that
+warns of no overflow; its loop is scalar, so it would be slower on the
+layer's (K, n, H) arrays.
 """
 
 from __future__ import annotations
@@ -92,9 +92,8 @@ class PredictorConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        check_integers(hidden_units=self.hidden_units, epochs=self.epochs)
-        if self.hidden_units < 1 or self.epochs < 1:
-            raise ValueError("hidden_units and epochs must be >= 1")
+        check_integers(1, hidden_units=self.hidden_units, epochs=self.epochs)
+        check_integers(0, seed=self.seed)
         for name in ("learning_rate", "grnn_sigma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -115,17 +114,15 @@ class TrainedModel:
     training_loss_curve: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        curve = np.asarray(self.training_loss_curve, dtype=np.float64)
-        curve.flags.writeable = False
-        object.__setattr__(self, "training_loss_curve", curve)
+        for name in ("weights", "training_loss_curve"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         expected = weight_count(self.kind, self.input_length, self.hidden_units,
                                 n_pairs=self._grnn_pairs())
-        if weights.size != expected:
+        if self.weights.size != expected:
             raise ValueError(
-                f"{self.kind} weight vector has {weights.size} entries, expected {expected}"
+                f"{self.kind} weight vector has {self.weights.size} entries, expected {expected}"
             )
 
     def _grnn_pairs(self) -> int:
@@ -331,37 +328,44 @@ def _wnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
     return loss_grad
 
 
+def _elman_rows(p: dict, x: np.ndarray) -> tuple:
+    """``(m, z, load)``: the (H, W) step matrix ``[Wh | Wx | b | 0]``, the
+    (n, W) rows ``[c_t, x_t, 1, 0]`` over the pairs ``x`` (every ``c_t``
+    zero), and ``load()``, which copies the current weights of ``p`` into
+    ``m``. A step is ``c_{t+1} = expit(m z[t])``. W is H + L + 1 rounded up
+    to even, so each row starts 16 bytes aligned (see ``_stacked``)."""
+    h, l = p["Wx"].shape
+    width = h + l + 1 + (h + l + 1) % 2
+    m, z = np.zeros((h, width)), np.zeros((len(x), width))
+    z[:, h : h + l], z[:, h + l] = x, 1.0
+    blocks, weights = (p["Wh"], p["Wx"], p["b"][:, None]), m[:, : h + l + 1]
+    return m, z, lambda: np.concatenate(blocks, 1, weights)
+
+
 def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> Callable:
     """``fill()``: write one model's hidden-state trajectory at the current
     ``p`` into ``contexts``; row t is the context fed to pair t.
 
-    Every buffer is built here, once, so a call allocates nothing. A call
-    projects all pairs in one stacked ``matmul`` with a trailing unit axis
-    (per pair the GEMV ``np.dot(Wx, x[t])`` makes, with its bits; at
-    L = H = 1 a zero may change sign, which the sigmoid ignores) and adds
-    ``b`` in one ``add``. Each step is then ``v = Wh c[t]`` with the bound
-    ``Wh.dot`` (``np.dot``'s GEMV without its dispatcher), ``u = (Wx x[t] +
-    b) + v`` and ``c[t + 1] = expit(u)``, as ``ForecastSession.step`` does.
-    ``scipy.special`` loads here, at the first ENN fill. A stacked
-    recurrence over K models is bit-identical but slower for a lone model.
+    A call loads the weights into the step matrix of ``_elman_rows`` and
+    runs two calls per step, as ``ForecastSession.step`` does: ``v = m
+    z[t]`` with the bound ``m.dot`` (``np.dot``'s GEMV without its
+    dispatcher) and ``expit(v)`` into the context slot of row t + 1. It
+    then copies the context columns into ``contexts``, which the layer
+    reads C-contiguous. ``scipy.special`` loads here, at the first fill.
     """
     from scipy.special import expit
 
-    wx, b = p["Wx"], p["b"]
-    h = b.size
-    xs, proj = x[:-1, :, None], np.empty((x.shape[0] - 1, h, 1))
-    biased, u, v = proj[..., 0], np.empty(h), np.empty(h)
-    contexts[0] = 0.0
-    steps = list(zip(biased, contexts[:-1], contexts[1:]))
-    dot, matmul, add = p["Wh"].dot, np.matmul, np.add
+    m, z, load = _elman_rows(p, x)
+    hidden, v = z[:, : contexts.shape[-1]], np.empty(contexts.shape[-1])
+    steps = list(zip(z[:-1], hidden[1:]))
+    dot, copyto = m.dot, np.copyto
 
     def fill() -> None:
-        matmul(wx, xs, proj)
-        add(biased, b, biased)
-        for projected, context, following in steps:
-            dot(context, v)
-            add(projected, v, u)
-            expit(u, following)
+        load()
+        for row, following in steps:
+            dot(row, v)
+            expit(v, following)
+        copyto(contexts, hidden)
 
     return fill
 
@@ -582,7 +586,10 @@ class ForecastSession:
         self.model = model
         self._params = _views(model.kind, model.weights, model.input_length,
                               model.hidden_units, model._grnn_pairs())
-        self._context = np.zeros(model.hidden_units)
+        if model.kind == "ENN":  # one row of ``_enn_context``'s recurrence
+            m, rows, load = _elman_rows(self._params, np.zeros((1, model.input_length)))
+            load()
+            self._m, self._row, self._context = m, rows[0], rows[0, : model.hidden_units]
 
     def step(self, x) -> float:
         model, p = self.model, self._params
@@ -594,9 +601,10 @@ class ForecastSession:
             raise ValueError("input contains non-finite values")
         if model.kind == "GRNN":
             return _grnn_predict(p, x, model.grnn_sigma)
-        if model.kind == "ENN":  # the recurrence of ``_enn_context``, step by step
+        if model.kind == "ENN":  # the step of ``_enn_context``
             from scipy.special import expit
-            self._context = expit((p["Wx"] @ x + p["b"]) + p["Wh"] @ self._context)
+            self._row[model.hidden_units : model.hidden_units + x.size] = x
+            expit(self._m.dot(self._row), self._context)
             return float(self._context @ p["v"] + p["c"][0])
         forward = _bpnn_forward if model.kind == "BPNN" else _wnn_forward
         return float(forward(p, x[None, :])[0])

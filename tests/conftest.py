@@ -31,9 +31,11 @@ def random_smooth_series(rng, length):
 
 def recurrence_sigmoid(z):
     """The sigmoid inside ``predictors._enn_context``, applied to ``z`` in
-    chunks of 64 as the bias of one-step recurrences whose weights are
-    zero: the pre-activation ``(0 + z) + 0`` is ``z`` bit for bit (up to
-    the sign of a zero, which the sigmoid maps to 0.5 either way)."""
+    chunks of 64 as the bias of one-step recurrences whose other weights
+    are zero: the step's GEMV of ``[Wh | Wx | b] = [0 | 0 | z]`` on the row
+    ``[c, x, 1] = [0, 1, 1]`` (each with its zero pad, if any) sums exact
+    zeros and ``z * 1``, so it is ``z`` bit for bit (up to the sign of a
+    zero, which the sigmoid maps to 0.5 either way)."""
     out = np.empty(z.shape)
     for start in range(0, z.size, 64):
         bias = z[start : start + 64]

@@ -4,17 +4,21 @@ loss/gradient function per kind and the Python-loop ENN context.
 ``tests/test_trainer_oracle.py`` checks that ``modecast.predictors``
 reproduces it bit for bit. Do not edit it to make that test pass.
 
-Two deliberate changes since it was frozen, each of which the trainer
+Three deliberate changes since it was frozen, each of which the trainer
 adopted first:
 
 1. ``_sigmoid`` is the one-exp ``1 / (1 + exp(-z))``, in place of the
    boolean-mask two-branch form. It stays the sigmoid of the hidden
    layers.
 2. The Elman recurrence (``_enn_context``, ENN ``predict`` and
-   ``session_steps``) is ``expit((Wx @ x + b) + Wh @ h)`` with scipy's
-   ``expit``: the bias joins the input projection before the context
-   term, and the sigmoid is one compiled call with the C library's
-   ``exp``, where it was ``_sigmoid(Wx @ x + Wh @ h + b)``.
+   ``session_steps``) became ``expit((Wx @ x + b) + Wh @ h)`` with
+   scipy's ``expit``, where it was ``_sigmoid(Wx @ x + Wh @ h + b)``:
+   the sigmoid is one compiled call with the C library's ``exp``.
+3. The same three sites now take their step from ``_step``:
+   ``expit(M @ z)``, one GEMV of ``M = [Wh | Wx | b | 0]`` on the
+   augmented row ``z = [h, x, 1, 0]``, the zero column padding the width
+   H + L + 1 to an even count, where it was
+   ``expit((Wx @ x + b) + Wh @ h)``.
 
 The accuracy of both sigmoids is checked on its own, against a
 ``np.longdouble`` sigmoid, in ``tests/test_predictors.py``.
@@ -128,6 +132,13 @@ def _wnn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: in
     return loss, _pack("WNN", grads, l, h)
 
 
+def _step(p: dict, h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The context that follows ``h`` on the input ``x``."""
+    pad = np.zeros((h.size + x.size + 1) % 2)
+    m = np.hstack([p["Wh"], p["Wx"], p["b"][:, None], np.zeros((h.size, pad.size))])
+    return expit(m @ np.concatenate([h, x, [1.0], pad]))
+
+
 def _enn_context(p: dict, x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     h_dim = p["b"].size
@@ -135,7 +146,7 @@ def _enn_context(p: dict, x: np.ndarray) -> np.ndarray:
     h = np.zeros(h_dim)
     for t in range(n):
         contexts[t] = h
-        h = expit((p["Wx"] @ x[t] + p["b"]) + p["Wh"] @ h)
+        h = _step(p, h, x[t])
     return contexts
 
 
@@ -201,8 +212,7 @@ def predict(kind, weights, l, h, x, context=None) -> float:
         return float(_bpnn_forward(p, x[None, :])[0])
     if kind == "WNN":
         return float(_wnn_forward(p, x[None, :])[0])
-    ctx = np.zeros(h) if context is None else context
-    hid = expit((p["Wx"] @ x + p["b"]) + p["Wh"] @ ctx)
+    hid = _step(p, np.zeros(h) if context is None else context, x)
     return float(hid @ p["v"] + p["c"][0])
 
 
@@ -214,7 +224,7 @@ def session_steps(kind, weights, l, h, xs) -> list:
     out = []
     for x in xs:
         p = _unpack("ENN", weights, l, h)
-        hid = expit((p["Wx"] @ np.asarray(x, dtype=np.float64) + p["b"]) + p["Wh"] @ context)
+        hid = _step(p, context, np.asarray(x, dtype=np.float64))
         context = hid
         out.append(float(hid @ p["v"] + p["c"][0]))
     return out

@@ -198,9 +198,25 @@ def test_counts_must_be_integers(name):
             COUNTS[name](value)
 
 
+MINIMA = {"segment_length": 2, "group_size": 1, "epochs": 1, "hidden_units": 1, "max_imfs": 1,
+          "max_sift_iterations": 1, "ensemble_size": 1, "horizon": 1, "split P": 0}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_counts_have_a_minimum(name):
+    """A count below its minimum is a ValueError naming the count, its
+    minimum and the value; the minimum itself is accepted."""
+    low = MINIMA[name]
+    COUNTS[name](low)
+    with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {low - 1}$"):
+        COUNTS[name](low - 1)
+
+
 def test_split_must_be_a_pair():
     with pytest.raises(ValueError, match=r'split must be "auto" or a \(P, Q\) pair, got 3'):
         FrameworkSpec(split=3)
+    with pytest.raises(ValueError, match="^split Q must be >= 1, got 0$"):
+        FrameworkSpec(split=(1, 0))
 
 
 class TestSeeds:

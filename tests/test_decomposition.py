@@ -244,6 +244,13 @@ class TestEemd:
         assert eemd(series, cfg).n_imfs > 1
         assert eemd(series, cfg, SiftConfig(max_imfs=1)).n_imfs == 1
 
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "seed must be an integer"), (True, "seed must be an integer"),
+        ("3", "seed must be an integer"), (-1, "seed must be >= 0")])
+    def test_seed_checked_when_the_config_is_built(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            EemdConfig(seed=seed)
+
     def test_same_seed_bit_identical(self):
         rng = np.random.default_rng(6)
         series = TimeSeries(random_smooth_series(rng, 96))

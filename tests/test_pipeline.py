@@ -347,3 +347,17 @@ class TestForecastResult:
             ForecastResult((("a", [1e308]), ("b", [1e308])), {})
         with pytest.raises(ValueError, match="at least one component"):
             ForecastResult((), {})
+
+    def test_components_are_read_only_copies(self):
+        """Each per-component array is the result's own read-only copy, so
+        ``combined`` stays their sum; the caller's array stays writeable."""
+        a, b = np.array([1.0, 2.0]), np.array([0.5, 0.25])
+        result = ForecastResult((("a", a), ("b", b)), {})
+        for (_, kept), given in zip(result.per_component, (a, b)):
+            assert kept is not given and np.array_equal(kept, given)
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 1e9
+        a[0] = 1e9
+        assert a.flags.writeable and a[0] == 1e9
+        assert result.combined.tolist() == [1.5, 2.25]
+        assert (result.per_component[0][1] + result.per_component[1][1]).tolist() == [1.5, 2.25]

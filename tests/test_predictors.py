@@ -99,6 +99,16 @@ class TestGrnn:
         with pytest.raises(ValueError, match="grnn_sigma squared"):
             PredictorConfig(kind="GRNN", grnn_sigma=sigma)
 
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer"), (True, "seed must be an integer"),
+        (np.float64(2.0), "seed must be an integer"), (-1, "seed must be >= 0")])
+    def test_seed_checked_when_the_config_is_built(self, seed, message):
+        """A seed that is not a non-negative integer fails in the config,
+        not inside numpy at training time; ``True`` is not seed 1."""
+        with pytest.raises(ValueError, match=message):
+            PredictorConfig(seed=seed)
+        assert PredictorConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
     def test_weighted_sum_beyond_the_float_range(self):
         # 1e308 + 1.5e308 overflows, though their mean is a float
         model = train(make_set([[0.0], [1.0]], [1e308, 1.5e308]),
@@ -189,7 +199,9 @@ class TestTraining:
         the 16-byte alignment of its operands. Four models of one group with
         H = 1 and an odd n * L would start every other model's buffers 8
         bytes off; a child process on those kernels checks that each model
-        of a ``train_many`` call equals ``train`` alone."""
+        of a ``train_many`` call equals ``train`` alone, and that an ENN
+        session's contexts are the rows of its fill, with H + L + 1 odd
+        (a padded step row) and even."""
         kernel = runpy.run_path(str(REPO / "tools" / "kernel_matrix.py"))["KERNEL"]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -201,7 +213,7 @@ class TestTraining:
                                   check=True).stdout.split()
 
         default = child(kernel)
-        name, mismatches = child(kernel + _LOCKSTEP_AT_ONE_HIDDEN_UNIT,
+        name, mismatches = child(kernel + _SSE2_MISMATCHES,
                                  OPENBLAS_CORETYPE="Prescott")
         if name in ("?", *default):
             pytest.skip(f"OpenBLAS did not switch kernels (runs {name})")
@@ -209,12 +221,26 @@ class TestTraining:
 
 
 # the number of models of BPNN, WNN and ENN groups at H = 1 and odd n * L
-# whose ``train_many`` result differs from ``train`` alone
-_LOCKSTEP_AT_ONE_HIDDEN_UNIT = """
+# whose ``train_many`` result differs from ``train`` alone, plus the number
+# of ENN session steps whose context differs from the fill's row
+_SSE2_MISMATCHES = """
 import numpy as np
 from modecast.grouping import TrainingSet
-from modecast.predictors import PredictorConfig, train, train_many
+from modecast.predictors import (ForecastSession, PredictorConfig, TrainedModel, _enn_context,
+                                 _views, train, train_many, weight_count)
 mismatches = 0
+for l, h in ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (3, 5), (4, 5), (8, 8), (7, 8)):
+    rng = np.random.default_rng(100 * l + h)
+    for scale in (1.0, 1e3):
+        weights = rng.uniform(-0.5, 0.5, weight_count("ENN", l, h)) * scale
+        x = rng.uniform(0.0, 1.0, (64, l))
+        filled = np.empty((64, h))
+        _enn_context(_views("ENN", weights, l, h), x, filled)()
+        session = ForecastSession(TrainedModel(kind="ENN", input_length=l, hidden_units=h,
+                                               weights=weights))
+        for t in range(63):
+            session.step(x[t])
+            mismatches += session._context.tobytes() != filled[t + 1].tobytes()
 for kind in ("BPNN", "WNN", "ENN"):
     for n, length in ((3, 5), (11, 1), (5, 7), (7, 3)):
         rng = np.random.default_rng(10 * n + length)

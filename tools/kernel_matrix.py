@@ -5,9 +5,12 @@
 For each core type named (default: SkylakeX Haswell Zen Sandybridge
 Prescott), one child process at a time runs the decomposition, trainer
 and pipeline oracles and the acceptance tests, then the golden benchmark,
-with ``OPENBLAS_CORETYPE=CORE`` set in the child's environment only. A
-markdown table reports per core type the kernel numpy's OpenBLAS chose, the
-pytest summary, the failing tests and the SHA-256 of ``benchmark_runs.json``.
+then one ENN training, with ``OPENBLAS_CORETYPE=CORE`` set in the child's
+environment only. A markdown table reports per core type the kernel numpy's
+OpenBLAS chose, the pytest summary, the failing tests, the SHA-256 of
+``benchmark_runs.json`` (BPNN, EMD, EEMD and DTW at work) and the SHA-256 of
+the ENN's weights and loss curve (the Elman recurrence at work), so that a
+bit move of either shows per kernel.
 The tests draw from hypothesis seed 0, so every row and every checkout
 draws the same examples (failures saved in ``.hypothesis/`` replay too).
 
@@ -41,6 +44,18 @@ CORES = ("SkylakeX", "Haswell", "Zen", "Sandybridge", "Prescott")
 TESTS = ("tests/test_decomposition_oracle.py", "tests/test_trainer_oracle.py",
          "tests/test_pipeline_oracle.py", "tests/test_acceptance.py")
 GOLDEN = "configs/benchmark_synthetic.json"
+
+# prints the SHA-256 of one ENN (weights, then loss curve) trained for 100
+# epochs on the sliding windows of the normalized VTF fixture
+ENN = """
+import hashlib
+from modecast.core import load_csv, minmax_normalize
+from modecast.grouping import sliding_window_set
+from modecast.predictors import PredictorConfig, train
+series, _ = minmax_normalize(load_csv("data/vtf_3hourly_fixture.csv", column=2, has_header=True))
+model = train(sliding_window_set(series, 8), PredictorConfig(kind="ENN", epochs=100, seed=0))
+print(hashlib.sha256(model.weights.tobytes() + model.training_loss_curve.tobytes()).hexdigest())
+"""
 
 # prints the name of the kernel numpy's bundled OpenBLAS runs, or "?"
 KERNEL = """
@@ -80,9 +95,12 @@ def row(core: str) -> tuple:
         runs = Path(out) / "benchmark_runs.json"
         digest = (hashlib.sha256(runs.read_bytes()).hexdigest() if bench.returncode == 0
                   else f"benchmark exited {bench.returncode}")
+    enn = _child(["-c", ENN], env)
+    enn_digest = enn.stdout.strip() if enn.returncode == 0 else f"ENN exited {enn.returncode}"
     # pytest exits non-zero on a failing test and on an INTERNALERROR
-    passed = tests.returncode == 0 and bench.returncode == 0
-    return f"| {core} | {kernel} | {summary} | {', '.join(failed) or '-'} | {digest} |", passed
+    passed = tests.returncode == 0 and bench.returncode == 0 and enn.returncode == 0
+    return (f"| {core} | {kernel} | {summary} | {', '.join(failed) or '-'} | {digest} "
+            f"| {enn_digest} |"), passed
 
 
 def main(argv=None) -> int:
@@ -92,8 +110,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print(f"numpy {numpy.__version__}, scipy {scipy.__version__}, "
           f"C library {' '.join(platform.libc_ver()) or '?'}\n")
-    print("| core type | kernel | tests | failed | benchmark_runs.json SHA-256 |")
-    print("|---|---|---|---|---|")
+    print("| core type | kernel | tests | failed | benchmark_runs.json SHA-256 "
+          "| ENN SHA-256 |")
+    print("|---|---|---|---|---|---|")
     status = 0
     for core in args.cores:
         line, passed = row(core)

@@ -58,8 +58,6 @@ from .pipeline import (
     FrameworkSpec,
     FrequencySplit,
     PipelineError,
-    forecast_high,
-    forecast_low,
     run_framework,
     split_components,
 )

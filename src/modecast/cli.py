@@ -282,7 +282,7 @@ def cmd_decompose(args) -> int:
                        "noise_amplitude": cfg.noise_amplitude, "seed": cfg.seed}
 
     out = _out(args)
-    names = [f"imf_{i + 1}" for i in range(decomp.n_imfs)] + ["residual"]
+    names = decomp.names()
     comps = decomp.components()
     _write_csv(out / "components.csv", [names] + [
         [format_number(v) for v in row] for row in zip(*(c.values.tolist() for c in comps))])

@@ -33,6 +33,14 @@ def check_integers(minimum: int, **values) -> None:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def frozen_copy(values) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of ``values``: how every value
+    type here keeps an array, so the caller's array stays theirs."""
+    arr = np.array(values, dtype=np.float64, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Seed plumbing
 # ---------------------------------------------------------------------------
@@ -76,12 +84,11 @@ class TimeSeries:
     labels: Optional[tuple] = None
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).copy()
+        arr = frozen_copy(self.values)
         if arr.ndim != 1 or arr.size < 1:
             raise DataError("series must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)):
             raise DataError("series contains NaN or infinite values")
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
@@ -130,6 +137,10 @@ class Decomposition:
     def components(self) -> list:
         """IMFs in order, residual appended last."""
         return list(self.imfs) + [self.residual]
+
+    def names(self) -> list:
+        """Component names in the order of :meth:`components`."""
+        return [f"imf_{i + 1}" for i in range(self.n_imfs)] + ["residual"]
 
     def reconstruct(self) -> np.ndarray:
         """Pointwise sum of all IMFs and the residual."""

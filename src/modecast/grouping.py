@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import TimeSeries, check_integers, pow2_exponent
+from .core import TimeSeries, check_integers, frozen_copy, pow2_exponent
 # dtw_distance is unused here, but perfbench's tracer self-test expects a
 # wrapper at this binding
 from .dtw import dtw_distance, dtw_distances  # noqa: F401
@@ -66,14 +66,11 @@ class TrainingSet:
     def __post_init__(self):
         # contiguous rows: matmul on a strided window view skips BLAS and
         # sums in another order
-        inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
+        inputs, targets = frozen_copy(self.inputs), frozen_copy(self.targets)
         if inputs.ndim != 2 or targets.ndim != 1 or inputs.shape[0] != targets.size:
             raise ValueError("inputs must be (n, L) with n matching targets")
         if targets.size < 1:
             raise ValueError("training set must contain at least one pair")
-        inputs.flags.writeable = False
-        targets.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "provenance", tuple(self.provenance))

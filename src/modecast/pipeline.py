@@ -4,9 +4,10 @@ Four variants share one entry point and one component loop. A variant is a
 component list and a fast count P: ``NN`` forecasts the raw series and
 ``EMD_NN`` every decomposition component, both with P = 0; ``EMD_DTW_NN``
 and ``EEMD_DTW_NN`` take P from :func:`split_components`. The first P
-components are forecast from DTW-similarity-grouped training sets, the rest
-from plain sliding windows. The combined forecast is always the exact
-ordered sum of the per-component forecasts.
+components are forecast by ``_high_steps``, from DTW-similarity-grouped
+training sets, the rest by ``_low_steps``, from plain sliding windows. The
+combined forecast is always the exact ordered sum of the per-component
+forecasts.
 
 All randomness derives from one root seed via per-(component, step) keys,
 so reruns agree bit for bit.
@@ -25,7 +26,7 @@ from typing import Generator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .core import (DataError, Decomposition, TimeSeries, check_integers, derive_seed,
-                   minmax_normalize)
+                   frozen_copy, minmax_normalize)
 from .decomposition import EemdConfig, SiftConfig, count_zero_crossings, emd, eemd
 from .grouping import (
     GroupingConfig,
@@ -91,7 +92,7 @@ class ForecastResult:
     combined: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        parts = tuple((name, np.array(v, dtype=np.float64)) for name, v in self.per_component)
+        parts = tuple((name, frozen_copy(v)) for name, v in self.per_component)
         if not parts:
             raise ValueError("a forecast needs at least one component")
         object.__setattr__(self, "per_component", parts)
@@ -99,8 +100,7 @@ class ForecastResult:
             combined = sum((values for _, values in parts), 0.0)
         if not np.isfinite(combined).all():
             raise PipelineError("the component forecasts sum beyond the float range")
-        for values in (combined, *(values for _, values in parts)):
-            values.flags.writeable = False
+        combined.flags.writeable = False
         object.__setattr__(self, "combined", combined)
 
     def to_dict(self) -> dict:
@@ -162,6 +162,9 @@ def split_components(decomp: Decomposition, split: Union[str, tuple] = "auto") -
 
 def _low_steps(component: TimeSeries, cfg: PredictorConfig, window: int,
                horizon: int) -> Generator:
+    """Direct recursive forecast of a slow component: one model on all
+    (window -> next value) pairs of the normalized component, each
+    prediction fed back into the input window."""
     if len(component) <= window:
         raise ValueError(
             f"component length {len(component)} must exceed window {window}"
@@ -179,6 +182,12 @@ def _low_steps(component: TimeSeries, cfg: PredictorConfig, window: int,
 
 def _high_steps(component: TimeSeries, grouping: GroupingConfig, cfg: PredictorConfig,
                 horizon: int, trace: Optional[list]) -> Generator:
+    """Similarity-grouped recursive forecast of a fast component: each step
+    ranks every window of the component extended by the predictions so far
+    by DTW distance to the trailing reference window, trains a fresh model
+    (seed ``derive_seed(cfg.seed, step)``) on the selected group and
+    predicts one value. A non-finite prediction is a :class:`DataError`.
+    ``trace``, when a list, receives one record per step."""
     length = grouping.segment_length
     if len(component) < 2 * length:
         raise ValueError(
@@ -261,45 +270,6 @@ def _lockstep(tasks: list) -> list:
     return outcomes
 
 
-def _raised(outcome):
-    """``outcome``, or raise it if it is an exception."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def forecast_low(component: TimeSeries, cfg: PredictorConfig, window: int,
-                 horizon: int) -> np.ndarray:
-    """Direct recursive forecast of a slow component.
-
-    Trains one model on all (window -> next value) pairs of the normalized
-    component, then feeds each prediction back into the input window.
-    Returns denormalized predictions of length ``horizon``.
-    """
-    return _raised(_lockstep([(0, _low_steps(component, cfg, window, horizon))])[0])
-
-
-def forecast_high(component: TimeSeries, grouping: GroupingConfig,
-                  cfg: PredictorConfig, horizon: int,
-                  trace: Optional[list] = None) -> np.ndarray:
-    """Similarity-grouped recursive forecast of a fast component.
-
-    Each step ranks every window of the component extended by the
-    predictions so far by DTW distance to the trailing reference window,
-    trains a fresh model on the selected group and predicts one value.
-    Per-step seeds derive from ``cfg.seed``. A non-finite prediction raises
-    :class:`DataError`.
-
-    Parameters
-    ----------
-    trace : list, optional
-        When given, receives one record per step with the reference window,
-        ranked candidates and selection, for provenance inspection.
-    """
-    task = _high_steps(component, grouping, cfg, horizon, trace)
-    return _raised(_lockstep([(0, task)])[0])
-
-
 # ---------------------------------------------------------------------------
 # Framework runner
 # ---------------------------------------------------------------------------
@@ -314,7 +284,7 @@ def _components(series: TimeSeries, spec: FrameworkSpec, seed: Optional[int]) ->
         decomp = (eemd(series, eemd_cfg, spec.sift) if spec.variant == "EEMD_DTW_NN"
                   else emd(series, spec.sift))
         n_imfs = decomp.n_imfs
-        names = [f"imf_{i + 1}" for i in range(n_imfs)] + ["residual"]
+        names = decomp.names()
         comps = decomp.components()
         if spec.variant != "EMD_NN":
             p, q = split_components(decomp, spec.split)
@@ -411,10 +381,10 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
     """Run one framework variant end to end: the one-cell call of
     :func:`run_frameworks`.
 
-    Component ``idx`` is forecast as by :func:`forecast_high` if
-    ``idx < P``, else as by :func:`forecast_low`, with seed
-    ``derive_seed(root, idx)``; the failure of the first failing component
-    is raised as :class:`PipelineError` naming it.
+    Component ``idx`` is forecast by ``_high_steps`` if ``idx < P``, else
+    by ``_low_steps``, with seed ``derive_seed(root, idx)``; the failure of
+    the first failing component is raised as :class:`PipelineError` naming
+    it.
 
     Parameters
     ----------
@@ -433,4 +403,7 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
     ForecastResult
         ``combined`` is the exact ordered sum of ``per_component``.
     """
-    return _raised(run_frameworks(series, [(spec, seed)], [group_trace])[0])
+    outcome = run_frameworks(series, [(spec, seed)], [group_trace])[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

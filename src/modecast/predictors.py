@@ -61,7 +61,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import check_integers, spawn_rng
+from .core import check_integers, frozen_copy, spawn_rng
 from .grouping import TrainingSet
 
 KINDS = ("BPNN", "GRNN", "ENN", "WNN")
@@ -115,9 +115,7 @@ class TrainedModel:
 
     def __post_init__(self):
         for name in ("weights", "training_loss_curve"):
-            values = np.asarray(getattr(self, name), dtype=np.float64)
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
         expected = weight_count(self.kind, self.input_length, self.hidden_units,
                                 n_pairs=self._grnn_pairs())
         if self.weights.size != expected:
@@ -511,8 +509,8 @@ def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorCon
         TrainingDivergedError(cfg.kind, outcome, cfg.learning_rate)
         if isinstance(outcome, int) else TrainedModel(
             kind=cfg.kind, input_length=training_set.input_length,
-            hidden_units=cfg.hidden_units, weights=outcome[0].copy(),
-            grnn_sigma=cfg.grnn_sigma, training_loss_curve=outcome[1].copy(),
+            hidden_units=cfg.hidden_units, weights=outcome[0],
+            grnn_sigma=cfg.grnn_sigma, training_loss_curve=outcome[1],
         )
         for training_set, cfg, outcome in zip(training_sets, cfgs, fitted)
     ]

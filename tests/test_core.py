@@ -14,9 +14,9 @@ from modecast.core import (
     spawn_rng,
 )
 from modecast.decomposition import EemdConfig, SiftConfig
-from modecast.grouping import GroupingConfig
-from modecast.pipeline import FrameworkSpec
-from modecast.predictors import PredictorConfig
+from modecast.grouping import GroupingConfig, TrainingSet
+from modecast.pipeline import ForecastResult, FrameworkSpec
+from modecast.predictors import PredictorConfig, TrainedModel
 
 
 class TestTimeSeries:
@@ -173,6 +173,52 @@ class TestDecomposition:
         assert Decomposition((TimeSeries([1.0, -1.0, 1.0]),), residual).source_length == 3
         with pytest.raises(ValueError, match="imf 2 length 2 != source length 3"):
             Decomposition((TimeSeries([1.0, -1.0, 1.0]), TimeSeries([1.0, -1.0])), residual)
+
+    def test_names_follow_components(self):
+        residual = TimeSeries([0.0, 0.5, 1.0])
+        imfs = (TimeSeries([1.0, -1.0, 1.0]), TimeSeries([0.5, 0.0, -0.5]))
+        assert Decomposition(imfs, residual).names() == ["imf_1", "imf_2", "residual"]
+        assert Decomposition((), residual).names() == ["residual"]
+
+
+def _model(**arrays):
+    return TrainedModel(**{"kind": "BPNN", "input_length": 2, "hidden_units": 1,
+                           "weights": np.zeros(5), **arrays})
+
+
+def _training_set(**arrays):
+    return TrainingSet(**{"inputs": np.zeros((3, 2)), "targets": np.zeros(3),
+                          "provenance": [(1, 0.0)] * 3, **arrays})
+
+
+# per value type and array field: (the shape of the caller's array, the
+# array the type keeps when built from it)
+OWNERS = {
+    "TimeSeries.values": ((4,), lambda a: TimeSeries(a).values),
+    "TrainingSet.inputs": ((3, 2), lambda a: _training_set(inputs=a).inputs),
+    "TrainingSet.targets": ((3,), lambda a: _training_set(targets=a).targets),
+    "TrainedModel.weights": ((5,), lambda a: _model(weights=a).weights),
+    "TrainedModel.training_loss_curve": (
+        (6,), lambda a: _model(training_loss_curve=a).training_loss_curve),
+    "ForecastResult.per_component": (
+        (4,), lambda a: ForecastResult((("a", a),), {}).per_component[0][1]),
+}
+
+
+@pytest.mark.parametrize("shape, kept_from", OWNERS.values(), ids=OWNERS)
+def test_value_types_keep_a_read_only_copy(shape, kept_from):
+    """The type keeps its own read-only C-contiguous copy; the caller's
+    C-contiguous float64 array stays writeable and unchanged."""
+    given = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    kept = kept_from(given)
+    assert given.flags.writeable
+    assert np.array_equal(given, np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
+    assert not np.shares_memory(kept, given)
+    assert kept.tobytes() == given.tobytes() and kept.flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        kept[...] = 0.0
+    given[...] = 0.0
+    assert kept.tobytes() != given.tobytes()
 
 
 COUNTS = {

@@ -11,8 +11,8 @@ from modecast.pipeline import (
     FrameworkSpec,
     PipelineError,
     VARIANTS,
-    forecast_high,
-    forecast_low,
+    _high_steps,
+    _low_steps,
     run_framework,
     run_frameworks,
     split_components,
@@ -78,12 +78,21 @@ class TestSplitComponents:
         assert s.p_count == 2
 
 
+def _run_one(task):
+    """Drive one ``_low_steps``/``_high_steps`` generator through the lockstep
+    core, as a one-component framework run does; raise its failure."""
+    outcome = pipeline._lockstep([(0, task)])[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 class TestForecastLow:
     def test_linear_trend_extrapolates(self):
         comp = TimeSeries(np.arange(1.0, 21.0))
         cfg = PredictorConfig(kind="BPNN", hidden_units=8, learning_rate=0.5,
                               epochs=20000, seed=2)
-        preds = forecast_low(comp, cfg, window=4, horizon=3)
+        preds = _run_one(_low_steps(comp, cfg, window=4, horizon=3))
         _, scale = minmax_normalize(comp)
         pn = scale.transform(preds)
         tn = scale.transform(np.array([21.0, 22.0, 23.0]))
@@ -91,19 +100,20 @@ class TestForecastLow:
 
     def test_horizon_one(self):
         comp = TimeSeries(np.arange(1.0, 21.0))
-        preds = forecast_low(comp, PredictorConfig(epochs=50), window=4, horizon=1)
+        preds = _run_one(_low_steps(comp, PredictorConfig(epochs=50), window=4, horizon=1))
         assert preds.shape == (1,)
 
     def test_constant_component(self):
         comp = TimeSeries(np.full(20, 7.0))
-        preds = forecast_low(comp, PredictorConfig(kind="BPNN", epochs=500, seed=1),
-                             window=4, horizon=3)
+        preds = _run_one(_low_steps(comp, PredictorConfig(kind="BPNN", epochs=500, seed=1),
+                                    window=4, horizon=3))
         # degenerate scale: everything sits at the 0.5 level
         assert np.max(np.abs(preds - 7.0)) < 1e-2 * 7.0
 
     def test_series_too_short(self):
         with pytest.raises(ValueError):
-            forecast_low(TimeSeries([1.0, 2.0]), PredictorConfig(), window=4, horizon=1)
+            _run_one(_low_steps(TimeSeries([1.0, 2.0]), PredictorConfig(), window=4,
+                                horizon=1))
 
 
 class TestForecastHigh:
@@ -111,7 +121,8 @@ class TestForecastHigh:
         t = np.arange(64)
         imf = TimeSeries(np.sin(2 * np.pi * t / 8))
         cfg = PredictorConfig(kind="GRNN", grnn_sigma=1e-3, seed=5)
-        preds = forecast_high(imf, GroupingConfig(segment_length=8), cfg, horizon=1)
+        preds = _run_one(_high_steps(imf, GroupingConfig(segment_length=8), cfg, horizon=1,
+                                     trace=None))
         _, scale = minmax_normalize(imf)
         truth = np.sin(2 * np.pi * 64 / 8)
         err = abs(scale.transform(preds)[0] - scale.transform([truth])[0])
@@ -122,8 +133,8 @@ class TestForecastHigh:
         imf = TimeSeries(np.sin(2 * np.pi * t / 8))
         cfg = PredictorConfig(kind="GRNN", grnn_sigma=1e-3, seed=5)
         trace = []
-        forecast_high(imf, GroupingConfig(segment_length=8), cfg, horizon=2,
-                      trace=trace)
+        _run_one(_high_steps(imf, GroupingConfig(segment_length=8), cfg, horizon=2,
+                             trace=trace))
         assert trace[1]["step"] == 2
         # the step-2 reference window ends with the step-1 prediction
         assert trace[1]["reference"][-1] == trace[0]["prediction"]
@@ -134,8 +145,8 @@ class TestForecastHigh:
         values = np.sin(2 * np.pi * t / 8)
         imf = TimeSeries(values)
         cfg = PredictorConfig(kind="GRNN", grnn_sigma=1e-3, seed=5)
-        preds = forecast_high(imf, GroupingConfig(segment_length=8, group_size=1),
-                              cfg, horizon=1)
+        preds = _run_one(_high_steps(imf, GroupingConfig(segment_length=8, group_size=1),
+                                     cfg, horizon=1, trace=None))
         # reference window (offset 57) repeats at offset 49; its successor is
         # the value at 1-based position 57
         assert preds[0] == pytest.approx(values[56], abs=1e-9)
@@ -158,8 +169,8 @@ class TestForecastHigh:
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            forecast_high(TimeSeries(np.arange(10.0)), GroupingConfig(segment_length=8),
-                          PredictorConfig(), horizon=1)
+            _run_one(_high_steps(TimeSeries(np.arange(10.0)), GroupingConfig(segment_length=8),
+                                 PredictorConfig(), horizon=1, trace=None))
 
 
 def small_spec(variant, **kwargs):

@@ -35,7 +35,7 @@ def check_integers(minimum: int, **values) -> None:
 
 def frozen_copy(values) -> np.ndarray:
     """A read-only C-contiguous float64 copy of ``values``: how every value
-    type here keeps an array, so the caller's array stays theirs."""
+    type of the package keeps an array, so the caller's array stays theirs."""
     arr = np.array(values, dtype=np.float64, order="C")
     arr.flags.writeable = False
     return arr

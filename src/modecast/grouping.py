@@ -9,6 +9,7 @@ prefix of that ranking supplies (window -> next value) training pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import TimeSeries, check_integers, frozen_copy, pow2_exponent
 # dtw_distance is unused here, but perfbench's tracer self-test expects a
 # wrapper at this binding
-from .dtw import dtw_distance, dtw_distances  # noqa: F401
+from .dtw import _checked, _distances, dtw_distance, dtw_distances  # noqa: F401
 
 SELECTION_MODES = ("topk", "threshold")
 
@@ -84,13 +85,10 @@ class TrainingSet:
         return int(self.inputs.shape[1])
 
 
-def _comparison_values(values: np.ndarray, znormalize: bool) -> np.ndarray:
-    """Values as compared: standardized along the last axis when
-    ``znormalize`` is set, with a constant window mapping to zeros. Each
-    window is first scaled by an exact power of two (:func:`pow2_exponent`),
-    so its mean and std cannot overflow."""
-    if not znormalize:
-        return values
+def _zscores(values: np.ndarray) -> np.ndarray:
+    """Values standardized along the last axis, with a constant window
+    mapping to zeros. Each window is first scaled by an exact power of two
+    (:func:`pow2_exponent`), so its mean and std cannot overflow."""
     values = np.ldexp(values, -pow2_exponent(values, axis=-1))
     mean = values.mean(axis=-1, keepdims=True)
     std = values.std(axis=-1, keepdims=True)
@@ -102,9 +100,12 @@ def rank_by_similarity(values, cfg: GroupingConfig) -> tuple:
     """Rank every candidate window by DTW distance to the trailing window.
 
     The candidates are the first T - L rows of the window view, the windows
-    whose successor value exists. All of them are scored in one
-    :func:`dtw_distances` call, with results bit-identical to
-    :func:`dtw_distance` per candidate.
+    whose successor value exists, with distances bit-identical to
+    :func:`dtw_distance` per candidate. Without ``znormalize`` they are
+    slices of the series, so their local costs come from one (L, T) table
+    over it, in O(T*L + n*L) memory; z-normalized windows are rows that
+    :func:`dtw_distances` scores. A series that is not 1-D and finite
+    raises.
 
     Returns
     -------
@@ -119,12 +120,13 @@ def rank_by_similarity(values, cfg: GroupingConfig) -> tuple:
             f"no eligible candidate windows (series length {values.size}, "
             f"window {cfg.segment_length})"
         )
-    windows = sliding_window_view(values, cfg.segment_length)
-    distances = dtw_distances(
-        _comparison_values(windows[:n], cfg.znormalize),
-        _comparison_values(windows[n], cfg.znormalize),
-        weight=cfg.dtw_weight,
-    )
+    values, reference = _checked(values, values[n:], ndim=1)
+    if cfg.znormalize:
+        windows = sliding_window_view(values, cfg.segment_length)
+        distances = dtw_distances(_zscores(windows[:n]), _zscores(reference),
+                                  weight=cfg.dtw_weight)
+    else:
+        distances = _distances(values[:-1], cfg.segment_length, reference, cfg.dtw_weight)
     offsets = np.arange(1, n + 1, dtype=np.int64)
     order = np.lexsort((-offsets, distances))
     return offsets[order], distances[order]
@@ -171,5 +173,5 @@ def sliding_window_set(series: TimeSeries, window: int) -> TrainingSet:
     return TrainingSet(
         inputs=sliding_window_view(values, window)[:-1],
         targets=values[window:],
-        provenance=((i + 1, 0.0) for i in range(t - window)),
+        provenance=zip(range(1, t - window + 1), itertools.repeat(0.0)),
     )

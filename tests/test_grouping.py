@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modecast.core import TimeSeries
-from modecast.dtw import dtw_distance
+from modecast.dtw import dtw_distance, dtw_distances
 from modecast.grouping import (
     GroupingConfig,
     TrainingSet,
@@ -134,6 +134,43 @@ class TestRankOracle:
         )
         offsets, distances = rank_by_similarity(values, cfg)
         assert list(zip(offsets.tolist(), distances.tolist())) == [(-o, d) for d, o in expected]
+
+
+class TestRankEdgeValues:
+    """Outside any ``errstate``: pytest turns a leaked RuntimeWarning into an
+    error."""
+
+    # slots 0 and 5 lie in candidates only, slot 11 in the reference only
+    @pytest.mark.parametrize("znormalize", [False, True])
+    @pytest.mark.parametrize("slot", [0, 5, 11])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_raises_without_a_warning(self, bad, slot, znormalize):
+        values = np.arange(12.0)
+        values[slot] = bad
+        with pytest.raises(ValueError, match="^sequences must be finite$"):
+            _rank(values, 3, znormalize=znormalize)
+
+    @pytest.mark.parametrize("znormalize", [False, True])
+    def test_series_must_be_one_dimensional(self, znormalize):
+        with pytest.raises(ValueError, match="^expected a 1-D and a 1-D sequence"):
+            _rank(np.arange(12.0).reshape(12, 1), 3, znormalize=znormalize)
+
+    @pytest.mark.parametrize("znormalize", [False, True])
+    @pytest.mark.parametrize("weight", [1.0, 3.0])
+    def test_overflowing_costs_match_the_materialized_windows(self, weight, znormalize):
+        # point distances between +-1e308 plateaus overflow to inf
+        values = np.repeat([1e308, -1e308, 0.0, 1e308, -1e308, 1.0, 1e308, -1e308],
+                           [3, 2, 4, 1, 3, 2, 3, 2])
+        length = 4
+        offsets, distances = _rank(values, length, dtw_weight=weight, znormalize=znormalize)
+        windows = np.lib.stride_tricks.sliding_window_view(values, length)
+        prepare = _standardized if znormalize else (lambda v: v)
+        expected = dtw_distances([prepare(w) for w in windows[:-1]], prepare(windows[-1]),
+                                 weight)
+        by_offset = np.empty_like(distances)
+        by_offset[offsets - 1] = distances
+        assert by_offset.tobytes() == expected.tobytes()
+        assert np.isinf(distances).any() != znormalize
 
 
 class TestBuildTrainingSet:

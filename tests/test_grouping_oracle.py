@@ -1,9 +1,12 @@
 """The window-view grouping layer against the frozen per-``Segment`` layer in
 ``legacy_grouping``: offsets, distances, group sizes, training-set bytes
-and provenance must be bit-identical. Under ``znormalize`` a window beyond
-2**+-500 is compared after an exact power-of-two scaling, which leaves its
-z-scores unchanged in exact arithmetic; the legacy layer overflowed to nan
-(or underflowed to a zero std) there, so it is given the scaled window."""
+and provenance must be bit-identical. Without ``znormalize`` the ranking
+reads its local costs from one table over the series, while the frozen
+layer scores stacked rows with ``dtw_distances``. Under ``znormalize`` a
+window beyond 2**+-500 is compared after an exact power-of-two scaling,
+which leaves its z-scores unchanged in exact arithmetic; the legacy layer
+overflowed to nan (or underflowed to a zero std) there, so it is given the
+scaled window."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -82,6 +85,8 @@ class TestGroupingOracle:
     @settings(deadline=None, max_examples=300)
     @given(grouping_cases())
     @example((np.array([0.0, 1e308, 1e308]), GroupingConfig(segment_length=2, znormalize=True)))
+    @example((np.round(8 * np.sin(0.3 * np.arange(1028.0))) / 8,  # a long_dtw-sized step
+              GroupingConfig(segment_length=24, dtw_weight=0.7)))
     def test_forecast_step_matches_segments(self, case):
         values, cfg = case
         with np.errstate(over="ignore"):  # raw windows near +-1e308 overflow to inf

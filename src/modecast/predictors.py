@@ -22,6 +22,11 @@ Flat weight layouts (row-major, L = input length, H = hidden units, n = pairs)
 
 The named blocks of a dense layout are *views* into one flat buffer, built
 once by ``_views``; with K models stacked, every view gains a leading K axis.
+Descent runs on its own permutation of the BPNN and ENN layouts, in which
+the layer's input block and bias are one (H, L + 1) block ``Wb = [W | b]``
+of contiguous rows: BPNN [Wb, v, c] and ENN [Wb, Wh, v, c]. ``_descend``
+gathers the weights into it once and scatters them back once, through one
+index array (``_fold_order``).
 
 Training runs in lockstep. ``train_many`` groups its models by (kind, pairs
 n, input length L, hidden units H, epochs, learning rate) and runs one
@@ -38,17 +43,17 @@ that epoch.
 Each epoch costs a fixed sequence of numpy calls, so the loop is built to
 make few of them. The BPNN and ENN epochs (one sigmoid-layer builder,
 ``_sigmoid_loss_grad``) and the shared readout write every temporary into
-buffers built once per group, and the ENN context recurrence runs model by
-model on buffers built once (``_enn_context``), one GEMV and one ``expit``
-per step. An epoch writes its residuals into one row of a block of
+buffers built once per group. The layer's bias rides in its products: the
+pairs enter as ``[x | 1]``, so one product ``[x | 1] @ Wb.T`` gives
+``x @ W.T + b`` and one product ``ds.T @ [x | 1]`` gives ``[gW | gb]``;
+BLAS adds the bias in its own order, so these are not always the bits of
+a separate add and pair-axis sum. The ENN context recurrence runs model
+by model on buffers built once (``_enn_context``), one GEMV and one
+``expit`` per step. An epoch writes its residuals into one row of a block of
 ``_BLOCK`` epochs, and the loss curves are reduced once per block, not
-once per epoch. The sigmoid is ``1 / (1 + exp(-z))``, one exp per value.
-The layer and BPNN's predict run it as four numpy calls under
-``errstate(over="ignore")``: below z = -709.78 the exp overflows to inf
-and the sigmoid is 1/inf = 0. The ENN recurrence and forecast steps run
-scipy's ``expit``, one compiled call with the C library's ``exp`` that
-warns of no overflow; its loop is scalar, so it would be slower on the
-layer's (K, n, H) arrays.
+once per epoch. The sigmoid is ``1 / (1 + exp(-z))``: four numpy calls
+under ``errstate(over="ignore")`` in the layer and BPNN's predict, and
+scipy's ``expit`` in the ENN recurrence and forecast steps.
 """
 
 from __future__ import annotations
@@ -146,9 +151,12 @@ def _morlet_deriv(u: np.ndarray) -> np.ndarray:
 # Flat parameter layout
 # ---------------------------------------------------------------------------
 
-def _layout(kind: str, l: int, h: int, n: int = 0) -> tuple:
+def _layout(kind: str, l: int, h: int, n: int = 0, fold: bool = False) -> tuple:
     """The (name, shape) blocks of a kind's flat weight vector, in the order
-    of the module docstring."""
+    of the module docstring; with ``fold``, of the layout descent runs on."""
+    if fold and kind in ("BPNN", "ENN"):
+        context = (("Wh", (h, h)),) if kind == "ENN" else ()
+        return (("Wb", (h, l + 1)),) + context + (("v", (h,)), ("c", (1,)))
     layouts = {
         "BPNN": (("W", (h, l)), ("b", (h,)), ("v", (h,)), ("c", (1,))),
         "WNN": (("W", (h, l)), ("t", (h,)), ("d", (h,)), ("v", (h,)), ("c", (1,))),
@@ -160,16 +168,33 @@ def _layout(kind: str, l: int, h: int, n: int = 0) -> tuple:
     return layouts[kind]
 
 
-def _views(kind: str, flat: np.ndarray, l: int, h: int, n: int = 0) -> dict:
+def _views(kind: str, flat: np.ndarray, l: int, h: int, n: int = 0,
+           fold: bool = False) -> dict:
     """Named views into ``flat`` in the blocks of :func:`_layout`;
     writing through a view writes ``flat``. Leading axes of ``flat`` (K
     stacked models) lead every view."""
     views, offset, lead = {}, 0, flat.shape[:-1]
-    for name, shape in _layout(kind, l, h, n):
+    for name, shape in _layout(kind, l, h, n, fold):
         size = math.prod(shape)
         views[name] = flat[..., offset : offset + size].reshape(lead + shape, copy=False)
         offset += size
     return views
+
+
+def _fold_order(kind: str, l: int, h: int) -> np.ndarray:
+    """The index array that gathers a flat weight vector into the layout
+    descent runs on, ``flat[..., order]``; WNN's is the identity."""
+    index = _views(kind, np.arange(weight_count(kind, l, h)), l, h)
+    if kind != "WNN":
+        layer = index["W" if kind == "BPNN" else "Wx"]
+        index["Wb"] = np.concatenate([layer, index["b"][:, None]], 1)
+    return np.concatenate([index[name].ravel() for name, _ in _layout(kind, l, h, fold=True)])
+
+
+def _folded(kind: str, flat: np.ndarray, l: int, h: int) -> dict:
+    """Views of a copy of the flat weight vector ``flat``, gathered into
+    the folded layout."""
+    return _views(kind, flat[..., _fold_order(kind, l, h)], l, h, fold=True)
 
 
 def _init_params(cfg: PredictorConfig, l: int) -> np.ndarray:
@@ -193,16 +218,14 @@ def _init_params(cfg: PredictorConfig, l: int) -> np.ndarray:
 # ``_mse(err)``. Every stacked item of a ``matmul`` is the BLAS call a single
 # model makes (a matrix-vector product keeps a trailing unit axis, so it
 # stays a GEMV), and every reduction runs over one model's axis in one
-# model's order, so a model's bits do not depend on its group-mates.
-# ``np.add.reduce`` is the reduction ``np.sum`` and ``np.mean`` run, without
-# their Python-level dispatch. The hot closures bind their numpy functions
-# to locals and pass ``out`` positionally; constants are 0-d arrays, because
-# a Python float costs every ufunc call a conversion.
+# model's order, so a model's bits do not depend on its group-mates. The hot
+# closures bind their numpy functions to locals and pass ``out``
+# positionally; constants are 0-d arrays, which ufuncs take unconverted.
 # ---------------------------------------------------------------------------
 
 _BLOCK = 64  # epochs whose residuals ``_descend`` keeps per loss-curve reduction
 
-_one, _two = np.array(1.0), np.array(2.0)
+_one = np.array(1.0)
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -226,22 +249,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _readout(v: np.ndarray, c: np.ndarray, gv: np.ndarray, gc: np.ndarray,
              y: np.ndarray, hidden: np.ndarray) -> tuple:
     """``(grad, e)``: ``grad(err)`` writes the residual of the linear
-    readout ``hidden @ v + c`` into ``err``, the scaled error into the
-    buffer ``e`` and the readout's gradient into ``gv`` and ``gc``, for the
-    current contents of the buffer ``hidden``."""
+    readout ``hidden @ v + c`` into ``err``, the scaled error ``2 err / n``
+    into the buffer ``e`` and the readout's gradient into ``gv`` and
+    ``gc``, for the current contents of the buffer ``hidden``. ``e`` is
+    ``err / (n / 2)``, the bits of ``(2 err) / n`` while ``2 err`` is finite."""
     v, gv, gc, hidden_t = v[..., None], gv[..., None], gc[..., 0], _t(hidden)
     out, e = _stacked(y.shape + (1,)), _stacked(y.shape)
     projected, column = out[..., 0], e[..., None]
-    n = np.array(float(y.shape[-1]))
-    matmul, add, subtract, multiply, divide = (
-        np.matmul, np.add, np.subtract, np.multiply, np.divide)
+    half = np.array(y.shape[-1] / 2)
+    matmul, add, subtract, divide = np.matmul, np.add, np.subtract, np.divide
 
     def grad(err: np.ndarray) -> None:
         matmul(hidden, v, out)
         add(projected, c, err)
         subtract(err, y, err)
-        multiply(err, _two, e)
-        divide(e, n, e)
+        divide(err, half, e)
         add.reduce(e, -1, None, gc)
         matmul(hidden_t, column, gv)
 
@@ -259,17 +281,19 @@ def _bpnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
 
 def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, inputs: tuple,
                        fill: Callable = lambda: None) -> Callable:
-    """The sigmoid layer ``sigmoid(sum(a @ block.T) + b)`` over the (array
+    """The sigmoid layer ``sigmoid(sum(a @ block.T))`` over the (array
     ``a``, weight block) pairs of ``inputs``, summed in their order, under
-    the shared readout: BPNN's ``((x, "W"),)`` and ENN's
-    ``((x, "Wx"), (contexts, "Wh"))``. ``fill()`` runs first in each call;
-    ENN's recomputes the carried contexts there, which the gradient treats
-    as data (one-step truncation). Every temporary is built here, once, as
+    the shared readout: BPNN's ``((x1, "Wb"),)`` and ENN's
+    ``((x1, "Wb"), (contexts, "Wh"))``, where ``x1 = [x | 1]`` carries the
+    bias in the product with ``Wb = [W | b]``, and its gradient block is
+    ``[gW | gb]``. ``fill()`` runs first in each call; ENN's recomputes
+    the carried contexts there, which the gradient treats as data
+    (one-step truncation). Every temporary is built here, once, as
     a (K, n, H) array of C-contiguous items, so a call allocates nothing.
     Its callers, ``_descend`` and ``gradient_check``, hold the sigmoid's
     ``errstate(over="ignore")``."""
-    b, v, gb = p["b"][..., None, :], p["v"][..., None, :], g["b"]
-    shape = y.shape + b.shape[-1:]
+    v = p["v"][..., None, :]
+    shape = y.shape + v.shape[-1:]
     s, term, hid, ds, complement = (_stacked(shape) for _ in range(5))
     (first, w), *rest = [(a, _t(p[name])) for a, name in inputs]
     grads = [(a, g[name]) for a, name in inputs]
@@ -284,7 +308,6 @@ def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, inputs: tuple,
         for a, block in rest:
             matmul(a, block, term)
             add(s, term, s)
-        add(s, b, s)
         negative(s, hid)
         exp(hid, hid)
         add(hid, _one, hid)
@@ -296,7 +319,6 @@ def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, inputs: tuple,
         multiply(ds, complement, ds)
         for a, grad in grads:
             matmul(ds_t, a, grad)
-        add.reduce(ds, -2, None, gb)
 
     return loss_grad
 
@@ -329,14 +351,15 @@ def _wnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
 def _elman_rows(p: dict, x: np.ndarray) -> tuple:
     """``(m, z, load)``: the (H, W) step matrix ``[Wh | Wx | b | 0]``, the
     (n, W) rows ``[c_t, x_t, 1, 0]`` over the pairs ``x`` (every ``c_t``
-    zero), and ``load()``, which copies the current weights of ``p`` into
-    ``m``. A step is ``c_{t+1} = expit(m z[t])``. W is H + L + 1 rounded up
-    to even, so each row starts 16 bytes aligned (see ``_stacked``)."""
-    h, l = p["Wx"].shape
+    zero), and ``load()``, which copies the current ``Wh`` and ``Wb`` of
+    ``p``, views of the folded layout, into ``m``. A step is
+    ``c_{t+1} = expit(m z[t])``. W is H + L + 1 rounded up to even, so each
+    row starts 16 bytes aligned (see ``_stacked``)."""
+    h, l = p["Wb"].shape[0], p["Wb"].shape[1] - 1
     width = h + l + 1 + (h + l + 1) % 2
     m, z = np.zeros((h, width)), np.zeros((len(x), width))
     z[:, h : h + l], z[:, h + l] = x, 1.0
-    blocks, weights = (p["Wh"], p["Wx"], p["b"][:, None]), m[:, : h + l + 1]
+    blocks, weights = (p["Wh"], p["Wb"]), m[:, : h + l + 1]
     return m, z, lambda: np.concatenate(blocks, 1, weights)
 
 
@@ -371,18 +394,22 @@ def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> Callable:
 def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
                y: np.ndarray, l: int, h: int, frozen: bool = False) -> Callable:
     """``loss_grad(err)`` at the current contents of ``flat``, the (K, P)
-    parameters of K stacked models; each call writes the gradient into
-    ``grad`` and the residual into ``err``. ENN recomputes every model's
-    context trajectory on every call, unless ``frozen`` fixes it at the
-    current ``flat``."""
-    p, g = _views(kind, flat, l, h), _views(kind, grad, l, h)
-    if kind == "BPNN":
-        return _sigmoid_loss_grad(p, g, y, ((x, "W"),))
+    parameters of K stacked models in the folded layout; each call writes
+    the gradient, in the same layout, into ``grad`` and the residual into
+    ``err``. BPNN and ENN read the pairs ``x`` as ``[x | 1]``, built here
+    once and never written again. ENN recomputes every model's context
+    trajectory on every call, unless ``frozen`` fixes it at the current
+    ``flat``."""
+    p, g = _views(kind, flat, l, h, fold=True), _views(kind, grad, l, h, fold=True)
     if kind == "WNN":
         return _wnn_loss_grad(p, g, x, y)
+    x1 = _stacked(x.shape[:-1] + (l + 1,))
+    x1[..., :l], x1[..., l] = x, 1.0
+    if kind == "BPNN":
+        return _sigmoid_loss_grad(p, g, y, ((x1, "Wb"),))
     contexts = _stacked(y.shape + (h,))
-    inputs = ((x, "Wx"), (contexts, "Wh"))
-    fills = [_enn_context(_views(kind, params, l, h), pairs, context)
+    inputs = ((x1, "Wb"), (contexts, "Wh"))
+    fills = [_enn_context(_views(kind, params, l, h, fold=True), pairs, context)
              for params, pairs, context in zip(flat, x, contexts)]
 
     def fill() -> None:
@@ -422,9 +449,10 @@ def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
     pairwise as it sums one model's (n,) residual, so the curves keep their
     bits."""
     stop, size = epochs + 1, flat.shape[-1]
+    order = _fold_order(kind, l, h)
     curves = np.empty((flat.shape[0], stop))
     params, grad, step = (np.zeros((flat.shape[0], size + size % 2)) for _ in range(3))
-    params[:, :size] = flat
+    params[:, :size] = flat[:, order]  # the folded layout
     residuals = np.empty((min(_BLOCK, stop),) + y.shape)
     rows = list(residuals)
     rate = np.array(learning_rate)
@@ -442,7 +470,7 @@ def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
                 loss_grad(err)
             curves[:, start : start + m] = _mse(residuals[:m]).T
     outcomes = []
-    for weights, curve in zip(params[:, :size], curves):
+    for weights, curve in zip(params[:, np.argsort(order)], curves):
         diverged = np.flatnonzero(~np.isfinite(curve))
         outcomes.append(int(diverged[0]) if diverged.size else (weights, curve))
     return outcomes
@@ -456,14 +484,12 @@ def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorCon
     """Fit one regressor per (training set, config), bit for bit as
     :func:`train` fits each alone.
 
-    Gradient-trained models that share (kind, pair count n, input length
-    L, hidden units H, epochs, learning rate) form a group and descend in
-    lockstep: one epoch loop over a (K, P) parameter buffer and a (K, P)
-    gradient buffer for the group's K distinct requests, each from its own
-    seeded start. Requests of a group with equal configs (seed included)
-    and byte-equal pairs as the descent sees them (ENN's in provenance
-    order) are one request: it descends once, and each of them gets its
-    own copy of the result. GRNN models store their pairs.
+    Gradient-trained models descend in lockstep, in the groups of the
+    module docstring, each from its own seeded start. Requests of a group
+    with equal configs (seed included) and byte-equal pairs as the descent
+    sees them (ENN's in provenance order) are one request: it descends
+    once, and each of them gets its own copy of the result. GRNN models
+    store their pairs.
 
     Returns
     -------
@@ -585,7 +611,8 @@ class ForecastSession:
         self._params = _views(model.kind, model.weights, model.input_length,
                               model.hidden_units, model._grnn_pairs())
         if model.kind == "ENN":  # one row of ``_enn_context``'s recurrence
-            m, rows, load = _elman_rows(self._params, np.zeros((1, model.input_length)))
+            folded = _folded("ENN", model.weights, model.input_length, model.hidden_units)
+            m, rows, load = _elman_rows(folded, np.zeros((1, model.input_length)))
             load()
             self._m, self._row, self._context = m, rows[0], rows[0, : model.hidden_units]
 
@@ -619,12 +646,14 @@ def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
     if cfg.kind not in GRADIENT_TRAINED:
         raise ValueError(f"{cfg.kind} is not gradient-trained")
     x, y = _pairs(cfg.kind, training_set)
-    flat = _init_params(cfg, training_set.input_length)[None]  # a stack of one model
+    l = training_set.input_length
+    # a stack of one model in the folded layout; the maximum is order-free
+    flat = _init_params(cfg, l)[None, _fold_order(cfg.kind, l, cfg.hidden_units)]
     grad, residual, params = np.empty_like(flat), np.empty((1, y.size)), flat[0]
     numeric = np.empty(params.size)
     with np.errstate(over="ignore"):  # the sigmoid's, as in ``_descend``
-        loss_grad = _objective(cfg.kind, flat, grad, x[None], y[None],
-                               training_set.input_length, cfg.hidden_units, frozen=True)
+        loss_grad = _objective(cfg.kind, flat, grad, x[None], y[None], l, cfg.hidden_units,
+                               frozen=True)
         loss_grad(residual)
         analytic = grad[0].copy()
         for i in range(params.size):

@@ -32,7 +32,7 @@ def random_smooth_series(rng, length):
 def recurrence_sigmoid(z):
     """The sigmoid inside ``predictors._enn_context``, applied to ``z`` in
     chunks of 64 as the bias of one-step recurrences whose other weights
-    are zero: the step's GEMV of ``[Wh | Wx | b] = [0 | 0 | z]`` on the row
+    are zero: the step's GEMV of ``[Wh | Wb] = [0 | 0 z]`` on the row
     ``[c, x, 1] = [0, 1, 1]`` (each with its zero pad, if any) sums exact
     zeros and ``z * 1``, so it is ``z`` bit for bit (up to the sign of a
     zero, which the sigmoid maps to 0.5 either way)."""
@@ -40,7 +40,7 @@ def recurrence_sigmoid(z):
     for start in range(0, z.size, 64):
         bias = z[start : start + 64]
         h, contexts = bias.size, np.empty((2, bias.size))
-        p = {"Wx": np.zeros((h, 1)), "Wh": np.zeros((h, h)), "b": bias}
+        p = {"Wb": np.column_stack([np.zeros(h), bias]), "Wh": np.zeros((h, h))}
         _enn_context(p, np.ones((2, 1)), contexts)()
         out[start : start + h] = contexts[1]
     return out

@@ -4,7 +4,7 @@ loss/gradient function per kind and the Python-loop ENN context.
 ``tests/test_trainer_oracle.py`` checks that ``modecast.predictors``
 reproduces it bit for bit. Do not edit it to make that test pass.
 
-Three deliberate changes since it was frozen, each of which the trainer
+Four deliberate changes since it was frozen, each of which the trainer
 adopted first:
 
 1. ``_sigmoid`` is the one-exp ``1 / (1 + exp(-z))``, in place of the
@@ -19,6 +19,13 @@ adopted first:
    augmented row ``z = [h, x, 1, 0]``, the zero column padding the width
    H + L + 1 to an even count, where it was
    ``expit((Wx @ x + b) + Wh @ h)``.
+4. The BPNN and ENN training layers carry the bias in their products:
+   the layer's input term is ``[x | 1] @ [W | b].T`` (``_with_ones``),
+   where it was ``x @ W.T + b``, so ENN's layer sums
+   ``(x @ Wx.T + b) + contexts @ Wh.T``; and ``[gW | gb]`` is one
+   product ``dz.T @ [x | 1]``, where ``gb`` was ``dz.sum(axis=0)``. BLAS
+   adds the bias in its own order, so the bits can differ from the old
+   form. BPNN's ``predict`` keeps ``x @ W1.T + b1``.
 
 The accuracy of both sigmoids is checked on its own, against a
 ``np.longdouble`` sigmoid, in ``tests/test_predictors.py``.
@@ -84,6 +91,11 @@ def _init_params(cfg: PredictorConfig, l: int) -> np.ndarray:
     return flat
 
 
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """``[x | 1]``: the pairs with a constant-1 input that carries the bias."""
+    return np.hstack([x, np.ones((x.shape[0], 1))])
+
+
 def _bpnn_forward(params: dict, x: np.ndarray) -> np.ndarray:
     a = _sigmoid(x @ params["W1"].T + params["b1"])
     return a @ params["w2"] + params["b2"][0]
@@ -91,7 +103,8 @@ def _bpnn_forward(params: dict, x: np.ndarray) -> np.ndarray:
 
 def _bpnn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: int):
     p = _unpack("BPNN", flat, l, h)
-    z = x @ p["W1"].T + p["b1"]
+    x1 = _with_ones(x)
+    z = x1 @ np.hstack([p["W1"], p["b1"][:, None]]).T
     a = _sigmoid(z)
     pred = a @ p["w2"] + p["b2"][0]
     err = pred - y
@@ -102,8 +115,7 @@ def _bpnn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: i
         "w2": a.T @ e,
     }
     dz = (e[:, None] * p["w2"][None, :]) * a * (1.0 - a)
-    grads["W1"] = dz.T @ x
-    grads["b1"] = dz.sum(axis=0)
+    grads["W1"], grads["b1"] = np.hsplit(dz.T @ x1, [l])
     return loss, _pack("BPNN", grads, l, h)
 
 
@@ -155,7 +167,8 @@ def _enn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: in
     p = _unpack("ENN", flat, l, h)
     if contexts is None:
         contexts = _enn_context(p, x)
-    s = x @ p["Wx"].T + contexts @ p["Wh"].T + p["b"]
+    x1 = _with_ones(x)
+    s = x1 @ np.hstack([p["Wx"], p["b"][:, None]]).T + contexts @ p["Wh"].T
     hid = _sigmoid(s)
     pred = hid @ p["v"] + p["c"][0]
     err = pred - y
@@ -165,10 +178,9 @@ def _enn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: in
     grads = {
         "c": np.array([e.sum()]),
         "v": hid.T @ e,
-        "Wx": ds.T @ x,
         "Wh": ds.T @ contexts,
-        "b": ds.sum(axis=0),
     }
+    grads["Wx"], grads["b"] = np.hsplit(ds.T @ x1, [l])
     return loss, _pack("ENN", grads, l, h)
 
 

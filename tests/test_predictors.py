@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import REPO, recurrence_sigmoid
 
@@ -17,6 +19,7 @@ from modecast.predictors import (
     PredictorConfig,
     TrainedModel,
     TrainingDivergedError,
+    _readout,
     _sigmoid,
     _views,
     gradient_check,
@@ -227,7 +230,7 @@ _SSE2_MISMATCHES = """
 import numpy as np
 from modecast.grouping import TrainingSet
 from modecast.predictors import (ForecastSession, PredictorConfig, TrainedModel, _enn_context,
-                                 _views, train, train_many, weight_count)
+                                 _folded, train, train_many, weight_count)
 mismatches = 0
 for l, h in ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (3, 5), (4, 5), (8, 8), (7, 8)):
     rng = np.random.default_rng(100 * l + h)
@@ -235,7 +238,7 @@ for l, h in ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (3, 5), (4, 5), (8, 8), (7,
         weights = rng.uniform(-0.5, 0.5, weight_count("ENN", l, h)) * scale
         x = rng.uniform(0.0, 1.0, (64, l))
         filled = np.empty((64, h))
-        _enn_context(_views("ENN", weights, l, h), x, filled)()
+        _enn_context(_folded("ENN", weights, l, h), x, filled)()
         session = ForecastSession(TrainedModel(kind="ENN", input_length=l, hidden_units=h,
                                                weights=weights))
         for t in range(63):
@@ -355,6 +358,47 @@ class TestRecurrenceSigmoidAccuracy(TestSigmoidAccuracy):
     which computes the same formula with the C library's ``exp``."""
 
     sigmoid = staticmethod(recurrence_sigmoid)
+
+
+# finite floats whose double is finite: every magnitude below 2^1023,
+# subnormals and both zeros included
+_DOUBLABLE = st.floats(-2.0**1023, 2.0**1023, exclude_min=True, exclude_max=True)
+_ZEROS_AND_SUBNORMALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                                  -1.1125369292536007e-308, np.nextafter(2.0**1023, 0.0)])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestScaledError:
+    """The readout's scaled error is one divide, ``err / (n / 2)``; it is
+    ``(2 err) / n`` bit for bit, because ``2 err`` and ``n / 2`` are exact
+    and both forms round the same real number."""
+
+    @given(arrays(np.float64, st.integers(1, 40), elements=_DOUBLABLE), st.integers(1, 10**6))
+    @example(_ZEROS_AND_SUBNORMALS, 1)
+    @example(_ZEROS_AND_SUBNORMALS, 3)
+    @example(_ZEROS_AND_SUBNORMALS, 10**6)
+    def test_one_divide_is_the_two_step_form(self, err, n):
+        two_step = np.divide(np.multiply(err, 2.0), float(n))
+        assert np.array_equal(_bits(np.divide(err, np.array(n / 2))), _bits(two_step))
+
+    @given(arrays(np.float64, st.integers(1, 40), elements=_DOUBLABLE))
+    @example(_ZEROS_AND_SUBNORMALS)
+    def test_readout_writes_the_two_step_form(self, targets):
+        """A readout of zero weights on zero hidden units has the residual
+        ``0 - targets``; its scaled error is the two-step form of it. The
+        sum of ``e`` into ``gc`` may overflow, under ``_descend``'s
+        ``errstate``."""
+        n = targets.size
+        grad, e = _readout(np.zeros((1, 1)), np.zeros((1, 1)), np.empty((1, 1)),
+                           np.empty((1, 1)), targets[None], np.zeros((1, n, 1)))
+        err = np.empty((1, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad(err)
+        assert np.array_equal(_bits(err[0]), _bits(0.0 - targets))
+        assert np.array_equal(_bits(e[0]), _bits(np.multiply(err[0], 2.0) / float(n)))
 
 
 class TestNoNumericWarnings:

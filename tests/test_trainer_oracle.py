@@ -4,7 +4,7 @@ finite-difference checks must be bit-identical."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import legacy_trainer as legacy
@@ -19,6 +19,8 @@ from modecast.predictors import (
     TrainingDivergedError,
     _descend,
     _enn_context,
+    _fold_order,
+    _folded,
     _init_params,
     _mse,
     _objective,
@@ -52,6 +54,19 @@ def problems(draw, learning_rates):
     )
     queries = rng.normal(size=(3, length))
     return training_set, cfg, queries
+
+
+def bias_fold_problem(kind, seed):
+    """Six pairs of length 3 and one hidden unit, drawn from ``seed``. At
+    the seeds of the examples below, the layer's old form (``x @ W.T + b``
+    and ``gb = dz.sum(axis=0)``) gives a loss and a bias gradient whose
+    bits differ, on OpenBLAS's SkylakeX kernel, from the oracle's
+    ``[x | 1] @ [W | b].T`` and ``dz.T @ [x | 1]``."""
+    rng = np.random.default_rng(seed)
+    training_set = TrainingSet(inputs=rng.normal(size=(6, 3)), targets=rng.normal(size=6),
+                               provenance=tuple((o + 1, 0.0) for o in range(6)))
+    cfg = PredictorConfig(kind=kind, hidden_units=1, learning_rate=0.05, epochs=1, seed=seed)
+    return training_set, cfg, rng.normal(size=(3, 3))
 
 
 def run_both(training_set, cfg):
@@ -91,6 +106,8 @@ class TestTrainerOracle:
 
     @settings(deadline=None, max_examples=60)
     @given(problems(st.just(0.05)), st.booleans())
+    @example(bias_fold_problem("BPNN", 165), False)
+    @example(bias_fold_problem("ENN", 89), False)
     def test_one_evaluation_matches(self, problem, frozen):
         """Loss, gradient and ENN context trajectory at the seeded start, of
         the stacked objective over one model."""
@@ -101,19 +118,21 @@ class TestTrainerOracle:
         assert np.array_equal(flat, legacy._init_params(cfg, l))
         grad = np.full((1, flat.size), np.nan)
         err = np.full((1, y.size), np.nan)
-        # the objective runs on stacks of models: here a stack of one
-        _objective(kind, flat[None], grad, x[None], y[None], l, h, frozen=frozen)(err)
+        # the objective runs on stacks of models in the folded layout: here
+        # a stack of one
+        order = _fold_order(kind, l, h)
+        _objective(kind, flat[None, order], grad, x[None], y[None], l, h, frozen=frozen)(err)
         loss, grad = _mse(err)[0], grad[0]
         kwargs = {}
         if kind == "ENN":
             contexts = legacy._enn_context(legacy._unpack(kind, flat, l, h), x)
             filled = np.empty_like(contexts)
-            _enn_context(_views(kind, flat, l, h), x, filled)()
+            _enn_context(_folded(kind, flat, l, h), x, filled)()
             assert np.array_equal(filled, contexts)
             kwargs["contexts"] = contexts
         old_loss, old_grad = legacy._LOSS_GRAD[kind](flat, x, y, l, h, **kwargs)
         assert loss == old_loss
-        assert np.array_equal(grad, old_grad)
+        assert np.array_equal(grad, old_grad[order])
 
     @settings(deadline=None, max_examples=30)
     @given(problems(st.sampled_from([1e2, 1e4, 1e8, 1e12])))
@@ -156,12 +175,15 @@ class TestEnnContextOracle:
         flat = rng.uniform(-0.5, 0.5, 8 * 8 + 8 * 8 + 2 * 8 + 1) * scale
         x = rng.uniform(0.0, 1.0, (n, 8))
         filled = np.full((n, 8), np.nan)
-        fill = _enn_context(_views("ENN", flat, 8, 8), x, filled)
+        order = _fold_order("ENN", 8, 8)
+        folded = flat[order]
+        fill = _enn_context(_views("ENN", folded, 8, 8, fold=True), x, filled)
         for _ in range(2):  # the second call sees weights changed in place
             fill()
             expected = legacy._enn_context(legacy._unpack("ENN", flat, 8, 8), x)
             assert np.array_equal(filled, expected)
             flat -= rng.uniform(0.0, 0.1, flat.size) * scale
+            folded[...] = flat[order]
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(2, 120), st.sampled_from([1.0, 1e3]), st.integers(0, 2**32 - 1))
@@ -194,7 +216,7 @@ class TestSessionContext:
         weights = rng.uniform(-0.5, 0.5, predictors.weight_count("ENN", l, h)) * scale
         x = rng.uniform(0.0, 1.0, (n, l))
         filled = np.full((n, h), np.nan)
-        _enn_context(_views("ENN", weights, l, h), x, filled)()
+        _enn_context(_folded("ENN", weights, l, h), x, filled)()
         session = ForecastSession(TrainedModel(kind="ENN", input_length=l, hidden_units=h,
                                                weights=weights))
         for t in range(n - 1):

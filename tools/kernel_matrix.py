@@ -5,16 +5,18 @@
 For each core type named (default: SkylakeX Haswell Zen Sandybridge
 Prescott), two child processes, one at a time, run the decomposition,
 trainer and pipeline oracles and the acceptance tests, then the golden
-benchmark, then one ENN training, with ``OPENBLAS_CORETYPE=CORE`` set in the
-child's environment only: the first with numpy's CPU dispatch as detected,
-the second with ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``
-(numpy's AVX2 loops on an AVX-512 host; a variable of the child process,
-not a machine setting). A markdown table reports per row the kernel numpy's
+benchmark, then one ENN and one BPNN training, with
+``OPENBLAS_CORETYPE=CORE`` set in the child's environment only: the first
+with numpy's CPU dispatch as detected, the second with
+``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` (numpy's AVX2
+loops on an AVX-512 host; a variable of the child process, not a machine
+setting). A markdown table reports per row the kernel numpy's
 OpenBLAS chose, the most capable numpy dispatch target the child runs, the
 pytest summary, the failing tests, the SHA-256 of ``benchmark_runs.json``
-(BPNN, EMD, EEMD and DTW at work) and the SHA-256 of the ENN's weights and
-loss curve (the Elman recurrence at work), so that a bit move of either
-shows per kernel and dispatch.
+(BPNN, EMD, EEMD and DTW at work), the SHA-256 of the ENN's weights and
+loss curve (the Elman recurrence at work) and that of a BPNN at L = 5,
+H = 3 (the BPNN layer off the golden L = H = 8), so that a bit move of any
+of them shows per kernel and dispatch.
 The tests draw from hypothesis seed 0, so every row and every checkout
 draws the same examples (failures saved in ``.hypothesis/`` replay too).
 
@@ -50,17 +52,22 @@ TESTS = ("tests/test_decomposition_oracle.py", "tests/test_trainer_oracle.py",
          "tests/test_pipeline_oracle.py", "tests/test_acceptance.py")
 GOLDEN = "configs/benchmark_synthetic.json"
 
-# prints the SHA-256 of one ENN (weights, then loss curve) trained for 100
-# epochs on the sliding windows of the normalized VTF fixture
-ENN = """
-import hashlib
+# prints the SHA-256 of one model (weights, then loss curve) of the kind,
+# window length L and hidden units H given as arguments, trained for 100
+# epochs from seed 0 on the sliding windows of the normalized VTF fixture
+MODEL = """
+import hashlib, sys
 from modecast.core import load_csv, minmax_normalize
 from modecast.grouping import sliding_window_set
 from modecast.predictors import PredictorConfig, train
+kind, length, hidden = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 series, _ = minmax_normalize(load_csv("data/vtf_3hourly_fixture.csv", column=2, has_header=True))
-model = train(sliding_window_set(series, 8), PredictorConfig(kind="ENN", epochs=100, seed=0))
+model = train(sliding_window_set(series, length),
+              PredictorConfig(kind=kind, hidden_units=hidden, epochs=100, seed=0))
 print(hashlib.sha256(model.weights.tobytes() + model.training_loss_curve.tobytes()).hexdigest())
 """
+# (kind, L, H) of the models whose digests each row prints
+MODELS = (("ENN", 8, 8), ("BPNN", 5, 3))
 
 # NPY_DISABLE_CPU_FEATURES per row of a core type: as detected, then AVX2
 DISPATCHES = (None, "AVX512_SPR AVX512_ICL X86_V4")
@@ -113,12 +120,14 @@ def row(core: str, disabled) -> tuple:
         runs = Path(out) / "benchmark_runs.json"
         digest = (hashlib.sha256(runs.read_bytes()).hexdigest() if bench.returncode == 0
                   else f"benchmark exited {bench.returncode}")
-    enn = _child(["-c", ENN], env)
-    enn_digest = enn.stdout.strip() if enn.returncode == 0 else f"ENN exited {enn.returncode}"
+    models = [_child(["-c", MODEL, *map(str, model)], env) for model in MODELS]
+    digests = [done.stdout.strip() if done.returncode == 0 else f"{kind} exited {done.returncode}"
+               for done, (kind, _, _) in zip(models, MODELS)]
     # pytest exits non-zero on a failing test and on an INTERNALERROR
-    passed = tests.returncode == 0 and bench.returncode == 0 and enn.returncode == 0
+    passed = (tests.returncode == 0 and bench.returncode == 0
+              and all(done.returncode == 0 for done in models))
     return (f"| {core} | {kernel} | {dispatch} | {summary} | {', '.join(failed) or '-'} | {digest} "
-            f"| {enn_digest} |"), passed
+            f"| {' | '.join(digests)} |"), passed
 
 
 def main(argv=None) -> int:
@@ -128,9 +137,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print(f"numpy {numpy.__version__}, scipy {scipy.__version__}, "
           f"C library {' '.join(platform.libc_ver()) or '?'}\n")
-    print("| core type | kernel | numpy dispatch | tests | failed "
-          "| benchmark_runs.json SHA-256 | ENN SHA-256 |")
-    print("|---|---|---|---|---|---|---|")
+    print("| core type | kernel | numpy dispatch | tests | failed | benchmark_runs.json SHA-256 | "
+          + " | ".join(f"{kind} (L {l}, H {h}) SHA-256" for kind, l, h in MODELS) + " |")
+    print("|---|---|---|---|---|---|" + "---|" * len(MODELS))
     status = 0
     for core in args.cores:
         for disabled in DISPATCHES:

@@ -22,11 +22,12 @@ Flat weight layouts (row-major, L = input length, H = hidden units, n = pairs)
 
 The named blocks of a dense layout are *views* into one flat buffer, built
 once by ``_views``; with K models stacked, every view gains a leading K axis.
-Descent runs on its own permutation of the BPNN and ENN layouts, in which
-the layer's input block and bias are one (H, L + 1) block ``Wb = [W | b]``
-of contiguous rows: BPNN [Wb, v, c] and ENN [Wb, Wh, v, c]. ``_descend``
-gathers the weights into it once and scatters them back once, through one
-index array (``_fold_order``).
+Descent runs on its own layout of BPNN and ENN, ``[A, v, c]``, in which
+the hidden layer is one block ``A`` of contiguous rows: BPNN's
+``[W | b]`` (H, L + 1), and ENN's ``[Wh | Wx | b | 0]`` (H, W), with W =
+H + L + 1 rounded up to even by a zero pad column. ``_descend`` places
+the weights into it once and reads them back once, through one position
+index (``_descent_layout``).
 
 Training runs in lockstep. ``train_many`` groups its models by (kind, pairs
 n, input length L, hidden units H, epochs, learning rate) and runs one
@@ -43,13 +44,14 @@ that epoch.
 Each epoch costs a fixed sequence of numpy calls, so the loop is built to
 make few of them. The BPNN and ENN epochs (one sigmoid-layer builder,
 ``_sigmoid_loss_grad``) and the shared readout write every temporary into
-buffers built once per group. The layer's bias rides in its products: the
-pairs enter as ``[x | 1]``, so one product ``[x | 1] @ Wb.T`` gives
-``x @ W.T + b`` and one product ``ds.T @ [x | 1]`` gives ``[gW | gb]``;
-BLAS adds the bias in its own order, so these are not always the bits of
-a separate add and pair-axis sum. The ENN context recurrence runs model
-by model on buffers built once (``_enn_context``), one GEMV and one
-``expit`` per step. An epoch writes its residuals into one row of a block of
+buffers built once per group. The layer is one product each way: the
+pairs enter as the rows ``z`` of ``_rows`` (BPNN ``[x | 1]``, ENN
+``[c | x | 1 | 0]``), so ``z @ A.T`` is the pre-activation and ``ds.T @
+z`` the gradient of ``A``; BLAS sums the terms in its own order, so these
+are not always the bits of separate products and adds. The ENN context
+recurrence runs model by model on the same ``A`` and ``z``
+(``_enn_context``), one GEMV and one ``expit`` per step into ``z``'s
+context columns. An epoch writes its residuals into one row of a block of
 ``_BLOCK`` epochs, and the loss curves are reduced once per block, not
 once per epoch. The sigmoid is ``1 / (1 + exp(-z))``: four numpy calls
 under ``errstate(over="ignore")`` in the layer and BPNN's predict, and
@@ -155,8 +157,8 @@ def _layout(kind: str, l: int, h: int, n: int = 0, fold: bool = False) -> tuple:
     """The (name, shape) blocks of a kind's flat weight vector, in the order
     of the module docstring; with ``fold``, of the layout descent runs on."""
     if fold and kind in ("BPNN", "ENN"):
-        context = (("Wh", (h, h)),) if kind == "ENN" else ()
-        return (("Wb", (h, l + 1)),) + context + (("v", (h,)), ("c", (1,)))
+        width = l + 1 if kind == "BPNN" else h + l + 1 + (h + l + 1) % 2
+        return (("A", (h, width)), ("v", (h,)), ("c", (1,)))
     layouts = {
         "BPNN": (("W", (h, l)), ("b", (h,)), ("v", (h,)), ("c", (1,))),
         "WNN": (("W", (h, l)), ("t", (h,)), ("d", (h,)), ("v", (h,)), ("c", (1,))),
@@ -181,20 +183,22 @@ def _views(kind: str, flat: np.ndarray, l: int, h: int, n: int = 0,
     return views
 
 
-def _fold_order(kind: str, l: int, h: int) -> np.ndarray:
-    """The index array that gathers a flat weight vector into the layout
-    descent runs on, ``flat[..., order]``; WNN's is the identity."""
-    index = _views(kind, np.arange(weight_count(kind, l, h)), l, h)
+def _descent_layout(kind: str, flat: np.ndarray, l: int, h: int) -> tuple:
+    """``(params, positions)``: a zeroed (..., S + S % 2) buffer in the S
+    slots of the layout descent runs on, holding the public weights
+    ``flat`` at ``params[..., positions]``. The pads (ENN's pad column, the
+    trailing slot) stay zero, and each row starts 16 bytes aligned (see
+    ``_stacked``). WNN's positions are the identity."""
+    size = sum(math.prod(shape) for _, shape in _layout(kind, l, h, fold=True))
+    index = _views(kind, np.arange(size), l, h, fold=True)
     if kind != "WNN":
-        layer = index["W" if kind == "BPNN" else "Wx"]
-        index["Wb"] = np.concatenate([layer, index["b"][:, None]], 1)
-    return np.concatenate([index[name].ravel() for name, _ in _layout(kind, l, h, fold=True)])
-
-
-def _folded(kind: str, flat: np.ndarray, l: int, h: int) -> dict:
-    """Views of a copy of the flat weight vector ``flat``, gathered into
-    the folded layout."""
-    return _views(kind, flat[..., _fold_order(kind, l, h)], l, h, fold=True)
+        a, skip = index["A"], h if kind == "ENN" else 0
+        index.update(Wh=a[:, :skip], W=a[:, skip : skip + l], Wx=a[:, skip : skip + l],
+                     b=a[:, skip + l])
+    positions = np.concatenate([index[name].ravel() for name, _ in _layout(kind, l, h)])
+    params = np.zeros(flat.shape[:-1] + (size + size % 2,))
+    params[..., positions] = flat
+    return params, positions
 
 
 def _init_params(cfg: PredictorConfig, l: int) -> np.ndarray:
@@ -279,24 +283,20 @@ def _bpnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
     return a @ p["v"] + p["c"][0]
 
 
-def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, inputs: tuple,
+def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, z: np.ndarray,
                        fill: Callable = lambda: None) -> Callable:
-    """The sigmoid layer ``sigmoid(sum(a @ block.T))`` over the (array
-    ``a``, weight block) pairs of ``inputs``, summed in their order, under
-    the shared readout: BPNN's ``((x1, "Wb"),)`` and ENN's
-    ``((x1, "Wb"), (contexts, "Wh"))``, where ``x1 = [x | 1]`` carries the
-    bias in the product with ``Wb = [W | b]``, and its gradient block is
-    ``[gW | gb]``. ``fill()`` runs first in each call; ENN's recomputes
-    the carried contexts there, which the gradient treats as data
-    (one-step truncation). Every temporary is built here, once, as
-    a (K, n, H) array of C-contiguous items, so a call allocates nothing.
-    Its callers, ``_descend`` and ``gradient_check``, hold the sigmoid's
+    """The sigmoid layer ``sigmoid(z @ A.T)`` under the shared readout, on
+    the rows ``z`` of ``_rows``, with the gradient ``gA = ds.T @ z``.
+    ``fill()`` runs first in each call; ENN's recomputes the carried
+    contexts into ``z`` there, which the gradient treats as data (one-step
+    truncation). Every temporary is built here, once, as a (K, n, H) array
+    of C-contiguous items, so a call allocates nothing. Its callers,
+    ``_descend`` and ``gradient_check``, hold the sigmoid's
     ``errstate(over="ignore")``."""
     v = p["v"][..., None, :]
     shape = y.shape + v.shape[-1:]
-    s, term, hid, ds, complement = (_stacked(shape) for _ in range(5))
-    (first, w), *rest = [(a, _t(p[name])) for a, name in inputs]
-    grads = [(a, g[name]) for a, name in inputs]
+    s, hid, ds, complement = (_stacked(shape) for _ in range(4))
+    w, grad = _t(p["A"]), g["A"]
     readout, e = _readout(p["v"], p["c"], g["v"], g["c"], y, hid)
     column, ds_t = e[..., None], _t(ds)
     matmul, add, subtract, multiply, negative, exp, divide = (
@@ -304,10 +304,7 @@ def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, inputs: tuple,
 
     def loss_grad(err: np.ndarray) -> None:
         fill()
-        matmul(first, w, s)
-        for a, block in rest:
-            matmul(a, block, term)
-            add(s, term, s)
+        matmul(z, w, s)
         negative(s, hid)
         exp(hid, hid)
         add(hid, _one, hid)
@@ -317,8 +314,7 @@ def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, inputs: tuple,
         multiply(ds, hid, ds)
         subtract(_one, hid, complement)
         multiply(ds, complement, ds)
-        for a, grad in grads:
-            matmul(ds_t, a, grad)
+        matmul(ds_t, z, grad)
 
     return loss_grad
 
@@ -348,45 +344,38 @@ def _wnn_loss_grad(p: dict, g: dict, x: np.ndarray, y: np.ndarray) -> Callable:
     return loss_grad
 
 
-def _elman_rows(p: dict, x: np.ndarray) -> tuple:
-    """``(m, z, load)``: the (H, W) step matrix ``[Wh | Wx | b | 0]``, the
-    (n, W) rows ``[c_t, x_t, 1, 0]`` over the pairs ``x`` (every ``c_t``
-    zero), and ``load()``, which copies the current ``Wh`` and ``Wb`` of
-    ``p``, views of the folded layout, into ``m``. A step is
-    ``c_{t+1} = expit(m z[t])``. W is H + L + 1 rounded up to even, so each
-    row starts 16 bytes aligned (see ``_stacked``)."""
-    h, l = p["Wb"].shape[0], p["Wb"].shape[1] - 1
-    width = h + l + 1 + (h + l + 1) % 2
-    m, z = np.zeros((h, width)), np.zeros((len(x), width))
-    z[:, h : h + l], z[:, h + l] = x, 1.0
-    blocks, weights = (p["Wh"], p["Wb"]), m[:, : h + l + 1]
-    return m, z, lambda: np.concatenate(blocks, 1, weights)
+def _rows(x: np.ndarray, width: int, skip: int) -> np.ndarray:
+    """The rows ``[c | x | 1 | 0]``, ``width`` wide, over the pairs ``x``
+    (..., n, L), built with ``_stacked``: ``c`` is the first ``skip``
+    columns, and it and the pad are zero. They meet the block ``A``."""
+    z = _stacked(x.shape[:-1] + (width,))
+    z[...] = 0.0
+    z[..., skip : skip + x.shape[-1]], z[..., skip + x.shape[-1]] = x, 1.0
+    return z
 
 
-def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> Callable:
+def _enn_context(a: np.ndarray, z: np.ndarray) -> Callable:
     """``fill()``: write one model's hidden-state trajectory at the current
-    ``p`` into ``contexts``; row t is the context fed to pair t.
+    contents of its block ``a = [Wh | Wx | b | 0]`` (H, W) into the context
+    columns of its rows ``z = [c | x | 1 | 0]`` (n, W), in place; row t's
+    context is the one fed to pair t, and row 0's stays zero.
 
-    A call loads the weights into the step matrix of ``_elman_rows`` and
-    runs two calls per step, as ``ForecastSession.step`` does: ``v = m
-    z[t]`` with the bound ``m.dot`` (``np.dot``'s GEMV without its
-    dispatcher) and ``expit(v)`` into the context slot of row t + 1. It
-    then copies the context columns into ``contexts``, which the layer
-    reads C-contiguous. ``scipy.special`` loads here, at the first fill.
+    A step makes two calls, as ``ForecastSession.step`` does: ``v = a
+    z[t]`` with the bound ``a.dot`` (``np.dot``'s GEMV without its
+    dispatcher) and ``expit(v)`` into the context of row t + 1. W is even,
+    so each row starts 16 bytes aligned (see ``_stacked``).
+    ``scipy.special`` loads here, at the first fill.
     """
     from scipy.special import expit
 
-    m, z, load = _elman_rows(p, x)
-    hidden, v = z[:, : contexts.shape[-1]], np.empty(contexts.shape[-1])
-    steps = list(zip(z[:-1], hidden[1:]))
-    dot, copyto = m.dot, np.copyto
+    v = np.empty(a.shape[0])
+    steps = list(zip(z[:-1], z[1:, : a.shape[0]]))
+    dot = a.dot
 
     def fill() -> None:
-        load()
         for row, following in steps:
             dot(row, v)
             expit(v, following)
-        copyto(contexts, hidden)
 
     return fill
 
@@ -394,23 +383,19 @@ def _enn_context(p: dict, x: np.ndarray, contexts: np.ndarray) -> Callable:
 def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
                y: np.ndarray, l: int, h: int, frozen: bool = False) -> Callable:
     """``loss_grad(err)`` at the current contents of ``flat``, the (K, P)
-    parameters of K stacked models in the folded layout; each call writes
+    parameters of K stacked models in the descent layout; each call writes
     the gradient, in the same layout, into ``grad`` and the residual into
-    ``err``. BPNN and ENN read the pairs ``x`` as ``[x | 1]``, built here
-    once and never written again. ENN recomputes every model's context
-    trajectory on every call, unless ``frozen`` fixes it at the current
-    ``flat``."""
+    ``err``. BPNN and ENN read the pairs ``x`` as the rows of ``_rows``,
+    built here once; only ENN's context columns are written again. ENN
+    recomputes every model's context trajectory on every call, unless
+    ``frozen`` fixes it at the current ``flat``."""
     p, g = _views(kind, flat, l, h, fold=True), _views(kind, grad, l, h, fold=True)
     if kind == "WNN":
         return _wnn_loss_grad(p, g, x, y)
-    x1 = _stacked(x.shape[:-1] + (l + 1,))
-    x1[..., :l], x1[..., l] = x, 1.0
+    z = _rows(x, p["A"].shape[-1], h if kind == "ENN" else 0)
     if kind == "BPNN":
-        return _sigmoid_loss_grad(p, g, y, ((x1, "Wb"),))
-    contexts = _stacked(y.shape + (h,))
-    inputs = ((x1, "Wb"), (contexts, "Wh"))
-    fills = [_enn_context(_views(kind, params, l, h, fold=True), pairs, context)
-             for params, pairs, context in zip(flat, x, contexts)]
+        return _sigmoid_loss_grad(p, g, y, z)
+    fills = [_enn_context(a, rows) for a, rows in zip(p["A"], z)]
 
     def fill() -> None:
         for model_fill in fills:
@@ -418,8 +403,8 @@ def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
 
     if frozen:
         fill()
-        return _sigmoid_loss_grad(p, g, y, inputs)
-    return _sigmoid_loss_grad(p, g, y, inputs, fill)
+        return _sigmoid_loss_grad(p, g, y, z)
+    return _sigmoid_loss_grad(p, g, y, z, fill)
 
 
 def _pairs(kind: str, training_set: TrainingSet):
@@ -439,20 +424,21 @@ def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
     stack to the last epoch, on non-finite weights; a model's bits never
     depend on its group-mates, so it costs them nothing but time.
 
-    The parameters, gradient and step are contiguous (K, P + P % 2)
-    buffers with a zero pad, so each row starts 16 bytes aligned (see
-    ``_stacked``) and an update is one contiguous pass.
+    The parameters, gradient and step are contiguous buffers in the
+    layout of ``_descent_layout``, so each row starts 16 bytes aligned and
+    an update is one contiguous pass. A pad slot's gradient is ``ds.T``
+    times a zero column, so the slot stays +0.0 (but nan once its model
+    diverges).
 
     Epoch e writes its residuals into row e % ``_BLOCK`` of a (``_BLOCK``,
     K, n) buffer, and one ``_mse`` per block of epochs fills the loss
     curves: a reduction over the last axis sums each (epoch, model) row
     pairwise as it sums one model's (n,) residual, so the curves keep their
     bits."""
-    stop, size = epochs + 1, flat.shape[-1]
-    order = _fold_order(kind, l, h)
+    stop = epochs + 1
     curves = np.empty((flat.shape[0], stop))
-    params, grad, step = (np.zeros((flat.shape[0], size + size % 2)) for _ in range(3))
-    params[:, :size] = flat[:, order]  # the folded layout
+    params, positions = _descent_layout(kind, flat, l, h)
+    grad, step = np.zeros_like(params), np.zeros_like(params)
     residuals = np.empty((min(_BLOCK, stop),) + y.shape)
     rows = list(residuals)
     rate = np.array(learning_rate)
@@ -470,7 +456,7 @@ def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
                 loss_grad(err)
             curves[:, start : start + m] = _mse(residuals[:m]).T
     outcomes = []
-    for weights, curve in zip(params[:, np.argsort(order)], curves):
+    for weights, curve in zip(params[:, positions], curves):
         diverged = np.flatnonzero(~np.isfinite(curve))
         outcomes.append(int(diverged[0]) if diverged.size else (weights, curve))
     return outcomes
@@ -611,10 +597,11 @@ class ForecastSession:
         self._params = _views(model.kind, model.weights, model.input_length,
                               model.hidden_units, model._grnn_pairs())
         if model.kind == "ENN":  # one row of ``_enn_context``'s recurrence
-            folded = _folded("ENN", model.weights, model.input_length, model.hidden_units)
-            m, rows, load = _elman_rows(folded, np.zeros((1, model.input_length)))
-            load()
-            self._m, self._row, self._context = m, rows[0], rows[0, : model.hidden_units]
+            l, h = model.input_length, model.hidden_units
+            self._a = _views("ENN", _descent_layout("ENN", model.weights, l, h)[0], l, h,
+                             fold=True)["A"]
+            self._row = _rows(np.zeros((1, l)), self._a.shape[1], h)[0]
+            self._context = self._row[:h]
 
     def step(self, x) -> float:
         model, p = self.model, self._params
@@ -629,7 +616,7 @@ class ForecastSession:
         if model.kind == "ENN":  # the step of ``_enn_context``
             from scipy.special import expit
             self._row[model.hidden_units : model.hidden_units + x.size] = x
-            expit(self._m.dot(self._row), self._context)
+            expit(self._a.dot(self._row), self._context)
             return float(self._context @ p["v"] + p["c"][0])
         forward = _bpnn_forward if model.kind == "BPNN" else _wnn_forward
         return float(forward(p, x[None, :])[0])
@@ -647,16 +634,16 @@ def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
         raise ValueError(f"{cfg.kind} is not gradient-trained")
     x, y = _pairs(cfg.kind, training_set)
     l = training_set.input_length
-    # a stack of one model in the folded layout; the maximum is order-free
-    flat = _init_params(cfg, l)[None, _fold_order(cfg.kind, l, cfg.hidden_units)]
-    grad, residual, params = np.empty_like(flat), np.empty((1, y.size)), flat[0]
-    numeric = np.empty(params.size)
+    # a stack of one model in the descent layout; the maximum is order-free
+    flat, positions = _descent_layout(cfg.kind, _init_params(cfg, l)[None], l, cfg.hidden_units)
+    grad, residual, params = np.zeros_like(flat), np.empty((1, y.size)), flat[0]
+    numeric = np.empty(positions.size)
     with np.errstate(over="ignore"):  # the sigmoid's, as in ``_descend``
         loss_grad = _objective(cfg.kind, flat, grad, x[None], y[None], l, cfg.hidden_units,
                                frozen=True)
         loss_grad(residual)
-        analytic = grad[0].copy()
-        for i in range(params.size):
+        analytic = grad[0, positions]
+        for j, i in enumerate(positions):
             centre = params[i]
             params[i] = centre + step
             loss_grad(residual)
@@ -665,7 +652,7 @@ def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
             loss_grad(residual)
             lo = _mse(residual)[0]
             params[i] = centre
-            numeric[i] = (hi - lo) / (2.0 * step)
+            numeric[j] = (hi - lo) / (2.0 * step)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
     return float(np.max(np.abs(analytic - numeric) / denom))
 

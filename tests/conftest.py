@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from pathlib import Path
 
-from modecast.predictors import _enn_context
+from modecast.predictors import _descent_layout, _enn_context, _rows, _views
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
@@ -32,15 +32,28 @@ def random_smooth_series(rng, length):
 def recurrence_sigmoid(z):
     """The sigmoid inside ``predictors._enn_context``, applied to ``z`` in
     chunks of 64 as the bias of one-step recurrences whose other weights
-    are zero: the step's GEMV of ``[Wh | Wb] = [0 | 0 z]`` on the row
-    ``[c, x, 1] = [0, 1, 1]`` (each with its zero pad, if any) sums exact
-    zeros and ``z * 1``, so it is ``z`` bit for bit (up to the sign of a
-    zero, which the sigmoid maps to 0.5 either way)."""
+    are zero: the step's GEMV of ``A = [Wh | Wx | b | 0] = [0 | 0 | z | 0]``
+    on the row ``[c | x | 1 | 0] = [0 | 1 | 1 | 0]`` (the pad column only
+    if any) sums exact zeros and ``z * 1``, so it is ``z`` bit for bit (up
+    to the sign of a zero, which the sigmoid maps to 0.5 either way)."""
     out = np.empty(z.shape)
     for start in range(0, z.size, 64):
         bias = z[start : start + 64]
-        h, contexts = bias.size, np.empty((2, bias.size))
-        p = {"Wb": np.column_stack([np.zeros(h), bias]), "Wh": np.zeros((h, h))}
-        _enn_context(p, np.ones((2, 1)), contexts)()
-        out[start : start + h] = contexts[1]
+        h = bias.size
+        a = np.zeros((h, h + 2 + h % 2))
+        a[:, h + 1] = bias
+        rows = _rows(np.ones((2, 1)), a.shape[1], h)
+        _enn_context(a, rows)()
+        out[start : start + h] = rows[1, :h]
     return out
+
+
+def enn_contexts(weights, x, h):
+    """The (n, H) contexts that one fill of ``predictors._enn_context``
+    writes over the pairs ``x`` (n, L) at the public ENN ``weights``, with
+    its step matrix in the descent layout, as training runs it."""
+    l = x.shape[1]
+    a = _views("ENN", _descent_layout("ENN", weights, l, h)[0], l, h, fold=True)["A"]
+    rows = _rows(x, a.shape[1], h)
+    _enn_context(a, rows)()
+    return rows[:, :h].copy()

@@ -4,7 +4,7 @@ loss/gradient function per kind and the Python-loop ENN context.
 ``tests/test_trainer_oracle.py`` checks that ``modecast.predictors``
 reproduces it bit for bit. Do not edit it to make that test pass.
 
-Four deliberate changes since it was frozen, each of which the trainer
+Five deliberate changes since it was frozen, each of which the trainer
 adopted first:
 
 1. ``_sigmoid`` is the one-exp ``1 / (1 + exp(-z))``, in place of the
@@ -26,6 +26,14 @@ adopted first:
    product ``dz.T @ [x | 1]``, where ``gb`` was ``dz.sum(axis=0)``. BLAS
    adds the bias in its own order, so the bits can differ from the old
    form. BPNN's ``predict`` keeps ``x @ W1.T + b1``.
+5. ENN's training layer is one product ``z @ m.T`` of ``_step``'s
+   matrix ``m = [Wh | Wx | b | 0]`` on the rows ``z = [contexts | x | 1 |
+   0]`` (``_augmented``), where it was ``[x | 1] @ [Wx | b].T +
+   contexts @ Wh.T``, and its gradient is one product ``dz.T @ z`` split
+   into ``Wh``, ``Wx`` and ``b``, where ``Wh``'s was ``dz.T @ contexts``.
+   The training readout reads ``v`` from an aligned copy, as the trainer
+   reads it at an even offset of its layout: on SSE2 BLAS kernels a
+   product's bits follow the 16-byte alignment of its operands.
 
 The accuracy of both sigmoids is checked on its own, against a
 ``np.longdouble`` sigmoid, in ``tests/test_predictors.py``.
@@ -144,11 +152,22 @@ def _wnn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: in
     return loss, _pack("WNN", grads, l, h)
 
 
+def _step_matrix(p: dict) -> np.ndarray:
+    """``[Wh | Wx | b | 0]``, the zero column padding the width H + L + 1
+    to an even count."""
+    h, l = p["Wx"].shape
+    return np.hstack([p["Wh"], p["Wx"], p["b"][:, None], np.zeros((h, (h + l + 1) % 2))])
+
+
+def _augmented(contexts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The rows ``[contexts | x | 1 | 0]`` that ``_step_matrix`` multiplies."""
+    n, width = x.shape[0], contexts.shape[1] + x.shape[1] + 1
+    return np.hstack([contexts, x, np.ones((n, 1)), np.zeros((n, width % 2))])
+
+
 def _step(p: dict, h: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The context that follows ``h`` on the input ``x``."""
-    pad = np.zeros((h.size + x.size + 1) % 2)
-    m = np.hstack([p["Wh"], p["Wx"], p["b"][:, None], np.zeros((h.size, pad.size))])
-    return expit(m @ np.concatenate([h, x, [1.0], pad]))
+    return expit(_step_matrix(p) @ _augmented(h[None], x[None])[0])
 
 
 def _enn_context(p: dict, x: np.ndarray) -> np.ndarray:
@@ -167,10 +186,9 @@ def _enn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: in
     p = _unpack("ENN", flat, l, h)
     if contexts is None:
         contexts = _enn_context(p, x)
-    x1 = _with_ones(x)
-    s = x1 @ np.hstack([p["Wx"], p["b"][:, None]]).T + contexts @ p["Wh"].T
-    hid = _sigmoid(s)
-    pred = hid @ p["v"] + p["c"][0]
+    z = _augmented(contexts, x)
+    hid = _sigmoid(z @ _step_matrix(p).T)
+    pred = hid @ p["v"].copy() + p["c"][0]
     err = pred - y
     loss = float(np.mean(err * err))
     e = 2.0 * err / y.size
@@ -178,9 +196,8 @@ def _enn_loss_grad(flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int, h: in
     grads = {
         "c": np.array([e.sum()]),
         "v": hid.T @ e,
-        "Wh": ds.T @ contexts,
     }
-    grads["Wx"], grads["b"] = np.hsplit(ds.T @ x1, [l])
+    grads["Wh"], grads["Wx"], grads["b"], _ = np.hsplit(ds.T @ z, [h, h + l, h + l + 1])
     return loss, _pack("ENN", grads, l, h)
 
 

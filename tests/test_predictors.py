@@ -3,10 +3,11 @@ import os
 import runpy
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import REPO, recurrence_sigmoid
@@ -19,6 +20,7 @@ from modecast.predictors import (
     PredictorConfig,
     TrainedModel,
     TrainingDivergedError,
+    _descent_layout,
     _readout,
     _sigmoid,
     _views,
@@ -141,6 +143,66 @@ class TestGradients:
             assert err < 1e-4, f"{kind} seed {seed}: {err}"
 
 
+class TestDescentLayout:
+    """``_descent_layout``'s position index puts every public weight in a
+    slot of its own, every slot but the pads holds one, and the weights
+    read back unchanged; the descent views read the public blocks, ENN's
+    ``A`` as ``[Wh | Wx | b | 0]``. Descent keeps the pads at +0.0."""
+
+    @given(st.sampled_from(["BPNN", "WNN", "ENN"]), st.integers(1, 9), st.integers(1, 9),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_positions_fill_every_weight_slot_once(self, kind, l, h, k, seed):
+        flat = np.random.default_rng(seed).normal(size=(k, predictors.weight_count(kind, l, h)))
+        params, positions = _descent_layout(kind, flat, l, h)
+        slots = sum(np.prod(shape) for _, shape in predictors._layout(kind, l, h, fold=True))
+        assert params.shape == (k, slots + slots % 2)
+        pads = set()
+        if kind == "ENN" and (h + l + 1) % 2:  # the last column of A
+            pads = {(row + 1) * (h + l + 2) - 1 for row in range(h)}
+        assert len(set(positions.tolist())) == positions.size == flat.shape[1]
+        assert set(positions.tolist()) == set(range(slots)) - pads
+        assert np.array_equal(params[:, positions], flat)
+        rest = params[:, np.setdiff1d(np.arange(params.shape[1]), positions)]
+        assert np.all(rest == 0.0) and not np.any(np.signbit(rest))
+        public, descent = _views(kind, flat, l, h), _views(kind, params, l, h, fold=True)
+        expected = public
+        if kind != "WNN":
+            blocks = [public["Wh"]] if kind == "ENN" else []
+            blocks += [public["W" if kind == "BPNN" else "Wx"], public["b"][..., None]]
+            width = descent["A"].shape[-1] - sum(block.shape[-1] for block in blocks)
+            blocks.append(np.zeros((k, h, width)))
+            expected = {"A": np.concatenate(blocks, -1), "v": public["v"], "c": public["c"]}
+        assert descent.keys() == expected.keys()
+        for name, block in expected.items():
+            assert np.array_equal(descent[name], block)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_enn_pad_column_stays_positive_zero(self, l, h, n, seed):
+        """A group of three ENNs with H + L + 1 odd, after a few epochs."""
+        l += (h + l) % 2  # H + L even
+        rng = np.random.default_rng(seed)
+        sets = [TrainingSet(inputs=rng.uniform(0.0, 1.0, (n, l)), targets=rng.uniform(size=n),
+                            provenance=tuple((o + 1, 0.0) for o in range(n)))
+                for _ in range(3)]
+        cfgs = [PredictorConfig(kind="ENN", hidden_units=h, epochs=6, seed=s) for s in range(3)]
+        stacks, objective = [], predictors._objective
+
+        def spy(kind, params, *args):
+            stacks.append(params)
+            return objective(kind, params, *args)
+
+        with mock.patch.object(predictors, "_objective", spy):
+            models = train_many(sets, cfgs)
+        assert all(isinstance(model, TrainedModel) for model in models)
+        (params,) = stacks
+        positions = _descent_layout("ENN", models[0].weights, l, h)[1]
+        assert np.array_equal(params[:, positions], np.stack([m.weights for m in models]))
+        pads = params[:, np.setdiff1d(np.arange(params.shape[1]), positions)]
+        assert pads.shape[1] >= h
+        assert np.all(pads == 0.0) and not np.any(np.signbit(pads))
+
+
 class TestTraining:
     def test_overfit_bpnn_recovers_targets(self):
         # 3-pair toy problem driven to near-zero loss
@@ -229,16 +291,18 @@ class TestTraining:
 _SSE2_MISMATCHES = """
 import numpy as np
 from modecast.grouping import TrainingSet
-from modecast.predictors import (ForecastSession, PredictorConfig, TrainedModel, _enn_context,
-                                 _folded, train, train_many, weight_count)
+from modecast.predictors import (ForecastSession, PredictorConfig, TrainedModel, _descent_layout,
+                                 _enn_context, _rows, _views, train, train_many, weight_count)
 mismatches = 0
 for l, h in ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (3, 5), (4, 5), (8, 8), (7, 8)):
     rng = np.random.default_rng(100 * l + h)
     for scale in (1.0, 1e3):
         weights = rng.uniform(-0.5, 0.5, weight_count("ENN", l, h)) * scale
         x = rng.uniform(0.0, 1.0, (64, l))
-        filled = np.empty((64, h))
-        _enn_context(_folded("ENN", weights, l, h), x, filled)()
+        a = _views("ENN", _descent_layout("ENN", weights, l, h)[0], l, h, fold=True)["A"]
+        rows = _rows(x, a.shape[1], h)
+        _enn_context(a, rows)()
+        filled = rows[:, :h]
         session = ForecastSession(TrainedModel(kind="ENN", input_length=l, hidden_units=h,
                                                weights=weights))
         for t in range(63):

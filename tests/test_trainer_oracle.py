@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import legacy_trainer as legacy
-from conftest import recurrence_sigmoid
+from conftest import enn_contexts, recurrence_sigmoid
 from modecast import predictors
 from modecast.grouping import TrainingSet
 from modecast.predictors import (
@@ -18,12 +18,12 @@ from modecast.predictors import (
     TrainedModel,
     TrainingDivergedError,
     _descend,
+    _descent_layout,
     _enn_context,
-    _fold_order,
-    _folded,
     _init_params,
     _mse,
     _objective,
+    _rows,
     _sigmoid,
     _views,
     gradient_check,
@@ -56,12 +56,15 @@ def problems(draw, learning_rates):
     return training_set, cfg, queries
 
 
-def bias_fold_problem(kind, seed):
+def six_pair_problem(kind, seed):
     """Six pairs of length 3 and one hidden unit, drawn from ``seed``. At
-    the seeds of the examples below, the layer's old form (``x @ W.T + b``
-    and ``gb = dz.sum(axis=0)``) gives a loss and a bias gradient whose
-    bits differ, on OpenBLAS's SkylakeX kernel, from the oracle's
-    ``[x | 1] @ [W | b].T`` and ``dz.T @ [x | 1]``."""
+    the seeds of the examples below, a former form of the layer gives a
+    loss and gradient whose bits differ, on OpenBLAS's SkylakeX kernel,
+    from the oracle's: at BPNN 165 and ENN 89 the bias outside the
+    products (``x @ W.T + b`` and ``gb = dz.sum(axis=0)``, against ``[x |
+    1] @ [W | b].T`` and ``dz.T @ [x | 1]``), and at ENN 246 the ENN layer
+    as two products (``[x | 1] @ [Wx | b].T + contexts @ Wh.T``, against
+    ``[contexts | x | 1 | 0] @ [Wh | Wx | b | 0].T``)."""
     rng = np.random.default_rng(seed)
     training_set = TrainingSet(inputs=rng.normal(size=(6, 3)), targets=rng.normal(size=6),
                                provenance=tuple((o + 1, 0.0) for o in range(6)))
@@ -106,8 +109,9 @@ class TestTrainerOracle:
 
     @settings(deadline=None, max_examples=60)
     @given(problems(st.just(0.05)), st.booleans())
-    @example(bias_fold_problem("BPNN", 165), False)
-    @example(bias_fold_problem("ENN", 89), False)
+    @example(six_pair_problem("BPNN", 165), False)
+    @example(six_pair_problem("ENN", 89), False)
+    @example(six_pair_problem("ENN", 246), False)
     def test_one_evaluation_matches(self, problem, frozen):
         """Loss, gradient and ENN context trajectory at the seeded start, of
         the stacked objective over one model."""
@@ -116,23 +120,21 @@ class TestTrainerOracle:
         x, y = legacy._pairs(kind, training_set)
         flat = _init_params(cfg, l)
         assert np.array_equal(flat, legacy._init_params(cfg, l))
-        grad = np.full((1, flat.size), np.nan)
-        err = np.full((1, y.size), np.nan)
-        # the objective runs on stacks of models in the folded layout: here
+        # the objective runs on stacks of models in the descent layout: here
         # a stack of one
-        order = _fold_order(kind, l, h)
-        _objective(kind, flat[None, order], grad, x[None], y[None], l, h, frozen=frozen)(err)
-        loss, grad = _mse(err)[0], grad[0]
+        params, positions = _descent_layout(kind, flat[None], l, h)
+        grad = np.full(params.shape, np.nan)
+        err = np.full((1, y.size), np.nan)
+        _objective(kind, params, grad, x[None], y[None], l, h, frozen=frozen)(err)
+        loss, grad = _mse(err)[0], grad[0, positions]
         kwargs = {}
         if kind == "ENN":
             contexts = legacy._enn_context(legacy._unpack(kind, flat, l, h), x)
-            filled = np.empty_like(contexts)
-            _enn_context(_folded(kind, flat, l, h), x, filled)()
-            assert np.array_equal(filled, contexts)
+            assert np.array_equal(enn_contexts(flat, x, h), contexts)
             kwargs["contexts"] = contexts
         old_loss, old_grad = legacy._LOSS_GRAD[kind](flat, x, y, l, h, **kwargs)
         assert loss == old_loss
-        assert np.array_equal(grad, old_grad[order])
+        assert np.array_equal(grad, old_grad)
 
     @settings(deadline=None, max_examples=30)
     @given(problems(st.sampled_from([1e2, 1e4, 1e8, 1e12])))
@@ -174,16 +176,17 @@ class TestEnnContextOracle:
         rng = np.random.default_rng(seed)
         flat = rng.uniform(-0.5, 0.5, 8 * 8 + 8 * 8 + 2 * 8 + 1) * scale
         x = rng.uniform(0.0, 1.0, (n, 8))
-        filled = np.full((n, 8), np.nan)
-        order = _fold_order("ENN", 8, 8)
-        folded = flat[order]
-        fill = _enn_context(_views("ENN", folded, 8, 8, fold=True), x, filled)
+        params, positions = _descent_layout("ENN", flat, 8, 8)
+        a = _views("ENN", params, 8, 8, fold=True)["A"]
+        rows = _rows(x, a.shape[1], 8)
+        rows[1:, :8] = np.nan  # row 0's context is the zero of ``_rows``
+        fill = _enn_context(a, rows)
         for _ in range(2):  # the second call sees weights changed in place
             fill()
             expected = legacy._enn_context(legacy._unpack("ENN", flat, 8, 8), x)
-            assert np.array_equal(filled, expected)
+            assert np.array_equal(rows[:, :8], expected)
             flat -= rng.uniform(0.0, 0.1, flat.size) * scale
-            folded[...] = flat[order]
+            params[positions] = flat
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(2, 120), st.sampled_from([1.0, 1e3]), st.integers(0, 2**32 - 1))
@@ -215,8 +218,7 @@ class TestSessionContext:
         rng = np.random.default_rng(seed)
         weights = rng.uniform(-0.5, 0.5, predictors.weight_count("ENN", l, h)) * scale
         x = rng.uniform(0.0, 1.0, (n, l))
-        filled = np.full((n, h), np.nan)
-        _enn_context(_folded("ENN", weights, l, h), x, filled)()
+        filled = enn_contexts(weights, x, h)
         session = ForecastSession(TrainedModel(kind="ENN", input_length=l, hidden_units=h,
                                                weights=weights))
         for t in range(n - 1):

@@ -13,17 +13,18 @@ the boundary: the input of :func:`emd`, :func:`emd_with_stats` and
 One sift core extracts an IMF from K rows at once (:func:`extract_imf` is
 its one-row call), and one level loop runs it over the rows of an array
 (:func:`emd` is its one-row case, :func:`eemd` runs it over its trials).
-Each sift step scans the extrema of all rows once (whole-array comparisons
-over runs of equal samples); the envelope means and the balance tests share
-that scan. The envelopes are natural cubic splines, all of a step solved at
-once: one LAPACK ``dgtsv`` call on their block-diagonal system, then the
-Hermite polynomials on the sample grid (each grid point's interval found by
-rounding the knots up, not by a search), with scipy's ``CubicSpline``
-arithmetic repeated operation for operation, so every envelope is
-bit-identical to it. Each sift step computes every row's amplitude max|h|
-once, for its convergence test and the next step's stopping ratio.
-``dgtsv`` is imported from ``scipy.linalg`` at the first solve, so a
-program that fits no envelope never loads scipy.
+Each sift pass scans the extrema of all rows once (whole-array comparisons
+over runs of equal samples) into sorted flat indices, which a search for the
+row starts splits into each row's knots; the envelope means and the balance
+tests share that scan. The envelopes are natural cubic splines, all of a
+pass solved at once: one LAPACK ``dgtsv`` call on their block-diagonal system
+(imported from ``scipy.linalg`` at the first solve, so a program that fits
+no envelope never loads scipy), then the Hermite polynomials on the sample
+grid, each point's interval found by rounding the knots up, with scipy's
+``CubicSpline`` arithmetic repeated operation for operation: every envelope
+is bit-identical to it. A row's two envelopes are averaged in the upper
+one's buffer; its amplitude max|h|, taken once per pass, serves the
+convergence test and the next pass's stopping ratio.
 Squares of raw samples overflow above about 1e154 and underflow below about
 1e-154, so beyond 2**+-500 the stopping ratio and the EEMD noise amplitude
 are computed on samples scaled by an exact power of two, and so is each row
@@ -136,16 +137,14 @@ def _extrema(rows: np.ndarray) -> tuple:
     v = rows.ravel()
     change = v[1:] != v[:-1]
     change[n - 1::n] = True  # every row starts a run
-    last = np.flatnonzero(change)  # the last sample of every run but the final one
-    after = v[last + 1]
-    # run j has the neighbours v[last[j]] and after[j + 1]; its level is after[j]
-    left, level, right = v[last[:-1]], after[:-1], after[1:]
+    last = change.nonzero()[0]  # the last sample of every run but the final one
+    levels = np.concatenate((v[:1], v.take(last + 1)))  # of every run; its samples compare equal
+    left, level, right = levels[:-2], levels[1:-1], levels[2:]  # run j + 1 and its neighbours
     maxima = (left < level) & (right < level)
     minima = (left > level) & (right > level)
     if rows.shape[0] > 1:  # drop the runs that start or end a row
-        starts = np.zeros(v.size, dtype=bool)
-        starts[::n] = True
-        inner = ~starts[last + 1]
+        inner = np.ones(last.size, dtype=bool)
+        inner[last.searchsorted(np.arange(n - 1, v.size - 1, n))] = False  # row ends
         inner = inner[:-1] & inner[1:]
         maxima &= inner
         minima &= inner
@@ -235,68 +234,66 @@ def _natural_splines(x: np.ndarray, y: np.ndarray, bounds: np.ndarray, n: int) -
         # points from it (the first grid point at or above it) to the next
         # knot, where a block's last knot reaches the end of its points.
         # Evaluated a few blocks at a time, so that the temporaries stay small.
-        reach = np.clip(np.ceil(x), 0, n).astype(np.intp) + np.repeat(
-            np.arange(0, first.size * n, n), last - first + 1)
+        reach = np.minimum(np.maximum(np.ceil(x), 0), n).astype(np.intp)
+        reach += np.arange(0, first.size * n, n).repeat(last - first + 1)
         reach[last] = np.arange(n, (first.size + 1) * n, n)
-        points = np.diff(reach)
+        points = reach[1:] - reach[:-1]
         values = np.empty((first.size, n))
         grid = np.arange(n, dtype=np.float64)
         chunk = max(1, _EVALUATION_POINTS // max(n, 1))
         for lo in range(0, first.size, chunk):
             start, stop = first[lo], last[min(lo + chunk, first.size) - 1]
             out = values[lo:lo + chunk]
-            i = np.repeat(np.arange(start, stop), points[start:stop]).reshape(out.shape)
-            z = grid - x[i]
+            i = np.arange(start, stop).repeat(points[start:stop]).reshape(out.shape)
+            z = grid - x.take(i)
             zz = z * z
-            np.add(0.0, y[i], out=out)
-            out += s[i] * z
-            out += c1[i] * zz
+            np.add(0.0, y.take(i), out=out)
+            out += s.take(i) * z
+            out += c1.take(i) * zz
             zz *= z
-            out += c0[i] * zz
+            out += c0.take(i) * zz
     finite_s = np.isfinite(s)
     if not finite_s.all():
-        for j in np.flatnonzero(~np.logical_and.reduceat(finite_s, first) & (status == _OK)):
+        for j in (~np.logical_and.reduceat(finite_s, first) & (status == _OK)).nonzero()[0]:
             if first.size == 1:
                 status[j] = _BAD_SLOPE
             else:  # NaN spreads through the zero coupling: solve the block alone
                 block = slice(first[j], last[j] + 1)
                 alone = _natural_splines(x[block], y[block], bounds[j:j + 2] - first[j], n)
                 values[j], status[j] = alone[0][0], alone[1][0]
-    if np.count_nonzero(status):
+    if status.any():
         values[status != _OK] = 0.0
     return values, status
 
 
-def _boundary_knots(positions: np.ndarray, sources: np.ndarray, bounds: np.ndarray,
+def _boundary_knots(sources: np.ndarray, row_starts: np.ndarray, bounds: np.ndarray,
                     last: int, mode: str) -> tuple:
     """Extend blocks of knots past both ends of their rows.
 
-    Block j holds at least 2 knots, ``positions[a:b]`` (strictly increasing
-    sample indices within a row whose last index is ``last``) and
-    ``sources[a:b]`` (the same samples as indices into all the rows), with
-    ``a, b = bounds[j], bounds[j + 1]``. ``mirror`` reflects the two knots
-    nearest each end across that end; ``clamp`` adds the end samples.
-    Returns the new positions (float), sources and bounds. A boundary knot
-    lands on an existing knot only where a knot is an end sample.
+    Block j holds at least 2 knots, ``sources[a:b]`` with ``a, b = bounds[j],
+    bounds[j + 1]``: strictly increasing flat indices of samples in the row
+    that starts at ``row_starts[j]`` and whose last index is ``last``.
+    ``mirror`` reflects the two knots nearest each end across that end;
+    ``clamp`` adds the end samples. Returns the knots' positions in their
+    rows (float), their sources and the new bounds. A boundary knot lands on
+    an existing knot only where a knot is an end sample.
     """
     lo, hi = bounds[:-1], bounds[1:] - 1
+    positions = sources - row_starts.repeat(hi - lo + 1)
     pad = 2 if mode == "mirror" else 1
     start = lo + np.arange(0, 2 * pad * lo.size, 2 * pad)  # of each extended block
     end = start + (hi - lo) + (2 * pad + 1)
     if mode == "mirror":
         ends = np.concatenate((start, start + 1, end - 2, end - 1))
         take = np.concatenate((lo + 1, lo, hi, hi - 1))
-        end_sources, end_positions = sources[take], positions[take]
-        end_positions[:2 * lo.size] *= -1
-        end_positions[2 * lo.size:] = 2 * last - end_positions[2 * lo.size:]
+        end_sources = sources.take(take)
+        end_positions = np.array([0.0, 2.0 * last]).repeat(2 * lo.size) - positions.take(take)
     else:
         ends = np.concatenate((start, end - 1))
-        row_starts = sources[lo] - positions[lo]
         end_sources = np.concatenate((row_starts, row_starts + last))
-        end_positions = np.repeat(np.array([0, last]), lo.size)
-    xs = np.empty(end[-1])
-    src = np.empty(end[-1], dtype=np.intp)
-    body = np.ones(end[-1], dtype=bool)
+        end_positions = np.array([0.0, last]).repeat(lo.size)
+    xs, src = np.empty(end[-1]), np.empty(end[-1], dtype=np.intp)
+    body = np.ones(end[-1], dtype=bool)  # faster to write through than the body's indices
     body[ends] = False
     xs[body], src[body] = positions, sources
     xs[ends], src[ends] = end_positions, end_sources
@@ -328,8 +325,8 @@ def envelope(values: np.ndarray, knots, mode: str = "mirror") -> np.ndarray:
         )
     if mode not in BOUNDARY_MODES:
         raise ValueError(f"mode must be one of {BOUNDARY_MODES}")
-    xs, sources, _ = _boundary_knots(knots, knots, np.array([0, knots.size]),
-                                     values.size - 1, mode)
+    xs, sources, _ = _boundary_knots(knots, np.zeros(1, dtype=np.intp),
+                                     np.array([0, knots.size]), values.size - 1, mode)
     # the boundary knots keep the order sorted, so duplicates are adjacent
     keep = np.concatenate(([True], xs[1:] != xs[:-1]))
     spline, status = _natural_splines(xs[keep],
@@ -342,33 +339,34 @@ def envelope(values: np.ndarray, knots, mode: str = "mirror") -> np.ndarray:
 
 def _envelope_means(rows: np.ndarray, mode: str) -> tuple:
     """For every row of a (K, T) array: the mean of its upper and lower
-    envelopes (0 unless the status is ``_OK``), its number of extrema, and
-    its status: ``_NO_EXTREMA`` below 2 maxima or 2 minima, else the first
-    spline check that fails, upper envelope first. The envelopes of all rows
-    take one spline solve: the upper ones in row order, then the lower.
-    Extrema are never end samples, so no boundary knot lands on a knot."""
+    envelopes (0 unless the status is ``_OK``), formed in the spline's own
+    buffer, its number of extrema, and its status: ``_NO_EXTREMA`` below 2
+    maxima or 2 minima, else the first spline check that fails, upper first.
+    Searching the sorted maxima and minima for the row starts bounds each
+    row's knots. One spline solve fits all envelopes, the upper ones first;
+    extrema are interior, so no boundary knot lands on a knot."""
     k, n = rows.shape
     maxima, minima = _extrema(rows)
-    knots = np.concatenate((maxima, minima))
-    block = knots // n  # with the subtraction, twice as fast as np.divmod
-    positions = knots - block * n
-    block[maxima.size:] += k  # row, or K + row
-    counts = np.bincount(block, minlength=2 * k)
+    starts = np.arange(0, k * n + 1, n)  # of every row, then the end
+    bounds = np.concatenate((maxima.searchsorted(starts[:-1]),
+                             minima.searchsorted(starts) + maxima.size))
+    counts = bounds[1:] - bounds[:-1]  # the maxima of each row, then the minima
     n_extrema = counts[:k] + counts[k:]
     fit = np.minimum(counts[:k], counts[k:]) >= 2
     status = np.where(fit, _OK, _NO_EXTREMA)
-    rows_fit = np.flatnonzero(fit)
+    rows_fit = fit.nonzero()[0]
+    knots, blocks = np.concatenate((maxima, minima)), np.concatenate((starts[:-1], starts[:-1]))
     if rows_fit.size < k:
         if not rows_fit.size:
             return np.zeros((k, n)), n_extrema, status
         keep = np.concatenate((fit, fit))
-        knots, positions, counts = knots[keep[block]], positions[keep[block]], counts[keep]
-    bounds = np.zeros(counts.size + 1, dtype=np.intp)
-    np.cumsum(counts, out=bounds[1:])
-    xs, sources, bounds = _boundary_knots(positions, knots, bounds, n - 1, mode)
-    spline, spline_status = _natural_splines(xs, np.take(rows, sources), bounds, n)
-    mean = (spline[:rows_fit.size] + spline[rows_fit.size:]) / 2.0
-    if np.count_nonzero(spline_status):
+        knots, blocks, counts = knots.compress(keep.repeat(counts)), blocks[keep], counts[keep]
+        bounds = np.concatenate(([0], counts.cumsum()))
+    xs, sources, bounds = _boundary_knots(knots, blocks, bounds, n - 1, mode)
+    spline, spline_status = _natural_splines(xs, rows.take(sources), bounds, n)
+    mean = np.add(spline[:rows_fit.size], spline[rows_fit.size:], out=spline[:rows_fit.size])
+    mean /= 2.0
+    if spline_status.any():
         upper, lower = spline_status[:rows_fit.size], spline_status[rows_fit.size:]
         status[rows_fit] = np.where(upper != _OK, upper, lower)
     if rows_fit.size < k:
@@ -381,14 +379,15 @@ def _sd_ratios(h_prev: np.ndarray, h: np.ndarray, amplitude: np.ndarray) -> np.n
     """Per row: sum((h_prev - h)^2) / sum(h_prev^2), 0 where h_prev is all
     zero, on both scaled by the row's own power of two (:func:`pow2_exponent`
     of its ``amplitude``, max|h_prev|)."""
-    e = pow2_exponent(amplitude[:, None], axis=1)
+    e = np.frexp(amplitude)[1]  # pow2_exponent of each row: amplitude is max|h_prev|
+    e *= abs(e) > 500
     step = h_prev - h
-    if np.count_nonzero(e):
-        h_prev, step = np.ldexp(h_prev, -e), np.ldexp(step, -e)
-    denom = np.sum(np.square(h_prev), axis=1)
-    num = np.sum(np.square(step, out=step), axis=1)
+    if e.any():
+        h_prev, step = np.ldexp(h_prev, -e[:, None]), np.ldexp(step, -e[:, None])
+    denom = np.square(h_prev).sum(axis=1)
+    num = np.square(step, out=step).sum(axis=1)
     positive = denom > 0
-    if np.count_nonzero(positive) == positive.size:
+    if positive.all():
         return num / denom
     return np.where(positive, num / np.where(positive, denom, 1.0), 0.0)
 
@@ -412,14 +411,14 @@ def _sift(rows: np.ndarray, cfg: SiftConfig) -> list:
 
     mean, _, status = _envelope_means(rows, cfg.boundary_mode)
     live, h_prev = np.arange(rows.shape[0]), rows
-    if np.count_nonzero(status):
-        for r in np.flatnonzero(status):
+    if status.any():
+        for r in status.nonzero()[0]:
             outcomes[r] = (ValueError(_SPLINE_ERRORS[status[r]]) if status[r] != _NO_EXTREMA
                            else InsufficientExtremaError("IMF extraction needs at least 2 "
                                                          "maxima and 2 minima"))
-        live = np.flatnonzero(status == _OK)
-        h_prev, mean = rows[live], mean[live]
-    amplitude = np.max(np.abs(h_prev), axis=1)  # max|h_prev| per row
+        live = (status == _OK).nonzero()[0]
+        h_prev, mean = rows.take(live, 0), mean.take(live, 0)
+    amplitude = np.abs(h_prev).max(axis=1)  # max|h_prev| per row
     iterations = 0
     while live.size:
         h = np.subtract(h_prev, mean, out=mean)  # the envelope mean is not needed again
@@ -431,22 +430,23 @@ def _sift(rows: np.ndarray, cfg: SiftConfig) -> list:
                 stop(r, h_prev[j], sd[j], iterations, "iteration_cap")
             break
         mean, n_extrema, status = _envelope_means(h_prev, cfg.boundary_mode)
-        amplitude = np.max(np.abs(h_prev), axis=1)  # > 0 where status is _OK (2 maxima)
-        check = np.flatnonzero((sd < cfg.sd_threshold) & (status == _OK))
-        near_zero = np.max(np.abs(mean[check]), axis=1) < _ENVELOPE_MEAN_RATIO * amplitude[check]
-        check = check[near_zero]
+        amplitude = np.abs(h_prev).max(axis=1)  # > 0 where status is _OK (2 maxima)
+        check = ((sd < cfg.sd_threshold) & (status == _OK)).nonzero()[0]
+        peak = np.abs(mean.take(check, axis=0)).max(axis=1)
+        check = check.compress(peak < _ENVELOPE_MEAN_RATIO * amplitude.take(check))
         converged = [j for j in check if abs(n_extrema[j] - count_zero_crossings(h_prev[j])) <= 1]
-        if not converged and not np.count_nonzero(status):
+        if not converged and not status.any():
             continue
         going = status == _OK
         going[converged] = False
-        for j in np.flatnonzero(~going):
+        for j in (~going).nonzero()[0]:
             if status[j] > _NO_EXTREMA:
                 outcomes[live[j]] = ValueError(_SPLINE_ERRORS[status[j]])
             else:
                 stop(live[j], h_prev[j], sd[j], iterations,
                      "no_extrema" if status[j] == _NO_EXTREMA else "sd")
-        live, h_prev, mean, amplitude = live[going], h_prev[going], mean[going], amplitude[going]
+        live, amplitude = live.compress(going), amplitude.compress(going)
+        h_prev, mean = h_prev.compress(going, axis=0), mean.compress(going, axis=0)
     return outcomes
 
 

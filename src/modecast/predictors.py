@@ -597,11 +597,12 @@ class ForecastSession:
         self._params = _views(model.kind, model.weights, model.input_length,
                               model.hidden_units, model._grnn_pairs())
         if model.kind == "ENN":  # one row of ``_enn_context``'s recurrence
+            from scipy.special import expit
             l, h = model.input_length, model.hidden_units
             self._a = _views("ENN", _descent_layout("ENN", model.weights, l, h)[0], l, h,
                              fold=True)["A"]
             self._row = _rows(np.zeros((1, l)), self._a.shape[1], h)[0]
-            self._context = self._row[:h]
+            self._context, self._expit = self._row[:h], expit
 
     def step(self, x) -> float:
         model, p = self.model, self._params
@@ -614,9 +615,8 @@ class ForecastSession:
         if model.kind == "GRNN":
             return _grnn_predict(p, x, model.grnn_sigma)
         if model.kind == "ENN":  # the step of ``_enn_context``
-            from scipy.special import expit
             self._row[model.hidden_units : model.hidden_units + x.size] = x
-            expit(self._a.dot(self._row), self._context)
+            self._expit(self._a.dot(self._row), self._context)
             return float(self._context @ p["v"] + p["c"][0])
         forward = _bpnn_forward if model.kind == "BPNN" else _wnn_forward
         return float(forward(p, x[None, :])[0])

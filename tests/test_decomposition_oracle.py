@@ -113,6 +113,17 @@ def decomposition_cases(draw, max_length=160):
     return x, cfg
 
 
+# A batch whose rows each meet the lockstep sift's per-row bookkeeping at an
+# edge: fewer than 2 minima (the partial-fit path), plateau extrema, extrema
+# next to both row ends, and a constant row.
+EDGE_ROWS = np.array([
+    [0.0, 2.0, 1.0, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0],
+    [0.0, 1.0, 3.0, 3.0, 3.0, 1.0, -2.0, -2.0, 0.0, 2.0, -1.0, 0.5],
+    [0.0, 5.0, 0.0, 1.0, -1.0, 2.0, -2.0, 1.0, -1.0, 0.0, -3.0, 0.0],
+    [0.7] * 12,
+])
+
+
 @st.composite
 def extrema_batches(draw):
     """(K, T) batches, K = 1..8 and T = 3..24, of a few levels (signed zeros
@@ -144,6 +155,8 @@ class TestExtremaOracle:
 
     @settings(deadline=None, max_examples=300)
     @given(extrema_batches())
+    @example(EDGE_ROWS)
+    @example(EDGE_ROWS[[3, 2, 1, 0]])
     def test_batch_matches_rows_alone(self, rows):
         """The extrema of a batch, as flat indices, are each row's own
         extrema offset by its start: no run carries over a row boundary."""
@@ -388,8 +401,14 @@ class TestLockstepOracle:
 
     @settings(deadline=None, max_examples=150)
     @given(st.lists(decomposition_cases(max_length=60), min_size=2, max_size=8),
-           st.integers(0, 60), st.data())
-    def test_rows_sift_together_as_alone(self, cases, length, data):
+           st.integers(0, 60), st.lists(st.sampled_from([0, 0, 600, -600]), min_size=8,
+                                        max_size=8),
+           st.dictionaries(st.integers(0, 7), st.sampled_from([np.inf, 1.5e308, -1.5e308]),
+                           max_size=2))
+    @example([(row, SiftConfig()) for row in EDGE_ROWS], 12, [0] * 8, {})
+    @example([(row, SiftConfig(boundary_mode="clamp")) for row in EDGE_ROWS[::-1]], 12,
+             [0, 600, -600, 0] * 2, {})
+    def test_rows_sift_together_as_alone(self, cases, length, scales, corrupt):
         """Rows sifted in one batch stop when and as they stop alone, and
         a row whose spline fails fails alone: the envelopes of all rows
         share one spline solve, and NaN from one block must not reach its
@@ -397,12 +416,11 @@ class TestLockstepOracle:
         length = max(4, min(length, min(x.size for x, _ in cases)))
         cfg = cases[0][1]
         # rows beyond 2^+-500 take their own power of two in the stopping ratio
-        rows = np.array([np.ldexp(x[:length], data.draw(st.sampled_from([0, 0, 600, -600])))
-                         for x, _ in cases])
-        for r in data.draw(st.sets(st.integers(0, len(cases) - 1), max_size=2)):
-            maxima, _ = find_extrema(rows[r])
+        rows = np.array([np.ldexp(x[:length], e) for (x, _), e in zip(cases, scales)])
+        for r, value in corrupt.items():  # up to two rows; the keys wrap around the batch
+            maxima, _ = find_extrema(rows[r % len(rows)])
             if maxima.size:
-                rows[r, maxima[0]] = data.draw(st.sampled_from([np.inf, 1.5e308, -1.5e308]))
+                rows[r % len(rows), maxima[0]] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             together = _sift(rows, cfg)

@@ -32,9 +32,9 @@ for rank, (offset, dist) in enumerate(zip(offsets[:8], distances[:8]), start=1):
     print(f"{rank:4d}  {offset:6d}  {dist:8.4f}{marker}")
 
 k = select_group(distances, cfg)
-training = build_training_set(component, offsets[:k], distances[:k], L)
+training = build_training_set(component, offsets[:k], L)
 print(f"\ntop-{cfg.group_size} training pairs (window -> next value):")
-for (offset, dist), target in zip(training.provenance, training.targets):
+for offset, dist, target in zip(training.offsets, distances[:k], training.targets):
     print(f"  offset {offset:2d} (distance {dist:.4f}) -> target {target:+.4f}")
 true_next = np.sin(2 * np.pi * 40 / 8) + 0.05 * np.sin(2 * np.pi * 40 / 3)
 print(f"\ntrue next value of the component: {true_next:+.4f}")

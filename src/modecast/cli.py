@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="JSON run configuration")
     p.add_argument("--horizon", type=int, default=None, action=_Count)
     p.add_argument("--dump-groups", action="store_true",
-                   help="emit per-step similarity-group provenance JSON")
+                   help="emit each step's similarity group (offsets, distances) as JSON")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("benchmark", help="compare frameworks on a holdout window")

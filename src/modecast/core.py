@@ -33,10 +33,10 @@ def check_integers(minimum: int, **values) -> None:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def frozen_copy(values) -> np.ndarray:
-    """A read-only C-contiguous float64 copy of ``values``: how every value
+def frozen_copy(values, dtype=np.float64) -> np.ndarray:
+    """A read-only C-contiguous ``dtype`` copy of ``values``: how every value
     type of the package keeps an array, so the caller's array stays theirs."""
-    arr = np.array(values, dtype=np.float64, order="C")
+    arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
 

@@ -9,14 +9,13 @@ prefix of that ranking supplies (window -> next value) training pairs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import TimeSeries, check_integers, frozen_copy, pow2_exponent
+from .core import DataError, TimeSeries, check_integers, frozen_copy, pow2_exponent
 # dtw_distance is unused here, but perfbench's tracer self-test expects a
 # wrapper at this binding
 from .dtw import _checked, _distances, dtw_distance, dtw_distances  # noqa: F401
@@ -54,15 +53,15 @@ class GroupingConfig:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Supervised (window -> next value) pairs with per-pair provenance.
+    """Finite supervised (window -> next value) pairs and where each came from.
 
-    ``provenance`` holds one (source_offset, dtw_distance) tuple per pair;
-    every target equals the parent value at source_offset + window length.
+    ``offsets`` holds the 1-based source offset of each pair's window; every
+    target equals the parent value at offset + window length.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    provenance: tuple
+    offsets: np.ndarray
 
     def __post_init__(self):
         # contiguous rows: matmul on a strided window view skips BLAS and
@@ -72,9 +71,14 @@ class TrainingSet:
             raise ValueError("inputs must be (n, L) with n matching targets")
         if targets.size < 1:
             raise ValueError("training set must contain at least one pair")
+        offsets = _offsets(self.offsets)
+        if offsets.shape != targets.shape:
+            raise ValueError(f"offsets must be 1-D with one entry per pair ({targets.size})")
+        if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+            raise DataError("training pairs contain NaN or infinite values")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "provenance", tuple(self.provenance))
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def size(self) -> int:
@@ -83,6 +87,15 @@ class TrainingSet:
     @property
     def input_length(self) -> int:
         return int(self.inputs.shape[1])
+
+
+def _offsets(offsets) -> np.ndarray:
+    """A read-only int64 copy of ``offsets``; a float or bool one raises, as
+    :func:`check_integers` treats them (an empty list holds none)."""
+    offsets = np.asarray(offsets)
+    if offsets.size and offsets.dtype.kind not in "iu":
+        raise ValueError(f"offsets must be integers, got dtype {offsets.dtype}")
+    return frozen_copy(offsets, np.int64)
 
 
 def _zscores(values: np.ndarray) -> np.ndarray:
@@ -146,22 +159,19 @@ def select_group(distances, cfg: GroupingConfig) -> int:
     return max(int(kept), 1)
 
 
-def build_training_set(values, offsets, distances, length: int) -> TrainingSet:
+def build_training_set(values, offsets, length: int) -> TrainingSet:
     """(window -> successor value) pairs of the windows at ``offsets``.
 
     Pair k takes the length-``length`` window at 1-based offset offsets[k]
-    as input and the value at position offsets[k] + length as target; its
-    provenance is (offsets[k], distances[k]).
+    as input and the value at position offsets[k] + length as target.
     """
     values = np.asarray(values, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.int64)
+    offsets = _offsets(offsets)
     starts = offsets - 1
     if starts.size and (starts.min() < 0 or starts.max() + length >= values.size):
         raise ValueError(f"offsets must lie in 1 .. {values.size - length}")
     inputs = sliding_window_view(values, length)[starts]
-    provenance = zip(offsets.tolist(), np.asarray(distances, dtype=np.float64).tolist(),
-                     strict=True)
-    return TrainingSet(inputs=inputs, targets=values[starts + length], provenance=provenance)
+    return TrainingSet(inputs=inputs, targets=values[starts + length], offsets=offsets)
 
 
 def sliding_window_set(series: TimeSeries, window: int) -> TrainingSet:
@@ -169,9 +179,4 @@ def sliding_window_set(series: TimeSeries, window: int) -> TrainingSet:
     t = len(series)
     if t <= window:
         raise ValueError(f"series length {t} must exceed window {window}")
-    values = series.values
-    return TrainingSet(
-        inputs=sliding_window_view(values, window)[:-1],
-        targets=values[window:],
-        provenance=zip(range(1, t - window + 1), itertools.repeat(0.0)),
-    )
+    return build_training_set(series.values, np.arange(1, t - window + 1), window)

@@ -202,7 +202,7 @@ def _high_steps(component: TimeSeries, grouping: GroupingConfig, cfg: PredictorC
         extended = buf[: t + step]
         offsets, distances = rank_by_similarity(extended, grouping)
         k = select_group(distances, grouping)
-        training_set = build_training_set(extended, offsets[:k], distances[:k], length)
+        training_set = build_training_set(extended, offsets[:k], length)
         model = yield training_set, replace(cfg, seed=derive_seed(cfg.seed, step))
         reference = extended[-length:]
         value = predict(model, reference)

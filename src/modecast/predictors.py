@@ -412,7 +412,7 @@ def _pairs(kind: str, training_set: TrainingSet):
     (Elman presentation order)."""
     if kind != "ENN":
         return training_set.inputs, training_set.targets
-    order = np.argsort([p[0] for p in training_set.provenance], kind="stable")
+    order = np.argsort(training_set.offsets, kind="stable")
     return training_set.inputs[order], training_set.targets[order]
 
 
@@ -473,7 +473,7 @@ def train_many(training_sets: Sequence[TrainingSet], cfgs: Sequence[PredictorCon
     Gradient-trained models descend in lockstep, in the groups of the
     module docstring, each from its own seeded start. Requests of a group
     with equal configs (seed included) and byte-equal pairs as the descent
-    sees them (ENN's in provenance order) are one request: it descends
+    sees them (ENN's in offset order) are one request: it descends
     once, and each of them gets its own copy of the result. GRNN models
     store their pairs.
 

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 from pathlib import Path
 
+from modecast.cli import main
 from modecast.predictors import _descent_layout, _enn_context, _rows, _views
 
 REPO = Path(__file__).resolve().parents[1]
@@ -17,6 +20,20 @@ def data_dir():
 @pytest.fixture
 def configs_dir():
     return CONFIGS
+
+
+@pytest.fixture(scope="session")
+def golden_benchmark(tmp_path_factory):
+    """``modecast benchmark`` on the golden config, run once per session
+    from the repository root: (its output directory, seconds taken)."""
+    out = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(REPO)
+        started = time.perf_counter()
+        code = main(["--out", str(out), "benchmark", str(CONFIGS / "benchmark_synthetic.json")])
+        elapsed = time.perf_counter() - started
+    assert code == 0
+    return out, elapsed
 
 
 def random_smooth_series(rng, length):

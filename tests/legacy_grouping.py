@@ -94,8 +94,8 @@ def build_training_set(ranked, k: int, imf: TimeSeries) -> TrainingSet:
     length = chosen[0][0].length
     inputs = np.stack([seg.values for seg, _ in chosen])
     targets = np.array([imf.values[seg.source_offset + length - 1] for seg, _ in chosen])
-    provenance = tuple((seg.source_offset, dist) for seg, dist in chosen)
-    return TrainingSet(inputs=inputs, targets=targets, provenance=provenance)
+    offsets = [seg.source_offset for seg, _ in chosen]
+    return TrainingSet(inputs=inputs, targets=targets, offsets=offsets)
 
 
 def sliding_window_set(series: TimeSeries, window: int) -> TrainingSet:
@@ -105,8 +105,8 @@ def sliding_window_set(series: TimeSeries, window: int) -> TrainingSet:
     values = series.values
     inputs = np.stack([values[i : i + window] for i in range(t - window)])
     targets = values[window:]
-    provenance = tuple((i + 1, 0.0) for i in range(t - window))
-    return TrainingSet(inputs=inputs, targets=targets, provenance=provenance)
+    offsets = [i + 1 for i in range(t - window)]
+    return TrainingSet(inputs=inputs, targets=targets, offsets=offsets)
 
 
 def forecast_step(values, cfg: GroupingConfig) -> tuple:

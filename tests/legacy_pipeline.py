@@ -68,7 +68,7 @@ def forecast_high(component: TimeSeries, grouping: GroupingConfig,
         extended = buf[: t + step]
         offsets, distances = rank_by_similarity(extended, grouping)
         k = select_group(distances, grouping)
-        training_set = build_training_set(extended, offsets[:k], distances[:k], length)
+        training_set = build_training_set(extended, offsets[:k], length)
         step_cfg = replace(cfg, seed=derive_seed(cfg.seed, step))
         model = train(training_set, step_cfg)
         reference = extended[-length:]

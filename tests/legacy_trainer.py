@@ -207,7 +207,7 @@ _LOSS_GRAD = {"BPNN": _bpnn_loss_grad, "WNN": _wnn_loss_grad, "ENN": _enn_loss_g
 def _pairs(kind, training_set):
     if kind != "ENN":
         return training_set.inputs, training_set.targets
-    order = np.argsort([p[0] for p in training_set.provenance], kind="stable")
+    order = np.argsort(training_set.offsets, kind="stable")
     return training_set.inputs[order], training_set.targets[order]
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from modecast.cli import main, parse_benchmark_config
+from modecast.cli import main
 from modecast.core import TimeSeries, load_csv
 from modecast.decomposition import (
     EemdConfig,
@@ -20,7 +20,7 @@ from modecast.decomposition import (
     find_extrema,
 )
 from modecast.dtw import dtw_distance, euclidean_distance
-from modecast.evaluation import benchmark, evaluate_run
+from modecast.evaluation import evaluate_run
 from modecast.grouping import GroupingConfig, TrainingSet
 from modecast.pipeline import FrameworkSpec, run_framework
 from modecast.predictors import PredictorConfig, gradient_check, predict, train
@@ -126,7 +126,7 @@ def test_c06_gradient_checks():
             training = TrainingSet(
                 inputs=inputs,
                 targets=rng.normal(size=4),
-                provenance=tuple((i + 1, 0.0) for i in range(4)),
+                offsets=np.arange(1, 5),
             )
             err = gradient_check(
                 PredictorConfig(kind=kind, hidden_units=3, seed=seed), training
@@ -146,7 +146,7 @@ def test_c07_grnn_interpolation():
         targets = rng.normal(size=6)
         training = TrainingSet(
             inputs=inputs, targets=targets,
-            provenance=tuple((i + 1, 0.0) for i in range(6)),
+            offsets=np.arange(1, 7),
         )
         model = train(training, PredictorConfig(kind="GRNN", grnn_sigma=1e-3))
         for x, y in zip(inputs, targets):
@@ -189,25 +189,17 @@ def test_c08_degenerate_chain_equivalence():
                     "byte-identically to EMD+DTW+NN under fixed seeds")
 
 
-def test_c09_framework_ordering_golden_config():
-    cfg = parse_benchmark_config(str(REPO / "configs" / "benchmark_synthetic.json"))
-    series = load_csv(
-        REPO / cfg["dataset"]["path"],
-        column=cfg["dataset"]["column"],
-        has_header=cfg["dataset"]["has_header"],
-    )
-    started = time.perf_counter()
-    reports = benchmark(series, cfg["holdout"], cfg["frameworks"], cfg["runs"],
-                        cfg["seeds"], labels=cfg["labels"])
-    elapsed = time.perf_counter() - started
-    means = {r.label: r.re_mean_over_runs for r in reports}
+def test_c09_framework_ordering_golden_config(golden_benchmark):
+    out, elapsed = golden_benchmark
+    runs = json.loads((out / "benchmark_runs.json").read_text(encoding="utf-8"))
+    means = {r["label"]: r["re_mean_over_runs"] for r in runs["reports"]}
     ok = (
         means["EMD+DTW+BPNN"] <= means["BPNN"]
         and means["EEMD+DTW+BPNN"] <= means["EMD+BPNN"]
         and elapsed < 300.0
     )
     table = ", ".join(f"{label}={re:.4f}" for label, re in means.items())
-    report(9, ok, f"over {cfg['runs']} runs: {table} ({elapsed:.0f}s)")
+    report(9, ok, f"over {runs['runs']} runs: {table} ({elapsed:.0f}s)")
 
 
 def test_c10_table_fixture_arithmetic(data_dir):

@@ -188,31 +188,33 @@ def _model(**arrays):
 
 def _training_set(**arrays):
     return TrainingSet(**{"inputs": np.zeros((3, 2)), "targets": np.zeros(3),
-                          "provenance": [(1, 0.0)] * 3, **arrays})
+                          "offsets": [1, 2, 3], **arrays})
 
 
-# per value type and array field: (the shape of the caller's array, the
-# array the type keeps when built from it)
+# per value type and array field: (the shape and dtype of the caller's
+# array, the array the type keeps when built from it)
 OWNERS = {
-    "TimeSeries.values": ((4,), lambda a: TimeSeries(a).values),
-    "TrainingSet.inputs": ((3, 2), lambda a: _training_set(inputs=a).inputs),
-    "TrainingSet.targets": ((3,), lambda a: _training_set(targets=a).targets),
-    "TrainedModel.weights": ((5,), lambda a: _model(weights=a).weights),
+    "TimeSeries.values": ((4,), np.float64, lambda a: TimeSeries(a).values),
+    "TrainingSet.inputs": ((3, 2), np.float64, lambda a: _training_set(inputs=a).inputs),
+    "TrainingSet.targets": ((3,), np.float64, lambda a: _training_set(targets=a).targets),
+    "TrainingSet.offsets": ((3,), np.int64, lambda a: _training_set(offsets=a).offsets),
+    "TrainedModel.weights": ((5,), np.float64, lambda a: _model(weights=a).weights),
     "TrainedModel.training_loss_curve": (
-        (6,), lambda a: _model(training_loss_curve=a).training_loss_curve),
+        (6,), np.float64, lambda a: _model(training_loss_curve=a).training_loss_curve),
     "ForecastResult.per_component": (
-        (4,), lambda a: ForecastResult((("a", a),), {}).per_component[0][1]),
+        (4,), np.float64, lambda a: ForecastResult((("a", a),), {}).per_component[0][1]),
 }
 
 
-@pytest.mark.parametrize("shape, kept_from", OWNERS.values(), ids=OWNERS)
-def test_value_types_keep_a_read_only_copy(shape, kept_from):
+@pytest.mark.parametrize("shape, dtype, kept_from", OWNERS.values(), ids=OWNERS)
+def test_value_types_keep_a_read_only_copy(shape, dtype, kept_from):
     """The type keeps its own read-only C-contiguous copy; the caller's
-    C-contiguous float64 array stays writeable and unchanged."""
-    given = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    C-contiguous array of the field's dtype stays writeable and unchanged."""
+    given = np.arange(1, 1 + np.prod(shape), dtype=dtype).reshape(shape)
     kept = kept_from(given)
     assert given.flags.writeable
-    assert np.array_equal(given, np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
+    assert np.array_equal(given, np.arange(1, 1 + np.prod(shape), dtype=dtype).reshape(shape))
+    assert kept.dtype == dtype
     assert not np.shares_memory(kept, given)
     assert kept.tobytes() == given.tobytes() and kept.flags.c_contiguous
     with pytest.raises(ValueError, match="read-only"):

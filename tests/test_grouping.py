@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modecast.core import TimeSeries
+from modecast.core import DataError, TimeSeries
 from modecast.dtw import dtw_distance, dtw_distances
 from modecast.grouping import (
     GroupingConfig,
@@ -29,14 +29,14 @@ class TestSegmentize:
 
     def test_full_length_single_segment(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
-        offsets, distances = _rank(values, 3)
+        offsets, _ = _rank(values, 3)
         assert offsets.tolist() == [1]
-        ts = build_training_set(values, offsets, distances, 3)
+        ts = build_training_set(values, offsets, 3)
         assert ts.inputs.tolist() == [[1.0, 2.0, 3.0]]
         assert ts.targets.tolist() == [4.0]
 
     def test_enumeration(self):
-        ts = build_training_set([1.0, 2.0, 3.0, 4.0], [1, 2], [0.0, 0.0], 2)
+        ts = build_training_set([1.0, 2.0, 3.0, 4.0], [1, 2], 2)
         assert ts.inputs.tolist() == [[1, 2], [2, 3]]
         assert ts.targets.tolist() == [3, 4]
 
@@ -56,7 +56,7 @@ class TestSegmentize:
             GroupingConfig(segment_length=1)
         for offset in (0, 3):  # offset 3 has no successor value
             with pytest.raises(ValueError, match="offsets must lie in 1 .. 2"):
-                build_training_set([1.0, 2.0, 3.0, 4.0], [offset], [0.0], 2)
+                build_training_set([1.0, 2.0, 3.0, 4.0], [offset], 2)
 
 
 class TestRankBySimilarity:
@@ -176,12 +176,13 @@ class TestRankEdgeValues:
 class TestBuildTrainingSet:
     def test_successor_indexing(self):
         values = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
-        offsets, distances = _rank(values, 2)
-        ts = build_training_set(values, offsets, distances, 2)
-        by_offset = dict(zip((o for o, _ in ts.provenance), ts.targets))
+        offsets, _ = _rank(values, 2)
+        ts = build_training_set(values, offsets, 2)
+        # the pairs keep the ranking's order, so pair k has distances[k]
+        assert ts.offsets.dtype == np.int64 and ts.offsets.tobytes() == offsets.tobytes()
+        by_offset = dict(zip(ts.offsets.tolist(), ts.targets))
         assert by_offset[2] == 40.0
-        row = [o for o, _ in ts.provenance].index(2)
-        assert ts.provenance[row] == (2, float(distances[offsets == 2][0]))
+        row = ts.offsets.tolist().index(2)
         assert ts.inputs[row].tolist() == [20.0, 30.0]
 
     def test_k_clamps_to_available(self):
@@ -189,7 +190,7 @@ class TestBuildTrainingSet:
         offsets, distances = _rank(values, 2)
         k = select_group(distances, GroupingConfig(segment_length=2, group_size=100))
         assert k == offsets.size == 3
-        assert build_training_set(values, offsets[:k], distances[:k], 2).size == 3
+        assert build_training_set(values, offsets[:k], 2).size == 3
 
     def test_target_contract_property(self):
         rng = np.random.default_rng(4)
@@ -197,25 +198,25 @@ class TestBuildTrainingSet:
             t = int(rng.integers(10, 30))
             length = int(rng.integers(2, 5))
             values = rng.normal(size=t)
-            offsets, distances = _rank(values, length)
+            offsets, _ = _rank(values, length)
             k = int(rng.integers(1, offsets.size + 1))
-            ts = build_training_set(values, offsets[:k], distances[:k], length)
-            for row, (offset, _) in enumerate(ts.provenance):
+            ts = build_training_set(values, offsets[:k], length)
+            for row, offset in enumerate(ts.offsets.tolist()):
                 assert ts.targets[row] == values[offset + length - 1]
                 assert ts.inputs[row].tolist() == values[offset - 1 : offset - 1 + length].tolist()
 
     def test_reference_never_in_training_set(self):
         values = np.random.default_rng(5).normal(size=25)
-        offsets, distances = _rank(values, 4)
-        ts = build_training_set(values, offsets, distances, 4)
-        assert 25 - 4 + 1 not in [o for o, _ in ts.provenance]
+        offsets, _ = _rank(values, 4)
+        ts = build_training_set(values, offsets, 4)
+        assert 25 - 4 + 1 not in ts.offsets.tolist()
 
     def test_prefix_stability(self):
         values = np.random.default_rng(6).normal(size=30)
-        offsets, distances = _rank(values, 3)
-        big = build_training_set(values, offsets[:10], distances[:10], 3)
-        small = build_training_set(values, offsets[:4], distances[:4], 3)
-        assert small.provenance == big.provenance[:4]
+        offsets, _ = _rank(values, 3)
+        big = build_training_set(values, offsets[:10], 3)
+        small = build_training_set(values, offsets[:4], 3)
+        assert small.offsets.tobytes() == big.offsets[:4].tobytes()
 
 
 class TestSelectGroup:
@@ -238,7 +239,7 @@ class TestSlidingWindow:
         ts = sliding_window_set(TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0]), 2)
         assert ts.inputs.tolist() == [[1, 2], [2, 3], [3, 4]]
         assert ts.targets.tolist() == [3.0, 4.0, 5.0]
-        assert [o for o, _ in ts.provenance] == [1, 2, 3]
+        assert ts.offsets.dtype == np.int64 and ts.offsets.tolist() == [1, 2, 3]
 
     def test_requires_room_for_target(self):
         with pytest.raises(ValueError):
@@ -248,10 +249,34 @@ class TestSlidingWindow:
 class TestTrainingSetInvariants:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            TrainingSet(inputs=np.zeros((0, 3)), targets=np.zeros(0), provenance=())
+            TrainingSet(inputs=np.zeros((0, 3)), targets=np.zeros(0), offsets=[])
 
     def test_rejects_mismatched_counts(self):
         with pytest.raises(ValueError):
-            TrainingSet(inputs=np.zeros((2, 3)), targets=np.zeros(3), provenance=())
-        with pytest.raises(ValueError):  # one distance for two offsets
-            build_training_set([1.0, 2.0, 3.0, 4.0], [1, 2], [0.0], 2)
+            TrainingSet(inputs=np.zeros((2, 3)), targets=np.zeros(3), offsets=[1, 2, 3])
+
+    @pytest.mark.parametrize("offsets", [[1], [], [1, 2, 3, 4, 5], [[1, 2, 3, 4]]],
+                             ids=["short", "empty", "long", "2-D"])
+    def test_one_offset_per_pair(self, offsets):
+        """An offset list that is not 1-D with one entry per pair is a
+        ValueError naming it, not a set that ENN trains on in part."""
+        with pytest.raises(ValueError, match=r"offsets must be 1-D with one entry per pair \(4\)"):
+            TrainingSet(inputs=np.zeros((4, 2)), targets=np.zeros(4), offsets=offsets)
+
+    @pytest.mark.parametrize("offsets", [[1.7], [1.0], [True]], ids=["1.7", "1.0", "True"])
+    def test_offsets_must_be_integers(self, offsets):
+        """Float and bool offsets are refused by name, not truncated."""
+        match = "offsets must be integers, got dtype (float64|bool)"
+        with pytest.raises(ValueError, match=match):
+            build_training_set([1.0, 2.0, 3.0, 4.0, 5.0], offsets, 2)
+        with pytest.raises(ValueError, match=match):
+            TrainingSet(inputs=np.zeros((1, 2)), targets=np.zeros(1), offsets=offsets)
+        assert build_training_set([1.0, 2.0, 3.0, 4.0, 5.0], [np.uint8(1)], 2).offsets.tolist() == [1]
+
+    @pytest.mark.parametrize("field, bad", [("inputs", np.nan), ("inputs", -np.inf),
+                                            ("targets", np.nan), ("targets", np.inf)])
+    def test_rejects_non_finite_pairs(self, field, bad):
+        arrays = {"inputs": np.ones((3, 2)), "targets": np.ones(3)}
+        arrays[field].flat[1] = bad
+        with pytest.raises(DataError, match="training pairs contain NaN or infinite values"):
+            TrainingSet(offsets=[1, 2, 3], **arrays)

@@ -14,7 +14,7 @@ from conftest import REPO, recurrence_sigmoid
 
 from modecast import predictors
 from modecast.grouping import TrainingSet, sliding_window_set
-from modecast.core import TimeSeries
+from modecast.core import DataError, TimeSeries
 from modecast.predictors import (
     ForecastSession,
     PredictorConfig,
@@ -39,12 +39,23 @@ def make_set(inputs, targets):
     return TrainingSet(
         inputs=inputs,
         targets=np.asarray(targets, dtype=np.float64),
-        provenance=tuple((i + 1, 0.0) for i in range(inputs.shape[0])),
+        offsets=np.arange(1, inputs.shape[0] + 1),
     )
 
 
 def random_set(rng, n_pairs=4, length=3):
     return make_set(rng.normal(size=(n_pairs, length)), rng.normal(size=n_pairs))
+
+
+@pytest.mark.parametrize("kind", ["GRNN", "BPNN"])
+def test_non_finite_pairs_never_reach_training(kind):
+    """One nan input is a DataError before ``train`` runs: no GRNN that
+    predicts nan even at a finite pair's input, no BPNN that reports
+    divergence at epoch 0."""
+    inputs = np.arange(8.0).reshape(4, 2)
+    inputs[1, 0] = np.nan
+    with pytest.raises(DataError, match="training pairs contain NaN or infinite values"):
+        train(make_set(inputs, np.arange(4.0)), PredictorConfig(kind=kind, epochs=5))
 
 
 class TestGrnn:
@@ -183,7 +194,7 @@ class TestDescentLayout:
         l += (h + l) % 2  # H + L even
         rng = np.random.default_rng(seed)
         sets = [TrainingSet(inputs=rng.uniform(0.0, 1.0, (n, l)), targets=rng.uniform(size=n),
-                            provenance=tuple((o + 1, 0.0) for o in range(n)))
+                            offsets=np.arange(1, n + 1))
                 for _ in range(3)]
         cfgs = [PredictorConfig(kind="ENN", hidden_units=h, epochs=6, seed=s) for s in range(3)]
         stacks, objective = [], predictors._objective
@@ -312,7 +323,7 @@ for kind in ("BPNN", "WNN", "ENN"):
     for n, length in ((3, 5), (11, 1), (5, 7), (7, 3)):
         rng = np.random.default_rng(10 * n + length)
         sets = [TrainingSet(inputs=rng.normal(size=(n, length)), targets=rng.normal(size=n),
-                            provenance=tuple((o + 1, 0.0) for o in range(n)))
+                            offsets=np.arange(1, n + 1))
                 for _ in range(4)]
         cfgs = [PredictorConfig(kind=kind, hidden_units=1, epochs=5, seed=s) for s in range(4)]
         for training_set, cfg, model in zip(sets, cfgs, train_many(sets, cfgs)):

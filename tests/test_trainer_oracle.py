@@ -43,7 +43,7 @@ def problems(draw, learning_rates):
         inputs=rng.normal(size=(n, length)),
         targets=rng.normal(size=n),
         # shuffled offsets, so ENN's presentation order differs from row order
-        provenance=tuple((int(o) + 1, 0.0) for o in rng.permutation(n)),
+        offsets=rng.permutation(n) + 1,
     )
     cfg = PredictorConfig(
         kind=kind,
@@ -67,7 +67,7 @@ def six_pair_problem(kind, seed):
     ``[contexts | x | 1 | 0] @ [Wh | Wx | b | 0].T``)."""
     rng = np.random.default_rng(seed)
     training_set = TrainingSet(inputs=rng.normal(size=(6, 3)), targets=rng.normal(size=6),
-                               provenance=tuple((o + 1, 0.0) for o in range(6)))
+                               offsets=np.arange(1, 7))
     cfg = PredictorConfig(kind=kind, hidden_units=1, learning_rate=0.05, epochs=1, seed=seed)
     return training_set, cfg, rng.normal(size=(3, 3))
 
@@ -194,7 +194,7 @@ class TestEnnContextOracle:
         rng = np.random.default_rng(seed)
         sets = [TrainingSet(inputs=rng.uniform(0.0, 1.0, (n, 8)) * scale,
                             targets=rng.uniform(0.0, 1.0, n),
-                            provenance=tuple((int(o) + 1, 0.0) for o in rng.permutation(n)))
+                            offsets=rng.permutation(n) + 1)
                 for _ in range(3)]
         cfgs = [PredictorConfig(kind="ENN", hidden_units=8, epochs=12, seed=int(s))
                 for s in rng.integers(0, 2**16, 3)]
@@ -270,13 +270,13 @@ def model_batches(draw):
             earlier, cfg = draw(st.sampled_from(batch))
             training_set = TrainingSet(inputs=earlier.inputs.copy(),
                                        targets=earlier.targets.copy(),
-                                       provenance=earlier.provenance)
+                                       offsets=earlier.offsets)
         else:
             kind, n, length, hidden, epochs, rate = draw(st.sampled_from(keys))
             training_set = TrainingSet(
                 inputs=rng.normal(size=(n, length)) * draw(st.sampled_from([1.0, 30.0])),
                 targets=rng.normal(size=n),
-                provenance=tuple((int(o) + 1, 0.0) for o in rng.permutation(n)),
+                offsets=rng.permutation(n) + 1,
             )
             cfg = PredictorConfig(kind=kind, hidden_units=hidden, learning_rate=rate,
                                   epochs=epochs, seed=draw(st.integers(0, 2**16)))
@@ -327,7 +327,7 @@ class TestTrainManyOracle:
         rng = np.random.default_rng(seed)
         sets = [TrainingSet(inputs=rng.uniform(0.0, 1.0, (128, 8)) * scale,
                             targets=rng.uniform(0.0, 1.0, 128),
-                            provenance=tuple((o + 1, 0.0) for o in range(128)))
+                            offsets=np.arange(1, 129))
                 for _ in range(k)]
         cfgs = [PredictorConfig(kind="BPNN", hidden_units=8, epochs=12, seed=int(s))
                 for s in rng.integers(0, 2**16, k)]
@@ -336,7 +336,7 @@ class TestTrainManyOracle:
 
     def test_equal_requests_descend_once(self, monkeypatch):
         """Two equal requests of one group, and an ENN pair whose inputs
-        and targets are equal but whose provenance orders them differently:
+        and targets are equal but whose offsets order them differently:
         the equal BPNN requests reach ``_descend`` as one stacked model and
         come back as two models of their own; the ENN pair descends as
         two."""
@@ -350,9 +350,9 @@ class TestTrainManyOracle:
         rng = np.random.default_rng(7)
         inputs, targets = rng.normal(size=(6, 3)), rng.normal(size=6)
         forward = TrainingSet(inputs=inputs, targets=targets,
-                              provenance=tuple((o + 1, 0.0) for o in range(6)))
+                              offsets=np.arange(1, 7))
         backward = TrainingSet(inputs=inputs, targets=targets,
-                               provenance=tuple((6 - o, 0.0) for o in range(6)))
+                               offsets=np.arange(6, 0, -1))
         bpnn = PredictorConfig(kind="BPNN", hidden_units=4, epochs=30, seed=3)
         enn = PredictorConfig(kind="ENN", hidden_units=4, epochs=30, seed=3)
         batch = [(forward, bpnn), (backward, bpnn), (forward, enn), (backward, enn)]
@@ -371,9 +371,9 @@ class TestTrainManyOracle:
         way) and runs on to the last epoch on non-finite weights; the first
         trains on to the same bits as alone."""
         calm = TrainingSet(inputs=[[0.1, 0.2], [0.3, 0.1]], targets=[0.2, 0.4],
-                           provenance=((1, 0.0), (2, 0.0)))
+                           offsets=[1, 2])
         wild = TrainingSet(inputs=[[0.5, -0.5], [2.0, 0.5]], targets=[1e150, 1e150],
-                           provenance=((1, 0.0), (2, 0.0)))
+                           offsets=[1, 2])
         for kind in ("BPNN", "WNN", "ENN"):
             cfg = PredictorConfig(kind=kind, hidden_units=2, learning_rate=1e2, epochs=20)
             kept, diverged = train_many([calm, wild], [cfg, cfg])
@@ -398,7 +398,7 @@ class TestLossCurveBlocks:
     def test_lone_and_grouped_match(self, kind, epochs):
         rng = np.random.default_rng(epochs)
         sets = [TrainingSet(inputs=rng.normal(size=(5, 3)), targets=rng.normal(size=5),
-                            provenance=tuple((int(o) + 1, 0.0) for o in rng.permutation(5)))
+                            offsets=rng.permutation(5) + 1)
                 for _ in range(3)]
         cfgs = [PredictorConfig(kind=kind, hidden_units=3, learning_rate=0.1, epochs=epochs,
                                 seed=seed) for seed in (1, 2, 3)]
@@ -409,9 +409,9 @@ class TestLossCurveBlocks:
     @pytest.mark.parametrize("kind, rate", [("BPNN", 3.0), ("WNN", 10.0), ("ENN", 3.0)])
     def test_divergence_after_the_first_block(self, kind, rate):
         calm = TrainingSet(inputs=[[0.1, 0.2], [0.3, 0.1]], targets=[0.2, 0.4],
-                           provenance=((1, 0.0), (2, 0.0)))
+                           offsets=[1, 2])
         wild = TrainingSet(inputs=[[0.5, -0.5], [2.0, 0.5]], targets=[1e50, 1e50],
-                           provenance=((1, 0.0), (2, 0.0)))
+                           offsets=[1, 2])
         cfg = PredictorConfig(kind=kind, hidden_units=2, learning_rate=rate,
                               epochs=2 * _BLOCK + 1)
         with pytest.raises(ValueError) as err:

@@ -1,6 +1,6 @@
 """Run the bit-identity checks once per OpenBLAS kernel and numpy dispatch.
 
-    python tools/kernel_matrix.py [CORE ...]
+    python tools/kernel_matrix.py [CORE ...] [--write]
 
 For each core type named (default: SkylakeX Haswell Zen Sandybridge
 Prescott), two child processes, one at a time, run the decomposition,
@@ -27,15 +27,25 @@ identity holds per numpy, scipy, C library, BLAS kernel and numpy dispatch
 (``np.exp``'s AVX-512 and AVX2 loops round differently), so the digests may
 differ between rows; the numpy and scipy versions and the C library are
 printed once above the table, so that tables from two hosts can be
-compared. The exit status is 1 when any row shows a failing test, an
-INTERNALERROR or a benchmark that did not exit 0, so the script can serve
-as a gate. Not part of the test suite: a run takes some minutes.
+compared.
+
+Each row's three digests are checked against ``tests/digests.json``, the
+table pinned per numpy version, scipy version, C library, BLAS kernel and
+numpy dispatch (the key a row prints in its ``pinned`` column); a row
+whose key the table lacks is reported, not failed. ``--write`` then stores
+the digests of the rows run in the table, so a deliberate bit move shows
+as a diff of that file. The exit status is 1 when any row shows a failing test, an
+INTERNALERROR, a benchmark that did not exit 0 or digests that differ from
+the table, so the script can serve as a gate. Not part of the test suite:
+a run takes some minutes; ``tests/test_digests.py`` checks the host's own
+row.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import platform
 import subprocess
@@ -51,6 +61,7 @@ CORES = ("SkylakeX", "Haswell", "Zen", "Sandybridge", "Prescott")
 TESTS = ("tests/test_decomposition_oracle.py", "tests/test_trainer_oracle.py",
          "tests/test_pipeline_oracle.py", "tests/test_acceptance.py")
 GOLDEN = "configs/benchmark_synthetic.json"
+DIGESTS = ROOT / "tests" / "digests.json"
 
 # prints the SHA-256 of one model (weights, then loss curve) of the kind,
 # window length L and hidden units H given as arguments, trained for 100
@@ -68,6 +79,8 @@ print(hashlib.sha256(model.weights.tobytes() + model.training_loss_curve.tobytes
 """
 # (kind, L, H) of the models whose digests each row prints
 MODELS = (("ENN", 8, 8), ("BPNN", 5, 3))
+# the digests of a row of the table, by name
+COLUMNS = ("benchmark_runs.json", *(f"{kind} (L {l}, H {h})" for kind, l, h in MODELS))
 
 # NPY_DISABLE_CPU_FEATURES per row of a core type: as detected, then AVX2
 DISPATCHES = (None, "AVX512_SPR AVX512_ICL X86_V4")
@@ -98,16 +111,43 @@ def _child(args: list, env: dict) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def row(core: str, disabled) -> tuple:
-    """(markdown row, whether its tests and benchmark passed) of one core
-    type, with numpy's CPU features ``disabled`` (None: as detected)."""
-    env = dict(os.environ, OPENBLAS_CORETYPE=core,
-               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                        os.environ.get("PYTHONPATH")])))
+def child_env(**variables) -> dict:
+    """This process's environment with ``src`` on the path and
+    ``variables`` set, for a child that imports the package."""
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def kernel_and_dispatch(env: dict) -> tuple:
+    """(BLAS kernel, numpy dispatch) that a child with ``env`` runs."""
+    return tuple((_child(["-c", KERNEL + DISPATCH], env).stdout.split() + ["?", "?"])[:2])
+
+
+def table_key(kernel: str, dispatch: str) -> str:
+    """The key of ``tests/digests.json`` for this interpreter's numpy,
+    scipy and C library and the given kernel and dispatch."""
+    return (f"numpy {numpy.__version__}, scipy {scipy.__version__}, "
+            f"{' '.join(platform.libc_ver()) or '?'}, {kernel}, {dispatch}")
+
+
+def model_digests(env: dict) -> list:
+    """The SHA-256 of each model of :data:`MODELS`, trained in a child with
+    ``env`` (or why the child failed)."""
+    models = [_child(["-c", MODEL, *map(str, model)], env) for model in MODELS]
+    return [done.stdout.strip() if done.returncode == 0 else f"{kind} exited {done.returncode}"
+            for done, (kind, _, _) in zip(models, MODELS)]
+
+
+def row(core: str, disabled, table: dict) -> tuple:
+    """(markdown row, whether its tests passed and its digests were
+    computed and match ``table``, its table key, its digests or None if a
+    child failed) of one core type, with numpy's CPU features ``disabled``
+    (None: as detected)."""
+    env = child_env(OPENBLAS_CORETYPE=core)
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     if disabled:
         env["NPY_DISABLE_CPU_FEATURES"] = disabled
-    kernel, dispatch = (_child(["-c", KERNEL + DISPATCH], env).stdout.split() + ["?", "?"])[:2]
+    kernel, dispatch = kernel_and_dispatch(env)
     tests = _child(["-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf",
                     "--hypothesis-seed=0", *TESTS], env)
     lines = tests.stdout.splitlines()
@@ -120,32 +160,47 @@ def row(core: str, disabled) -> tuple:
         runs = Path(out) / "benchmark_runs.json"
         digest = (hashlib.sha256(runs.read_bytes()).hexdigest() if bench.returncode == 0
                   else f"benchmark exited {bench.returncode}")
-    models = [_child(["-c", MODEL, *map(str, model)], env) for model in MODELS]
-    digests = [done.stdout.strip() if done.returncode == 0 else f"{kind} exited {done.returncode}"
-               for done, (kind, _, _) in zip(models, MODELS)]
+    digests = dict(zip(COLUMNS, [digest, *model_digests(env)]))
+    key = table_key(kernel, dispatch)
+    pinned = table.get(key)
+    differ = [] if pinned is None else [name for name in COLUMNS
+                                        if digests[name] != pinned.get(name)]
+    check = ("no row" if pinned is None
+             else f"{', '.join(differ)} differ" if differ else "match")
+    # a child that failed left "... exited N" where its 64-digit digest goes
+    computed = all(len(d) == 64 for d in digests.values())
     # pytest exits non-zero on a failing test and on an INTERNALERROR
-    passed = (tests.returncode == 0 and bench.returncode == 0
-              and all(done.returncode == 0 for done in models))
-    return (f"| {core} | {kernel} | {dispatch} | {summary} | {', '.join(failed) or '-'} | {digest} "
-            f"| {' | '.join(digests)} |"), passed
+    passed = tests.returncode == 0 and computed and not differ
+    return (f"| {core} | {kernel} | {dispatch} | {summary} | {', '.join(failed) or '-'} "
+            f"| {' | '.join(digests.values())} | {check}: {key} |"), passed, key, \
+        digests if computed else None
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("cores", nargs="*", default=CORES,
                         help="OPENBLAS_CORETYPE values, one child run each")
+    parser.add_argument("--write", action="store_true",
+                        help=f"store the digests of the rows run in {DIGESTS.relative_to(ROOT)}")
     args = parser.parse_args(argv)
+    table = json.loads(DIGESTS.read_text(encoding="utf-8"))
     print(f"numpy {numpy.__version__}, scipy {scipy.__version__}, "
           f"C library {' '.join(platform.libc_ver()) or '?'}\n")
-    print("| core type | kernel | numpy dispatch | tests | failed | benchmark_runs.json SHA-256 | "
-          + " | ".join(f"{kind} (L {l}, H {h}) SHA-256" for kind, l, h in MODELS) + " |")
-    print("|---|---|---|---|---|---|" + "---|" * len(MODELS))
-    status = 0
+    print("| core type | kernel | numpy dispatch | tests | failed | "
+          + " | ".join(f"{name} SHA-256" for name in COLUMNS) + " | pinned |")
+    print("|---|---|---|---|---|" + "---|" * (len(COLUMNS) + 1))
+    status, written = 0, {}
     for core in args.cores:
         for disabled in DISPATCHES:
-            line, passed = row(core, disabled)
+            line, passed, key, digests = row(core, disabled, table)
             print(line, flush=True)
             status |= not passed
+            if digests:
+                written[key] = digests
+    if args.write:
+        table.update(written)
+        DIGESTS.write_text(json.dumps(dict(sorted(table.items())), indent=2) + "\n",
+                           encoding="utf-8")
     return status
 
 

@@ -160,9 +160,16 @@ def benchmark(series: TimeSeries, holdout: int, specs: Sequence[FrameworkSpec],
         Repetitions per framework.
     seeds : sequence of int
         One root seed per run; ``len(seeds) == runs``.
+    labels : sequence of str, optional
+        One report label per spec; by default :func:`framework_label`.
     """
     if len(seeds) != runs:
         raise ValueError(f"need {runs} seeds, got {len(seeds)}")
+    check_integers(1, runs=runs, holdout=holdout)
+    if labels is None:
+        labels = [framework_label(spec) for spec in specs]
+    elif len(labels) != len(specs):
+        raise ValueError(f"need one label per spec ({len(specs)}), got {len(labels)} labels")
     horizon = len(series) - holdout
     if horizon < 1:  # the data file, not the config, is too short
         raise DataError(f"holdout {holdout} leaves nothing to forecast in a series "
@@ -176,9 +183,6 @@ def benchmark(series: TimeSeries, holdout: int, specs: Sequence[FrameworkSpec],
 
     train_series = TimeSeries(series.values[:holdout])
     actuals = TimeSeries(series.values[holdout:])
-
-    if labels is None:
-        labels = [framework_label(spec) for spec in specs]
 
     order = sorted(range(len(specs)), key=lambda i: VARIANTS.index(specs[i].variant))
     outcomes = iter(run_frameworks(

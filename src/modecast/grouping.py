@@ -165,6 +165,7 @@ def build_training_set(values, offsets, length: int) -> TrainingSet:
     Pair k takes the length-``length`` window at 1-based offset offsets[k]
     as input and the value at position offsets[k] + length as target.
     """
+    check_integers(1, length=length)
     values = np.asarray(values, dtype=np.float64)
     offsets = _offsets(offsets)
     starts = offsets - 1
@@ -176,6 +177,7 @@ def build_training_set(values, offsets, length: int) -> TrainingSet:
 
 def sliding_window_set(series: TimeSeries, window: int) -> TrainingSet:
     """All (window -> next value) pairs of a series, in time order."""
+    check_integers(1, window=window)
     t = len(series)
     if t <= window:
         raise ValueError(f"series length {t} must exceed window {window}")

@@ -137,6 +137,26 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="training points"):
             benchmark(bench_series(), 8, quick_specs(), 1, [1])
 
+    @pytest.mark.parametrize("labels", [["BPNN"], ["a", "b", "c"]], ids=["short", "long"])
+    def test_one_label_per_spec(self, labels):
+        """A label list of the wrong length is refused by name before any
+        cell runs, not an IndexError after all of them, nor labels dropped."""
+        with pytest.raises(ValueError, match=r"need one label per spec \(2\), got \d labels"):
+            benchmark(bench_series(), 58, quick_specs(), 1, [1], labels=labels)
+
+    @pytest.mark.parametrize("holdout, match", [(58.0, "holdout must be an integer, got 58.0"),
+                                                (True, "holdout must be an integer, got True"),
+                                                (0, "holdout must be >= 1, got 0")])
+    def test_holdout_must_be_a_positive_integer(self, holdout, match):
+        with pytest.raises(ValueError, match=match):
+            benchmark(bench_series(), holdout, quick_specs(), 1, [1])
+
+    @pytest.mark.parametrize("runs, seeds, match", [(0, [], "runs must be >= 1, got 0"),
+                                                    (2.0, [1, 2], "runs must be an integer")])
+    def test_runs_must_be_a_positive_integer(self, runs, seeds, match):
+        with pytest.raises(ValueError, match=match):
+            benchmark(bench_series(), 58, quick_specs(), runs, seeds)
+
     def test_labels(self):
         specs = quick_specs()
         assert framework_label(specs[0]) == "BPNN"

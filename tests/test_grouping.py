@@ -211,6 +211,14 @@ class TestBuildTrainingSet:
         ts = build_training_set(values, offsets, 4)
         assert 25 - 4 + 1 not in ts.offsets.tolist()
 
+    @pytest.mark.parametrize("length, match", [(0, "length must be >= 1, got 0"),
+                                               (-2, "length must be >= 1, got -2"),
+                                               (2.0, "length must be an integer, got 2.0")])
+    def test_length_must_be_a_positive_integer(self, length, match):
+        with pytest.raises(ValueError, match=match):
+            build_training_set([1.0, 2.0, 3.0, 4.0, 5.0], [1], length)
+        assert build_training_set([1.0, 2.0, 3.0], [1], np.int64(2)).targets.tolist() == [3.0]
+
     def test_prefix_stability(self):
         values = np.random.default_rng(6).normal(size=30)
         offsets, _ = _rank(values, 3)
@@ -244,6 +252,14 @@ class TestSlidingWindow:
     def test_requires_room_for_target(self):
         with pytest.raises(ValueError):
             sliding_window_set(TimeSeries([1.0, 2.0]), 2)
+
+    @pytest.mark.parametrize("window, match", [(0, "window must be >= 1, got 0"),
+                                               (-1, "window must be >= 1, got -1"),
+                                               (2.0, "window must be an integer, got 2.0")])
+    def test_window_must_be_a_positive_integer(self, window, match):
+        """No set of empty windows whose targets are their own first values."""
+        with pytest.raises(ValueError, match=match):
+            sliding_window_set(TimeSeries([1.0, 2.0, 3.0, 4.0]), window)
 
 
 class TestTrainingSetInvariants:

@@ -3,22 +3,33 @@
     python tools/kernel_matrix.py [CORE ...] [--write]
 
 For each core type named (default: SkylakeX Haswell Zen Sandybridge
-Prescott), two child processes, one at a time, run the decomposition,
-trainer and pipeline oracles and the acceptance tests, then the golden
-benchmark, then one ENN and one BPNN training, with
-``OPENBLAS_CORETYPE=CORE`` set in the child's environment only: the first
-with numpy's CPU dispatch as detected, the second with
+Prescott), two pytest children, one at a time, run the decomposition,
+trainer and pipeline oracles, the acceptance tests and the digest test
+with ``OPENBLAS_CORETYPE=CORE`` set in the child's environment only: the
+first with numpy's CPU dispatch as detected, the second with
 ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` (numpy's AVX2
 loops on an AVX-512 host; a variable of the child process, not a machine
-setting). A markdown table reports per row the kernel numpy's
-OpenBLAS chose, the most capable numpy dispatch target the child runs, the
-pytest summary, the failing tests, the SHA-256 of ``benchmark_runs.json``
-(BPNN, EMD, EEMD and DTW at work), the SHA-256 of the ENN's weights and
-loss curve (the Elman recurrence at work) and that of a BPNN at L = 5,
-H = 3 (the BPNN layer off the golden L = H = 8), so that a bit move of any
-of them shows per kernel and dispatch.
-The tests draw from hypothesis seed 0, so every row and every checkout
-draws the same examples (failures saved in ``.hypothesis/`` replay too).
+setting). A markdown table reports per row the kernel numpy's OpenBLAS
+chose, the most capable numpy dispatch target the child runs, the pytest
+summary, the failing and skipped tests with their messages, and the row's
+key in ``tests/digests.json`` (numpy, scipy, C library, BLAS kernel, numpy
+dispatch). The tests draw from hypothesis seed 0, so every row and every
+checkout draws the same examples (failures saved in ``.hypothesis/``
+replay too).
+
+The pinned digests (:func:`digests`) are the SHA-256 of the golden
+``benchmark_runs.json`` (BPNN, EMD, EEMD and DTW at work), ``predict``'s
+``forecast.json`` on the VTF config, ``decompose --method eemd``'s
+``components.csv``, and the weights and loss curve of an ENN (the Elman
+recurrence at work) and of a BPNN at L = 5, H = 3 (off the golden L = H =
+8). ``tests/test_digests.py``, reusing the golden run of ``test_c09``,
+compares them with the table pinned per key; a key the table lacks skips
+it, naming the key. ``--write`` computes each row's digests once more,
+golden run included, and stores those of the rows whose children all
+succeeded, so a deliberate bit move shows as a diff of that file. The exit
+status is 1 when any row's pytest child fails (a failing test, a moved
+digest, an INTERNALERROR), so the script can serve as a gate. Not part of
+the test suite: a run takes some minutes.
 
 The variable takes effect only in a DYNAMIC_ARCH build of OpenBLAS (numpy's
 wheels are one); an unknown name falls back to the detected kernel, and
@@ -28,17 +39,6 @@ identity holds per numpy, scipy, C library, BLAS kernel and numpy dispatch
 differ between rows; the numpy and scipy versions and the C library are
 printed once above the table, so that tables from two hosts can be
 compared.
-
-Each row's three digests are checked against ``tests/digests.json``, the
-table pinned per numpy version, scipy version, C library, BLAS kernel and
-numpy dispatch (the key a row prints in its ``pinned`` column); a row
-whose key the table lacks is reported, not failed. ``--write`` then stores
-the digests of the rows run in the table, so a deliberate bit move shows
-as a diff of that file. The exit status is 1 when any row shows a failing test, an
-INTERNALERROR, a benchmark that did not exit 0 or digests that differ from
-the table, so the script can serve as a gate. Not part of the test suite:
-a run takes some minutes; ``tests/test_digests.py`` checks the host's own
-row.
 """
 
 from __future__ import annotations
@@ -59,9 +59,16 @@ import scipy
 ROOT = Path(__file__).resolve().parents[1]
 CORES = ("SkylakeX", "Haswell", "Zen", "Sandybridge", "Prescott")
 TESTS = ("tests/test_decomposition_oracle.py", "tests/test_trainer_oracle.py",
-         "tests/test_pipeline_oracle.py", "tests/test_acceptance.py")
-GOLDEN = "configs/benchmark_synthetic.json"
+         "tests/test_pipeline_oracle.py", "tests/test_acceptance.py", "tests/test_digests.py")
 DIGESTS = ROOT / "tests" / "digests.json"
+
+# the CLI runs whose output file, named by the column, is pinned
+OUTPUTS = {
+    "benchmark_runs.json": ["benchmark", "configs/benchmark_synthetic.json"],
+    "forecast.json": ["predict", "configs/predict_vtf.json"],
+    "components.csv": ["decompose", "data/synthetic_benchmark.csv", "--column", "2",
+                       "--has-header", "--method", "eemd"],
+}
 
 # prints the SHA-256 of one model (weights, then loss curve) of the kind,
 # window length L and hidden units H given as arguments, trained for 100
@@ -77,10 +84,8 @@ model = train(sliding_window_set(series, length),
               PredictorConfig(kind=kind, hidden_units=hidden, epochs=100, seed=0))
 print(hashlib.sha256(model.weights.tobytes() + model.training_loss_curve.tobytes()).hexdigest())
 """
-# (kind, L, H) of the models whose digests each row prints
+# (kind, L, H) of the models whose digests are pinned
 MODELS = (("ENN", 8, 8), ("BPNN", 5, 3))
-# the digests of a row of the table, by name
-COLUMNS = ("benchmark_runs.json", *(f"{kind} (L {l}, H {h})" for kind, l, h in MODELS))
 
 # NPY_DISABLE_CPU_FEATURES per row of a core type: as detected, then AVX2
 DISPATCHES = (None, "AVX512_SPR AVX512_ICL X86_V4")
@@ -130,50 +135,48 @@ def table_key(kernel: str, dispatch: str) -> str:
             f"{' '.join(platform.libc_ver()) or '?'}, {kernel}, {dispatch}")
 
 
-def model_digests(env: dict) -> list:
-    """The SHA-256 of each model of :data:`MODELS`, trained in a child with
-    ``env`` (or why the child failed)."""
-    models = [_child(["-c", MODEL, *map(str, model)], env) for model in MODELS]
-    return [done.stdout.strip() if done.returncode == 0 else f"{kind} exited {done.returncode}"
-            for done, (kind, _, _) in zip(models, MODELS)]
+def digests(env: dict, golden=None) -> dict:
+    """The SHA-256 of each output of :data:`OUTPUTS` and each model of
+    :data:`MODELS` by column, each made by a child with ``env`` (or why the
+    child failed). ``golden``, a ``benchmark_runs.json`` that the golden
+    benchmark already wrote with ``env``'s settings, stands in for its run."""
+    found = {}
+    for name, args in OUTPUTS.items():
+        if golden and name == "benchmark_runs.json":
+            found[name] = hashlib.sha256(Path(golden).read_bytes()).hexdigest()
+            continue
+        with tempfile.TemporaryDirectory() as out:
+            done = _child(["-m", "modecast.cli", "--out", out, *args], env)
+            found[name] = (hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
+                           if done.returncode == 0 else f"{args[0]} exited {done.returncode}")
+    for kind, length, hidden in MODELS:
+        done = _child(["-c", MODEL, kind, str(length), str(hidden)], env)
+        found[f"{kind} (L {length}, H {hidden})"] = (
+            done.stdout.strip() if done.returncode == 0 else f"{kind} exited {done.returncode}")
+    return found
 
 
-def row(core: str, disabled, table: dict) -> tuple:
-    """(markdown row, whether its tests passed and its digests were
-    computed and match ``table``, its table key, its digests or None if a
-    child failed) of one core type, with numpy's CPU features ``disabled``
-    (None: as detected)."""
+def row(core: str, disabled) -> tuple:
+    """(markdown row, whether its tests passed, its table key, its
+    children's environment) of one core type, with numpy's CPU features
+    ``disabled`` (None: as detected)."""
     env = child_env(OPENBLAS_CORETYPE=core)
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     if disabled:
         env["NPY_DISABLE_CPU_FEATURES"] = disabled
     kernel, dispatch = kernel_and_dispatch(env)
-    tests = _child(["-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf",
+    # -vv keeps each failure's message whole in the short summary
+    tests = _child(["-m", "pytest", "-vv", "-p", "no:cacheprovider", "-rfs",
                     "--hypothesis-seed=0", *TESTS], env)
     lines = tests.stdout.splitlines()
     summary = lines[-1].strip("= ") if lines else f"exit {tests.returncode}"
     if any(line.startswith("INTERNALERROR") for line in lines):
         summary += " (INTERNALERROR)"
-    failed = [line.split()[1] for line in lines if line.startswith("FAILED ")]
-    with tempfile.TemporaryDirectory() as out:
-        bench = _child(["-m", "modecast.cli", "--out", out, "benchmark", GOLDEN], env)
-        runs = Path(out) / "benchmark_runs.json"
-        digest = (hashlib.sha256(runs.read_bytes()).hexdigest() if bench.returncode == 0
-                  else f"benchmark exited {bench.returncode}")
-    digests = dict(zip(COLUMNS, [digest, *model_digests(env)]))
+    reported = [line for line in lines if line.startswith(("FAILED ", "SKIPPED "))]
     key = table_key(kernel, dispatch)
-    pinned = table.get(key)
-    differ = [] if pinned is None else [name for name in COLUMNS
-                                        if digests[name] != pinned.get(name)]
-    check = ("no row" if pinned is None
-             else f"{', '.join(differ)} differ" if differ else "match")
-    # a child that failed left "... exited N" where its 64-digit digest goes
-    computed = all(len(d) == 64 for d in digests.values())
     # pytest exits non-zero on a failing test and on an INTERNALERROR
-    passed = tests.returncode == 0 and computed and not differ
-    return (f"| {core} | {kernel} | {dispatch} | {summary} | {', '.join(failed) or '-'} "
-            f"| {' | '.join(digests.values())} | {check}: {key} |"), passed, key, \
-        digests if computed else None
+    return (f"| {core} | {kernel} | {dispatch} | {summary} | {'; '.join(reported) or '-'} "
+            f"| {key} |"), tests.returncode == 0, key, env
 
 
 def main(argv=None) -> int:
@@ -183,21 +186,22 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true",
                         help=f"store the digests of the rows run in {DIGESTS.relative_to(ROOT)}")
     args = parser.parse_args(argv)
-    table = json.loads(DIGESTS.read_text(encoding="utf-8"))
     print(f"numpy {numpy.__version__}, scipy {scipy.__version__}, "
           f"C library {' '.join(platform.libc_ver()) or '?'}\n")
-    print("| core type | kernel | numpy dispatch | tests | failed | "
-          + " | ".join(f"{name} SHA-256" for name in COLUMNS) + " | pinned |")
-    print("|---|---|---|---|---|" + "---|" * (len(COLUMNS) + 1))
+    print("| core type | kernel | numpy dispatch | tests | failed and skipped | key |")
+    print("|---|---|---|---|---|---|")
     status, written = 0, {}
     for core in args.cores:
         for disabled in DISPATCHES:
-            line, passed, key, digests = row(core, disabled, table)
+            line, passed, key, env = row(core, disabled)
             print(line, flush=True)
             status |= not passed
-            if digests:
-                written[key] = digests
+            found = digests(env) if args.write else {}
+            # a child that failed left "... exited N" where its 64-digit digest goes
+            if found and all(len(d) == 64 for d in found.values()):
+                written[key] = found
     if args.write:
+        table = json.loads(DIGESTS.read_text(encoding="utf-8"))
         table.update(written)
         DIGESTS.write_text(json.dumps(dict(sorted(table.items())), indent=2) + "\n",
                            encoding="utf-8")

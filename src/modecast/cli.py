@@ -68,10 +68,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Count(argparse.Action):
-    """An integer flag that counts something: below 1 it is rejected by name."""
+    """An integer flag that counts something, or a column number (a header
+    name passes): below 1 it is rejected by name."""
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
+        if not isinstance(value, str) and value < 1:
             raise ConfigError(f"{self.option_strings[0]}: expected integer >= 1, got {value}")
         setattr(namespace, self.dest, value)
 
@@ -212,6 +213,8 @@ def _parse_dataset(doc) -> dict:
     _check(doc, _DATASET, "dataset")
     if "path" not in doc:
         raise ConfigError("dataset.path is required")
+    if isinstance(doc.get("column"), int) and doc["column"] < 1:
+        raise ConfigError(f"dataset.column: expected integer >= 1, got {doc['column']}")
     return {"column": 1, "has_header": False, **doc}
 
 
@@ -426,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose a series into IMFs + residual")
     p.add_argument("input", help="input CSV file")
-    p.add_argument("--column", type=_column_arg, default=1,
+    p.add_argument("--column", type=_column_arg, default=1, action=_Count,
                    help="value column (1-based number or header name)")
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--method", choices=("emd", "eemd"), default="emd")
@@ -444,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dtw", help="DTW distance between two series")
     p.add_argument("series_a")
     p.add_argument("series_b")
-    p.add_argument("--column", type=_column_arg, default=1)
+    p.add_argument("--column", type=_column_arg, default=1, action=_Count)
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--weight", type=float, default=1.0)
     p.add_argument("--path", action="store_true", help="also print the warping path")

@@ -48,10 +48,10 @@ buffers built once per group. The layer is one product each way: the
 pairs enter as the rows ``z`` of ``_rows`` (BPNN ``[x | 1]``, ENN
 ``[c | x | 1 | 0]``), so ``z @ A.T`` is the pre-activation and ``ds.T @
 z`` the gradient of ``A``; BLAS sums the terms in its own order, so these
-are not always the bits of separate products and adds. The ENN context
-recurrence runs model by model on the same ``A`` and ``z``
-(``_enn_context``), one GEMV and one ``expit`` per step into ``z``'s
-context columns. An epoch writes its residuals into one row of a block of
+are not always the bits of separate products and adds. A group's ENN
+contexts are one fill (``_enn_context``) on the same ``A`` and ``z``, one
+GEMV and one ``expit`` per step, run before each evaluation. An epoch
+writes its residuals into one row of a block of
 ``_BLOCK`` epochs, and the loss curves are reduced once per block, not
 once per epoch. The sigmoid is ``1 / (1 + exp(-z))``: four numpy calls
 under ``errstate(over="ignore")`` in the layer and BPNN's predict, and
@@ -101,11 +101,16 @@ class PredictorConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         check_integers(1, hidden_units=self.hidden_units, epochs=self.epochs)
         check_integers(0, seed=self.seed)
-        for name in ("learning_rate", "grnn_sigma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < 2.0 * self.grnn_sigma * self.grnn_sigma < math.inf:  # the kernel divisor
+        _check_positive(learning_rate=self.learning_rate, grnn_sigma=self.grnn_sigma)
+
+
+def _check_positive(**values: float) -> None:
+    """Raise a ValueError naming the first of ``values`` that is not positive
+    and finite, or is a ``grnn_sigma`` whose kernel divisor ``2 sigma^2`` is not."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite")
+        if name == "grnn_sigma" and not 0.0 < 2.0 * value * value < math.inf:
             raise ValueError("grnn_sigma squared must be a positive finite float")
 
 
@@ -121,6 +126,8 @@ class TrainedModel:
     training_loss_curve: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
+        check_integers(1, input_length=self.input_length, hidden_units=self.hidden_units)
+        _check_positive(grnn_sigma=self.grnn_sigma)
         for name in ("weights", "training_loss_curve"):
             object.__setattr__(self, name, frozen_copy(getattr(self, name)))
         expected = weight_count(self.kind, self.input_length, self.hidden_units,
@@ -129,6 +136,8 @@ class TrainedModel:
             raise ValueError(
                 f"{self.kind} weight vector has {self.weights.size} entries, expected {expected}"
             )
+        if self.kind == "GRNN" and expected == 0:
+            raise ValueError("a GRNN must hold at least one pair")
 
     def _grnn_pairs(self) -> int:
         if self.kind != "GRNN":
@@ -283,16 +292,13 @@ def _bpnn_forward(p: dict, x: np.ndarray) -> np.ndarray:
     return a @ p["v"] + p["c"][0]
 
 
-def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, z: np.ndarray,
-                       fill: Callable = lambda: None) -> Callable:
+def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, z: np.ndarray) -> Callable:
     """The sigmoid layer ``sigmoid(z @ A.T)`` under the shared readout, on
-    the rows ``z`` of ``_rows``, with the gradient ``gA = ds.T @ z``.
-    ``fill()`` runs first in each call; ENN's recomputes the carried
-    contexts into ``z`` there, which the gradient treats as data (one-step
-    truncation). Every temporary is built here, once, as a (K, n, H) array
-    of C-contiguous items, so a call allocates nothing. Its callers,
-    ``_descend`` and ``gradient_check``, hold the sigmoid's
-    ``errstate(over="ignore")``."""
+    the rows ``z`` of ``_rows`` as they stand (ENN's contexts are data to
+    it: one-step truncation), with the gradient ``gA = ds.T @ z``. Every
+    temporary is built here, once, as a (K, n, H) array of C-contiguous
+    items, so a call allocates nothing. ``_descend`` and ``gradient_check``
+    hold the sigmoid's ``errstate(over="ignore")``."""
     v = p["v"][..., None, :]
     shape = y.shape + v.shape[-1:]
     s, hid, ds, complement = (_stacked(shape) for _ in range(4))
@@ -303,7 +309,6 @@ def _sigmoid_loss_grad(p: dict, g: dict, y: np.ndarray, z: np.ndarray,
         np.matmul, np.add, np.subtract, np.multiply, np.negative, np.exp, np.divide)
 
     def loss_grad(err: np.ndarray) -> None:
-        fill()
         matmul(z, w, s)
         negative(s, hid)
         exp(hid, hid)
@@ -355,56 +360,43 @@ def _rows(x: np.ndarray, width: int, skip: int) -> np.ndarray:
 
 
 def _enn_context(a: np.ndarray, z: np.ndarray) -> Callable:
-    """``fill()``: write one model's hidden-state trajectory at the current
-    contents of its block ``a = [Wh | Wx | b | 0]`` (H, W) into the context
-    columns of its rows ``z = [c | x | 1 | 0]`` (n, W), in place; row t's
-    context is the one fed to pair t, and row 0's stays zero.
-
-    A step makes two calls, as ``ForecastSession.step`` does: ``v = a
-    z[t]`` with the bound ``a.dot`` (``np.dot``'s GEMV without its
-    dispatcher) and ``expit(v)`` into the context of row t + 1. W is even,
-    so each row starts 16 bytes aligned (see ``_stacked``).
-    ``scipy.special`` loads here, at the first fill.
-    """
+    """``fill()``: write, model by model, the hidden-state trajectory at
+    the current contents of each block of ``a = [Wh | Wx | b | 0]`` (K, H,
+    W) into the context columns of its rows of ``z = [c | x | 1 | 0]`` (K,
+    n, W); row t's context is the one fed to pair t, and row 0's stays
+    zero. A step makes two calls, as ``ForecastSession.step`` does: ``v =
+    a[k] z[k, t]`` with the bound ``a[k].dot`` (``np.dot``'s GEMV without
+    its dispatcher) and ``expit(v)`` into the context of row t + 1. W is
+    even, so each row starts 16 bytes aligned (see ``_stacked``).
+    ``scipy.special`` loads here."""
     from scipy.special import expit
 
-    v = np.empty(a.shape[0])
-    steps = list(zip(z[:-1], z[1:, : a.shape[0]]))
-    dot = a.dot
+    v = np.empty(a.shape[-2])
+    models = [(block.dot, list(zip(rows[:-1], rows[1:, : v.size]))) for block, rows in zip(a, z)]
 
     def fill() -> None:
-        for row, following in steps:
-            dot(row, v)
-            expit(v, following)
+        for dot, steps in models:
+            for row, following in steps:
+                dot(row, v)
+                expit(v, following)
 
     return fill
 
 
 def _objective(kind: str, flat: np.ndarray, grad: np.ndarray, x: np.ndarray,
-               y: np.ndarray, l: int, h: int, frozen: bool = False) -> Callable:
-    """``loss_grad(err)`` at the current contents of ``flat``, the (K, P)
-    parameters of K stacked models in the descent layout; each call writes
-    the gradient, in the same layout, into ``grad`` and the residual into
-    ``err``. BPNN and ENN read the pairs ``x`` as the rows of ``_rows``,
-    built here once; only ENN's context columns are written again. ENN
-    recomputes every model's context trajectory on every call, unless
-    ``frozen`` fixes it at the current ``flat``."""
+               y: np.ndarray, l: int, h: int) -> tuple:
+    """``(loss_grad, fill)`` over ``flat``, the (K, P) parameters of K
+    stacked models in the descent layout. ``loss_grad(err)`` writes the
+    gradient at the current ``flat``, in the same layout, into ``grad`` and
+    the residual into ``err``, reading BPNN's and ENN's pairs ``x`` as the
+    rows ``z`` of ``_rows``, built here once. ``fill()`` rewrites ENN's
+    contexts in ``z`` at the current ``flat``; for BPNN and WNN it is a no-op."""
     p, g = _views(kind, flat, l, h, fold=True), _views(kind, grad, l, h, fold=True)
     if kind == "WNN":
-        return _wnn_loss_grad(p, g, x, y)
+        return _wnn_loss_grad(p, g, x, y), lambda: None
     z = _rows(x, p["A"].shape[-1], h if kind == "ENN" else 0)
-    if kind == "BPNN":
-        return _sigmoid_loss_grad(p, g, y, z)
-    fills = [_enn_context(a, rows) for a, rows in zip(p["A"], z)]
-
-    def fill() -> None:
-        for model_fill in fills:
-            model_fill()
-
-    if frozen:
-        fill()
-        return _sigmoid_loss_grad(p, g, y, z)
-    return _sigmoid_loss_grad(p, g, y, z, fill)
+    fill = _enn_context(p["A"], z) if kind == "ENN" else lambda: None
+    return _sigmoid_loss_grad(p, g, y, z), fill
 
 
 def _pairs(kind: str, training_set: TrainingSet):
@@ -442,17 +434,19 @@ def _descend(kind: str, flat: np.ndarray, x: np.ndarray, y: np.ndarray, l: int,
     residuals = np.empty((min(_BLOCK, stop),) + y.shape)
     rows = list(residuals)
     rate = np.array(learning_rate)
-    loss_grad = _objective(kind, params, grad, x, y, l, h)
+    loss_grad, fill = _objective(kind, params, grad, x, y, l, h)
     multiply, subtract = np.multiply, np.subtract
     # divergence overflows on the way, and a diverged model's inf and nan
     # weights make invalid operations; its loss curve reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        fill()
         loss_grad(rows[0])
         for start in range(0, stop, _BLOCK):
             m = min(_BLOCK, stop - start)
             for err in rows[start == 0 : m]:  # epoch 0 took row 0 before any step
                 multiply(grad, rate, step)
                 subtract(params, step, params)
+                fill()
                 loss_grad(err)
             curves[:, start : start + m] = _mse(residuals[:m]).T
     outcomes = []
@@ -627,8 +621,8 @@ def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
     """Maximum relative error between analytic and central finite-difference
     gradients at the seeded initialization.
 
-    For ENN the context trajectory is frozen at the evaluation point, which
-    is exactly the objective the one-step-truncated gradient differentiates.
+    ENN's contexts are filled once, at the evaluation point: exactly the
+    objective the one-step-truncated gradient differentiates.
     """
     if cfg.kind not in GRADIENT_TRAINED:
         raise ValueError(f"{cfg.kind} is not gradient-trained")
@@ -639,8 +633,8 @@ def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
     grad, residual, params = np.zeros_like(flat), np.empty((1, y.size)), flat[0]
     numeric = np.empty(positions.size)
     with np.errstate(over="ignore"):  # the sigmoid's, as in ``_descend``
-        loss_grad = _objective(cfg.kind, flat, grad, x[None], y[None], l, cfg.hidden_units,
-                               frozen=True)
+        loss_grad, fill = _objective(cfg.kind, flat, grad, x[None], y[None], l, cfg.hidden_units)
+        fill()
         loss_grad(residual)
         analytic = grad[0, positions]
         for j, i in enumerate(positions):
@@ -674,10 +668,13 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 def model_from_dict(doc: dict) -> TrainedModel:
     # other keys, such as the "scale" that older files hold, are ignored
+    for key in ("kind", "input_length", "hidden_units", "weights"):
+        if key not in doc:
+            raise ValueError(f"model has no {key!r}")
     return TrainedModel(
         kind=doc["kind"],
-        input_length=int(doc["input_length"]),
-        hidden_units=int(doc["hidden_units"]),
+        input_length=doc["input_length"],
+        hidden_units=doc["hidden_units"],
         grnn_sigma=float(doc.get("grnn_sigma", 0.1)),
         weights=np.array(doc["weights"], dtype=np.float64),
         training_loss_curve=np.array(doc.get("training_loss_curve", []), dtype=np.float64),

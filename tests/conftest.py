@@ -17,11 +17,6 @@ def data_dir():
     return DATA
 
 
-@pytest.fixture
-def configs_dir():
-    return CONFIGS
-
-
 @pytest.fixture(scope="session")
 def golden_benchmark(tmp_path_factory):
     """``modecast benchmark`` on the golden config, run once per session
@@ -60,7 +55,7 @@ def recurrence_sigmoid(z):
         a = np.zeros((h, h + 2 + h % 2))
         a[:, h + 1] = bias
         rows = _rows(np.ones((2, 1)), a.shape[1], h)
-        _enn_context(a, rows)()
+        _enn_context(a[None], rows[None])()
         out[start : start + h] = rows[1, :h]
     return out
 
@@ -72,5 +67,5 @@ def enn_contexts(weights, x, h):
     l = x.shape[1]
     a = _views("ENN", _descent_layout("ENN", weights, l, h)[0], l, h, fold=True)["A"]
     rows = _rows(x, a.shape[1], h)
-    _enn_context(a, rows)()
+    _enn_context(a[None], rows[None])()
     return rows[:, :h].copy()

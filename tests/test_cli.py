@@ -429,6 +429,27 @@ class TestExitCodes:
         assert err.startswith("config error: ") and field in err
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("column", [0, -1])
+    @pytest.mark.parametrize("command", ["decompose", "dtw", "predict"])
+    def test_column_below_one_is_config_error(self, command, column, tmp_path, capsys):
+        """A column number below 1 is a bad flag or config value, named as
+        such, not a data error."""
+        data = tmp_path / "series.csv"
+        write_series(data, np.sin(np.arange(64.0)))
+        if command == "predict":
+            cfg = _tiny_configs(tmp_path)["predict"]
+            cfg["dataset"]["column"] = column
+            config = tmp_path / "predict.json"
+            config.write_text(json.dumps(cfg))
+            argv, name = ["predict", str(config)], "dataset.column"
+        else:
+            argv = [command, str(data)] + [str(data)] * (command == "dtw")
+            argv, name = argv + [f"--column={column}"], "--column"
+        assert main(["--out", str(tmp_path / "out"), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err and f"got {column}" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["predict", "benchmark"])
     def test_config_directory_is_config_error(self, command, tmp_path, capsys):
         assert main(["--out", str(tmp_path / "out"), command, str(tmp_path)]) == 1

@@ -26,6 +26,7 @@ from modecast.predictors import (
     _views,
     gradient_check,
     load_model,
+    model_from_dict,
     model_to_dict,
     predict,
     save_model,
@@ -312,7 +313,7 @@ for l, h in ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (3, 5), (4, 5), (8, 8), (7,
         x = rng.uniform(0.0, 1.0, (64, l))
         a = _views("ENN", _descent_layout("ENN", weights, l, h)[0], l, h, fold=True)["A"]
         rows = _rows(x, a.shape[1], h)
-        _enn_context(a, rows)()
+        _enn_context(a[None], rows[None])()
         filled = rows[:, :h]
         session = ForecastSession(TrainedModel(kind="ENN", input_length=l, hidden_units=h,
                                                weights=weights))
@@ -538,3 +539,34 @@ class TestSaveLoad:
         assert back.weights.tobytes() == model.weights.tobytes()
         q = rng.normal(size=3)
         assert predict(back, q) == predict(model, q)
+
+
+class TestModelChecks:
+    """A loaded or hand-built model is checked as a ``PredictorConfig`` is."""
+
+    @staticmethod
+    def doc(kind="BPNN", length=2):
+        ts = random_set(np.random.default_rng(17), length=length)
+        return model_to_dict(train(ts, PredictorConfig(kind=kind, epochs=3)))
+
+    @pytest.mark.parametrize("name, length, value", [
+        ("input_length", 2, 2.7), ("input_length", 1, True), ("hidden_units", 2, 8.0)])
+    def test_loaded_counts_must_be_integers(self, name, length, value):
+        doc = dict(self.doc(length=length), **{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), 1e-200])
+    def test_grnn_sigma_is_checked(self, sigma):
+        with pytest.raises(ValueError, match="^grnn_sigma"):
+            model_from_dict(dict(self.doc("GRNN"), grnn_sigma=sigma))
+
+    def test_grnn_holds_a_pair(self):
+        with pytest.raises(ValueError, match="^a GRNN must hold at least one pair$"):
+            TrainedModel(kind="GRNN", input_length=2, hidden_units=1, weights=np.zeros(0))
+
+    @pytest.mark.parametrize("key", ["kind", "input_length", "hidden_units", "weights"])
+    def test_missing_key_is_named(self, key):
+        doc = {k: v for k, v in self.doc().items() if k != key}
+        with pytest.raises(ValueError, match=f"^model has no '{key}'$"):
+            model_from_dict(doc)

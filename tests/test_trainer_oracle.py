@@ -108,11 +108,11 @@ class TestTrainerOracle:
         assert gradient_check(cfg, training_set) == legacy.gradient_check(cfg, training_set)
 
     @settings(deadline=None, max_examples=60)
-    @given(problems(st.just(0.05)), st.booleans())
-    @example(six_pair_problem("BPNN", 165), False)
-    @example(six_pair_problem("ENN", 89), False)
-    @example(six_pair_problem("ENN", 246), False)
-    def test_one_evaluation_matches(self, problem, frozen):
+    @given(problems(st.just(0.05)))
+    @example(six_pair_problem("BPNN", 165))
+    @example(six_pair_problem("ENN", 89))
+    @example(six_pair_problem("ENN", 246))
+    def test_one_evaluation_matches(self, problem):
         """Loss, gradient and ENN context trajectory at the seeded start, of
         the stacked objective over one model."""
         training_set, cfg, _ = problem
@@ -125,7 +125,9 @@ class TestTrainerOracle:
         params, positions = _descent_layout(kind, flat[None], l, h)
         grad = np.full(params.shape, np.nan)
         err = np.full((1, y.size), np.nan)
-        _objective(kind, params, grad, x[None], y[None], l, h, frozen=frozen)(err)
+        loss_grad, fill = _objective(kind, params, grad, x[None], y[None], l, h)
+        fill()
+        loss_grad(err)
         loss, grad = _mse(err)[0], grad[0, positions]
         kwargs = {}
         if kind == "ENN":
@@ -166,27 +168,30 @@ class TestSigmoidOracle:
 
 
 class TestEnnContextOracle:
-    """``_enn_context`` at the production shape (L = H = 8, up to 120
-    pairs) against the frozen per-pair recurrence; weights scaled by 1e3
-    drive the sigmoid deep into both tails."""
+    """``_enn_context`` over a group of K models against the frozen
+    per-pair recurrence of each model alone; weights scaled by 1e3 drive
+    the sigmoid deep into both tails."""
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(1, 120), st.sampled_from([1.0, 1e3]), st.integers(0, 2**32 - 1))
-    def test_fill_matches_and_follows_the_weights(self, n, scale, seed):
+    @given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9), st.integers(1, 120),
+           st.sampled_from([1.0, 1e3]), st.integers(0, 2**32 - 1))
+    @example(74, 8, 8, 128, 1.0, 0)  # the slow group of the full golden call
+    def test_fill_matches_and_follows_the_weights(self, k, l, h, n, scale, seed):
         rng = np.random.default_rng(seed)
-        flat = rng.uniform(-0.5, 0.5, 8 * 8 + 8 * 8 + 2 * 8 + 1) * scale
-        x = rng.uniform(0.0, 1.0, (n, 8))
-        params, positions = _descent_layout("ENN", flat, 8, 8)
-        a = _views("ENN", params, 8, 8, fold=True)["A"]
-        rows = _rows(x, a.shape[1], 8)
-        rows[1:, :8] = np.nan  # row 0's context is the zero of ``_rows``
+        flat = rng.uniform(-0.5, 0.5, (k, predictors.weight_count("ENN", l, h))) * scale
+        x = rng.uniform(0.0, 1.0, (k, n, l))
+        params, positions = _descent_layout("ENN", flat, l, h)
+        a = _views("ENN", params, l, h, fold=True)["A"]
+        rows = _rows(x, a.shape[-1], h)
+        rows[:, 1:, :h] = np.nan  # row 0's context is the zero of ``_rows``
         fill = _enn_context(a, rows)
         for _ in range(2):  # the second call sees weights changed in place
             fill()
-            expected = legacy._enn_context(legacy._unpack("ENN", flat, 8, 8), x)
-            assert np.array_equal(rows[:, :8], expected)
-            flat -= rng.uniform(0.0, 0.1, flat.size) * scale
-            params[positions] = flat
+            for model, pairs, filled in zip(flat, x, rows):
+                expected = legacy._enn_context(legacy._unpack("ENN", model, l, h), pairs)
+                assert np.array_equal(filled[:, :h], expected)
+            flat -= rng.uniform(0.0, 0.1, flat.shape) * scale
+            params[:, positions] = flat
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(2, 120), st.sampled_from([1.0, 1e3]), st.integers(0, 2**32 - 1))

@@ -326,15 +326,14 @@ def cmd_predict(args) -> int:
     seed = args.seed if args.seed is not None else cfg["seed"]
     series = load_csv(**cfg["dataset"])
 
-    group_trace = {} if args.dump_groups else None
-    result = run_framework(series, cfg["framework"], seed=seed, group_trace=group_trace)
+    result = run_framework(series, cfg["framework"], seed=seed)
 
     out = _out(args, cfg["output_dir"])
     _write_json(out / "forecast.json", result.to_dict())
     _write_csv(out / "forecast.csv",
                ([step + 1, format_number(v)] for step, v in enumerate(result.combined)))
-    if group_trace is not None:
-        _write_json(out / "groups.json", group_trace)
+    if args.dump_groups:
+        _write_json(out / "groups.json", result.group_records())
 
     print(f"{cfg['framework'].variant}: {len(result.combined)} steps -> {out / 'forecast.csv'}")
     return EXIT_OK

@@ -11,6 +11,7 @@ import csv
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -31,6 +32,15 @@ def check_integers(minimum: int, **values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_positive(**values) -> None:
+    """Raise a ValueError naming the first of ``values`` that is not a real
+    number in (0, largest float]; a bool is not one, as in the CLI's JSON types."""
+    for name, value in values.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0 < value <= sys.float_info.max):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def frozen_copy(values, dtype=np.float64) -> np.ndarray:

@@ -40,7 +40,8 @@ from functools import reduce
 
 import numpy as np
 
-from .core import DataError, Decomposition, TimeSeries, check_integers, pow2_exponent, spawn_rng
+from .core import (DataError, Decomposition, TimeSeries, check_integers, check_positive,
+                   pow2_exponent, spawn_rng)
 
 BOUNDARY_MODES = ("mirror", "clamp")
 
@@ -66,8 +67,7 @@ class SiftConfig:
 
     def __post_init__(self):
         check_integers(1, max_sift_iterations=self.max_sift_iterations, max_imfs=self.max_imfs)
-        if not (math.isfinite(self.sd_threshold) and self.sd_threshold > 0):
-            raise ValueError(f"sd_threshold must be positive and finite, got {self.sd_threshold}")
+        check_positive(sd_threshold=self.sd_threshold)
         if self.boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
 

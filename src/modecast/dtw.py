@@ -10,20 +10,15 @@ costs from one table over it; arbitrary rows compute theirs per diagonal.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-
-def _check_weight(weight: float) -> None:
-    if not (math.isfinite(weight) and weight > 0):
-        raise ValueError(f"weight must be positive and finite, got {weight}")
+from .core import check_positive
 
 
 def point_distance(a: float, b: float, weight: float = 1.0) -> float:
     """Weighted one-dimensional Euclidean distance ``weight * |a - b|``."""
-    _check_weight(weight)
+    check_positive(weight=weight)
     return weight * abs(a - b)
 
 
@@ -39,7 +34,7 @@ def _checked(y, z, ndim: int, weight: float = 1.0) -> tuple:
         raise ValueError("sequences must be non-empty")
     if not (np.isfinite(y).all() and np.isfinite(z).all()):
         raise ValueError("sequences must be finite")
-    _check_weight(weight)
+    check_positive(weight=weight)
     return y, z
 
 

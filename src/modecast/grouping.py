@@ -9,13 +9,12 @@ prefix of that ranking supplies (window -> next value) training pairs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import DataError, TimeSeries, check_integers, frozen_copy, pow2_exponent
+from .core import DataError, TimeSeries, check_integers, check_positive, frozen_copy, pow2_exponent
 # dtw_distance is unused here, but perfbench's tracer self-test expects a
 # wrapper at this binding
 from .dtw import _checked, _distances, dtw_distance, dtw_distances  # noqa: F401
@@ -43,12 +42,10 @@ class GroupingConfig:
     def __post_init__(self):
         check_integers(2, segment_length=self.segment_length)
         check_integers(1, group_size=self.group_size)
-        if not (math.isfinite(self.dtw_weight) and self.dtw_weight > 0):
-            raise ValueError("dtw_weight must be positive and finite")
+        check_positive(dtw_weight=self.dtw_weight)
         if self.selection not in SELECTION_MODES:
             raise ValueError(f"selection must be one of {SELECTION_MODES}")
-        if not (math.isfinite(self.threshold_alpha) and self.threshold_alpha > 0):
-            raise ValueError("threshold_alpha must be positive and finite")
+        check_positive(threshold_alpha=self.threshold_alpha)
 
 
 @dataclass(frozen=True)

@@ -84,11 +84,13 @@ class ForecastResult:
     forecast: the ordered sum ``0.0 + c1 + c2 + ...`` of the per-component
     forecasts. Both are read-only; the per-component arrays are copies, so
     the caller's arrays stay theirs. A sum beyond the float range is a
-    :class:`PipelineError`.
+    :class:`PipelineError`. ``groups`` holds each fast component's raw
+    grouping steps, read through :meth:`group_records`.
     """
 
     per_component: tuple  # of (name, ndarray), at least one
     metadata: dict
+    groups: tuple = field(default=(), repr=False, compare=False)  # of (name, steps)
     combined: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -109,6 +111,21 @@ class ForecastResult:
             "per_component": {name: v.tolist() for name, v in self.per_component},
             "metadata": dict(self.metadata),
         }
+
+    def group_records(self) -> dict:
+        """Per fast component, one record per forecast step: its reference
+        window and 1-based offset, every candidate's offset and DTW
+        distance in rank order, the selected offsets and the prediction."""
+        return {name: [{
+            "step": step + 1,
+            "reference_offset": extended.size - length + 1,
+            "reference": extended[-length:].tolist(),
+            "candidates": [{"offset": offset, "distance": dist}
+                           for offset, dist in zip(offsets.tolist(), distances.tolist())],
+            "selected_offsets": offsets[:k].tolist(),
+            "prediction": float(value),
+        } for step, (extended, length, offsets, distances, k, value) in enumerate(steps)]
+            for name, steps in self.groups}
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +198,14 @@ def _low_steps(component: TimeSeries, cfg: PredictorConfig, window: int,
 
 
 def _high_steps(component: TimeSeries, grouping: GroupingConfig, cfg: PredictorConfig,
-                horizon: int, trace: Optional[list]) -> Generator:
+                horizon: int) -> Generator:
     """Similarity-grouped recursive forecast of a fast component: each step
     ranks every window of the component extended by the predictions so far
     by DTW distance to the trailing reference window, trains a fresh model
     (seed ``derive_seed(cfg.seed, step)``) on the selected group and
     predicts one value. A non-finite prediction is a :class:`DataError`.
-    ``trace``, when a list, receives one record per step."""
+    Returns the predictions and, per step, ``(extended, length, offsets,
+    distances, k, value)``."""
     length = grouping.segment_length
     if len(component) < 2 * length:
         raise ValueError(
@@ -198,6 +216,7 @@ def _high_steps(component: TimeSeries, grouping: GroupingConfig, cfg: PredictorC
     t = len(component)
     buf = np.empty(t + horizon)
     buf[:t] = normalized.values
+    steps = []
     for step in range(horizon):
         extended = buf[: t + step]
         offsets, distances = rank_by_similarity(extended, grouping)
@@ -208,20 +227,9 @@ def _high_steps(component: TimeSeries, grouping: GroupingConfig, cfg: PredictorC
         value = predict(model, reference)
         if not np.isfinite(value):  # the error the series type gives
             raise DataError("series contains NaN or infinite values")
-        if trace is not None:
-            trace.append({
-                "step": step + 1,
-                "reference_offset": t + step - length + 1,
-                "reference": reference.tolist(),
-                "candidates": [
-                    {"offset": offset, "distance": dist}
-                    for offset, dist in zip(offsets.tolist(), distances.tolist())
-                ],
-                "selected_offsets": offsets[:k].tolist(),
-                "prediction": float(value),
-            })
+        steps.append((extended, length, offsets, distances, k, value))
         buf[t + step] = value
-    return scale.inverse(buf[t:])
+    return scale.inverse(buf[t:]), tuple(steps)
 
 
 def _lockstep(tasks: list) -> list:
@@ -294,23 +302,22 @@ def _components(series: TimeSeries, spec: FrameworkSpec, seed: Optional[int]) ->
     return pred_cfg, names, comps, p, metadata
 
 
-def _result(plan: tuple, outcomes: list, traces: list,
-            group_trace: Optional[dict]) -> ForecastResult:
+def _result(plan: tuple, outcomes: list) -> ForecastResult:
     """One cell's :class:`ForecastResult` from its component outcomes, or
     the error of its first failed component."""
-    _, names, _, _, metadata = plan
-    parts = []
-    for idx, (name, outcome, trace) in enumerate(zip(names, outcomes, traces)):
+    _, names, _, p, metadata = plan
+    parts, groups = [], []
+    for idx, (name, outcome) in enumerate(zip(names, outcomes)):
         if isinstance(outcome, Exception):
             raise PipelineError(f"component {idx + 1} ({name}): {outcome}") from outcome
-        if trace is not None:
-            group_trace[name] = trace
+        if idx < p:
+            outcome, steps = outcome
+            groups.append((name, steps))
         parts.append((name, outcome))
-    return ForecastResult(per_component=tuple(parts), metadata=metadata)
+    return ForecastResult(per_component=tuple(parts), metadata=metadata, groups=tuple(groups))
 
 
-def run_frameworks(series: TimeSeries, cells: Sequence[tuple],
-                   group_traces: Optional[Sequence[Optional[dict]]] = None) -> list:
+def run_frameworks(series: TimeSeries, cells: Sequence[tuple]) -> list:
     """Run many framework cells on one series, training in lockstep.
 
     A cell is a ``(FrameworkSpec, seed)`` pair, run as
@@ -332,8 +339,6 @@ def run_frameworks(series: TimeSeries, cells: Sequence[tuple],
         Training data; forecasts start immediately after its last point.
     cells : sequence of (FrameworkSpec, int or None)
         The frameworks and their root seeds.
-    group_traces : sequence of (dict or None), optional
-        One per cell, as ``group_trace`` of :func:`run_framework`.
 
     Returns
     -------
@@ -341,10 +346,8 @@ def run_frameworks(series: TimeSeries, cells: Sequence[tuple],
         Per cell its :class:`ForecastResult`, or the exception that
         :func:`run_framework` raises for it alone: a decomposition or split
         error as it is, else a :class:`PipelineError` for the component of
-        lowest index that fails, else the sum-overflow error. A group
-        trace holds the fast components before the first failed one.
+        lowest index that fails, else the sum-overflow error.
     """
-    group_traces = [None] * len(cells) if group_traces is None else group_traces
     outcomes, plans, tasks = [None] * len(cells), {}, []
     for c, (spec, seed) in enumerate(cells):
         try:
@@ -353,31 +356,26 @@ def run_frameworks(series: TimeSeries, cells: Sequence[tuple],
             outcomes[c] = exc
             continue
         pred_cfg, _, comps, p, _ = plan
-        traces = []
         for idx, comp in enumerate(comps):
             comp_cfg = replace(pred_cfg, seed=derive_seed(pred_cfg.seed, idx))
             if idx < p:
-                traces.append([] if group_traces[c] is not None else None)
-                task = _high_steps(comp, spec.grouping, comp_cfg, spec.horizon, traces[-1])
+                task = _high_steps(comp, spec.grouping, comp_cfg, spec.horizon)
             else:
-                traces.append(None)
                 task = _low_steps(comp, comp_cfg, spec.grouping.segment_length, spec.horizon)
             tasks.append((c, task))
-        plans[c] = plan, traces
+        plans[c] = plan
 
     components = iter(_lockstep(tasks))
-    for c, (plan, traces) in plans.items():
+    for c, plan in plans.items():
         try:
-            outcomes[c] = _result(plan, [next(components) for _ in traces], traces,
-                                  group_traces[c])
+            outcomes[c] = _result(plan, [next(components) for _ in plan[2]])
         except Exception as exc:
             outcomes[c] = exc
     return outcomes
 
 
 def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
-                  seed: Optional[int] = None,
-                  group_trace: Optional[dict] = None) -> ForecastResult:
+                  seed: Optional[int] = None) -> ForecastResult:
     """Run one framework variant end to end: the one-cell call of
     :func:`run_frameworks`.
 
@@ -395,15 +393,13 @@ def run_framework(series: TimeSeries, spec: FrameworkSpec, *,
     seed : int, optional
         Overrides the predictor and ensemble seeds (used by the benchmark
         runner to give every run its own root).
-    group_trace : dict, optional
-        When given, maps fast-component names to per-step grouping records.
 
     Returns
     -------
     ForecastResult
         ``combined`` is the exact ordered sum of ``per_component``.
     """
-    outcome = run_frameworks(series, [(spec, seed)], [group_trace])[0]
+    outcome = run_frameworks(series, [(spec, seed)])[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -68,7 +68,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import check_integers, frozen_copy, spawn_rng
+from .core import check_integers, check_positive, frozen_copy, spawn_rng
 from .grouping import TrainingSet
 
 KINDS = ("BPNN", "GRNN", "ENN", "WNN")
@@ -101,17 +101,16 @@ class PredictorConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         check_integers(1, hidden_units=self.hidden_units, epochs=self.epochs)
         check_integers(0, seed=self.seed)
-        _check_positive(learning_rate=self.learning_rate, grnn_sigma=self.grnn_sigma)
+        check_positive(learning_rate=self.learning_rate)
+        _check_sigma(self.grnn_sigma)
 
 
-def _check_positive(**values: float) -> None:
-    """Raise a ValueError naming the first of ``values`` that is not positive
-    and finite, or is a ``grnn_sigma`` whose kernel divisor ``2 sigma^2`` is not."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite")
-        if name == "grnn_sigma" and not 0.0 < 2.0 * value * value < math.inf:
-            raise ValueError("grnn_sigma squared must be a positive finite float")
+def _check_sigma(sigma) -> None:
+    """Raise a ValueError unless ``grnn_sigma`` and its kernel divisor
+    ``2 sigma^2`` are positive and finite."""
+    check_positive(grnn_sigma=sigma)
+    if not 0.0 < 2.0 * sigma * sigma < math.inf:
+        raise ValueError("grnn_sigma squared must be a positive finite float")
 
 
 @dataclass(frozen=True)
@@ -127,9 +126,11 @@ class TrainedModel:
 
     def __post_init__(self):
         check_integers(1, input_length=self.input_length, hidden_units=self.hidden_units)
-        _check_positive(grnn_sigma=self.grnn_sigma)
+        _check_sigma(self.grnn_sigma)
         for name in ("weights", "training_loss_curve"):
             object.__setattr__(self, name, frozen_copy(getattr(self, name)))
+            if getattr(self, name).ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {getattr(self, name).shape}")
         expected = weight_count(self.kind, self.input_length, self.hidden_units,
                                 n_pairs=self._grnn_pairs())
         if self.weights.size != expected:
@@ -675,7 +676,7 @@ def model_from_dict(doc: dict) -> TrainedModel:
         kind=doc["kind"],
         input_length=doc["input_length"],
         hidden_units=doc["hidden_units"],
-        grnn_sigma=float(doc.get("grnn_sigma", 0.1)),
+        grnn_sigma=doc.get("grnn_sigma", 0.1),
         weights=np.array(doc["weights"], dtype=np.float64),
         training_loss_curve=np.array(doc.get("training_loss_curve", []), dtype=np.float64),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from modecast.dtw import _check_weight
+from modecast.core import check_positive
 
 
 def dtw_distance(y, z, weight: float = 1.0) -> tuple:
@@ -18,7 +18,7 @@ def dtw_distance(y, z, weight: float = 1.0) -> tuple:
     z = np.asarray(z, dtype=np.float64)
     if y.size == 0 or z.size == 0:
         raise ValueError("sequences must be non-empty")
-    _check_weight(weight)
+    check_positive(weight=weight)
 
     with np.errstate(over="ignore"):
         local = weight * np.abs(y[:, None] - z[None, :])
@@ -41,7 +41,7 @@ def dtw_distances(windows, reference, weight: float = 1.0) -> np.ndarray:
         raise ValueError("windows must be 2-D and the reference 1-D")
     if windows.shape[1] == 0 or z.size == 0:
         raise ValueError("sequences must be non-empty")
-    _check_weight(weight)
+    check_positive(weight=weight)
 
     # g[j] holds gamma(i, j) of every row, a contiguous vector per cell
     best = np.empty(windows.shape[0])

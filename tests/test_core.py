@@ -14,6 +14,7 @@ from modecast.core import (
     spawn_rng,
 )
 from modecast.decomposition import EemdConfig, SiftConfig
+from modecast.dtw import point_distance
 from modecast.grouping import GroupingConfig, TrainingSet
 from modecast.pipeline import ForecastResult, FrameworkSpec
 from modecast.predictors import PredictorConfig, TrainedModel
@@ -265,6 +266,31 @@ def test_split_must_be_a_pair():
         FrameworkSpec(split=3)
     with pytest.raises(ValueError, match="^split Q must be >= 1, got 0$"):
         FrameworkSpec(split=(1, 0))
+
+
+REALS = {
+    "dtw_weight": lambda v: GroupingConfig(dtw_weight=v),
+    "threshold_alpha": lambda v: GroupingConfig(threshold_alpha=v),
+    "sd_threshold": lambda v: SiftConfig(sd_threshold=v),
+    "learning_rate": lambda v: PredictorConfig(learning_rate=v),
+    "grnn_sigma": lambda v: PredictorConfig(grnn_sigma=v),
+    "weight": lambda v: point_distance(1.0, 2.0, v),
+}
+
+
+@pytest.mark.parametrize("name", REALS)
+def test_positive_reals_have_one_rule(name):
+    """A positive real is any real number in (0, largest float], numpy's
+    and integers included; a bool, a string, 0, a negative, NaN, an
+    infinity and an integer beyond the float range are each a ValueError
+    naming the field and the value."""
+    for value in (np.float64(0.5), 2, 1e-3):
+        REALS[name](value)
+    for value in (True, False, "0.1", None, 0, -1.5, float("nan"), float("inf"),
+                  -float("inf"), 10**400):
+        message = f"{name} must be positive and finite, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            REALS[name](value)
 
 
 class TestSeeds:

@@ -121,8 +121,7 @@ class TestForecastHigh:
         t = np.arange(64)
         imf = TimeSeries(np.sin(2 * np.pi * t / 8))
         cfg = PredictorConfig(kind="GRNN", grnn_sigma=1e-3, seed=5)
-        preds = _run_one(_high_steps(imf, GroupingConfig(segment_length=8), cfg, horizon=1,
-                                     trace=None))
+        preds, _ = _run_one(_high_steps(imf, GroupingConfig(segment_length=8), cfg, horizon=1))
         _, scale = minmax_normalize(imf)
         truth = np.sin(2 * np.pi * 64 / 8)
         err = abs(scale.transform(preds)[0] - scale.transform([truth])[0])
@@ -132,9 +131,9 @@ class TestForecastHigh:
         t = np.arange(64)
         imf = TimeSeries(np.sin(2 * np.pi * t / 8))
         cfg = PredictorConfig(kind="GRNN", grnn_sigma=1e-3, seed=5)
-        trace = []
-        _run_one(_high_steps(imf, GroupingConfig(segment_length=8), cfg, horizon=2,
-                             trace=trace))
+        preds, steps = _run_one(_high_steps(imf, GroupingConfig(segment_length=8), cfg,
+                                            horizon=2))
+        trace = ForecastResult((("imf", preds),), {}, (("imf", steps),)).group_records()["imf"]
         assert trace[1]["step"] == 2
         # the step-2 reference window ends with the step-1 prediction
         assert trace[1]["reference"][-1] == trace[0]["prediction"]
@@ -145,8 +144,8 @@ class TestForecastHigh:
         values = np.sin(2 * np.pi * t / 8)
         imf = TimeSeries(values)
         cfg = PredictorConfig(kind="GRNN", grnn_sigma=1e-3, seed=5)
-        preds = _run_one(_high_steps(imf, GroupingConfig(segment_length=8, group_size=1),
-                                     cfg, horizon=1, trace=None))
+        preds, _ = _run_one(_high_steps(imf, GroupingConfig(segment_length=8, group_size=1),
+                                        cfg, horizon=1))
         # reference window (offset 57) repeats at offset 49; its successor is
         # the value at 1-based position 57
         assert preds[0] == pytest.approx(values[56], abs=1e-9)
@@ -170,7 +169,7 @@ class TestForecastHigh:
     def test_too_short(self):
         with pytest.raises(ValueError):
             _run_one(_high_steps(TimeSeries(np.arange(10.0)), GroupingConfig(segment_length=8),
-                                 PredictorConfig(), horizon=1, trace=None))
+                                 PredictorConfig(), horizon=1))
 
 
 def small_spec(variant, **kwargs):
@@ -264,8 +263,8 @@ class TestRunFramework:
 
     def test_group_trace_collects_high_components(self):
         series = wiggly_series()
-        trace = {}
-        result = run_framework(series, small_spec("EMD_DTW_NN"), group_trace=trace)
+        result = run_framework(series, small_spec("EMD_DTW_NN"))
+        trace = result.group_records()
         p = result.metadata["split"][0]
         assert len(trace) == p
         for name, steps in trace.items():
@@ -278,7 +277,7 @@ class TestRunFramework:
         """The slow components (imf_2, residual) fail when their sessions
         start, which the lockstep order reaches before the fast imf_1's
         second step. The error is still the one a sequential run meets
-        first, and the trace stops before it."""
+        first."""
         real = pipeline.predict
         calls = []
 
@@ -292,17 +291,14 @@ class TestRunFramework:
 
         monkeypatch.setattr(pipeline, "predict", nan_at_step_two)
         monkeypatch.setattr(pipeline, "ForecastSession", BrokenSession)
-        trace = {}
         with pytest.raises(PipelineError) as info:
-            run_framework(wiggly_series(), small_spec("EMD_DTW_NN"), group_trace=trace)
+            run_framework(wiggly_series(), small_spec("EMD_DTW_NN"))
         if fast_fails:
             assert str(info.value) == "component 1 (imf_1): series contains NaN or infinite values"
             assert isinstance(info.value.__cause__, DataError)
-            assert trace == {}
         else:
             assert str(info.value) == "component 2 (imf_2): session broke"
             assert isinstance(info.value.__cause__, ValueError)
-            assert list(trace) == ["imf_1"] and len(trace["imf_1"]) == 4
 
 
     def test_emd_and_eemd_cells_match_their_runs_alone(self):

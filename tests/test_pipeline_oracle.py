@@ -2,8 +2,8 @@
 ``legacy_pipeline.run_framework`` (one branch per variant, one ``train``
 call per model) and ``legacy_evaluation.benchmark`` (one run after another).
 Component names and bytes, the combined forecast, metadata, reports, the
-group trace, and any exception's type, message and cause must be
-bit-identical, cell by cell."""
+group records against the legacy group trace, and any exception's type,
+message and cause must be bit-identical, cell by cell."""
 
 import json
 from dataclasses import replace
@@ -85,14 +85,14 @@ def framework_cases(draw):
     series = draw(series_values())
     spec, seed = draw(specs(series, draw(predictors()), draw(groupings()),
                             draw(st.integers(1, 3))))
-    return series, spec, seed, draw(st.booleans())
+    return series, spec, seed
 
 
 @st.composite
 def cell_batches(draw):
     """1-5 cells on one series. Most share one predictor and grouping, as
     the frameworks of a benchmark do, so their models form lockstep groups;
-    some bring their own. Each cell is traced or not."""
+    some bring their own."""
     series = draw(series_values())
     predictor, grouping = draw(predictors()), draw(groupings())
     cells = []
@@ -100,28 +100,38 @@ def cell_batches(draw):
         own = draw(st.sampled_from([False, False, True]))
         cells.append(draw(specs(series, draw(predictors()) if own else predictor,
                                 grouping, draw(st.integers(1, 3)))))
-    return series, cells, [draw(st.booleans()) for _ in cells]
+    return series, cells
 
 
 def raised(exc):
     return type(exc), str(exc), type(exc.__cause__)
 
 
-def described(result, trace):
+def described(result, trace=None):
     """Everything a run exposes, as comparable values; an exception becomes
-    its type, message and cause type. The group trace goes through JSON, so
-    floats compare by their round-trip repr (signed zeros included)."""
+    its type, message and cause type alone. The group records (``trace``, or
+    else the result's own) go through JSON, so floats compare by their
+    round-trip repr (signed zeros included)."""
     if isinstance(result, Exception):
-        return raised(result), json.dumps(trace)
+        return raised(result)
     parts = [(name, v.dtype.str, v.shape, v.tobytes()) for name, v in result.per_component]
     combined = (result.combined.dtype.str, result.combined.shape, result.combined.tobytes())
-    return (parts, combined, json.dumps(result.metadata), list(result.metadata)), json.dumps(trace)
+    records = result.group_records() if trace is None else trace
+    metadata = json.dumps(result.metadata), list(result.metadata)
+    return (parts, combined, *metadata), json.dumps(records)
 
 
-def outcome(run, series, spec, seed, traced):
-    trace = {} if traced else None
+def outcome(series, spec, seed):
     try:
-        result = run(series, spec, seed=seed, group_trace=trace)
+        return described(run_framework(series, spec, seed=seed))
+    except Exception as exc:
+        return described(exc)
+
+
+def legacy_outcome(series, spec, seed):
+    trace = {}
+    try:
+        result = legacy.run_framework(series, spec, seed=seed, group_trace=trace)
     except Exception as exc:
         result = exc
     return described(result, trace)
@@ -131,18 +141,16 @@ class TestPipelineOracle:
     @settings(deadline=None, max_examples=150)
     @given(framework_cases())
     def test_run_framework_matches_branches(self, case):
-        assert outcome(run_framework, *case) == outcome(legacy.run_framework, *case)
+        assert outcome(*case) == legacy_outcome(*case)
 
     @settings(deadline=None, max_examples=150)
     @given(cell_batches())
     def test_run_frameworks_matches_cell_by_cell(self, batch):
-        series, cells, traced = batch
-        traces = [{} if t else None for t in traced]
-        results = run_frameworks(series, cells, traces)
+        series, cells = batch
+        results = run_frameworks(series, cells)
         assert len(results) == len(cells)
-        for (spec, seed), t, result, trace in zip(cells, traced, results, traces):
-            assert described(result, trace) == outcome(legacy.run_framework, series, spec,
-                                                       seed, t)
+        for (spec, seed), result in zip(cells, results):
+            assert described(result) == legacy_outcome(series, spec, seed)
 
 
 @st.composite

@@ -556,10 +556,22 @@ class TestModelChecks:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), 1e-200])
+    # true is not 1.0 and "0.1" is not 0.1: the loaded value is checked as it stands
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), 1e-200, True, "0.1"])
     def test_grnn_sigma_is_checked(self, sigma):
         with pytest.raises(ValueError, match="^grnn_sigma"):
             model_from_dict(dict(self.doc("GRNN"), grnn_sigma=sigma))
+
+    @pytest.mark.parametrize("kind", ["BPNN", "GRNN"])
+    @pytest.mark.parametrize("name", ["weights", "training_loss_curve"])
+    def test_nested_lists_are_named(self, kind, name):
+        """A weights list or loss curve nested one level loads as a (1, n)
+        array, which the model rejects by name instead of failing in
+        ``predict``."""
+        doc = self.doc(kind)
+        doc[name] = [doc[name] or [0.5]]
+        with pytest.raises(ValueError, match=rf"^{name} must be 1-D, got shape \(1, \d+\)$"):
+            model_from_dict(doc)
 
     def test_grnn_holds_a_pair(self):
         with pytest.raises(ValueError, match="^a GRNN must hold at least one pair$"):

@@ -18,9 +18,10 @@ checkout draws the same examples (failures saved in ``.hypothesis/``
 replay too).
 
 The pinned digests (:func:`digests`) are the SHA-256 of the golden
-``benchmark_runs.json`` (BPNN, EMD, EEMD and DTW at work), ``predict``'s
-``forecast.json`` on the VTF config, ``decompose --method eemd``'s
-``components.csv``, and the weights and loss curve of an ENN (the Elman
+``benchmark_runs.json`` (BPNN, EMD, EEMD and DTW at work), the
+``forecast.json`` and ``groups.json`` of one ``predict --dump-groups`` run
+on the VTF config, ``decompose --method eemd``'s ``components.csv``, and
+the weights and loss curve of an ENN (the Elman
 recurrence at work) and of a BPNN at L = 5, H = 3 (off the golden L = H =
 8). ``tests/test_digests.py``, reusing the golden run of ``test_c09``,
 compares them with the table pinned per key; a key the table lacks skips
@@ -62,13 +63,14 @@ TESTS = ("tests/test_decomposition_oracle.py", "tests/test_trainer_oracle.py",
          "tests/test_pipeline_oracle.py", "tests/test_acceptance.py", "tests/test_digests.py")
 DIGESTS = ROOT / "tests" / "digests.json"
 
-# the CLI runs whose output file, named by the column, is pinned
-OUTPUTS = {
-    "benchmark_runs.json": ["benchmark", "configs/benchmark_synthetic.json"],
-    "forecast.json": ["predict", "configs/predict_vtf.json"],
-    "components.csv": ["decompose", "data/synthetic_benchmark.csv", "--column", "2",
-                       "--has-header", "--method", "eemd"],
-}
+# the CLI runs, each with its output files whose digests are pinned, one
+# column per file
+OUTPUTS = (
+    (["benchmark", "configs/benchmark_synthetic.json"], ("benchmark_runs.json",)),
+    (["predict", "configs/predict_vtf.json", "--dump-groups"], ("forecast.json", "groups.json")),
+    (["decompose", "data/synthetic_benchmark.csv", "--column", "2", "--has-header",
+      "--method", "eemd"], ("components.csv",)),
+)
 
 # prints the SHA-256 of one model (weights, then loss curve) of the kind,
 # window length L and hidden units H given as arguments, trained for 100
@@ -141,14 +143,15 @@ def digests(env: dict, golden=None) -> dict:
     child failed). ``golden``, a ``benchmark_runs.json`` that the golden
     benchmark already wrote with ``env``'s settings, stands in for its run."""
     found = {}
-    for name, args in OUTPUTS.items():
-        if golden and name == "benchmark_runs.json":
-            found[name] = hashlib.sha256(Path(golden).read_bytes()).hexdigest()
+    for args, names in OUTPUTS:
+        if golden and names == ("benchmark_runs.json",):
+            found[names[0]] = hashlib.sha256(Path(golden).read_bytes()).hexdigest()
             continue
         with tempfile.TemporaryDirectory() as out:
             done = _child(["-m", "modecast.cli", "--out", out, *args], env)
-            found[name] = (hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
-                           if done.returncode == 0 else f"{args[0]} exited {done.returncode}")
+            for name in names:
+                found[name] = (hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
+                               if done.returncode == 0 else f"{args[0]} exited {done.returncode}")
     for kind, length, hidden in MODELS:
         done = _child(["-c", MODEL, kind, str(length), str(hidden)], env)
         found[f"{kind} (L {length}, H {hidden})"] = (

@@ -8,7 +8,7 @@ and averages, which stabilizes the split when the data are noisy.
 
 import numpy as np
 
-from modecast import EemdConfig, TimeSeries, eemd, emd_with_stats
+from modecast import EemdConfig, TimeSeries, eemd, emd
 from modecast.decomposition import count_zero_crossings
 
 t = np.arange(512)
@@ -17,9 +17,9 @@ slow = np.sin(2 * np.pi * t / 512)
 series = TimeSeries(fast + slow)
 
 print("== plain decomposition ==")
-decomp, stats = emd_with_stats(series)
+decomp = emd(series)
 print(f"{decomp.n_imfs} IMFs + residual")
-for i, (imf, stat) in enumerate(zip(decomp.imfs, stats), start=1):
+for i, (imf, stat) in enumerate(zip(decomp.imfs, decomp.sift_stats), start=1):
     corr_fast = np.corrcoef(imf.values, fast)[0, 1]
     print(
         f"  imf_{i}: {count_zero_crossings(imf.values):3d} zero crossings, "

@@ -21,7 +21,6 @@ from .decomposition import (
     InsufficientExtremaError,
     SiftConfig,
     emd,
-    emd_with_stats,
     eemd,
     envelope,
     extract_imf,

@@ -29,7 +29,7 @@ from .decomposition import (
     SiftConfig,
     count_zero_crossings,
     eemd,
-    emd_with_stats,
+    emd,
 )
 from .dtw import dtw_distance, warp_path
 from .evaluation import benchmark
@@ -273,14 +273,12 @@ def cmd_decompose(args) -> int:
     series = load_csv(args.input, column=args.column, has_header=args.has_header)
     sift = SiftConfig(**{f.name: getattr(args, f.name) for f in fields(SiftConfig)})
     if args.method == "emd":
-        decomp, stats = emd_with_stats(series, sift)
-        sift_stats = [{"imf": i + 1, **asdict(s)} for i, s in enumerate(stats)]
+        decomp = emd(series, sift)
         method_info = {"method": "emd"}
     else:
         cfg = EemdConfig(ensemble_size=args.ensemble, noise_amplitude=args.noise,
                          seed=args.seed or 0)
-        decomp = eemd(series, cfg, sift)
-        sift_stats = None  # per-trial statistics are not aggregated
+        decomp = eemd(series, cfg, sift)  # its sift_stats is None: not aggregated
         method_info = {"method": "eemd", "ensemble_size": cfg.ensemble_size,
                        "noise_amplitude": cfg.noise_amplitude, "seed": cfg.seed}
 
@@ -296,7 +294,8 @@ def cmd_decompose(args) -> int:
         "n_imfs": decomp.n_imfs,
         "length": decomp.source_length,
         "zero_crossings": dict(zip(names, zero_crossings)),
-        "sift_stats": sift_stats,
+        "sift_stats": None if decomp.sift_stats is None else [
+            {"imf": i + 1, **asdict(s)} for i, s in enumerate(decomp.sift_stats)],
     })
 
     if decomp.n_imfs == 0:

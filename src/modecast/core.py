@@ -12,7 +12,7 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -34,12 +34,16 @@ def check_integers(minimum: int, **values) -> None:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one, as in the CLI's JSON types."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def check_positive(**values) -> None:
     """Raise a ValueError naming the first of ``values`` that is not a real
-    number in (0, largest float]; a bool is not one, as in the CLI's JSON types."""
+    number in (0, largest float]; a bool is not one (:func:`_is_real`)."""
     for name, value in values.items():
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not 0 < value <= sys.float_info.max):
+        if not _is_real(value) or not 0 < value <= sys.float_info.max:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -122,10 +126,13 @@ class Decomposition:
 
     IMFs are ordered fastest-fluctuating first; the residual is the monotone
     remainder and may be treated as the last (slowest) component.
+    ``sift_stats`` holds one sift record per IMF where the decomposition kept
+    them (:func:`~modecast.decomposition.emd` does), else None.
     """
 
     imfs: tuple
     residual: TimeSeries
+    sift_stats: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "imfs", tuple(self.imfs))
@@ -134,6 +141,8 @@ class Decomposition:
                 raise ValueError(
                     f"imf {i + 1} length {len(imf)} != source length {self.source_length}"
                 )
+        if self.sift_stats is not None and len(self.sift_stats) != self.n_imfs:
+            raise ValueError(f"{len(self.sift_stats)} sift_stats for {self.n_imfs} imfs")
 
     @property
     def source_length(self) -> int:

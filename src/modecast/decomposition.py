@@ -8,40 +8,31 @@ EEMD runs the same decomposition over many noise-perturbed copies and
 averages the aligned IMFs, which suppresses mode mixing.
 
 The sift loop works on plain float64 arrays. ``TimeSeries`` appears only at
-the boundary: the input of :func:`emd`, :func:`emd_with_stats` and
-:func:`eemd`, and the IMFs and residual of the returned ``Decomposition``.
+the boundary: the input of :func:`emd` and :func:`eemd`, and the IMFs and
+residual of the returned ``Decomposition``, which :func:`emd` also gives
+the ``SiftStats`` of each IMF.
 One sift core extracts an IMF from K rows at once (:func:`extract_imf` is
 its one-row call), and one level loop runs it over the rows of an array
 (:func:`emd` is its one-row case, :func:`eemd` runs it over its trials).
-Each sift pass scans the extrema of all rows once (whole-array comparisons
-over runs of equal samples) into sorted flat indices, which a search for the
-row starts splits into each row's knots; the envelope means and the balance
-tests share that scan. The envelopes are natural cubic splines, all of a
-pass solved at once: one LAPACK ``dgtsv`` call on their block-diagonal system
-(imported from ``scipy.linalg`` at the first solve, so a program that fits
-no envelope never loads scipy), then the Hermite polynomials on the sample
-grid, each point's interval found by rounding the knots up, with scipy's
-``CubicSpline`` arithmetic repeated operation for operation: every envelope
-is bit-identical to it. A row's two envelopes are averaged in the upper
-one's buffer; its amplitude max|h|, taken once per pass, serves the
-convergence test and the next pass's stopping ratio.
+Each sift pass scans the extrema of all rows once, and fits all their
+envelopes, natural cubic splines bit-identical to scipy's ``CubicSpline``,
+in one solve (:func:`_envelope_means`, :func:`_natural_splines`).
 Squares of raw samples overflow above about 1e154 and underflow below about
-1e-154, so beyond 2**+-500 the stopping ratio and the EEMD noise amplitude
-are computed on samples scaled by an exact power of two, and so is each row
-of the level loop, which keeps the envelope splines finite; its residual is
-the row minus its IMFs. EEMD scales its ensemble down only above 2**500.
+1e-154, so beyond 2**+-500 the stopping ratio, the EEMD noise amplitude and
+each row of the level loop are scaled by an exact power of two.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .core import (DataError, Decomposition, TimeSeries, check_integers, check_positive,
-                   pow2_exponent, spawn_rng)
+from .core import (DataError, Decomposition, TimeSeries, _is_real, check_integers,
+                   check_positive, pow2_exponent, spawn_rng)
 
 BOUNDARY_MODES = ("mirror", "clamp")
 
@@ -88,7 +79,8 @@ class EemdConfig:
     def __post_init__(self):
         check_integers(1, ensemble_size=self.ensemble_size)
         check_integers(0, seed=self.seed)
-        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
+        if not (_is_real(self.noise_amplitude)
+                and 0 <= self.noise_amplitude <= sys.float_info.max):
             raise ValueError(f"noise_amplitude must be finite and >= 0, got {self.noise_amplitude}")
 
 
@@ -120,9 +112,9 @@ def count_zero_crossings(values: np.ndarray) -> int:
 
     A trailing all-zero run has no following sign and counts as its own
     level, so a series that ends by landing on zero registers that arrival
-    as a crossing.
+    as a crossing. ``values`` must be 1-D.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _one_row(values)[0]
     negative = np.signbit(values[values != 0])
     crossings = int(np.count_nonzero(negative[1:] != negative[:-1]))
     return crossings + int(negative.size > 0 and values[-1] == 0)
@@ -152,6 +144,14 @@ def _extrema(rows: np.ndarray) -> tuple:
     return mid.compress(maxima), mid.compress(minima)  # faster than mid[maxima]
 
 
+def _one_row(values) -> np.ndarray:
+    """A 1-D array_like as the one row of a float64 array; any other shape is a ValueError."""
+    row = np.asarray(values, dtype=np.float64)
+    if row.ndim != 1:
+        raise ValueError(f"values must be 1-D, got shape {row.shape}")
+    return row.reshape(1, -1)
+
+
 def find_extrema(values: np.ndarray) -> tuple:
     """Locate interior local maxima and minima.
 
@@ -162,14 +162,14 @@ def find_extrema(values: np.ndarray) -> tuple:
     Parameters
     ----------
     values : array_like
-        Length >= 3.
+        1-D, length >= 3.
 
     Returns
     -------
     (maxima, minima) : tuple of int arrays
         Strictly increasing sample indices; maxima and minima interleave.
     """
-    return _extrema(np.asarray(values, dtype=np.float64).reshape(1, -1))
+    return _extrema(_one_row(values))
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +308,27 @@ def envelope(values: np.ndarray, knots, mode: str = "mirror") -> np.ndarray:
 
     Parameters
     ----------
-    values : np.ndarray
-        The series: supplies the knot values and the length.
-    knots : array_like of int
-        At least 2 sample indices, strictly increasing (the maxima or the
-        minima from :func:`find_extrema`).
+    values : array_like
+        The 1-D series: supplies the knot values and the length.
+    knots : sequence of int
+        At least 2 sample indices, strictly increasing, in ``[0, T)`` (the
+        maxima or the minima from :func:`find_extrema`); anything else is
+        a ValueError.
     mode : {"mirror", "clamp"}
         ``mirror`` reflects the two knots nearest each end across that end
         before fitting; ``clamp`` pins the end samples as extra knots. A
         boundary knot that lands on an existing knot is dropped.
     """
+    values = _one_row(values)[0]
+    check_integers(0, **{f"knots[{i}]": knot for i, knot in enumerate(knots)})
     knots = np.asarray(knots, dtype=np.intp)
     if knots.size < 2:
-        raise InsufficientExtremaError(
-            f"envelope needs at least 2 knots, got {knots.size}"
-        )
+        raise InsufficientExtremaError(f"envelope needs at least 2 knots, got {knots.size}")
     if mode not in BOUNDARY_MODES:
         raise ValueError(f"mode must be one of {BOUNDARY_MODES}")
+    if not (knots[1:] > knots[:-1]).all() or knots[-1] >= values.size:
+        raise ValueError(f"knots must be strictly increasing in [0, {values.size}), "
+                         f"got {knots.tolist()}")
     xs, sources, _ = _boundary_knots(knots, np.zeros(1, dtype=np.intp),
                                      np.array([0, knots.size]), values.size - 1, mode)
     # the boundary knots keep the order sorted, so duplicates are adjacent
@@ -409,44 +413,35 @@ def _sift(rows: np.ndarray, cfg: SiftConfig) -> list:
             iterations=iterations, sd_at_stop=float(sd), converged=(reason == "sd"),
             stop_reason=reason))
 
-    mean, _, status = _envelope_means(rows, cfg.boundary_mode)
-    live, h_prev = np.arange(rows.shape[0]), rows
-    if status.any():
-        for r in status.nonzero()[0]:
-            outcomes[r] = (ValueError(_SPLINE_ERRORS[status[r]]) if status[r] != _NO_EXTREMA
-                           else InsufficientExtremaError("IMF extraction needs at least 2 "
-                                                         "maxima and 2 minima"))
-        live = (status == _OK).nonzero()[0]
-        h_prev, mean = rows.take(live, 0), mean.take(live, 0)
-    amplitude = np.abs(h_prev).max(axis=1)  # max|h_prev| per row
-    iterations = 0
-    while live.size:
-        h = np.subtract(h_prev, mean, out=mean)  # the envelope mean is not needed again
-        iterations += 1
-        sd = _sd_ratios(h_prev, h, amplitude)
-        h_prev = h
-        if iterations >= cfg.max_sift_iterations:
-            for j, r in enumerate(live):
-                stop(r, h_prev[j], sd[j], iterations, "iteration_cap")
-            break
-        mean, n_extrema, status = _envelope_means(h_prev, cfg.boundary_mode)
-        amplitude = np.abs(h_prev).max(axis=1)  # > 0 where status is _OK (2 maxima)
+    live, h = np.arange(rows.shape[0]), rows
+    sd = np.inf  # no stopping ratio before the first subtraction: no row converges
+    for iterations in range(cfg.max_sift_iterations):  # the subtractions so far
+        mean, n_extrema, status = _envelope_means(h, cfg.boundary_mode)
+        amplitude = np.abs(h).max(axis=1)  # > 0 where status is _OK (2 maxima)
         check = ((sd < cfg.sd_threshold) & (status == _OK)).nonzero()[0]
         peak = np.abs(mean.take(check, axis=0)).max(axis=1)
         check = check.compress(peak < _ENVELOPE_MEAN_RATIO * amplitude.take(check))
-        converged = [j for j in check if abs(n_extrema[j] - count_zero_crossings(h_prev[j])) <= 1]
-        if not converged and not status.any():
-            continue
-        going = status == _OK
-        going[converged] = False
-        for j in (~going).nonzero()[0]:
-            if status[j] > _NO_EXTREMA:
-                outcomes[live[j]] = ValueError(_SPLINE_ERRORS[status[j]])
-            else:
-                stop(live[j], h_prev[j], sd[j], iterations,
-                     "no_extrema" if status[j] == _NO_EXTREMA else "sd")
-        live, amplitude = live.compress(going), amplitude.compress(going)
-        h_prev, mean = h_prev.compress(going, axis=0), mean.compress(going, axis=0)
+        converged = [j for j in check if abs(n_extrema[j] - count_zero_crossings(h[j])) <= 1]
+        if converged or status.any():
+            going = status == _OK
+            going[converged] = False
+            for j in (~going).nonzero()[0]:
+                if status[j] > _NO_EXTREMA:
+                    outcomes[live[j]] = ValueError(_SPLINE_ERRORS[status[j]])
+                elif status[j] == _NO_EXTREMA and not iterations:
+                    outcomes[live[j]] = InsufficientExtremaError(
+                        "IMF extraction needs at least 2 maxima and 2 minima")
+                else:
+                    stop(live[j], h[j], sd[j], iterations,
+                         "no_extrema" if status[j] == _NO_EXTREMA else "sd")
+            live, amplitude = live.compress(going), amplitude.compress(going)
+            h, mean = h.compress(going, axis=0), mean.compress(going, axis=0)
+            if not live.size:
+                return outcomes
+        h_prev, h = h, np.subtract(h, mean, out=mean)  # the envelope mean is not needed again
+        sd = _sd_ratios(h_prev, h, amplitude)
+    for j, r in enumerate(live):
+        stop(r, h[j], sd[j], cfg.max_sift_iterations, "iteration_cap")
     return outcomes
 
 
@@ -462,10 +457,11 @@ def extract_imf(values: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftOutco
     at ``cfg.max_sift_iterations``. Returns the IMF, the remainder
     (values - IMF) and per-extraction statistics; raises
     :class:`InsufficientExtremaError` when the input has fewer than 2
-    maxima or 2 minima. The one-row call of the lockstep sift that the
-    level loop of :func:`emd` and :func:`eemd` runs over its rows.
+    maxima or 2 minima, and a ValueError unless ``values`` is 1-D. The
+    one-row call of the lockstep sift that the level loop of :func:`emd`
+    and :func:`eemd` runs over its rows.
     """
-    outcome = _sift(np.asarray(values, dtype=np.float64).reshape(1, -1), cfg)[0]
+    outcome = _sift(_one_row(values), cfg)[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -545,24 +541,16 @@ def _decompose(rows: np.ndarray, cfg: SiftConfig) -> list:
     return list(zip(imfs, stats, residuals))
 
 
-def emd_with_stats(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> tuple:
-    """Full decomposition plus per-IMF sift statistics: the one-row case of
-    the level loop that :func:`eemd` runs over its trials. Beyond 2**+-500
-    the series is sifted scaled by an exact power of two, so the envelope
-    splines cannot overflow; the residual is the series minus its IMFs."""
-    (imfs, stats, residual), = _decompose(series.values.reshape(1, -1), cfg)
-    decomp = Decomposition(imfs=tuple(TimeSeries(imf, series.labels) for imf in imfs),
-                           residual=TimeSeries(residual, series.labels))
-    return decomp, stats
-
-
 def emd(series: TimeSeries, cfg: SiftConfig = SiftConfig()) -> Decomposition:
-    """Decompose a series into IMFs plus a monotone residual.
-
-    Extraction repeats on the running remainder until it has fewer than two
-    maxima or two minima, or ``cfg.max_imfs`` is reached.
-    """
-    return emd_with_stats(series, cfg)[0]
+    """Decompose a series into IMFs plus a monotone residual, with one
+    ``SiftStats`` per IMF in ``sift_stats``: the one-row case of the level
+    loop that :func:`eemd` runs over its trials. Extraction repeats on the
+    running remainder until it has fewer than two maxima or two minima, or
+    ``cfg.max_imfs`` is reached. Beyond 2**+-500 the series is sifted scaled
+    by an exact power of two; the residual is the series minus its IMFs."""
+    (imfs, stats, residual), = _decompose(series.values.reshape(1, -1), cfg)
+    return Decomposition(imfs=tuple(TimeSeries(imf, series.labels) for imf in imfs),
+                         residual=TimeSeries(residual, series.labels), sift_stats=tuple(stats))
 
 
 def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig(),
@@ -580,7 +568,8 @@ def eemd(series: TimeSeries, cfg: EemdConfig = EemdConfig(),
     row, sifted in lockstep one IMF level at a time, each at its own power
     of two. The result is bit-identical to decomposing the trials one after
     another: the sums run in trial order, and a failure raises the error of
-    the lowest failing trial. Above 2**500 the series and its noise are
+    the lowest failing trial. The result's ``sift_stats`` is None: per-trial
+    statistics are not aggregated. Above 2**500 the series and its noise are
     scaled down by one power of two, so that noisy samples and sums stay
     finite, and the averages are scaled back.
 

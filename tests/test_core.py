@@ -13,7 +13,7 @@ from modecast.core import (
     minmax_normalize,
     spawn_rng,
 )
-from modecast.decomposition import EemdConfig, SiftConfig
+from modecast.decomposition import EemdConfig, SiftConfig, SiftStats
 from modecast.dtw import point_distance
 from modecast.grouping import GroupingConfig, TrainingSet
 from modecast.pipeline import ForecastResult, FrameworkSpec
@@ -181,6 +181,20 @@ class TestDecomposition:
         assert Decomposition(imfs, residual).names() == ["imf_1", "imf_2", "residual"]
         assert Decomposition((), residual).names() == ["residual"]
 
+    def test_sift_stats_count_the_imfs(self):
+        """One sift record per IMF, or None; a record is neither compared
+        nor shown."""
+        residual = TimeSeries([0.0, 0.5, 1.0])
+        imfs = (TimeSeries([1.0, -1.0, 1.0]),)
+        record = SiftStats(iterations=3, sd_at_stop=0.1, converged=True, stop_reason="sd")
+        kept = Decomposition(imfs, residual, sift_stats=(record,))
+        assert kept.sift_stats == (record,)
+        assert kept == Decomposition(imfs, residual) and "sift_stats" not in repr(kept)
+        assert Decomposition((), residual, sift_stats=()).sift_stats == ()
+        for stats in ((), (record, record)):
+            with pytest.raises(ValueError, match=f"^{len(stats)} sift_stats for 1 imfs$"):
+                Decomposition(imfs, residual, sift_stats=stats)
+
 
 def _model(**arrays):
     return TrainedModel(**{"kind": "BPNN", "input_length": 2, "hidden_units": 1,
@@ -291,6 +305,18 @@ def test_positive_reals_have_one_rule(name):
         message = f"{name} must be positive and finite, got {value}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             REALS[name](value)
+
+
+def test_noise_amplitude_is_a_nonnegative_real():
+    """The noise amplitude follows the positive reals' rule with 0 allowed:
+    a bool, a string and None are each a ValueError, as a negative, NaN,
+    an infinity and an integer beyond the float range are."""
+    for value in (0, 0.0, np.float64(0.2), 1):
+        EemdConfig(noise_amplitude=value)
+    for value in (True, False, "0.2", None, -0.1, float("nan"), float("inf"), 10**400):
+        message = f"noise_amplitude must be finite and >= 0, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EemdConfig(noise_amplitude=value)
 
 
 class TestSeeds:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from modecast.decomposition import (
     count_zero_crossings,
     eemd,
     emd,
-    emd_with_stats,
     envelope,
     extract_imf,
     find_extrema,
@@ -65,6 +66,10 @@ class TestFindExtrema:
         with pytest.raises(ValueError):
             find_extrema(np.array([1.0, 2.0]))
 
+    def test_rows_are_not_flattened(self):
+        with pytest.raises(ValueError, match=r"^values must be 1-D, got shape \(2, 7\)$"):
+            find_extrema(np.sin(np.arange(14.0)).reshape(2, 7))
+
     def test_interleaving_property(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -83,6 +88,12 @@ class TestFindExtrema:
         assert count_zero_crossings(np.array([1.0, 0.0, 0.0, -1.0])) == 1
         assert count_zero_crossings(np.array([1.0, 0.0, 0.0, 1.0])) == 0
         assert count_zero_crossings(np.zeros(5)) == 0
+
+    def test_zero_crossings_of_one_row_only(self):
+        for values, shape in ((np.array([[1.0, -1.0], [1.0, -1.0]]), "(2, 2)"), (1.0, "()")):
+            message = f"values must be 1-D, got shape {shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                count_zero_crossings(values)
 
 
 class TestEnvelope:
@@ -108,6 +119,29 @@ class TestEnvelope:
     def test_needs_two_knots(self):
         with pytest.raises(InsufficientExtremaError):
             envelope(np.zeros(5), [2])
+
+    def test_values_may_be_a_list(self):
+        values = [0.0, 0.0, 4.0, 0.0, 0.0]
+        assert np.array_equal(envelope(values, [0, 2, 4]), envelope(np.array(values), [0, 2, 4]))
+
+    def test_knots_must_be_integers(self):
+        for knots in ([1.5, 3], [True, 3], np.array([1.0, 3.0])):
+            message = f"knots[0] must be an integer, got {knots[0]!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                envelope(np.zeros(6), knots)
+
+    def test_knots_must_increase(self):
+        for knots in ([3, 1], [1, 1, 3]):
+            with pytest.raises(ValueError,
+                               match=r"^knots must be strictly increasing in \[0, 6\)"):
+                envelope(np.zeros(6), knots)
+
+    def test_knots_must_lie_in_the_series(self):
+        with pytest.raises(ValueError, match=r"^knots\[0\] must be >= 0, got -1$"):
+            envelope(np.zeros(6), [-1, 2])
+        with pytest.raises(ValueError, match=r"^knots must be strictly increasing in \[0, 6\), "
+                                             r"got \[1, 10\]$"):
+            envelope(np.zeros(6), [1, 10])
 
 
 ONE_SIFT = SiftConfig(max_sift_iterations=1)
@@ -158,6 +192,10 @@ class TestExtractImf:
         outcome = extract_imf(rng.normal(size=100), ONE_SIFT)
         assert outcome.stats.iterations == 1
 
+    def test_rows_are_not_flattened(self):
+        with pytest.raises(ValueError, match=r"^values must be 1-D, got shape \(2, 64\)$"):
+            extract_imf(np.sin(np.arange(128.0)).reshape(2, 64))
+
 
 PAST_FLOAT_MAX = np.random.default_rng(0).uniform(-1, 1, 26) * 1.79e308
 PAST_FLOAT_MAX_MESSAGE = ("imf_1: scaling the component back to the series' magnitude "
@@ -198,7 +236,8 @@ class TestEmd:
         for _ in range(20):
             x = random_smooth_series(rng, int(rng.integers(64, 300)))
             series = TimeSeries(x)
-            d, stats = emd_with_stats(series)
+            d = emd(series)
+            stats = d.sift_stats
             # completeness
             assert np.max(np.abs(d.reconstruct() - x)) < 1e-9 * np.max(np.abs(x))
             # admissibility + near-zero envelope mean for converged IMFs
@@ -233,6 +272,15 @@ class TestEemd:
             assert np.array_equal(ensemble.residual.values, plain.residual.values)
         assert np.array_equal(plain.reconstruct(), values)
         assert np.array_equal(ensemble.reconstruct(), values)
+
+    def test_sift_stats_are_not_aggregated(self):
+        """EMD keeps one sift record per IMF (none for a monotone series);
+        EEMD keeps none of its trials'."""
+        series = TimeSeries(random_smooth_series(np.random.default_rng(8), 128))
+        decomp = emd(series)
+        assert len(decomp.sift_stats) == decomp.n_imfs > 0
+        assert emd(TimeSeries(np.arange(8.0))).sift_stats == ()
+        assert eemd(series, EemdConfig(ensemble_size=2, seed=1)).sift_stats is None
 
     def test_sift_settings_are_an_argument(self):
         """The trials are sifted as ``eemd``'s ``sift`` argument says; the

@@ -25,7 +25,7 @@ from modecast.decomposition import (
     _sift,
     count_zero_crossings,
     eemd,
-    emd_with_stats,
+    emd,
     envelope,
     extract_imf,
     find_extrema,
@@ -305,10 +305,10 @@ class TestSiftOracle:
     @given(decomposition_cases())
     def test_emd_with_stats_matches_legacy(self, case):
         x, cfg = case
-        new, new_stats = emd_with_stats(TimeSeries(x), cfg)
+        new = emd(TimeSeries(x), cfg)
         old, old_stats = legacy.emd_with_stats(TimeSeries(x), cfg)
         assert _same_decomposition(new, old)
-        assert _stats(new_stats) == _stats(old_stats)
+        assert _stats(new.sift_stats) == _stats(old_stats)
 
     @settings(deadline=None, max_examples=25)
     @given(decomposition_cases(max_length=80), st.integers(1, 4),
@@ -339,13 +339,13 @@ class TestSiftOracle:
             assert once[0] == new[0]  # the same error type; the messages differ
             if new[0] == "ok":
                 assert _bits(new[1].imf, once[1].values)
-        new = _outcome(emd_with_stats, TimeSeries(values), cfg)
+        new = _outcome(emd, TimeSeries(values), cfg)
         old = _outcome(legacy.emd_with_stats, TimeSeries(values), cfg)
         if new[0] != "ok":
             assert new == old
         else:
-            assert old[0] == "ok" and _same_decomposition(new[1][0], old[1][0])
-            assert _stats(new[1][1]) == _stats(old[1][1])
+            assert old[0] == "ok" and _same_decomposition(new[1], old[1][0])
+            assert _stats(new[1].sift_stats) == _stats(old[1][1])
 
 
 @st.composite
@@ -438,7 +438,8 @@ class TestDecompositionProperties:
     @given(runs_series(magnitude=2.0 ** 1000, min_size=4))
     @example(np.array([5e-324, 0.0] * 3))  # IMF and residual round to 0 when scaled back
     def test_reconstruction_and_admissibility(self, values):
-        decomp, stats = emd_with_stats(TimeSeries(values))
+        decomp = emd(TimeSeries(values))
+        stats = decomp.sift_stats
         peak = np.max(np.abs(values))
         assert np.max(np.abs(decomp.reconstruct() - values)) <= 1e-9 * peak
         for imf, stat in zip(decomp.imfs, stats):
@@ -453,9 +454,11 @@ class TestDecompositionProperties:
         peak = np.max(np.abs(x))
         if peak > 0:  # max|x| in [2^-41, 2^40], so x * 2^k stays normal
             x = np.ldexp(x, shift - int(np.frexp(peak)[1]))
-        base, base_stats = emd_with_stats(TimeSeries(x), cfg)
+        base = emd(TimeSeries(x), cfg)
+        base_stats = base.sift_stats
         for k in (-900, 37, 900):
-            scaled, scaled_stats = emd_with_stats(TimeSeries(np.ldexp(x, k)), cfg)
+            scaled = emd(TimeSeries(np.ldexp(x, k)), cfg)
+            scaled_stats = scaled.sift_stats
             assert scaled.n_imfs == base.n_imfs
             for a, b in zip(scaled.components(), base.components()):
                 assert _bits(a.values, np.ldexp(b.values, k))

@@ -20,7 +20,9 @@ replay too).
 The pinned digests (:func:`digests`) are the SHA-256 of the golden
 ``benchmark_runs.json`` (BPNN, EMD, EEMD and DTW at work), the
 ``forecast.json`` and ``groups.json`` of one ``predict --dump-groups`` run
-on the VTF config, ``decompose --method eemd``'s ``components.csv``, and
+on the VTF config, ``decompose --method eemd``'s ``components.csv``, the
+``components.csv`` and ``decompose_stats.json`` of ``decompose --method
+emd`` (as ``emd components.csv`` and ``emd decompose_stats.json``), and
 the weights and loss curve of an ENN (the Elman
 recurrence at work) and of a BPNN at L = 5, H = 3 (off the golden L = H =
 8). ``tests/test_digests.py``, reusing the golden run of ``test_c09``,
@@ -63,13 +65,17 @@ TESTS = ("tests/test_decomposition_oracle.py", "tests/test_trainer_oracle.py",
          "tests/test_pipeline_oracle.py", "tests/test_acceptance.py", "tests/test_digests.py")
 DIGESTS = ROOT / "tests" / "digests.json"
 
-# the CLI runs, each with its output files whose digests are pinned, one
-# column per file
+# the CLI runs, each with its output files whose digests are pinned: one
+# column per file, named by the run's prefix (where two runs write the same
+# file) and the file
 OUTPUTS = (
-    (["benchmark", "configs/benchmark_synthetic.json"], ("benchmark_runs.json",)),
-    (["predict", "configs/predict_vtf.json", "--dump-groups"], ("forecast.json", "groups.json")),
+    (["benchmark", "configs/benchmark_synthetic.json"], "", ("benchmark_runs.json",)),
+    (["predict", "configs/predict_vtf.json", "--dump-groups"], "",
+     ("forecast.json", "groups.json")),
     (["decompose", "data/synthetic_benchmark.csv", "--column", "2", "--has-header",
-      "--method", "eemd"], ("components.csv",)),
+      "--method", "eemd"], "", ("components.csv",)),
+    (["decompose", "data/synthetic_benchmark.csv", "--column", "2", "--has-header",
+      "--method", "emd"], "emd ", ("components.csv", "decompose_stats.json")),
 )
 
 # prints the SHA-256 of one model (weights, then loss curve) of the kind,
@@ -143,15 +149,16 @@ def digests(env: dict, golden=None) -> dict:
     child failed). ``golden``, a ``benchmark_runs.json`` that the golden
     benchmark already wrote with ``env``'s settings, stands in for its run."""
     found = {}
-    for args, names in OUTPUTS:
+    for args, prefix, names in OUTPUTS:
         if golden and names == ("benchmark_runs.json",):
             found[names[0]] = hashlib.sha256(Path(golden).read_bytes()).hexdigest()
             continue
         with tempfile.TemporaryDirectory() as out:
             done = _child(["-m", "modecast.cli", "--out", out, *args], env)
             for name in names:
-                found[name] = (hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
-                               if done.returncode == 0 else f"{args[0]} exited {done.returncode}")
+                found[prefix + name] = (
+                    hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
+                    if done.returncode == 0 else f"{args[0]} exited {done.returncode}")
     for kind, length, hidden in MODELS:
         done = _child(["-c", MODEL, kind, str(length), str(hidden)], env)
         found[f"{kind} (L {length}, H {hidden})"] = (

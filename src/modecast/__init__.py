@@ -47,9 +47,7 @@ from .predictors import (
     TrainedModel,
     TrainingDivergedError,
     gradient_check,
-    load_model,
     predict,
-    save_model,
     train,
 )
 from .pipeline import (

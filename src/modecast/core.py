@@ -136,6 +136,8 @@ class Decomposition:
 
     def __post_init__(self):
         object.__setattr__(self, "imfs", tuple(self.imfs))
+        if not all(isinstance(part, TimeSeries) for part in (self.residual, *self.imfs)):
+            raise ValueError("imfs and residual must be TimeSeries")
         for i, imf in enumerate(self.imfs):
             if len(imf) != self.source_length:
                 raise ValueError(

@@ -69,6 +69,8 @@ def evaluate_run(actuals: TimeSeries, predictions) -> RunEvaluation:
     scored against their magnitude.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
+    if predictions.ndim != 1:
+        raise ValueError(f"predictions must be 1-D, got shape {predictions.shape}")
     if predictions.size != len(actuals):
         raise ValueError(
             f"length mismatch: {len(actuals)} actuals vs {predictions.size} predictions"

@@ -149,6 +149,9 @@ def select_group(distances, cfg: GroupingConfig) -> int:
     ``threshold`` keeps those with distance <= threshold_alpha * median,
     and never fewer than one.
     """
+    distances = np.asarray(distances)
+    if distances.ndim != 1 or not distances.size:
+        raise ValueError(f"distances must be a non-empty 1-D ranking, got shape {distances.shape}")
     if cfg.selection == "topk":
         return min(cfg.group_size, len(distances))
     with np.errstate(over="ignore"):  # a median or bound beyond the float range is +inf

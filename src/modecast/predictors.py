@@ -60,10 +60,8 @@ scipy's ``expit`` in the ENN recurrence and forecast steps.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -627,13 +625,14 @@ def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
     """
     if cfg.kind not in GRADIENT_TRAINED:
         raise ValueError(f"{cfg.kind} is not gradient-trained")
+    check_positive(step=step)
     x, y = _pairs(cfg.kind, training_set)
     l = training_set.input_length
     # a stack of one model in the descent layout; the maximum is order-free
     flat, positions = _descent_layout(cfg.kind, _init_params(cfg, l)[None], l, cfg.hidden_units)
     grad, residual, params = np.zeros_like(flat), np.empty((1, y.size)), flat[0]
     numeric = np.empty(positions.size)
-    with np.errstate(over="ignore"):  # the sigmoid's, as in ``_descend``
+    with np.errstate(over="ignore", invalid="ignore"):  # the sigmoid's; a huge step's, named below
         loss_grad, fill = _objective(cfg.kind, flat, grad, x[None], y[None], l, cfg.hidden_units)
         fill()
         loss_grad(residual)
@@ -648,43 +647,8 @@ def gradient_check(cfg: PredictorConfig, training_set: TrainingSet,
             lo = _mse(residual)[0]
             params[i] = centre
             numeric[j] = (hi - lo) / (2.0 * step)
+    if not np.isfinite(numeric).all():
+        raise ValueError(f"step {step} takes the loss beyond the float range")
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
-
-# ---------------------------------------------------------------------------
-# Save / load
-# ---------------------------------------------------------------------------
-
-def model_to_dict(model: TrainedModel) -> dict:
-    return {
-        "kind": model.kind,
-        "input_length": model.input_length,
-        "hidden_units": model.hidden_units,
-        "grnn_sigma": model.grnn_sigma,
-        "weights": model.weights.tolist(),
-        "training_loss_curve": model.training_loss_curve.tolist(),
-    }
-
-
-def model_from_dict(doc: dict) -> TrainedModel:
-    # other keys, such as the "scale" that older files hold, are ignored
-    for key in ("kind", "input_length", "hidden_units", "weights"):
-        if key not in doc:
-            raise ValueError(f"model has no {key!r}")
-    return TrainedModel(
-        kind=doc["kind"],
-        input_length=doc["input_length"],
-        hidden_units=doc["hidden_units"],
-        grnn_sigma=doc.get("grnn_sigma", 0.1),
-        weights=np.array(doc["weights"], dtype=np.float64),
-        training_loss_curve=np.array(doc.get("training_loss_curve", []), dtype=np.float64),
-    )
-
-
-def save_model(model: TrainedModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2))
-
-
-def load_model(path) -> TrainedModel:
-    return model_from_dict(json.loads(Path(path).read_text()))

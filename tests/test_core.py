@@ -195,6 +195,14 @@ class TestDecomposition:
             with pytest.raises(ValueError, match=f"^{len(stats)} sift_stats for 1 imfs$"):
                 Decomposition(imfs, residual, sift_stats=stats)
 
+    @pytest.mark.parametrize("imfs, residual", [
+        ((np.ones(8),), TimeSeries(np.ones(8))), ((TimeSeries(np.ones(8)),), np.ones(8)),
+        ((), np.ones(8)), ((TimeSeries(np.ones(8)), [1.0] * 8), TimeSeries(np.ones(8)))],
+        ids=["imf", "residual", "residual-alone", "list-imf"])
+    def test_parts_must_be_time_series(self, imfs, residual):
+        with pytest.raises(ValueError, match="^imfs and residual must be TimeSeries$"):
+            Decomposition(imfs=imfs, residual=residual)
+
 
 def _model(**arrays):
     return TrainedModel(**{"kind": "BPNN", "input_length": 2, "hidden_units": 1,

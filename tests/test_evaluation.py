@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +61,13 @@ class TestEvaluateRun:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             evaluate_run(TimeSeries([1.0, 2.0]), [1.0])
+
+    @pytest.mark.parametrize("actuals, predictions", [
+        ([1.0, 2.0, 3.0, 4.0], np.ones((2, 2))), ([1.0], np.float64(1.0))], ids=["2-D", "0-D"])
+    def test_predictions_must_be_1d(self, actuals, predictions):
+        shape = re.escape(str(predictions.shape))
+        with pytest.raises(ValueError, match=f"^predictions must be 1-D, got shape {shape}$"):
+            evaluate_run(TimeSeries(actuals), predictions)
 
     def test_negative_actuals_scored_against_magnitude(self):
         result = evaluate_run(TimeSeries([4.0, -2.0, -8.0]), [5.0, -3.0, -6.0])

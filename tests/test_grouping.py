@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +242,22 @@ class TestSelectGroup:
     def test_threshold_never_empty(self):
         cfg = GroupingConfig(segment_length=2, selection="threshold", threshold_alpha=0.1)
         assert select_group(np.array([2.0, 4.0]), cfg) == 1
+
+    @pytest.mark.parametrize("selection", ["topk", "threshold"])
+    @pytest.mark.parametrize("distances", [np.zeros(0), np.ones((2, 3)), np.float64(1.0)],
+                             ids=["empty", "2-D", "0-D"])
+    def test_ranking_must_be_non_empty_and_1d(self, selection, distances):
+        cfg = GroupingConfig(segment_length=2, group_size=2, selection=selection)
+        shape = re.escape(str(distances.shape))
+        with pytest.raises(ValueError, match=f"^distances must be a non-empty 1-D ranking, "
+                                             f"got shape {shape}$"):
+            select_group(distances, cfg)
+
+    @pytest.mark.parametrize("selection, k", [("topk", 2), ("threshold", 3)])
+    def test_infinite_distances_are_kept(self, selection, k):
+        """``+inf`` is a cost beyond the float range, still a ranking."""
+        cfg = GroupingConfig(segment_length=2, group_size=2, selection=selection)
+        assert select_group(np.array([1.0, np.inf, np.inf]), cfg) == k
 
 
 class TestSlidingWindow:

@@ -1,5 +1,5 @@
-import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -25,11 +25,7 @@ from modecast.predictors import (
     _sigmoid,
     _views,
     gradient_check,
-    load_model,
-    model_from_dict,
-    model_to_dict,
     predict,
-    save_model,
     train,
     train_many,
 )
@@ -153,6 +149,15 @@ class TestGradients:
             ts = random_set(rng, n_pairs=4, length=3)
             err = gradient_check(PredictorConfig(kind=kind, hidden_units=3, seed=seed), ts)
             assert err < 1e-4, f"{kind} seed {seed}: {err}"
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf"), True, 1e300])
+    @pytest.mark.parametrize("kind", ["BPNN", "WNN", "ENN"])
+    def test_bad_step_is_named(self, kind, step):
+        message = (f"step {step} takes the loss beyond the float range" if step == 1e300
+                   else f"step must be positive and finite, got {step}")
+        ts = random_set(np.random.default_rng(10), n_pairs=2, length=3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gradient_check(PredictorConfig(kind=kind, hidden_units=3), ts, step=step)
 
 
 class TestDescentLayout:
@@ -508,77 +513,38 @@ class TestNoNumericWarnings:
         assert np.isfinite(gradient_check(cfg, training_set))
 
 
-class TestSaveLoad:
-    @pytest.mark.parametrize("kind", ["BPNN", "WNN", "ENN", "GRNN"])
-    def test_roundtrip(self, kind, tmp_path):
-        rng = np.random.default_rng(12)
-        ts = random_set(rng, n_pairs=5, length=3)
-        model = train(ts, PredictorConfig(kind=kind, epochs=20, seed=13))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.kind == model.kind
-        assert np.array_equal(back.weights, model.weights)
-        q = rng.normal(size=3)
-        assert predict(back, q) == predict(model, q)
-
-    @pytest.mark.parametrize("scale", [None, {"lo": 2.0, "hi": 6.0, "degenerate": False}],
-                             ids=["null", "object"])
-    def test_old_format_with_scale_loads(self, scale, tmp_path):
-        """Files saved while models carried a ``"scale"`` entry load, and
-        predict, bit for bit as the model that was saved."""
-        rng = np.random.default_rng(13)
-        model = train(random_set(rng), PredictorConfig(kind="BPNN", epochs=10))
-        doc = model_to_dict(model)
-        old = {**{k: v for k, v in doc.items() if k != "training_loss_curve"},
-               "scale": scale, "training_loss_curve": doc["training_loss_curve"]}
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(old, indent=2))
-        back = load_model(path)
-        assert model_to_dict(back) == doc
-        assert back.weights.tobytes() == model.weights.tobytes()
-        q = rng.normal(size=3)
-        assert predict(back, q) == predict(model, q)
-
-
 class TestModelChecks:
-    """A loaded or hand-built model is checked as a ``PredictorConfig`` is."""
+    """A hand-built model is checked as a ``PredictorConfig`` is."""
 
     @staticmethod
     def doc(kind="BPNN", length=2):
         ts = random_set(np.random.default_rng(17), length=length)
-        return model_to_dict(train(ts, PredictorConfig(kind=kind, epochs=3)))
+        return dict(vars(train(ts, PredictorConfig(kind=kind, epochs=3))))
 
     @pytest.mark.parametrize("name, length, value", [
         ("input_length", 2, 2.7), ("input_length", 1, True), ("hidden_units", 2, 8.0)])
     def test_loaded_counts_must_be_integers(self, name, length, value):
         doc = dict(self.doc(length=length), **{name: value})
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
-            model_from_dict(doc)
+            TrainedModel(**doc)
 
-    # true is not 1.0 and "0.1" is not 0.1: the loaded value is checked as it stands
+    # true is not 1.0 and "0.1" is not 0.1: the given value is checked as it stands
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), 1e-200, True, "0.1"])
     def test_grnn_sigma_is_checked(self, sigma):
         with pytest.raises(ValueError, match="^grnn_sigma"):
-            model_from_dict(dict(self.doc("GRNN"), grnn_sigma=sigma))
+            TrainedModel(**dict(self.doc("GRNN"), grnn_sigma=sigma))
 
     @pytest.mark.parametrize("kind", ["BPNN", "GRNN"])
     @pytest.mark.parametrize("name", ["weights", "training_loss_curve"])
     def test_nested_lists_are_named(self, kind, name):
-        """A weights list or loss curve nested one level loads as a (1, n)
+        """A weights list or loss curve nested one level becomes a (1, n)
         array, which the model rejects by name instead of failing in
         ``predict``."""
         doc = self.doc(kind)
-        doc[name] = [doc[name] or [0.5]]
+        doc[name] = [doc[name].tolist() or [0.5]]
         with pytest.raises(ValueError, match=rf"^{name} must be 1-D, got shape \(1, \d+\)$"):
-            model_from_dict(doc)
+            TrainedModel(**doc)
 
     def test_grnn_holds_a_pair(self):
         with pytest.raises(ValueError, match="^a GRNN must hold at least one pair$"):
             TrainedModel(kind="GRNN", input_length=2, hidden_units=1, weights=np.zeros(0))
-
-    @pytest.mark.parametrize("key", ["kind", "input_length", "hidden_units", "weights"])
-    def test_missing_key_is_named(self, key):
-        doc = {k: v for k, v in self.doc().items() if k != key}
-        with pytest.raises(ValueError, match=f"^model has no '{key}'$"):
-            model_from_dict(doc)
